@@ -6,8 +6,9 @@ decision; LlmEvery(n) routes every n-th decision through a trained policy
 model conditioned on the live decision history.
 
 compare() reports robust deltas (median / IQR) and a two-sample KS statistic
-between delay distributions.  lyapunov_drift and lipschitz_estimate are the
-stability diagnostics used by the `diagnose` CLI command.
+between delay distributions.  lyapunov_drift is the stability diagnostic the
+`diagnose` CLI command runs; lipschitz_estimate is a library-only probe that
+no CLI command calls.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 
 from .features import ACTION_MARK, STATE_DIM
 from .model import load_checkpoint
-from .pool import compute_reward, normalize_state, record_state
-from .simulator import ScenarioConfig, World, run_scenario
+from .pool import compute_reward, normalize_state
+from .simulator import ScenarioConfig, World, applied_action, run_scenario
 
 STEADY_STATE_SKIP_US = 5_000_000   # discard the first 5 s of every run
 UTIL_BIN_US = 100_000              # utilisation measured in 100 ms bins
@@ -71,7 +72,7 @@ class LlmEvery:
             raise EvalError("checkpoint has no feature statistics")
         self.target_return = float(extra.get("target_return", 1.0))
         self.window = int(extra.get("window", self.model.config.context_window))
-        self._hist = []          # (ret, normalised state, action, timestep) per decision
+        self._hist = []          # (ret, normalised state, applied action, timestep) per decision
         self._last_drops = {}
         self._count = 0
         self.model_decisions = 0
@@ -93,7 +94,9 @@ class LlmEvery:
                 self.violations += 1
             if not self.shadow:
                 action = predicted
-        self._hist.append([self.target_return, norm, action, self._count - 1])
+        # the history holds what the world applies, as the .klog and the
+        # training pool do, not what was asked for
+        self._hist.append([self.target_return, norm, applied_action(action, pkt), self._count - 1])
         if len(self._hist) > self.window:
             self._hist.pop(0)
         return action
@@ -197,9 +200,13 @@ def evaluate(scenario: ScenarioConfig, driver=None) -> dict:
     return collect_stats(world, driver)
 
 
-def collect_stats(world: World, driver) -> dict:
+def _steady_state_skip(world: World) -> int:
     # short calibration runs would otherwise fall entirely inside the skip
-    skip = min(STEADY_STATE_SKIP_US, world.config.duration_us // 2)
+    return min(STEADY_STATE_SKIP_US, world.config.duration_us // 2)
+
+
+def collect_stats(world: World, driver) -> dict:
+    skip = _steady_state_skip(world)
     delay_ms = {0: [], 1: []}
     for t, qc, sojourn in world.qdelay_samples:
         if t >= skip:
@@ -334,8 +341,9 @@ def lipschitz_estimate(block, pairs):
 def diagnose(world_or_stats, target_ms) -> dict:
     """Bundle the stability diagnostics for a finished run."""
     if isinstance(world_or_stats, World):
+        skip = _steady_state_skip(world_or_stats)
         trace = [s / 1000.0 for t, qc, s in world_or_stats.qdelay_samples
-                 if t >= STEADY_STATE_SKIP_US and qc == 0]
+                 if t >= skip and qc == 0]
     else:
         trace = world_or_stats
     drift = lyapunov_drift(trace, target_ms)

@@ -2,10 +2,12 @@
 
 Per timestep the token layout is [return, state_1..state_8, action] (10
 tokens); scalar features go through per-feature linear encoders, time-series
-features through a multi-kernel conv path; learned time embeddings are added
-to all tokens of a step.  A causal transformer backbone feeds a 3-way action
-head read at the last state token of each step.  Attention Q/V projections
-can be LoRA-wrapped (frozen base, trainable low-rank delta).
+features through a multi-kernel causal conv path; learned time embeddings are
+added to all tokens of a step.  Each feature has its own encoder weights,
+stored stacked along a feature axis so that a few contractions encode all 8
+features at once.  A causal transformer backbone feeds a 3-way action head
+read at the last state token of each step.  Attention Q/V projections can be
+LoRA-wrapped (frozen base, trainable low-rank delta).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import io
 import json
 import zipfile
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from . import tensor as T
 from .features import ACTION_COUNT, DEFAULT_CONV_FEATURES, STATE_DIM, STATE_FEATURES
 from .tensor import Tensor
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2   # v1 stored the encoder per feature (enc{i}_*, embed{i}_*)
 TOKENS_PER_STEP = 1 + STATE_DIM + 1   # return, 8 state features, action
 
 
@@ -78,12 +80,47 @@ class ActionDistribution:
         return int(np.argmax(self.probabilities))
 
 
+def _draw(rng, shape, scale, dtype):
+    return rng.normal(0.0, scale, size=shape).astype(dtype)
+
+
 def _init(rng, shape, scale, dtype):
-    return Tensor(rng.normal(0.0, scale, size=shape).astype(dtype), requires_grad=True)
+    return Tensor(_draw(rng, shape, scale, dtype), requires_grad=True)
 
 
 def _zeros(shape, dtype):
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+
+
+def _stack_encoder(per_feature, config):
+    """Stacked encoder arrays from the per-feature ones of checkpoint v1.
+
+    Scalar feature j (in STATE_FEATURES order among the scalar ones) is row j
+    of enc_scalar_*; conv feature c is row c of enc_conv{k}_* and enc_proj_*,
+    with each v1 kernel [fd, 1, k] stored as [k, fd]; embed_* keeps all 8.
+    """
+    mask = config.scalar_feature_mask()
+    scalar = [i for i in range(config.state_dim) if mask[i]]
+    conv = [i for i in range(config.state_dim) if not mask[i]]
+
+    def stack(fmt, rows, view=lambda a: a):
+        # C order, as every other parameter: the transposed kernel views
+        # would otherwise stack into a Fortran-ordered array
+        return np.ascontiguousarray(np.stack([view(per_feature[fmt.format(i)]) for i in rows]))
+
+    out = {}
+    if scalar:
+        out["enc_scalar_W"] = stack("enc{}_W", scalar, lambda a: a[0])
+        out["enc_scalar_b"] = stack("enc{}_b", scalar)
+    if conv:
+        for k in config.conv_kernel_sizes:
+            out[f"enc_conv{k}_K"] = stack(f"enc{{}}_convk{k}_K", conv, lambda a: a[:, 0, :].T)
+            out[f"enc_conv{k}_b"] = stack(f"enc{{}}_convk{k}_b", conv)
+        out["enc_proj_W"] = stack("enc{}_proj_W", conv)
+        out["enc_proj_b"] = stack("enc{}_proj_b", conv)
+    out["embed_W"] = stack("embed{}_W", range(config.state_dim))
+    out["embed_b"] = stack("embed{}_b", range(config.state_dim))
+    return out
 
 
 class PolicyModel:
@@ -97,25 +134,35 @@ class PolicyModel:
         rng = np.random.default_rng(seed)
         dt = config.np_dtype
         d, fd = config.embed_size, config.feature_dim
-        scalar_mask = config.scalar_feature_mask()
+        scalar_mask = np.array(config.scalar_feature_mask(), dtype=bool)
+        self._scalar_idx = np.flatnonzero(scalar_mask)
+        self._conv_idx = np.flatnonzero(~scalar_mask)
+        # encode_state computes the scalar group, then the conv group; this
+        # puts the concatenation back into STATE_FEATURES order
+        self._feature_order = np.argsort(np.concatenate([self._scalar_idx, self._conv_idx]))
 
         def add(name, t):
             self.params[name] = t
             return t
 
+        # drawn per feature in v1 order, so a seed gives the same initial
+        # values as the per-feature layout did
+        per_feature = {}
         for i, name in enumerate(STATE_FEATURES):
             if scalar_mask[i]:
-                add(f"enc{i}_W", _init(rng, (1, fd), 0.5, dt))
-                add(f"enc{i}_b", _zeros((fd,), dt))
+                per_feature[f"enc{i}_W"] = _draw(rng, (1, fd), 0.5, dt)
+                per_feature[f"enc{i}_b"] = np.zeros(fd, dtype=dt)
             else:
                 for k in config.conv_kernel_sizes:
-                    add(f"enc{i}_convk{k}_K", _init(rng, (fd, 1, k), 0.5 / math.sqrt(k), dt))
-                    add(f"enc{i}_convk{k}_b", _zeros((fd,), dt))
+                    per_feature[f"enc{i}_convk{k}_K"] = _draw(rng, (fd, 1, k), 0.5 / math.sqrt(k), dt)
+                    per_feature[f"enc{i}_convk{k}_b"] = np.zeros(fd, dtype=dt)
                 nk = len(config.conv_kernel_sizes)
-                add(f"enc{i}_proj_W", _init(rng, (nk * fd, fd), 1.0 / math.sqrt(nk * fd), dt))
-                add(f"enc{i}_proj_b", _zeros((fd,), dt))
-            add(f"embed{i}_W", _init(rng, (fd, d), 1.0 / math.sqrt(fd), dt))
-            add(f"embed{i}_b", _zeros((d,), dt))
+                per_feature[f"enc{i}_proj_W"] = _draw(rng, (nk * fd, fd), 1.0 / math.sqrt(nk * fd), dt)
+                per_feature[f"enc{i}_proj_b"] = np.zeros(fd, dtype=dt)
+            per_feature[f"embed{i}_W"] = _draw(rng, (fd, d), 1.0 / math.sqrt(fd), dt)
+            per_feature[f"embed{i}_b"] = np.zeros(d, dtype=dt)
+        for name, arr in _stack_encoder(per_feature, config).items():
+            add(name, Tensor(arr, requires_grad=True))
 
         add("W_return", _init(rng, (1, d), 0.5, dt))
         add("b_return", _zeros((d,), dt))
@@ -237,32 +284,31 @@ class PolicyModel:
     # ---------------------------------------------------------------- forward
 
     def encode_state(self, states):
-        """states: [batch, w, 8] array -> list of 8 embeddings, each [batch, w, d]."""
-        states = np.asarray(states, dtype=self.config.np_dtype)
-        if states.ndim != 3 or states.shape[2] != self.config.state_dim:
-            raise T.TensorError(f"encode_state expects [batch, w, {self.config.state_dim}], got {states.shape}")
-        b, w, _ = states.shape
-        scalar_mask = self.config.scalar_feature_mask()
-        outs = []
-        for i in range(self.config.state_dim):
-            col = Tensor(states[:, :, i : i + 1])        # [b, w, 1]
-            if scalar_mask[i]:
-                feat = T.linear(col, self.params[f"enc{i}_W"], self.params[f"enc{i}_b"])
-            else:
-                seq = col.reshape(b, w).reshape(b, 1, w)  # [b, 1, w]
-                convs = [
-                    # causal padding: the window-axis conv must not let future
-                    # steps leak into earlier positions
-                    T.conv1d(seq, self.params[f"enc{i}_convk{k}_K"],
-                             self.params[f"enc{i}_convk{k}_b"], padding="causal")
-                    for k in self.config.conv_kernel_sizes
-                ]                                          # each [b, fd, w]
-                cat = T.concat(convs, axis=1)              # [b, nk*fd, w]
-                cat = cat.transpose(0, 2, 1)               # [b, w, nk*fd]
-                feat = T.linear(cat, self.params[f"enc{i}_proj_W"], self.params[f"enc{i}_proj_b"])
-            emb = T.linear(feat, self.params[f"embed{i}_W"], self.params[f"embed{i}_b"])
-            outs.append(emb)                               # [b, w, d]
-        return outs
+        """states: [batch, w, 8] array -> embeddings [batch, w, 8, d].
+
+        Feature i of the third axis is STATE_FEATURES[i].
+        """
+        cfg, p = self.config, self.params
+        states = np.asarray(states, dtype=cfg.np_dtype)
+        if states.ndim != 3 or states.shape[2] != cfg.state_dim:
+            raise T.TensorError(f"encode_state expects [batch, w, {cfg.state_dim}], got {states.shape}")
+        groups = []
+        if self._scalar_idx.size:
+            x = Tensor(states[:, :, self._scalar_idx, None])           # [b, w, ns, 1]
+            groups.append(x * p["enc_scalar_W"] + p["enc_scalar_b"])  # [b, w, ns, fd]
+        if self._conv_idx.size:
+            kmax = max(cfg.conv_kernel_sizes)
+            # causal padding: the window-axis conv must not let future steps
+            # leak into earlier positions.  One pad to the widest kernel; a
+            # kernel of size k reads the last k taps of each window.
+            xpad = np.pad(states[:, :, self._conv_idx], ((0, 0), (kmax - 1, 0), (0, 0)))
+            win = np.lib.stride_tricks.sliding_window_view(xpad, kmax, axis=1)  # [b, w, nc, kmax]
+            convs = [T.einsum("bwck,ckf->bwcf", Tensor(win[..., kmax - k:]), p[f"enc_conv{k}_K"])
+                     + p[f"enc_conv{k}_b"] for k in cfg.conv_kernel_sizes]
+            cat = T.concat(convs, axis=3)                                # [b, w, nc, nk*fd]
+            groups.append(T.einsum("bwcj,cjf->bwcf", cat, p["enc_proj_W"]) + p["enc_proj_b"])
+        feat = T.select_positions(T.concat(groups, axis=2), self._feature_order, axis=2)
+        return T.einsum("bwif,ifd->bwid", feat, p["embed_W"]) + p["embed_b"]   # [b, w, 8, d]
 
     def build_sequence(self, returns, states, actions, timesteps):
         """Interleave [R, s1..s8, a] per step, add time embeddings, pre-LN.
@@ -280,13 +326,14 @@ class PolicyModel:
         if w != timesteps.shape[1] or states.shape[1] != w:
             raise T.TensorError("window length mismatch across modalities")
 
-        r_emb = T.linear(Tensor(returns[:, :, None]), self.params["W_return"], self.params["b_return"])
-        a_emb = T.linear(Tensor(actions[:, :, None]), self.params["W_action"], self.params["b_action"])
-        s_embs = self.encode_state(states)
-
-        t_emb = T.embedding(self.params["W_time"], np.clip(timesteps, 0, cfg.max_timestep))
-        per_step = [r_emb + t_emb] + [s + t_emb for s in s_embs] + [a_emb + t_emb]
-        tokens = T.stack(per_step, axis=2)                 # [b, w, 10, d]
+        p = self.params
+        # a 1-wide linear map is one product per output, so a broadcast
+        # multiply gives the same values
+        r_emb = Tensor(returns[:, :, None, None]) * p["W_return"] + p["b_return"]  # [b, w, 1, d]
+        a_emb = Tensor(actions[:, :, None, None]) * p["W_action"] + p["b_action"]
+        s_emb = self.encode_state(states)                                          # [b, w, 8, d]
+        t_emb = T.embedding(p["W_time"], np.clip(timesteps, 0, cfg.max_timestep)[:, :, None])
+        tokens = T.concat([r_emb, s_emb, a_emb], axis=2) + t_emb                   # [b, w, 10, d]
         tokens = tokens.reshape(b, w * TOKENS_PER_STEP, cfg.embed_size)
         normed = T.layer_norm(tokens, self.params["pre_ln_g"], self.params["pre_ln_b"])
         return normed, tokens
@@ -350,8 +397,9 @@ class PolicyModel:
         return logits.data, probs
 
     def predict(self, returns, states, actions, timesteps, pad_mask=None):
-        """ActionDistribution for the newest step of each window."""
-        logits = self.forward(returns, states, actions, timesteps, pad_mask)
+        """ActionDistribution for the newest step of each window (no graph kept)."""
+        with T.no_grad():
+            logits = self.forward(returns, states, actions, timesteps, pad_mask)
         raw, probs = self.action_distributions(logits)
         return [ActionDistribution(raw[i, -1], probs[i, -1]) for i in range(raw.shape[0])]
 
@@ -382,8 +430,9 @@ def load_checkpoint(path):
     try:
         with np.load(path, allow_pickle=False) as z:
             meta = json.loads(bytes(z["__meta__"]).decode())
-            if meta.get("version") != CHECKPOINT_VERSION:
-                raise CheckpointError(f"unsupported checkpoint version {meta.get('version')}")
+            version = meta.get("version")
+            if version not in (1, CHECKPOINT_VERSION):
+                raise CheckpointError(f"unsupported checkpoint version {version}")
             cfg_d = meta["config"]
             cfg = ModelConfig(**{**cfg_d,
                                  "conv_kernel_sizes": tuple(cfg_d["conv_kernel_sizes"]),
@@ -392,11 +441,13 @@ def load_checkpoint(path):
             model = PolicyModel(cfg, seed=0)
             if meta["lora_enabled"]:
                 model.enable_lora(rank=cfg.lora_rank)
+            saved = {key[len("param::"):]: z[key] for key in z.files if key.startswith("param::")}
+            if version == 1:
+                saved.update(_stack_encoder(saved, cfg))
             for name in model.params:
-                key = f"param::{name}"
-                if key not in z:
+                if name not in saved:
                     raise CheckpointError(f"missing parameter {name}")
-                model.params[name].data = z[key].copy()
+                model.params[name].data = saved[name]
             for name in meta["frozen"]:
                 model.params[name].requires_grad = False
     except (OSError, ValueError, KeyError, json.JSONDecodeError,

@@ -242,6 +242,14 @@ def aqm_decision(q: QueueState, p: Packet, params: Dualpi2Params, rng_draw: floa
     return Decision(ACTION_ENQUEUE, "ok")
 
 
+def applied_action(action: int, p: Packet) -> int:
+    """The action the world carries out when a decision hook asks for
+    `action`: a not-ECN-capable packet cannot be marked, so MARK becomes DROP."""
+    if action == ACTION_MARK and not p.ecn_capable:
+        return ACTION_DROP
+    return action
+
+
 # ----------------------------------------------------------------- flow model
 
 
@@ -484,9 +492,8 @@ class World:
         decision = aqm_decision(q, pkt, self.params, self.rng.random())
         action = decision.action
         if self.decision_hook is not None:
-            action = self.decision_hook(self, q, pkt, decision)
-            if action == ACTION_MARK and not pkt.ecn_capable:
-                action = ACTION_DROP  # safety override, counted by the hook owner
+            # safety override, counted by the hook owner
+            action = applied_action(self.decision_hook(self, q, pkt, decision), pkt)
         self._emit_record(q, pkt, action)
         self.decision_meta.append((self.now, int(qc), decision.cause))
 

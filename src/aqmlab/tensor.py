@@ -1,13 +1,16 @@
 """Minimal dense-tensor math with reverse-mode automatic differentiation.
 
-Just enough machinery for the policy network: linear maps, 1D convolution,
-layer normalization, softmax, masked attention building blocks, cross-entropy
-and a clipped-SGD optimizer.  Arrays are numpy; float32 storage with float64
-accumulation in the reductions that need it.
+Just enough machinery for the policy network: linear maps, a two-operand
+einsum, 1D convolution, layer normalization, softmax, masked attention
+building blocks, cross-entropy and a clipped-SGD optimizer.  Arrays are
+numpy; float32 storage with float64 accumulation in the reductions that need
+it.  Inside `no_grad()` ops record no graph, which is how inference runs.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 
 import numpy as np
@@ -24,6 +27,23 @@ def _as_array(x, dtype=None):
     elif a.dtype.kind != "f":
         a = a.astype(np.float32)
     return a
+
+
+_GRAD_ENABLED = contextvars.ContextVar("aqmlab_grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without recording the graph: results keep no parents and no
+    backward function, so nothing from the forward pass outlives its use.
+
+    Restores the previous mode on exit (exceptions included) and nests.
+    """
+    token = _GRAD_ENABLED.set(False)
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED.reset(token)
 
 
 def _unbroadcast(grad, shape):
@@ -48,6 +68,8 @@ class Tensor:
     def __init__(self, data, requires_grad=False, dtype=None, _parents=(), _backward=None):
         self.data = _as_array(data, dtype)
         self.grad = None
+        if _parents and not _GRAD_ENABLED.get():
+            _parents, _backward = (), None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
         self._parents = _parents
         self._backward = _backward
@@ -71,17 +93,19 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise TensorError(f"backward() needs a scalar loss, got shape {self.shape}")
-        topo, seen = [], set()
-
-        def visit(node):
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            for p in node._parents:
-                visit(p)
-            topo.append(node)
-
-        visit(self)
+        # Iterative depth-first post-order, in the order a recursive visit of
+        # _parents would take.  A recursive closure would sit in a reference
+        # cycle with `topo`, and so keep the whole graph alive until the
+        # cyclic collector ran.
+        topo, seen, stack = [], set(), [(self, False)]
+        while stack:
+            node, done = stack.pop()
+            if done:
+                topo.append(node)
+            elif id(node) not in seen:
+                seen.add(id(node))
+                stack.append((node, True))
+                stack.extend((p, False) for p in reversed(node._parents) if id(p) not in seen)
         for node in topo:
             if node._backward is not None:  # leaves keep accumulating across calls
                 node.grad = None
@@ -89,6 +113,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                # every consumer ran before this node, so its gradient is spent
+                node.grad = None
 
     def _accum(self, g):
         if not self.requires_grad:
@@ -214,23 +240,15 @@ def concat(tensors, axis):
     return Tensor(out_data, _parents=tuple(tensors), _backward=bwd)
 
 
-def stack(tensors, axis):
-    expanded = []
-    for t in tensors:
-        shape = list(t.shape)
-        shape.insert(axis if axis >= 0 else t.ndim + 1 + axis, 1)
-        expanded.append(t.reshape(shape))
-    return concat(expanded, axis)
-
-
-def select_positions(x, positions):
-    """x[:, positions, :] with gradient scatter-add (positions: int array)."""
+def select_positions(x, positions, axis=1):
+    """x.take(positions, axis) with gradient scatter-add (positions: int array)."""
     positions = np.asarray(positions, dtype=np.int64)
-    out_data = x.data[:, positions, :]
+    index = (slice(None),) * axis + (positions,)
+    out_data = x.data[index]
 
     def bwd(g):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, (slice(None), positions), g)
+        np.add.at(gx, index, g)
         x._accum(gx)
 
     return Tensor(out_data, _parents=(x,), _backward=bwd)
@@ -252,6 +270,30 @@ def embedding(table, indices):
         table._accum(gt)
 
     return Tensor(out_data, _parents=(table,), _backward=bwd)
+
+
+def einsum(spec, a, b):
+    """Two-operand np.einsum with its backward, e.g. "bwck,ckf->bwcf".
+
+    The output subscripts are explicit, no operand repeats an index, and
+    every index of one operand appears in the other or in the output, so
+    each gradient is again a single einsum.
+    """
+    ins, arrow, out = spec.partition("->")
+    sa, comma, sb = ins.partition(",")
+    if (not (arrow and comma) or len(sa) != a.ndim or len(sb) != b.ndim
+            or any(len(set(s)) != len(s) for s in (sa, sb, out))
+            or set(out) - set(sa + sb) or set(sa) - set(sb + out) or set(sb) - set(sa + out)):
+        raise TensorError(f"einsum spec {spec!r} unsupported for shapes {a.shape}, {b.shape}")
+    out_data = np.einsum(spec, a.data, b.data)
+
+    def bwd(g):
+        if a.requires_grad:
+            a._accum(np.einsum(f"{out},{sb}->{sa}", g, b.data))
+        if b.requires_grad:
+            b._accum(np.einsum(f"{sa},{out}->{sb}", a.data, g))
+
+    return Tensor(out_data, _parents=(a, b), _backward=bwd)
 
 
 def linear(x, W, b=None):
@@ -287,7 +329,6 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     out_data = gamma.data * xhat + beta.data
 
     def bwd(g):
-        n = x.data.shape[-1]
         gxhat = g * gamma.data
         m1 = gxhat.mean(axis=-1, keepdims=True)
         m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
@@ -295,7 +336,6 @@ def layer_norm(x, gamma, beta, eps=1e-5):
         reduce_axes = tuple(range(g.ndim - 1))
         gamma._accum((g * xhat).sum(axis=reduce_axes))
         beta._accum(g.sum(axis=reduce_axes))
-        del n
 
     return Tensor(out_data, _parents=(x, gamma, beta), _backward=bwd)
 

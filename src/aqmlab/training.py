@@ -187,7 +187,8 @@ def evaluate_accuracy(model: PolicyModel, dataset: WindowDataset, batch_size=64,
         if max_batches and bi >= max_batches:
             break
         R, S, A, tgt, ts, mask = batch
-        logits = model.forward(R, S, A, ts, pad_mask=(mask > 0).astype(float))
+        with T.no_grad():
+            logits = model.forward(R, S, A, ts, pad_mask=(mask > 0).astype(float))
         preds = np.argmax(logits.data, axis=-1)
         keep = mask > 0
         hits += int(np.sum((preds == tgt) & keep))

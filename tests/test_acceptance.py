@@ -270,7 +270,8 @@ class TestTokenLayout:
         normed, raw = model.build_sequence(R, S, A, Ts)
         assert raw.shape == (2, 10 * 3, model.config.embed_size)
         assert normed.shape == raw.shape
-        outs = model.encode_state(S)
+        emb = model.encode_state(S).data          # feature i on axis 2
+        outs = [emb[:, :, i] for i in range(emb.shape[2])]
         assert len(outs) == 8
         for o in outs:
             assert o.shape == (2, 3, model.config.embed_size)
@@ -288,8 +289,10 @@ class TestTokenLayout:
                           model.params["b_action"]).data
         np.testing.assert_array_equal(tok[:, :, 0], r_proj)
         np.testing.assert_array_equal(tok[:, :, 9], a_proj)
-        for i, s_emb in enumerate(model.encode_state(S)):
-            np.testing.assert_array_equal(tok[:, :, 1 + i], s_emb.data)
+        s_emb = model.encode_state(S).data
+        assert s_emb.shape[2] == 8
+        for i in range(8):
+            np.testing.assert_array_equal(tok[:, :, 1 + i], s_emb[:, :, i])
 
         # with the table zeroed, timestep values are irrelevant
         _, raw2 = model.build_sequence(R, S, A, (Ts + 3) % model.config.max_timestep)

@@ -10,7 +10,9 @@ from aqmlab.evaluation import (
     EvalError, RuleBased, compare, ks_statistic, lipschitz_estimate,
     lyapunov_drift, utilization,
 )
-from aqmlab.simulator import default_scenario
+from aqmlab.features import ACTION_DROP, ACTION_MARK
+from aqmlab.model import ModelConfig, PolicyModel, save_checkpoint
+from aqmlab.simulator import default_scenario, run_scenario
 
 
 class TestLyapunov:
@@ -185,3 +187,39 @@ class TestClosedLoopEval:
         assert "lyapunov" in out
         assert np.isfinite(out["lyapunov"]["mean_drift"])
         assert 0.0 <= out["lyapunov"]["negative_fraction"] <= 1.0
+
+    def test_diagnose_on_short_run(self):
+        """A run of 5 s or less keeps half its samples, as collect_stats does."""
+        world = run_scenario(default_scenario(seed=1, duration_us=4_000_000))
+        out = ev.diagnose(world, target_ms=15.0)
+        assert np.isfinite(out["lyapunov"]["mean_drift"])
+
+
+class TestLlmEveryHistory:
+    def test_history_holds_the_applied_action(self, tmp_path):
+        """A model MARK on a not-ECN-capable packet is applied as a DROP; the
+        history the next windows see must hold the DROP, as the log does."""
+        cfg = ModelConfig(feature_dim=2, embed_size=8, n_layers=1, n_heads=2,
+                          context_window=4, max_timestep=64)
+        ckpt = tmp_path / "m.npz"
+        stats = {"mean": [0.0] * 8, "std": [1.0] * 8, "zero_variance": [False] * 8}
+        save_checkpoint(PolicyModel(cfg, seed=0), ckpt, feature_stats=stats,
+                        extra={"target_return": 1.0, "window": 4})
+        driver = ev.LlmEvery(str(ckpt), every=1)
+        driver._infer = lambda norm_state: ACTION_MARK
+        entries = []
+        hook = driver.hook
+
+        def recording_hook(world, q, pkt, decision):
+            action = hook(world, q, pkt, decision)
+            entries.append((driver._hist[-1][3], driver._hist[-1][2]))
+            return action
+
+        world = run_scenario(default_scenario(seed=3, duration_us=1_000_000),
+                             decision_hook=recording_hook)
+        assert len(entries) == len(world.records) == driver.model_decisions
+        for t, action in entries:
+            assert action == world.records[t].dequeue_action, t
+        applied = {a for _, a in entries}
+        assert applied == {ACTION_MARK, ACTION_DROP}
+        assert driver.violations == sum(a == ACTION_DROP for _, a in entries)

@@ -1,13 +1,26 @@
-"""Policy model tests: shapes, token layout, causality, LoRA, checkpoints."""
+"""Policy model tests: shapes, token layout, causality, LoRA, checkpoints,
+the fused state encoder and inference without a graph."""
+
+import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from aqmlab import tensor as T
+from aqmlab.features import STATE_FEATURES
 from aqmlab.model import (
-    TOKENS_PER_STEP, CheckpointError, ModelConfig, PolicyModel,
+    CHECKPOINT_VERSION, TOKENS_PER_STEP, CheckpointError, ModelConfig, PolicyModel,
     load_checkpoint, save_checkpoint,
 )
+from aqmlab.tensor import Tensor
+
+# A checkpoint in the version-1 layout (one enc{i}_* / embed{i}_* set per
+# feature): PolicyModel(ModelConfig(feature_dim=4, embed_size=8, n_layers=1,
+# n_heads=2, context_window=4, max_timestep=8, dtype="float64"), seed=7),
+# untrained, saved by the v1 code.  extra["probe"] holds a fixed input and the
+# logits the v1 forward pass gave for it.
+V1_CHECKPOINT = pathlib.Path(__file__).parent / "data" / "policy_v1.npz"
 
 
 def small_config(**over):
@@ -302,4 +315,181 @@ class TestCheckpoint:
         path = tmp_path / "x.npz"
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+
+def bench_config(**over):
+    """The CLI default model (one layer, embed 32, window 8)."""
+    base = dict(feature_dim=8, embed_size=32, n_layers=1, n_heads=2, context_window=8)
+    base.update(over)
+    return ModelConfig(**base)
+
+
+def reference_encode_state(model, states):
+    """The per-feature encoder the fused one replaced, built from the stacked
+    parameters: a linear map per scalar feature; per conv feature, one causal
+    T.conv1d per kernel size, concatenated and projected; then a linear
+    embedding per feature."""
+    cfg, p = model.config, model.params
+    states = np.asarray(states, dtype=cfg.np_dtype)
+    b, w, _ = states.shape
+    fd, nk = cfg.feature_dim, len(cfg.conv_kernel_sizes)
+
+    def row(name, r):
+        return T.select_positions(p[name], [r], axis=0)
+
+    mask = cfg.scalar_feature_mask()
+    outs, si, ci = [], 0, 0
+    for i in range(cfg.state_dim):
+        col = Tensor(states[:, :, i:i + 1])
+        if mask[i]:
+            feat = T.linear(col, row("enc_scalar_W", si), row("enc_scalar_b", si).reshape(fd))
+            si += 1
+        else:
+            seq = col.reshape(b, 1, w)
+            convs = [T.conv1d(seq, row(f"enc_conv{k}_K", ci).transpose(2, 0, 1),
+                              row(f"enc_conv{k}_b", ci).reshape(fd), padding="causal")
+                     for k in cfg.conv_kernel_sizes]
+            cat = T.concat(convs, axis=1).transpose(0, 2, 1)
+            feat = T.linear(cat, row("enc_proj_W", ci).reshape(nk * fd, fd),
+                            row("enc_proj_b", ci).reshape(fd))
+            ci += 1
+        d = cfg.embed_size
+        outs.append(T.linear(feat, row("embed_W", i).reshape(fd, d), row("embed_b", i).reshape(d)))
+    return T.concat([o.reshape(b, w, 1, d) for o in outs], axis=2)
+
+
+def loss_and_grads(model, batch, pad):
+    R, S, A, ts = batch
+    T.zero_grads(model.params.values())
+    logits = model.forward(R, S, A, ts, pad_mask=pad)
+    b, w, c = logits.shape
+    tgt = np.arange(b * w) % c
+    T.cross_entropy(logits.reshape(b * w, c), tgt).backward()
+    return logits.data, {n: p.grad for n, p in model.params.items()}
+
+
+class TestFusedEncoder:
+    @pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-12)])
+    @pytest.mark.parametrize("conv_features", [
+        None, ("current_queue_delay",), ("queue_type", "packet_length", "drop_probability"),
+        (), STATE_FEATURES])
+    def test_matches_per_feature_reference(self, dtype, tol, conv_features):
+        over = {"dtype": dtype}
+        if conv_features is not None:
+            over["conv_features"] = conv_features
+        cfg = bench_config(**over)
+        fused, ref = PolicyModel(cfg, seed=4), PolicyModel(cfg, seed=4)
+        ref.encode_state = lambda states: reference_encode_state(ref, states)
+        batch = rand_batch(cfg, b=3, seed=5)
+        pad = np.ones((3, cfg.context_window))
+        pad[1, :3] = 0.0
+        y_f, g_f = loss_and_grads(fused, batch, pad)
+        y_r, g_r = loss_and_grads(ref, batch, pad)
+        np.testing.assert_allclose(y_f, y_r, rtol=0, atol=tol)
+        for name in g_r:
+            np.testing.assert_allclose(g_f[name], g_r[name], rtol=0, atol=tol, err_msg=name)
+
+    def test_stacked_parameter_shapes(self):
+        cfg = bench_config()
+        m = PolicyModel(cfg, seed=0)
+        fd, d, nk = cfg.feature_dim, cfg.embed_size, len(cfg.conv_kernel_sizes)
+        nc = len(cfg.conv_features)
+        shapes = {n: p.shape for n, p in m.params.items() if n.startswith(("enc", "embed"))}
+        want = {"enc_scalar_W": (8 - nc, fd), "enc_scalar_b": (8 - nc, fd),
+                "enc_proj_W": (nc, nk * fd, fd), "enc_proj_b": (nc, fd),
+                "embed_W": (8, fd, d), "embed_b": (8, d)}
+        for k in cfg.conv_kernel_sizes:
+            want[f"enc_conv{k}_K"] = (nc, k, fd)
+            want[f"enc_conv{k}_b"] = (nc, fd)
+        assert shapes == want
+
+    @pytest.mark.parametrize("b", [1, 32])
+    def test_graph_size_per_forward(self, b, monkeypatch):
+        cfg = bench_config()
+        m = PolicyModel(cfg, seed=0)
+        R, S, A, ts = rand_batch(cfg, b=b)
+        built = []
+        init = Tensor.__init__
+
+        def counting_init(obj, *args, **kwargs):
+            built.append(1)
+            init(obj, *args, **kwargs)
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        m.forward(R, S, A, ts, pad_mask=np.ones((b, cfg.context_window)))
+        assert len(built) <= 80
+
+
+class TestInferenceWithoutGraph:
+    def test_predict_leaves_no_graph(self):
+        cfg = bench_config()
+        m = PolicyModel(cfg, seed=0)
+        seen = []
+        forward = m.forward
+        m.forward = lambda *a, **k: seen.append(forward(*a, **k)) or seen[-1]
+        m.predict(*rand_batch(cfg, b=1))
+        assert len(seen) == 1
+        assert seen[0]._parents == () and not seen[0].requires_grad
+
+    def test_training_step_after_predict_unchanged(self):
+        cfg = bench_config()
+        batch = rand_batch(cfg, b=4, seed=1)
+        pad = np.ones((4, cfg.context_window))
+        plain = PolicyModel(cfg, seed=2)
+        after = PolicyModel(cfg, seed=2)
+        after.predict(*rand_batch(cfg, b=1, seed=9))
+        y_p, g_p = loss_and_grads(plain, batch, pad)
+        y_a, g_a = loss_and_grads(after, batch, pad)
+        np.testing.assert_array_equal(y_p, y_a)
+        for name in g_p:
+            np.testing.assert_array_equal(g_p[name], g_a[name], err_msg=name)
+
+
+class TestCheckpointV1:
+    def test_fixture_is_version_1(self):
+        with np.load(V1_CHECKPOINT) as z:
+            meta = json.loads(bytes(z["__meta__"]).decode())
+            assert meta["version"] == 1 and "param::enc0_W" in z.files
+        assert CHECKPOINT_VERSION == 2
+
+    def test_v1_checkpoint_reproduces_its_logits(self):
+        m, stats, extra = load_checkpoint(V1_CHECKPOINT)
+        probe = extra["probe"]
+        logits = m.forward(probe["returns"], np.array(probe["states"]), probe["actions"],
+                           np.array(probe["timesteps"]), pad_mask=np.array(probe["pad_mask"]))
+        np.testing.assert_allclose(logits.data, np.array(probe["logits"]), rtol=0, atol=1e-6)
+        assert stats is not None
+
+    def test_initial_parameters_unchanged_by_stacking(self):
+        """A seed draws its random numbers in the v1 order."""
+        loaded, _, extra = load_checkpoint(V1_CHECKPOINT)
+        fresh = PolicyModel(loaded.config, seed=extra["seed"])
+        assert list(fresh.params) == list(loaded.params)
+        for name, p in fresh.params.items():
+            assert p.data.dtype == loaded.params[name].data.dtype, name
+            assert p.data.tobytes() == loaded.params[name].data.tobytes(), name
+            assert p.data.flags.c_contiguous, name
+
+    def test_v1_resaves_as_current_version(self, tmp_path):
+        m, stats, extra = load_checkpoint(V1_CHECKPOINT)
+        path = tmp_path / "v2.npz"
+        save_checkpoint(m, path, feature_stats=stats, extra=extra)
+        with np.load(path) as z:
+            assert json.loads(bytes(z["__meta__"]).decode())["version"] == CHECKPOINT_VERSION
+            assert "param::embed_W" in z.files and "param::enc0_W" not in z.files
+        m2, _, _ = load_checkpoint(path)
+        for name, p in m.params.items():
+            np.testing.assert_array_equal(p.data, m2.params[name].data)
+
+    def test_unknown_version_rejected(self, tmp_path):
+        m = PolicyModel(small_config(), seed=0)
+        path = tmp_path / "v9.npz"
+        save_checkpoint(m, path)
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        meta["version"] = 9
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointError, match="version 9"):
             load_checkpoint(path)

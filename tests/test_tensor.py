@@ -1,5 +1,8 @@
 """Unit tests for the numpy autodiff core."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -42,6 +45,30 @@ class TestBasics:
         c = Tensor(rand(3))  # constant input
         (a * c).sum().backward()
         assert c.grad is None
+
+    def test_backward_frees_interior_grads(self):
+        a = Tensor(rand(3), requires_grad=True)
+        h = a * 2.0
+        loss = h.tanh().sum()
+        loss.backward()
+        assert h.grad is None and loss.grad is None
+        np.testing.assert_allclose(a.grad, 2.0 * (1.0 - np.tanh(2.0 * a.data) ** 2))
+
+    def test_graph_freed_without_cyclic_collector(self):
+        """After backward, dropping the loss frees the graph by reference
+        counting alone; a graph kept for the cyclic collector piles up
+        between its (rare) full collections."""
+        gc.disable()
+        try:
+            a = Tensor(rand(3), requires_grad=True)
+            h = a * 2.0
+            interior = weakref.ref(h.data)
+            loss = h.tanh().sum()
+            loss.backward()
+            del h, loss
+            assert interior() is None
+        finally:
+            gc.enable()
 
     def test_shared_node_grad_sums_both_paths(self):
         a = Tensor(np.array([2.0]), requires_grad=True)
@@ -133,7 +160,54 @@ class TestGradChecks:
         assert err < 1e-3
 
 
+    @pytest.mark.parametrize("spec,shape_a,shape_b", [
+        ("bwck,ckf->bwcf", (2, 3, 4, 5), (4, 5, 6)),
+        ("bwcj,cjf->bwcf", (2, 3, 4, 6), (4, 6, 5)),
+        ("bwif,ifd->bwid", (2, 3, 4, 5), (4, 5, 7)),
+        ("i,j->ij", (3,), (4,)),
+    ])
+    def test_einsum(self, spec, shape_a, shape_b):
+        a = Tensor(rand(*shape_a), requires_grad=True)
+        b = Tensor(rand(*shape_b, seed=1), requires_grad=True)
+        out = T.einsum(spec, a, b)
+        np.testing.assert_allclose(out.data, np.einsum(spec, a.data, b.data), rtol=1e-12)
+        w = rand(*out.shape, seed=2)
+        err = T.grad_check(lambda: (T.einsum(spec, a, b) * Tensor(w)).sum(),
+                           [a, b], eps=1e-6)
+        assert err < 1e-3
+
+
+class TestNoGrad:
+    def test_ops_record_no_graph(self):
+        a = Tensor(rand(3), requires_grad=True)
+        with T.no_grad():
+            out = (a * 2.0 + 1.0).tanh()
+        assert out._parents == () and out._backward is None
+        assert not out.requires_grad
+        assert (a * 2.0).requires_grad  # recording again after the block
+
+    def test_nests_and_restores_after_exception(self):
+        a = Tensor(rand(3), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                with T.no_grad():
+                    pass
+                assert not (a * 1.0).requires_grad  # the inner exit keeps it off
+                raise RuntimeError("boom")
+        out = a * 1.0
+        assert out.requires_grad and out._parents[0] is a
+
+
 class TestOpSemantics:
+    def test_einsum_rejects_unsupported_specs(self):
+        a, b = Tensor(rand(3, 3)), Tensor(rand(3, 4))
+        for spec in ("ii,ij->j",     # repeated index
+                     "ij,jk",        # implicit output
+                     "ij,jk->k",     # i appears in a alone
+                     "ijk,jk->ik"):  # subscripts do not match a.ndim
+            with pytest.raises(T.TensorError):
+                T.einsum(spec, a, b)
+
     def test_softmax_rows_sum_to_one(self):
         p = T.softmax(Tensor(rand(4, 9) * 10)).data
         np.testing.assert_allclose(p.sum(axis=-1), np.ones(4), atol=1e-6)

@@ -208,6 +208,42 @@ class TestTrainEpoch:
         for n in whole:
             np.testing.assert_allclose(whole[n], halves[n], atol=1e-5)
 
+    def test_accumulation_steps_sum_leaf_grads(self):
+        """backward frees every interior gradient, but the parameters (leaves)
+        must keep summing across the micro-batches of one update."""
+        from aqmlab.training import _batch_loss
+        pool = make_pool(n_traj=2, steps=10, seed=2)
+        ds = WindowDataset(pool, window=4)
+        cfg = TrainConfig(epochs=1, batch_size=3, accumulation_steps=2, lr=0.5,
+                          clip_norm=1.0, window=4, batches_per_epoch=1)
+        m = tiny_model(seed=3, dtype="float64")
+        train_epoch(m, ds, cfg, np.random.default_rng(0))
+
+        ref = tiny_model(seed=3, dtype="float64")
+        params = list(ref.params.values())
+        rng = np.random.default_rng(0)
+        per_batch = []
+        for _ in range(2):
+            T.zero_grads(params)
+            loss, _, _ = _batch_loss(ref, ds.sample(3, rng))
+            loss.backward()
+            assert loss.grad is None
+            per_batch.append([p.grad.copy() for p in params])
+        for p, g0, g1 in zip(params, *per_batch):
+            p.grad = (g0 + g1) * 0.5
+        T.sgd_step(params, lr=0.5, clip_norm=1.0)
+        for name, p in ref.params.items():
+            np.testing.assert_allclose(m.params[name].data, p.data, rtol=0, atol=1e-12)
+
+    def test_evaluate_accuracy_builds_no_graph(self):
+        ds = WindowDataset(make_pool(n_traj=2, steps=6), window=4)
+        m = tiny_model()
+        outs = []
+        forward = m.forward
+        m.forward = lambda *a, **k: outs.append(forward(*a, **k)) or outs[-1]
+        evaluate_accuracy(m, ds, batch_size=4)
+        assert outs and all(o._parents == () and not o.requires_grad for o in outs)
+
     def test_nonfinite_loss_faults(self):
         pool = make_pool()
         m = tiny_model()
