@@ -21,7 +21,7 @@ import numpy as np
 from .features import ACTION_MARK, STATE_DIM
 from .model import load_checkpoint
 from .pool import compute_reward, normalize_state
-from .simulator import ScenarioConfig, World, applied_action, run_scenario
+from .simulator import PROB_SCALE, ScenarioConfig, World, applied_action, run_scenario
 
 STEADY_STATE_SKIP_US = 5_000_000   # discard the first 5 s of every run
 UTIL_BIN_US = 100_000              # utilisation measured in 100 ms bins
@@ -102,15 +102,17 @@ class LlmEvery:
         return action
 
     def _raw_state(self, q, pkt):
+        """The 8 features the pool holds for this decision: probabilities go
+        through the log's 1e-6 fixed point, as they do offline."""
         prev = self._last_drops.get(q.queue_type, q.total_drops)
         delta = q.total_drops - prev
         self._last_drops[q.queue_type] = q.total_drops
         return [
             float(q.queue_type),
             float(q.burst_allowance),
-            float(q.drop_probability),
+            round(q.drop_probability * PROB_SCALE) / PROB_SCALE,
             float(q.current_queue_delay),
-            float(q.accumulated_probability),
+            round(q.accumulated_probability * PROB_SCALE) / PROB_SCALE,
             float(q.length_bytes),
             float(delta),
             float(pkt.size_bytes),

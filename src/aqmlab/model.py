@@ -13,6 +13,7 @@ LoRA-wrapped (frozen base, trainable low-rank delta).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import io
 import json
 import zipfile
@@ -121,6 +122,16 @@ def _stack_encoder(per_feature, config):
     out["embed_W"] = stack("embed{}_W", range(config.state_dim))
     out["embed_b"] = stack("embed{}_b", range(config.state_dim))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _mask_arrays(n, dtype):
+    """The causal bias [n, n] and the diagonal [n, n] of an n-token sequence,
+    built once per (n, dtype) and read-only, since every forward shares them."""
+    bias = T.causal_mask_bias(n, dtype=dtype)
+    diag = np.eye(n, dtype=bool)
+    bias.flags.writeable = diag.flags.writeable = False
+    return bias, diag
 
 
 class PolicyModel:
@@ -371,14 +382,13 @@ class PolicyModel:
         n = w * TOKENS_PER_STEP
 
         x, raw_tokens = self.build_sequence(returns, states, actions, timesteps)
-        bias = T.causal_mask_bias(n, dtype=cfg.np_dtype)
+        bias, diag = _mask_arrays(n, cfg.np_dtype)
         if pad_mask is not None:
             pad_mask = np.asarray(pad_mask)
             token_keep = np.repeat(pad_mask, TOKENS_PER_STEP, axis=1)  # [b, n]
             key_block = np.where(token_keep[:, None, :] > 0, 0.0, -1e9).astype(cfg.np_dtype)
             bias = bias[None, None, :, :] + key_block[:, None, :, :]
             # keep self-attention open on padded rows so softmax stays defined
-            diag = np.eye(n, dtype=bool)
             bias = np.where(diag[None, None], np.maximum(bias, -1e8), bias)
         for l in range(cfg.n_layers):
             x = self._attention_block(x, l, bias)

@@ -1,23 +1,29 @@
 """Turn kernel logs into return-conditioned training trajectories.
 
-One trajectory per log file; each step is (reward, 8-feature state, action,
-done, return-to-go).  Pools serialize to a structured JSON file together with
-the discount factor, normalization stats and provenance.
+One trajectory per log file, held as columns: rewards, 8-feature states,
+actions and returns-to-go, each a numpy array with one row per decision.
+Pools serialize to an uncompressed `.npz` file (format 2): those arrays plus
+a JSON header with the discount factor, normalization stats and provenance.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .features import STATE_DIM, STATE_FEATURES
-from .simulator import KernelLogRecord, PROB_SCALE, read_klog
+import numpy as np
 
-POOL_FORMAT_VERSION = 1
+from .features import ACTION_COUNT, STATE_DIM, STATE_FEATURES
+# read_klog stays importable from here: perfbench/spans.py traces it under this module
+from .simulator import KLOG_FIELDS, PROB_SCALE, read_klog, read_klog_columns  # noqa: F401
+
+POOL_FORMAT_VERSION = 2
+# optional columns: None means "the step index" and "nothing masked"
+_TRAJECTORY_ARRAYS = ("rewards", "states", "actions", "returns", "timesteps", "masked")
+_COLUMN = {name: i for i, name in enumerate(KLOG_FIELDS)}
 
 
 class PoolError(ValueError):
@@ -48,8 +54,9 @@ def returns_to_go(rewards, gamma: float):
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class Step:
+    """A read-only view of one row of a Trajectory."""
     reward: float
     state: list           # 8 floats in STATE_FEATURES order
     action: int
@@ -58,25 +65,64 @@ class Step:
     timestep: Optional[int] = None   # set by temporal jitter, else implicit index
     masked: bool = False             # set by timestep dropout
 
-    def to_dict(self):
-        d = {"r": self.reward, "s": self.state, "a": self.action,
-             "done": self.done, "R": self.ret}
-        if self.timestep is not None:
-            d["t"] = self.timestep
-        if self.masked:
-            d["masked"] = True
-        return d
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(reward=d["r"], state=list(d["s"]), action=d["a"],
-                   done=d["done"], ret=d["R"], timestep=d.get("t"),
-                   masked=d.get("masked", False))
+class Trajectory:
+    """One episode as columns: rewards [n], states [n, 8], actions [n] and
+    returns [n]; timesteps [n] (None: the step index) and masked [n] (None:
+    no step masked).  The last step is the terminal one.
+
+    `len`, indexing and iteration give `Step` views, built on demand; edit
+    the arrays to change the trajectory.
+    """
+
+    __slots__ = _TRAJECTORY_ARRAYS
+
+    def __init__(self, rewards, states, actions, returns, timesteps=None, masked=None):
+        self.rewards = np.asarray(rewards, dtype=np.float64)
+        self.states = np.asarray(states, dtype=np.float64)
+        self.actions = np.asarray(actions, dtype=np.int64)
+        self.returns = np.asarray(returns, dtype=np.float64)
+        self.timesteps = None if timesteps is None else np.asarray(timesteps, dtype=np.int64)
+        self.masked = None if masked is None else np.asarray(masked, dtype=bool)
+
+    def replace(self, **columns) -> "Trajectory":
+        """A new trajectory sharing every column not given."""
+        return Trajectory(**{name: columns.get(name, getattr(self, name))
+                             for name in _TRAJECTORY_ARRAYS})
+
+    def step_timesteps(self):
+        return np.arange(len(self)) if self.timesteps is None else self.timesteps
+
+    def step_masked(self):
+        return np.zeros(len(self), dtype=bool) if self.masked is None else self.masked
+
+    def __len__(self):
+        return len(self.rewards)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        n = len(self)
+        i = index + n if index < 0 else index
+        if not 0 <= i < n:
+            raise IndexError(f"step {index} out of range for {n} steps")
+        return Step(float(self.rewards[i]), self.states[i].tolist(), int(self.actions[i]),
+                    int(i == n - 1), float(self.returns[i]),
+                    None if self.timesteps is None else int(self.timesteps[i]),
+                    False if self.masked is None else bool(self.masked[i]))
+
+    def __iter__(self):
+        n = len(self)
+        timesteps = [None] * n if self.timesteps is None else self.timesteps.tolist()
+        for i, (r, s, a, ret, t, m) in enumerate(zip(
+                self.rewards.tolist(), self.states.tolist(), self.actions.tolist(),
+                self.returns.tolist(), timesteps, self.step_masked().tolist())):
+            yield Step(r, s, a, int(i == n - 1), ret, t, m)
 
 
 @dataclass
 class ExperiencePool:
-    trajectories: list = field(default_factory=list)   # list[list[Step]]
+    trajectories: list = field(default_factory=list)   # list[Trajectory]
     gamma: float = 0.95
     feature_stats: Optional[dict] = None
     provenance: dict = field(default_factory=dict)
@@ -92,95 +138,112 @@ class ExperiencePool:
         if not (0.0 < self.gamma <= 1.0):
             raise PoolError(f"gamma must be in (0,1], got {self.gamma}")
         for ti, traj in enumerate(self.trajectories):
-            if not traj:
+            n = len(traj)
+            if n == 0:
                 raise PoolError(f"trajectory {ti} is empty")
-            for si, step in enumerate(traj):
-                if len(step.state) != STATE_DIM:
-                    raise PoolError(f"trajectory {ti} step {si}: state dim != {STATE_DIM}")
-                if any(not math.isfinite(x) for x in step.state):
-                    raise PoolError(f"trajectory {ti} step {si}: non-finite state")
-                want_done = 1 if si == len(traj) - 1 else 0
-                if step.done != want_done:
-                    raise PoolError(f"trajectory {ti} step {si}: done={step.done}, expected {want_done}")
-            acc = 0.0
-            for si in range(len(traj) - 1, -1, -1):
-                acc = traj[si].reward + self.gamma * acc
-                if abs(traj[si].ret - acc) > tol * max(1.0, abs(acc)):
-                    raise PoolError(
-                        f"trajectory {ti} step {si}: stored return {traj[si].ret} "
-                        f"!= recomputed {acc}")
+            if traj.states.shape != (n, STATE_DIM):
+                raise PoolError(f"trajectory {ti}: states are {traj.states.shape}, "
+                                f"expected ({n}, {STATE_DIM})")
+            for name in ("actions", "returns", "timesteps", "masked"):
+                col = getattr(traj, name)
+                if col is not None and col.shape != (n,):
+                    raise PoolError(f"trajectory {ti}: {name} are {col.shape}, expected ({n},)")
+            bad = ~np.isfinite(traj.states).all(axis=1)
+            if bad.any():
+                raise PoolError(f"trajectory {ti} step {int(np.argmax(bad))}: non-finite state")
+            want = np.array(returns_to_go(traj.rewards.tolist(), self.gamma))
+            # NaN-safe: a NaN return counts as a mismatch
+            bad = ~(np.abs(traj.returns - want) <= tol * np.maximum(1.0, np.abs(want)))
+            if bad.any():
+                si = int(np.flatnonzero(bad)[-1])
+                raise PoolError(f"trajectory {ti} step {si}: stored return "
+                                f"{traj.returns[si]} != recomputed {want[si]}")
         return True
 
     # -------------------------------------------------------------- persist
 
-    def to_dict(self):
-        return {
-            "format_version": POOL_FORMAT_VERSION,
-            "gamma": self.gamma,
-            "feature_stats": self.feature_stats,
-            "provenance": self.provenance,
-            "trajectories": [{"steps": [s.to_dict() for s in t]} for t in self.trajectories],
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        if d.get("format_version") != POOL_FORMAT_VERSION:
-            raise PoolError(f"unsupported pool format version {d.get('format_version')}")
-        return cls(
-            trajectories=[[Step.from_dict(s) for s in t["steps"]] for t in d["trajectories"]],
-            gamma=d["gamma"],
-            feature_stats=d.get("feature_stats"),
-            provenance=d.get("provenance", {}),
-        )
-
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
+        """Write format 2 to exactly `path` (np.savez would add `.npz` to a
+        path given as a string that lacks it)."""
+        meta = {"format_version": POOL_FORMAT_VERSION, "gamma": self.gamma,
+                "feature_stats": self.feature_stats, "provenance": self.provenance,
+                "trajectories": len(self.trajectories)}
+        arrays = {"meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
+        for ti, traj in enumerate(self.trajectories):
+            for name in _TRAJECTORY_ARRAYS:
+                col = getattr(traj, name)
+                if col is not None:
+                    arrays[f"t{ti}_{name}"] = col
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        with open(path, "rb") as fh:
+            head = fh.read(4)
+            fh.seek(0)
+            if head[:1] == b"{":
+                raise PoolError(f"{path} is a format-1 JSON pool; pools are derived "
+                                f"from .klog files, so rebuild it with `aqmlab build-pool`")
+            if head != b"PK\x03\x04":
+                raise PoolError(f"{path} is not an experience pool (.npz)")
+            with np.load(fh, allow_pickle=False) as z:
+                stored = set(z.files)
+                if "meta" not in stored:
+                    raise PoolError(f"{path} is an .npz file but not an experience pool")
+                meta = json.loads(z["meta"].tobytes().decode("utf-8"))
+                if meta.get("format_version") != POOL_FORMAT_VERSION:
+                    raise PoolError(f"unsupported pool format version {meta.get('format_version')}")
+                trajectories = [
+                    Trajectory(**{name: z[f"t{ti}_{name}"] for name in _TRAJECTORY_ARRAYS
+                                  if f"t{ti}_{name}" in stored})
+                    for ti in range(meta["trajectories"])]
+        return cls(trajectories=trajectories, gamma=meta["gamma"],
+                   feature_stats=meta.get("feature_stats"),
+                   provenance=meta.get("provenance", {}))
 
 
 # ------------------------------------------------------------------ building
 
 
-def record_state(rec: KernelLogRecord, drops_delta: int):
-    """Raw 8-feature vector for one log record (probabilities rescaled to [0,1])."""
-    return [
-        float(rec.queue_type),
-        float(rec.burst_allowance),
-        rec.drop_probability / PROB_SCALE,
-        float(rec.current_queue_delay),
-        rec.accumulated_probability / PROB_SCALE,
-        float(rec.length_in_bytes),
-        float(drops_delta),
-        float(rec.packet_length),
-    ]
+def trajectory_from_columns(cols, gamma) -> Trajectory:
+    """A trajectory from an int64 [N, 24] klog column matrix.
 
-
-def trajectory_from_records(records, gamma):
-    if not records:
+    Rewards are pkt_len / (delay_ms + 1) with the delay floored to whole ms;
+    probabilities are rescaled to [0, 1]; the drops feature is the rise in
+    total_drops since the previous record of the same queue (0 at its first).
+    """
+    cols = np.asarray(cols, dtype=np.int64)
+    if cols.size == 0:
         raise PoolError("empty record sequence")
-    steps = []
-    last_drops = {}
-    for rec in records:
-        prev = last_drops.get(rec.queue_type, rec.total_drops)
-        delta = rec.total_drops - prev
-        last_drops[rec.queue_type] = rec.total_drops
-        qdelay_ms = rec.current_queue_delay // 1000
-        steps.append(Step(
-            reward=compute_reward(rec.packet_length, qdelay_ms),
-            state=record_state(rec, delta),
-            action=rec.dequeue_action,
-            done=0,
-        ))
-    steps[-1].done = 1
-    rets = returns_to_go([s.reward for s in steps], gamma)
-    for s, r in zip(steps, rets):
-        s.ret = r
-    return steps
+    if cols.ndim != 2 or cols.shape[1] != len(KLOG_FIELDS):
+        raise PoolError(f"expected [N, {len(KLOG_FIELDS)}] klog columns, got {cols.shape}")
+    c = {name: cols[:, i] for name, i in _COLUMN.items()}
+    if (c["packet_length"] <= 0).any():
+        raise PoolError("packet_length must be > 0")
+    if (c["current_queue_delay"] < 0).any():
+        raise PoolError("queue_delay must be >= 0")
+    if not np.isin(c["dequeue_action"], np.arange(ACTION_COUNT)).all():
+        raise PoolError("dequeue_action must be 0/1/2")
+
+    drops_delta = np.zeros(len(cols), dtype=np.int64)
+    for qt in np.unique(c["queue_type"]):
+        idx = np.flatnonzero(c["queue_type"] == qt)
+        drops_delta[idx[1:]] = np.diff(c["total_drops"][idx])
+    state_columns = {
+        "queue_type": c["queue_type"],
+        "burst_allowance": c["burst_allowance"],
+        "drop_probability": c["drop_probability"] / PROB_SCALE,
+        "current_queue_delay": c["current_queue_delay"],
+        "accumulated_probability": c["accumulated_probability"] / PROB_SCALE,
+        "length_in_bytes": c["length_in_bytes"],
+        "total_drops_delta": drops_delta,
+        "packet_length": c["packet_length"],
+    }
+    states = np.column_stack([state_columns[name] for name in STATE_FEATURES]).astype(np.float64)
+    rewards = c["packet_length"] / (c["current_queue_delay"] // 1000 + 1.0)
+    return Trajectory(rewards, states, c["dequeue_action"].copy(),
+                      returns_to_go(rewards.tolist(), gamma))
 
 
 def build_pool(log_files, gamma=0.95) -> ExperiencePool:
@@ -191,10 +254,10 @@ def build_pool(log_files, gamma=0.95) -> ExperiencePool:
     pool = ExperiencePool(gamma=gamma)
     digest = hashlib.sha256()
     for path in log_files:
-        records = read_klog(path)
-        if not records:
+        cols = read_klog_columns(path)
+        if not len(cols):
             raise PoolError(f"{path}: empty log")
-        pool.trajectories.append(trajectory_from_records(records, gamma))
+        pool.trajectories.append(trajectory_from_columns(cols, gamma))
         with open(path, "rb") as fh:
             digest.update(fh.read())
     pool.provenance = {"source_logs": log_files, "content_sha256": digest.hexdigest()}
@@ -205,7 +268,8 @@ def build_pool(log_files, gamma=0.95) -> ExperiencePool:
 def build_pool_from_records(record_lists, gamma=0.95) -> ExperiencePool:
     pool = ExperiencePool(gamma=gamma)
     for records in record_lists:
-        pool.trajectories.append(trajectory_from_records(records, gamma))
+        pool.trajectories.append(
+            trajectory_from_columns(np.array(records, dtype=np.int64), gamma))
     pool.validate()
     return pool
 
@@ -214,25 +278,18 @@ def build_pool_from_records(record_lists, gamma=0.95) -> ExperiencePool:
 
 
 def compute_feature_stats(pool: ExperiencePool) -> dict:
-    n = pool.num_steps()
-    if n == 0:
+    if pool.num_steps() == 0:
         raise PoolError("empty pool")
-    mean = [0.0] * STATE_DIM
-    for s in pool.all_steps():
-        for i in range(STATE_DIM):
-            mean[i] += s.state[i]
-    mean = [m / n for m in mean]
-    var = [0.0] * STATE_DIM
-    for s in pool.all_steps():
-        for i in range(STATE_DIM):
-            var[i] += (s.state[i] - mean[i]) ** 2
-    std = [math.sqrt(v / n) for v in var]
-    zero_variance = [sd < 1e-12 for sd in std]
+    states = np.concatenate([t.states for t in pool.trajectories])
+    # reductions along axis 0 add the rows in order, as a running sum would
+    mean = states.sum(axis=0) / len(states)
+    std = np.sqrt(((states - mean) ** 2).sum(axis=0) / len(states))
+    zero_variance = std < 1e-12
     return {
         "features": list(STATE_FEATURES),
-        "mean": mean,
-        "std": [1.0 if z else sd for sd, z in zip(std, zero_variance)],
-        "zero_variance": zero_variance,
+        "mean": mean.tolist(),
+        "std": np.where(zero_variance, 1.0, std).tolist(),
+        "zero_variance": zero_variance.tolist(),
     }
 
 
@@ -249,18 +306,17 @@ def denormalize_state(state, stats):
 def normalize_states(pool: ExperiencePool):
     """Affine per-feature normalization; returns (new pool, stats).
 
-    Zero-variance features map to 0 and are flagged in the stats.
+    Zero-variance features map to 0 and are flagged in the stats.  The new
+    pool shares every column but the states with the input.
     """
     stats = compute_feature_stats(pool)
+    mean, std = np.array(stats["mean"]), np.array(stats["std"])
+    zero = np.array(stats["zero_variance"], dtype=bool)
     out = ExperiencePool(gamma=pool.gamma, feature_stats=stats,
                          provenance=dict(pool.provenance, normalized=True))
     for traj in pool.trajectories:
-        out.trajectories.append([
-            Step(reward=s.reward, state=normalize_state(s.state, stats),
-                 action=s.action, done=s.done, ret=s.ret,
-                 timestep=s.timestep, masked=s.masked)
-            for s in traj
-        ])
+        out.trajectories.append(traj.replace(
+            states=np.where(zero, 0.0, (traj.states - mean) / std)))
     return out, stats
 
 
@@ -286,16 +342,14 @@ def augment(pool: ExperiencePool, jitter_range=0, noise_sigma=0.0,
                          provenance=dict(pool.provenance, augmented=True))
     for traj in pool.trajectories:
         offset = rng.randint(0, jitter_range) if jitter_range else 0
-        new_traj = []
-        for idx, s in enumerate(traj):
-            state = list(s.state)
+        states, masked = traj.states.copy(), traj.step_masked().copy()
+        # one pass in step order keeps the random stream of earlier versions
+        for idx in range(len(traj) if noise_sigma > 0 or dropout_prob > 0 else 0):
             if noise_sigma > 0:
-                state = [x + rng.gauss(0.0, noise_sigma) for x in state]
-            masked = s.masked or (dropout_prob > 0 and rng.random() < dropout_prob)
-            base_t = s.timestep if s.timestep is not None else idx
-            new_traj.append(Step(reward=s.reward, state=state, action=s.action,
-                                 done=s.done, ret=s.ret,
-                                 timestep=base_t + offset if jitter_range else s.timestep,
-                                 masked=masked))
-        out.trajectories.append(new_traj)
+                states[idx] += [rng.gauss(0.0, noise_sigma) for _ in range(STATE_DIM)]
+            if dropout_prob > 0 and not masked[idx] and rng.random() < dropout_prob:
+                masked[idx] = True
+        out.trajectories.append(traj.replace(
+            states=states, masked=masked,
+            timesteps=traj.step_timesteps() + offset if jitter_range else traj.timesteps))
     return out

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from typing import Callable, NamedTuple, Optional
 
+import numpy as np
+
 from .features import ACTION_DROP, ACTION_ENQUEUE, ACTION_MARK
 
 PROB_SCALE = 1_000_000          # probabilities logged as fixed-point x1e6
@@ -106,20 +108,11 @@ class QueueState:
     status_flags: int = 0
 
 
-KLOG_FIELDS = (
-    "queue_type", "qdelay_reference", "tupdate", "max_burst",
-    "max_ecn_threshold", "alpha_coefficient", "beta_coefficient", "flags",
-    "burst_allowance", "drop_probability", "current_queue_delay",
-    "previous_queue_delay", "accumulated_probability",
-    "measurement_start_time", "average_dequeue_time", "dequeue_count",
-    "status_flags", "total_packets", "total_bytes", "queue_length",
-    "length_in_bytes", "total_drops", "packet_length", "dequeue_action",
-)
+VALID_ACTIONS = (ACTION_ENQUEUE, ACTION_DROP, ACTION_MARK)
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
-@dataclass(frozen=True)
-class KernelLogRecord:
-    """One AQM decision-point snapshot; 24 integer fields in fixed order."""
+class _KlogRow(NamedTuple):
     queue_type: int
     qdelay_reference: int
     tupdate: int
@@ -145,13 +138,30 @@ class KernelLogRecord:
     packet_length: int
     dequeue_action: int
 
-    def __post_init__(self):
-        if self.dequeue_action not in (0, 1, 2):
+
+class KernelLogRecord(_KlogRow):
+    """One AQM decision-point snapshot; 24 integer fields in fixed order.
+
+    A plain tuple underneath, so a list of records converts to an int64
+    [N, 24] column matrix in one `np.array` call.  The constructor checks the
+    action; `_make` and `tuple.__new__` skip that check for rows that are
+    already validated.
+    """
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.dequeue_action not in VALID_ACTIONS:
             raise ValueError(f"dequeue_action must be 0/1/2, got {self.dequeue_action}")
+        return self
+
+
+KLOG_FIELDS = KernelLogRecord._fields
+_KLOG_LINE = " ".join(["%d"] * len(KLOG_FIELDS))
 
 
 def emit_log(record: KernelLogRecord) -> str:
-    return " ".join(str(getattr(record, f)) for f in KLOG_FIELDS)
+    return _KLOG_LINE % record
 
 
 def parse_log(line: str, line_number: int = 0) -> KernelLogRecord:
@@ -162,25 +172,50 @@ def parse_log(line: str, line_number: int = 0) -> KernelLogRecord:
     values = []
     for name, tok in zip(KLOG_FIELDS, tokens):
         try:
-            values.append(int(tok))
+            value = int(tok)
         except ValueError:
             raise KlogParseError(f"non-numeric token {tok!r} in field {name}", line_number) from None
-    return KernelLogRecord(*values)
+        if not _INT64_MIN <= value <= _INT64_MAX:
+            raise KlogParseError(f"token {tok!r} in field {name} is beyond int64", line_number)
+        values.append(value)
+    if values[-1] not in VALID_ACTIONS:
+        raise KlogParseError(f"dequeue_action must be 0/1/2, got {values[-1]}", line_number)
+    return KernelLogRecord._make(values)
 
 
 def write_klog(records, path):
+    text = "\n".join(map(emit_log, records))
     with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(emit_log(r) + "\n")
+        fh.write(text + "\n" if text else "")
+
+
+def read_klog_columns(path) -> np.ndarray:
+    """The log as an int64 [N, 24] matrix, one row per non-blank line.
+
+    The fast path converts every line's tokens in one `np.array` call; any
+    line it cannot take (ragged, non-numeric, beyond int64, bad action) sends
+    the log through `parse_log`, whose error names the line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    rows = [tokens for tokens in map(str.split, lines) if tokens]
+    if not rows:
+        return np.empty((0, len(KLOG_FIELDS)), dtype=np.int64)
+    try:
+        cols = np.array(rows, dtype=np.int64)
+    except (ValueError, OverflowError):
+        cols = None
+    if (cols is None or cols.shape[1] != len(KLOG_FIELDS)
+            or not np.isin(cols[:, -1], VALID_ACTIONS).all()):
+        for i, line in enumerate(lines, start=1):
+            if line.strip():
+                parse_log(line, i)
+        raise KlogParseError("log does not convert to int64 columns", 0)
+    return cols
 
 
 def read_klog(path):
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            if line.strip():
-                records.append(parse_log(line, i))
-    return records
+    return [KernelLogRecord._make(row) for row in read_klog_columns(path).tolist()]
 
 
 # ------------------------------------------------------------------ AQM core
@@ -421,6 +456,10 @@ class World:
 
         self.flows = [_Flow(i, s) for i, s in enumerate(config.flows)]
         self.records: list[KernelLogRecord] = []
+        # fields 1-7 of every record: the AQM parameters, gains in fixed point
+        self._klog_params = (p.qdelay_target, p.tupdate, p.max_burst, p.max_ecn_threshold,
+                             int(round(p.alpha * GAIN_SCALE)),
+                             int(round(p.beta * GAIN_SCALE)), 0)
         self.decision_meta: list[tuple] = []   # (time_us, queue_type, cause)
 
         # Measurement series
@@ -455,6 +494,9 @@ class World:
                 raise SimulationFault("event-time regression")
             self.now = t
             fn(*args)
+        # the pending events hold bound methods of this world; dropping them
+        # lets reference counting free a finished world
+        self._heap.clear()
         return self
 
     # ----------------------------------------------------------------- flows
@@ -567,34 +609,28 @@ class World:
     # ---------------------------------------------------------------- logging
 
     def _emit_record(self, q: QueueState, pkt: Packet, action: int):
-        p = self.params
-        rec = KernelLogRecord(
-            queue_type=int(q.queue_type),
-            qdelay_reference=p.qdelay_target,
-            tupdate=p.tupdate,
-            max_burst=p.max_burst,
-            max_ecn_threshold=p.max_ecn_threshold,
-            alpha_coefficient=int(round(p.alpha * GAIN_SCALE)),
-            beta_coefficient=int(round(p.beta * GAIN_SCALE)),
-            flags=0,
-            burst_allowance=q.burst_allowance,
-            drop_probability=int(round(q.drop_probability * PROB_SCALE)),
-            current_queue_delay=q.current_queue_delay,
-            previous_queue_delay=q.previous_queue_delay,
-            accumulated_probability=int(round(q.accumulated_probability * PROB_SCALE)),
-            measurement_start_time=q.measurement_start_time,
-            average_dequeue_time=q.avg_dequeue_time,
-            dequeue_count=q.dequeue_count,
-            status_flags=q.status_flags,
-            total_packets=q.total_packets,
-            total_bytes=q.total_bytes,
-            queue_length=q.length_packets,
-            length_in_bytes=q.length_bytes,
-            total_drops=q.total_drops,
-            packet_length=pkt.size_bytes,
-            dequeue_action=action,
-        )
-        self.records.append(rec)
+        if action not in VALID_ACTIONS:
+            raise ValueError(f"dequeue_action must be 0/1/2, got {action}")
+        # validated above, so skip the record constructor's own check
+        self.records.append(tuple.__new__(KernelLogRecord, (
+            int(q.queue_type), *self._klog_params,
+            q.burst_allowance,
+            int(round(q.drop_probability * PROB_SCALE)),
+            q.current_queue_delay,
+            q.previous_queue_delay,
+            int(round(q.accumulated_probability * PROB_SCALE)),
+            q.measurement_start_time,
+            q.avg_dequeue_time,         # average_dequeue_time
+            q.dequeue_count,
+            q.status_flags,
+            q.total_packets,
+            q.total_bytes,
+            q.length_packets,           # queue_length
+            q.length_bytes,             # length_in_bytes
+            q.total_drops,
+            pkt.size_bytes,             # packet_length
+            action,
+        )))
 
     # ------------------------------------------------------------- invariants
 

@@ -68,16 +68,9 @@ class WindowDataset:
         if pool.num_steps() < 1:
             raise TrainError("pool has no steps")
         self.window = window
-        self.trajs = []
-        for traj in pool.trajectories:
-            self.trajs.append({
-                "R": np.array([s.ret for s in traj], dtype=np.float64),
-                "S": np.array([s.state for s in traj], dtype=np.float64),
-                "A": np.array([s.action for s in traj], dtype=np.int64),
-                "T": np.array([s.timestep if s.timestep is not None else i
-                               for i, s in enumerate(traj)], dtype=np.int64),
-                "keep": np.array([0.0 if s.masked else 1.0 for s in traj]),
-            })
+        self.trajs = [{"R": traj.returns, "S": traj.states, "A": traj.actions,
+                       "T": traj.step_timesteps(), "keep": (~traj.step_masked()).astype(np.float64)}
+                      for traj in pool.trajectories]
         self.index = [(ti, t) for ti, tr in enumerate(self.trajs)
                       for t in range(len(tr["R"]))]
 
@@ -214,9 +207,12 @@ def split_pool(pool: ExperiencePool, eval_split: float, seed: int):
     return train, evalp
 
 
+def _all_returns(pool: ExperiencePool):
+    return np.concatenate([t.returns for t in pool.trajectories])
+
+
 def target_return(pool: ExperiencePool, percentile: float) -> float:
-    rets = np.array([s.ret for s in pool.all_steps()])
-    return float(np.percentile(rets, percentile))
+    return float(np.percentile(_all_returns(pool), percentile))
 
 
 def train(model: PolicyModel, pool: ExperiencePool, cfg: TrainConfig,
@@ -232,10 +228,11 @@ def train(model: PolicyModel, pool: ExperiencePool, cfg: TrainConfig,
         raise TrainError(f"config gamma {cfg.gamma} != pool gamma {pool.gamma}")
     pool, stats = normalize_states(pool)  # near-identity if already normalized
     feature_stats = feature_stats or stats
-    rets = np.array([s.ret for s in pool.all_steps()], dtype=np.float64)
+    rets = _all_returns(pool)
     r_mean, r_std = float(rets.mean()), float(max(rets.std(), 1e-9))
-    for s in pool.all_steps():
-        s.ret = (s.ret - r_mean) / r_std
+    # new arrays: normalize_states shares the returns with the caller's pool
+    pool.trajectories = [t.replace(returns=(t.returns - r_mean) / r_std)
+                         for t in pool.trajectories]
     train_pool, eval_pool = split_pool(pool, cfg.eval_split, cfg.seed)
     train_ds = WindowDataset(train_pool, cfg.window)
     eval_ds = WindowDataset(eval_pool, cfg.window)

@@ -47,8 +47,8 @@ def threshold_run(tmp_path_factory):
         record_lists.append(world.records[::4][:150])
     pool = build_pool_from_records(record_lists, gamma=0.95)
     median = np.median([s.state[DELAY_IDX] for s in pool.all_steps()])
-    for step in pool.all_steps():
-        step.action = ACTION_MARK if step.state[DELAY_IDX] > median else ACTION_ENQUEUE
+    for traj in pool.trajectories:
+        traj.actions[:] = np.where(traj.states[:, DELAY_IDX] > median, ACTION_MARK, ACTION_ENQUEUE)
     pool.validate()
 
     mc = ModelConfig(feature_dim=8, embed_size=32, n_layers=1, n_heads=2,

@@ -12,6 +12,7 @@ from aqmlab.evaluation import (
 )
 from aqmlab.features import ACTION_DROP, ACTION_MARK
 from aqmlab.model import ModelConfig, PolicyModel, save_checkpoint
+from aqmlab.pool import build_pool_from_records
 from aqmlab.simulator import default_scenario, run_scenario
 
 
@@ -223,3 +224,30 @@ class TestLlmEveryHistory:
         applied = {a for _, a in entries}
         assert applied == {ACTION_MARK, ACTION_DROP}
         assert driver.violations == sum(a == ACTION_DROP for _, a in entries)
+
+
+class TestOnlineStateParity:
+    def test_online_states_equal_pool_states(self, tmp_path):
+        """The states LlmEvery builds from the live queue must be the ones the
+        pool builds from the logged records of the same decisions, bit for bit
+        (probabilities through the log's 1e-6 fixed point on both sides)."""
+        cfg = ModelConfig(feature_dim=2, embed_size=8, n_layers=1, n_heads=2,
+                          context_window=4, max_timestep=64)
+        ckpt = tmp_path / "m.npz"
+        stats = {"mean": [0.0] * 8, "std": [1.0] * 8, "zero_variance": [False] * 8}
+        save_checkpoint(PolicyModel(cfg, seed=0), ckpt, feature_stats=stats,
+                        extra={"target_return": 1.0, "window": 4})
+        driver = ev.LlmEvery(str(ckpt), every=10 ** 9, shadow=True)
+        online = []
+        raw_state = driver._raw_state
+
+        def recording_raw_state(q, pkt):
+            online.append(raw_state(q, pkt))
+            return online[-1]
+
+        driver._raw_state = recording_raw_state
+        world = run_scenario(default_scenario(seed=3, duration_us=10_000_000),
+                             decision_hook=driver.hook)
+        offline = build_pool_from_records([world.records]).trajectories[0].states
+        assert len(online) == len(offline) > 5000
+        assert np.array_equal(np.array(online), offline)

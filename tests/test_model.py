@@ -493,3 +493,33 @@ class TestCheckpointV1:
         np.savez(path, **arrays)
         with pytest.raises(CheckpointError, match="version 9"):
             load_checkpoint(path)
+
+
+class TestCachedMasks:
+    def test_cached_bias_gives_bit_identical_logits(self, monkeypatch):
+        """Cached causal bias and diagonal change nothing: with and without a
+        pad mask, logits equal those from freshly built arrays bit for bit."""
+        from aqmlab import model as model_mod
+        cfg = small_config()
+        m = PolicyModel(cfg, seed=1)
+        R, S, A, ts = rand_batch(cfg, b=3)
+        pad = np.ones((3, cfg.context_window))
+        pad[1, :2] = 0.0
+        cached = [m.forward(R, S, A, ts).data, m.forward(R, S, A, ts, pad_mask=pad).data]
+        monkeypatch.setattr(model_mod, "_mask_arrays", lambda n, dtype: (
+            T.causal_mask_bias(n, dtype=dtype), np.eye(n, dtype=bool)))
+        fresh = [m.forward(R, S, A, ts).data, m.forward(R, S, A, ts, pad_mask=pad).data]
+        for a, b in zip(cached, fresh):
+            assert a.tobytes() == b.tobytes()
+
+    def test_cached_arrays_reject_writes(self):
+        from aqmlab.model import _mask_arrays
+        n = 4 * TOKENS_PER_STEP
+        bias, diag = _mask_arrays(n, np.dtype("float32"))
+        assert _mask_arrays(n, np.dtype("float32"))[0] is bias
+        np.testing.assert_array_equal(bias, T.causal_mask_bias(n, dtype=np.float32))
+        np.testing.assert_array_equal(diag, np.eye(n, dtype=bool))
+        with pytest.raises(ValueError):
+            bias[0, 1] = 0.0
+        with pytest.raises(ValueError):
+            diag[0, 1] = True

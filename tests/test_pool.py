@@ -1,5 +1,6 @@
 """Experience pool tests: rewards, returns, construction, augmentation."""
 
+import dataclasses
 import json
 import math
 
@@ -9,11 +10,11 @@ import pytest
 from aqmlab import pool as pool_mod
 from aqmlab.features import STATE_DIM
 from aqmlab.pool import (
-    ExperiencePool, PoolError, Step, augment, build_pool,
+    ExperiencePool, PoolError, Step, Trajectory, augment, build_pool,
     build_pool_from_records, compute_feature_stats, compute_reward,
     denormalize_state, normalize_state, normalize_states, returns_to_go,
 )
-from aqmlab.simulator import default_scenario, run_scenario, write_klog
+from aqmlab.simulator import KLOG_FIELDS, default_scenario, run_scenario, write_klog
 
 
 def forward_sum_returns(rewards, gamma):
@@ -145,13 +146,98 @@ class TestPoolConstruction:
 
     def test_validate_catches_corrupt_returns(self):
         pool = build_pool_from_records([_sim_records()], gamma=0.95)
-        pool.trajectories[0][0].ret += 1.0
+        pool.trajectories[0].returns[0] += 1.0
         with pytest.raises(PoolError):
             pool.validate()
 
     def test_empty_records_rejected(self):
         with pytest.raises(PoolError):
             build_pool_from_records([[]], gamma=0.95)
+
+
+class TestPoolFormat:
+    """Format 2: uncompressed .npz of per-trajectory arrays plus a JSON header."""
+
+    def _pool(self, tmp_path):
+        paths = []
+        for seed in (1, 2):
+            path = tmp_path / f"{seed}.klog"
+            write_klog(_sim_records(seed=seed), path)
+            paths.append(path)
+        pool = augment(build_pool(paths, gamma=0.9), jitter_range=4, dropout_prob=0.2, seed=1)
+        pool.trajectories.append(build_pool_from_records([_sim_records(seed=3)], 0.9).trajectories[0])
+        pool.feature_stats = compute_feature_stats(pool)
+        return pool
+
+    def test_round_trip_bit_identical(self, tmp_path):
+        pool = self._pool(tmp_path)
+        path = tmp_path / "pool.npz"
+        pool.save(path)
+        loaded = ExperiencePool.load(path)
+        assert loaded.gamma == pool.gamma
+        assert loaded.feature_stats == pool.feature_stats
+        assert loaded.provenance == pool.provenance
+        assert len(loaded.trajectories) == 3
+        for a, b in zip(pool.trajectories, loaded.trajectories):
+            for name in ("rewards", "states", "actions", "returns", "timesteps", "masked"):
+                x, y = getattr(a, name), getattr(b, name)
+                if x is None:
+                    assert y is None, name
+                else:
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        assert loaded.trajectories[2].timesteps is None
+        assert list(loaded.all_steps()) == list(pool.all_steps())
+        loaded.validate()
+
+    def test_writes_exactly_the_given_path(self, tmp_path):
+        pool = self._pool(tmp_path)
+        for name in ("x.json", "y"):
+            pool.save(str(tmp_path / name))
+            assert (tmp_path / name).is_file()
+            assert not (tmp_path / f"{name}.npz").exists()
+            assert ExperiencePool.load(str(tmp_path / name)).num_steps() == pool.num_steps()
+
+    def test_format_1_json_rejected_with_rebuild_hint(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"format_version": 1, "gamma": 0.95, "trajectories": []}))
+        with pytest.raises(PoolError, match="aqmlab build-pool"):
+            ExperiencePool.load(path)
+
+    def test_other_files_rejected(self, tmp_path):
+        path = tmp_path / "x.klog"
+        write_klog(_sim_records(), path)
+        other = tmp_path / "other.npz"
+        np.savez(other, weights=np.zeros(3))
+        for bad in (path, other):
+            with pytest.raises(PoolError, match="not an experience pool"):
+                ExperiencePool.load(bad)
+
+
+class TestTrajectory:
+    def test_steps_are_read_only_row_views(self):
+        traj = build_pool_from_records([_sim_records()], gamma=0.95).trajectories[0]
+        step = traj[3]
+        assert isinstance(step, Step)
+        assert step.state == traj.states[3].tolist() and step.action == traj.actions[3]
+        assert step.ret == traj.returns[3] and step.done == 0 and traj[-1].done == 1
+        for name, value in (("ret", 1.0), ("action", 2), ("masked", True), ("state", [])):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(step, name, value)
+        assert list(traj)[3] == step and traj[1:3] == [traj[1], traj[2]]
+        with pytest.raises(IndexError):
+            traj[len(traj)]
+
+    def test_built_from_columns(self):
+        recs = _sim_records()
+        cols = np.array(recs, dtype=np.int64)
+        traj = pool_mod.trajectory_from_columns(cols, 0.95)
+        f = {name: cols[:, i] for i, name in enumerate(KLOG_FIELDS)}
+        np.testing.assert_array_equal(traj.actions, f["dequeue_action"])
+        np.testing.assert_array_equal(traj.states[:, 2], f["drop_probability"] / 1e6)
+        assert traj.rewards[0] == compute_reward(recs[0].packet_length,
+                                                 recs[0].current_queue_delay // 1000)
+        with pytest.raises(PoolError):
+            pool_mod.trajectory_from_columns(cols[:, :23], 0.95)
 
 
 class TestNormalization:
@@ -175,13 +261,10 @@ class TestNormalization:
 
     def test_zero_variance_flagged_and_mapped_to_zero(self):
         pool = ExperiencePool(gamma=0.95)
-        steps = [Step(reward=1.0, state=[5.0] + [float(i)] * 7, action=0, done=0)
-                 for i in range(4)]
-        steps[-1].done = 1
-        rets = returns_to_go([s.reward for s in steps], 0.95)
-        for s, r in zip(steps, rets):
-            s.ret = r
-        pool.trajectories.append(steps)
+        rewards = [1.0] * 4
+        pool.trajectories.append(Trajectory(
+            rewards, [[5.0] + [float(i)] * 7 for i in range(4)], [0] * 4,
+            returns_to_go(rewards, 0.95)))
         normed, stats = normalize_states(pool)
         assert stats["zero_variance"][0] is True or stats["zero_variance"][0] == 1
         assert all(s.state[0] == 0.0 for s in normed.all_steps())

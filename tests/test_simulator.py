@@ -1,6 +1,9 @@
 """Simulator unit tests: PI law, classification, decisions, logs, determinism."""
 
+import gc
+import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -176,6 +179,83 @@ class TestKlogFormat:
             assert rec.dequeue_action == action
         except KlogParseError:
             assert len(tokens) != 24
+
+
+# sha256 of the .klog that default_scenario(seed=1000, duration_us=1_500_000)
+# writes, as the dataclass-record code wrote it; the text format must not move
+KLOG_SHA256_SEED1000 = "849e02dacfe3b1a1fe9e8348e65e6c59adec840c41946a13787c4e75803d39ad"
+
+
+class TestKlogColumns:
+    @pytest.fixture(scope="class")
+    def world(self):
+        return run_scenario(default_scenario(seed=1000, duration_us=1_500_000))
+
+    def test_golden_klog_bytes(self, world, tmp_path):
+        path = tmp_path / "golden.klog"
+        sim.write_klog(world.records, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == KLOG_SHA256_SEED1000
+
+    def test_records_are_column_rows(self, world):
+        cols = np.array(world.records, dtype=np.int64)
+        assert cols.shape == (len(world.records), 24)
+        for i, name in enumerate(sim.KLOG_FIELDS):
+            assert cols[5, i] == getattr(world.records[5], name)
+
+    def test_columns_equal_records(self, world, tmp_path):
+        path = tmp_path / "x.klog"
+        sim.write_klog(world.records, path)
+        cols = sim.read_klog_columns(path)
+        assert cols.dtype == np.int64
+        np.testing.assert_array_equal(cols, np.array(sim.read_klog(path), dtype=np.int64))
+        assert sim.read_klog(path) == world.records
+
+    def test_blank_lines_skipped_and_empty_log(self, tmp_path):
+        rec = KernelLogRecord(*range(23), 2)
+        path = tmp_path / "x.klog"
+        path.write_text("\n" + emit_log(rec) + "\n\n" + emit_log(rec) + "\n")
+        np.testing.assert_array_equal(sim.read_klog_columns(path), [list(rec)] * 2)
+        path.write_text("")
+        assert sim.read_klog_columns(path).shape == (0, 24)
+        assert sim.read_klog(path) == []
+
+    @pytest.mark.parametrize("bad", [
+        " ".join(["1"] * 23),                      # ragged: 23 fields
+        " ".join(["1"] * 25),                      # ragged: 25 fields
+        " ".join(["1"] * 22 + ["x", "0"]),         # non-numeric token
+        " ".join(["1"] * 23 + ["3"]),              # action out of range
+        " ".join(["1"] * 22 + [str(2 ** 63), "0"]),  # beyond int64
+    ])
+    def test_bad_line_named(self, bad, tmp_path):
+        good = emit_log(KernelLogRecord(*range(23), 1))
+        path = tmp_path / "x.klog"
+        path.write_text("\n".join([good, "", good, bad, good]) + "\n")
+        for read in (sim.read_klog_columns, sim.read_klog):
+            with pytest.raises(KlogParseError) as ei:
+                read(path)
+            assert ei.value.line_number == 4
+
+    def test_every_line_the_same_wrong_length(self, tmp_path):
+        path = tmp_path / "x.klog"
+        path.write_text("1 2 3\n4 5 6\n")
+        with pytest.raises(KlogParseError) as ei:
+            sim.read_klog_columns(path)
+        assert ei.value.line_number == 1
+
+    def test_hook_with_invalid_action_raises(self):
+        with pytest.raises(ValueError, match="dequeue_action"):
+            run_scenario(_short_scenario(duration_us=200_000),
+                         decision_hook=lambda world, q, pkt, decision: 7)
+
+    def test_finished_world_freed_without_cycle_collector(self):
+        gc.disable()
+        try:
+            world = run_scenario(_short_scenario(duration_us=500_000))
+            ref = weakref.ref(world)
+            del world
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestScenarioConfig:

@@ -5,7 +5,7 @@ import pytest
 
 from aqmlab import tensor as T
 from aqmlab.model import ModelConfig, PolicyModel
-from aqmlab.pool import ExperiencePool, Step, returns_to_go
+from aqmlab.pool import ExperiencePool, Trajectory, returns_to_go
 from aqmlab.training import (
     TrainConfig, TrainError, WindowDataset, accuracy, evaluate_accuracy,
     split_pool, target_return, train, train_epoch,
@@ -17,17 +17,14 @@ def make_pool(n_traj=4, steps=12, seed=0, rule=None):
     rng = np.random.default_rng(seed)
     pool = ExperiencePool(gamma=0.95)
     for _ in range(n_traj):
-        traj = []
+        rewards, states, actions = [], [], []
         for t in range(steps):
             state = rng.uniform(0, 1, 8).tolist()
-            action = rule(state) if rule else int(rng.integers(0, 3))
-            traj.append(Step(reward=float(rng.uniform(1, 10)), state=state,
-                             action=action, done=0))
-        traj[-1].done = 1
-        rets = returns_to_go([s.reward for s in traj], 0.95)
-        for s, r in zip(traj, rets):
-            s.ret = r
-        pool.trajectories.append(traj)
+            actions.append(rule(state) if rule else int(rng.integers(0, 3)))
+            states.append(state)
+            rewards.append(float(rng.uniform(1, 10)))
+        pool.trajectories.append(Trajectory(rewards, states, actions,
+                                            returns_to_go(rewards, 0.95)))
     return pool
 
 
@@ -98,7 +95,7 @@ class TestWindowDataset:
 
     def test_masked_steps_excluded_from_loss_mask(self):
         pool = make_pool(n_traj=1, steps=4)
-        pool.trajectories[0][2].masked = True
+        pool.trajectories[0].masked = np.arange(4) == 2
         ds = WindowDataset(pool, window=4)
         _, _, _, _, _, mask = ds.gather([(0, 3)])
         np.testing.assert_array_equal(mask[0], [1, 1, 0, 1])
@@ -170,10 +167,10 @@ class TestTrainEpoch:
         """Labels uniform over {0,1,2} with *constant* states carry no signal
         at all, so loss can only go to the label entropy ln(3), not 0."""
         pool = make_pool(n_traj=4, steps=16, seed=1)  # random labels
-        for s in pool.all_steps():
-            s.state = [0.5] * 8
-            s.ret = 1.0
-            s.timestep = 0  # no trajectory fingerprint to memorize
+        for traj in pool.trajectories:
+            traj.states[:] = 0.5
+            traj.returns[:] = 1.0
+            traj.timesteps = np.zeros(len(traj), dtype=np.int64)  # no trajectory fingerprint to memorize
         m = tiny_model(window=1)
         cfg = TrainConfig(epochs=1, batch_size=16, lr=0.2, window=1,
                           batches_per_epoch=20)
@@ -262,10 +259,11 @@ class TestTrainLoop:
         suite covers the full >=95% recovery on simulator-backed pools.)"""
         rule = lambda s: 2 if s[3] > 0.5 else 0
         pool = make_pool(n_traj=6, steps=30, seed=4, rule=rule)
-        for s in pool.all_steps():  # open a margin around the threshold
-            if abs(s.state[3] - 0.5) < 0.15:
-                s.state[3] += 0.3 if s.state[3] >= 0.5 else -0.3
-            s.action = rule(s.state)
+        for traj in pool.trajectories:  # open a margin around the threshold
+            x = traj.states[:, 3]
+            near = np.abs(x - 0.5) < 0.15
+            x[near] += np.where(x[near] >= 0.5, 0.3, -0.3)
+            traj.actions[:] = [rule(s) for s in traj.states]
         m = tiny_model(window=4)
         cfg = TrainConfig(epochs=6, batch_size=16, lr=0.5, window=4, seed=0,
                           eval_split=0.34, batches_per_epoch=25)
