@@ -100,13 +100,7 @@ def _cmd_compare(args):
 
 def _cmd_diagnose(args):
     doc = evaluation.load_stats(args.stats)
-    trace = doc["cdf"]["delay_ms"]["x"]
-    if len(trace) < 2:
-        raise evaluation.EvalError("stats document has no delay CDF")
-    drift = evaluation.lyapunov_drift(trace, args.target_ms)
-    drift.pop("drifts")
-    out = {"lyapunov": drift, "target_ms": args.target_ms}
-    print(json.dumps(out, indent=1))
+    print(json.dumps(evaluation.diagnose(doc, args.target_ms), indent=1))
 
 
 def _cmd_report(args):

@@ -6,9 +6,10 @@ decision; LlmEvery(n) routes every n-th decision through a trained policy
 model conditioned on the live decision history.
 
 compare() reports robust deltas (median / IQR) and a two-sample KS statistic
-between delay distributions.  lyapunov_drift is the stability diagnostic the
-`diagnose` CLI command runs; lipschitz_estimate is a library-only probe that
-no CLI command calls.
+between delay distributions.  diagnose() runs lyapunov_drift over the
+steady-state Classic delay trace of a finished world or of its stats
+document, and backs the `diagnose` CLI command; lipschitz_estimate is a
+library-only probe that no CLI command calls.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .model import load_checkpoint
 from .pool import compute_reward, normalize_state
 from .simulator import PROB_SCALE, ScenarioConfig, World, applied_action, run_scenario
 
+STATS_FORMAT_VERSION = 2           # 2 added the time-ordered Classic delay trace
 STEADY_STATE_SKIP_US = 5_000_000   # discard the first 5 s of every run
 UTIL_BIN_US = 100_000              # utilisation measured in 100 ms bins
 
@@ -210,9 +212,11 @@ def _steady_state_skip(world: World) -> int:
 def collect_stats(world: World, driver) -> dict:
     skip = _steady_state_skip(world)
     delay_ms = {0: [], 1: []}
+    t_us = {0: [], 1: []}
     for t, qc, sojourn in world.qdelay_samples:
         if t >= skip:
             delay_ms[qc].append(sojourn / 1000.0)
+            t_us[qc].append(t)
     all_delay = delay_ms[0] + delay_ms[1]
 
     rewards = []
@@ -224,6 +228,7 @@ def collect_stats(world: World, driver) -> dict:
     actions = [rec.dequeue_action for rec in world.records]
     n = max(1, len(actions))
     doc = {
+        "format_version": STATS_FORMAT_VERSION,
         "header": {
             "driver": driver.name,
             "scenario": world.config.name,
@@ -245,6 +250,8 @@ def collect_stats(world: World, driver) -> dict:
             "total": len(actions),
         },
         "cdf": {"delay_ms": _cdf(all_delay)},
+        # the steady-state Classic queue delay in time order, which diagnose reads
+        "trace": {"t_us": t_us[0], "delay_ms": delay_ms[0]},
         "driver": driver.finish(),
     }
     return doc
@@ -340,14 +347,18 @@ def lipschitz_estimate(block, pairs):
     return {"constant": best, "pairs_used": used, "expansive": best >= 1.0}
 
 
-def diagnose(world_or_stats, target_ms) -> dict:
-    """Bundle the stability diagnostics for a finished run."""
-    if isinstance(world_or_stats, World):
-        skip = _steady_state_skip(world_or_stats)
-        trace = [s / 1000.0 for t, qc, s in world_or_stats.qdelay_samples
+def diagnose(world_or_doc, target_ms) -> dict:
+    """Lyapunov drift of the steady-state Classic queue delay, in time order,
+    for a finished World or the stats document `collect_stats` made of it."""
+    if isinstance(world_or_doc, World):
+        skip = _steady_state_skip(world_or_doc)
+        trace = [s / 1000.0 for t, qc, s in world_or_doc.qdelay_samples
                  if t >= skip and qc == 0]
+    elif "trace" in world_or_doc:
+        trace = world_or_doc["trace"]["delay_ms"]
     else:
-        trace = world_or_stats
+        raise EvalError("stats document has no delay trace (format_version "
+                        f"{world_or_doc.get('format_version', 1)}); re-run `aqmlab evaluate`")
     drift = lyapunov_drift(trace, target_ms)
     drift.pop("drifts")
     return {"lyapunov": drift, "target_ms": target_ms}

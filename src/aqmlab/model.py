@@ -349,20 +349,29 @@ class PolicyModel:
         normed = T.layer_norm(tokens, self.params["pre_ln_g"], self.params["pre_ln_b"])
         return normed, tokens
 
-    def _attention_block(self, x, l, mask_bias):
+    def _attention_block(self, x, l, mask_bias, rows=None):
+        """Pre-LN causal self-attention and FFN, each with its residual.
+
+        With `rows`, only those query positions are computed: keys and values
+        still read every token, and the block returns [b, len(rows), d].
+        """
         cfg = self.config
         b, n, d = x.shape
         h, dk = cfg.n_heads, d // cfg.n_heads
 
         def split(t):
-            return t.reshape(b, n, h, dk).transpose(0, 2, 1, 3)   # [b, h, n, dk]
+            return t.reshape(b, t.shape[1], h, dk).transpose(0, 2, 1, 3)   # [b, h, m, dk]
 
         ln = T.layer_norm(x, self.params[f"blk{l}_ln1_g"], self.params[f"blk{l}_ln1_b"])
-        q = split(self._proj(ln, f"blk{l}_attn_q"))
         k = split(self._proj(ln, f"blk{l}_attn_k"))
         v = split(self._proj(ln, f"blk{l}_attn_v"))
-        att = T.attention(q, k, v, mask_bias=mask_bias)           # [b, h, n, dk]
-        att = att.transpose(0, 2, 1, 3).reshape(b, n, d)
+        if rows is not None:
+            # each kept query row keeps its own bias row, so masking is exact
+            x, ln = T.select_positions(x, rows), T.select_positions(ln, rows)
+            mask_bias = mask_bias[..., rows, :]
+        q = split(self._proj(ln, f"blk{l}_attn_q"))
+        att = T.attention(q, k, v, mask_bias=mask_bias)           # [b, h, m, dk]
+        att = att.transpose(0, 2, 1, 3).reshape(x.shape)
         x = x + self._proj(att, f"blk{l}_attn_o")
 
         ln2 = T.layer_norm(x, self.params[f"blk{l}_ln2_g"], self.params[f"blk{l}_ln2_b"])
@@ -374,6 +383,8 @@ class PolicyModel:
 
         pad_mask: [batch, w] with 1 for real steps, 0 for left padding;
         padded tokens are blocked from attention and excluded by the trainer.
+        The head reads one token per step, so the last block computes only
+        those rows.
         """
         cfg = self.config
         self.forward_count += 1
@@ -390,14 +401,17 @@ class PolicyModel:
             bias = bias[None, None, :, :] + key_block[:, None, :, :]
             # keep self-attention open on padded rows so softmax stays defined
             bias = np.where(diag[None, None], np.maximum(bias, -1e8), bias)
-        for l in range(cfg.n_layers):
-            x = self._attention_block(x, l, bias)
-        if cfg.residual_flag:
-            x = x + raw_tokens
         # last state token of step t precedes the action token by one position
         positions = np.arange(w) * TOKENS_PER_STEP + (TOKENS_PER_STEP - 2)
-        sel = T.select_positions(x, positions)                      # [b, w, d]
-        return T.linear(sel, self.params["head_W"], self.params["head_b"])
+        for l in range(cfg.n_layers - 1):
+            x = self._attention_block(x, l, bias)
+        if cfg.n_layers:
+            x = self._attention_block(x, cfg.n_layers - 1, bias, rows=positions)   # [b, w, d]
+        else:
+            x = T.select_positions(x, positions)
+        if cfg.residual_flag:
+            x = x + T.select_positions(raw_tokens, positions)
+        return T.linear(x, self.params["head_W"], self.params["head_b"])
 
     def action_distributions(self, logits):
         z = logits.data.astype(np.float64)

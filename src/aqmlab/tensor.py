@@ -241,14 +241,23 @@ def concat(tensors, axis):
 
 
 def select_positions(x, positions, axis=1):
-    """x.take(positions, axis) with gradient scatter-add (positions: int array)."""
+    """x.take(positions, axis) with gradient scatter-add (positions: int array).
+
+    Unique positions scatter by plain assignment; repeated ones (also as a
+    negative and a positive index) sum through np.add.at.
+    """
     positions = np.asarray(positions, dtype=np.int64)
     index = (slice(None),) * axis + (positions,)
-    out_data = x.data[index]
+    out_data = x.data[index]   # raises on an out-of-range position
+    wrapped = positions % max(1, x.data.shape[axis])
+    unique = len(set(wrapped.ravel().tolist())) == positions.size
 
     def bwd(g):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, index, g)
+        if unique:
+            gx[index] = g
+        else:
+            np.add.at(gx, index, g)
         x._accum(gx)
 
     return Tensor(out_data, _parents=(x,), _backward=bwd)

@@ -196,6 +196,39 @@ class TestClosedLoopEval:
         assert np.isfinite(out["lyapunov"]["mean_drift"])
 
 
+class TestDiagnoseCli:
+    def test_cli_drift_equals_diagnose_of_the_run(self, tmp_path, capsys):
+        """`aqmlab diagnose` reads the stats document's time-ordered Classic
+        delay trace, so it reports what diagnose(world) does for the run."""
+        from aqmlab import cli
+        doc_path = tmp_path / "rule.json"
+        assert cli.main(["evaluate", "--seed", "1", "--duration", "4", "-o", str(doc_path)]) == 0
+        doc = ev.load_stats(doc_path)
+        assert doc["format_version"] == ev.STATS_FORMAT_VERSION
+        t_us = doc["trace"]["t_us"]
+        assert len(t_us) == len(doc["trace"]["delay_ms"]) > 2
+        assert t_us == sorted(t_us) and t_us[0] >= doc["header"]["steady_state_skip_us"]
+        world = run_scenario(default_scenario(seed=1, duration_us=4_000_000))
+        for target in (0.0, 1000.0):
+            capsys.readouterr()
+            assert cli.main(["diagnose", str(doc_path), "--target-ms", str(target)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out == ev.diagnose(world, target)
+            # sorted quantiles would give 0 or 1 here, whatever the run did
+            assert 0.0 < out["lyapunov"]["negative_fraction"] < 1.0
+
+    def test_doc_without_trace_exits_1(self, tmp_path, capsys):
+        from aqmlab import cli
+        doc = ev.evaluate(default_scenario(seed=1, duration_us=2_000_000))
+        del doc["trace"], doc["format_version"]
+        path = tmp_path / "old.json"
+        ev.save_stats(doc, path)
+        with pytest.raises(EvalError, match="re-run"):
+            ev.diagnose(doc, 15.0)
+        assert cli.main(["diagnose", str(path)]) == 1
+        assert "re-run `aqmlab evaluate`" in capsys.readouterr().err
+
+
 class TestLlmEveryHistory:
     def test_history_holds_the_applied_action(self, tmp_path):
         """A model MARK on a not-ECN-capable packet is applied as a DROP; the

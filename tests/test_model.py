@@ -523,3 +523,62 @@ class TestCachedMasks:
             bias[0, 1] = 0.0
         with pytest.raises(ValueError):
             diag[0, 1] = True
+
+
+def full_rows_logits(model, R, S, A, ts, pad_mask):
+    """The forward pass with every block over all 10*w tokens: the residual
+    is added to the whole sequence, then the head rows are selected."""
+    cfg, p = model.config, model.params
+    w = S.shape[1]
+    n = w * TOKENS_PER_STEP
+    x, raw_tokens = model.build_sequence(R, S, A, ts)
+    keep = np.repeat(pad_mask, TOKENS_PER_STEP, axis=1)
+    key_block = np.where(keep[:, None, :] > 0, 0.0, -1e9).astype(cfg.np_dtype)
+    bias = T.causal_mask_bias(n, dtype=cfg.np_dtype)[None, None] + key_block[:, None]
+    bias = np.where(np.eye(n, dtype=bool)[None, None], np.maximum(bias, -1e8), bias)
+    for l in range(cfg.n_layers):
+        x = model._attention_block(x, l, bias)
+    if cfg.residual_flag:
+        x = x + raw_tokens
+    sel = T.select_positions(x, np.arange(w) * TOKENS_PER_STEP + TOKENS_PER_STEP - 2)
+    return T.linear(sel, p["head_W"], p["head_b"])
+
+
+class TestHeadRowsOnly:
+    """The last block computes only the query rows the head reads; logits and
+    gradients must match running it over every token.  Not bit for bit: a
+    GEMM over fewer rows may be blocked differently by another BLAS."""
+
+    @pytest.mark.parametrize("dtype,tol", [("float32", 1e-6), ("float64", 1e-12)])
+    @pytest.mark.parametrize("lora", [False, True])
+    @pytest.mark.parametrize("residual", [True, False])
+    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+    def test_matches_full_rows_reference(self, n_layers, residual, lora, dtype, tol):
+        cfg = bench_config(n_layers=n_layers, residual_flag=residual, dtype=dtype)
+        pruned, ref = PolicyModel(cfg, seed=3), PolicyModel(cfg, seed=3)
+        if lora:
+            for m in (pruned, ref):
+                m.enable_lora(rank=2, seed=5)
+                for name in m.lora_param_names():
+                    if name.endswith("_lora_B"):
+                        m.params[name].data += np.random.default_rng(6).normal(
+                            0.0, 0.05, m.params[name].shape).astype(cfg.np_dtype)
+        ref.forward = lambda R, S, A, ts, pad_mask: full_rows_logits(ref, R, S, A, ts, pad_mask)
+        batch = rand_batch(cfg, b=4, seed=7)
+        pad = np.ones((4, cfg.context_window))
+        pad[1, :3] = 0.0
+        pad[2, :-1] = 0.0   # one real step
+        y_p, g_p = loss_and_grads(pruned, batch, pad)
+        y_r, g_r = loss_and_grads(ref, batch, pad)
+        assert y_p.shape == (4, cfg.context_window, 3)
+        np.testing.assert_allclose(y_p, y_r, rtol=0, atol=tol)
+        grad_tol = 1e-5 if dtype == "float32" else 1e-12
+        largest = max(np.abs(g).max() for g in g_r.values() if g is not None)
+        for name, g in g_r.items():
+            if g is None:
+                assert g_p[name] is None, name
+                continue
+            # softmax is shift-invariant, so the key bias has a true gradient
+            # of 0 and only rounding noise to compare
+            scale = largest if "attn_k_b" in name else np.abs(g).max()
+            assert np.abs(g_p[name] - g).max() <= grad_tol * scale, name

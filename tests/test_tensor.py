@@ -152,12 +152,19 @@ class TestGradChecks:
         assert err < 1e-3
 
     def test_select_positions(self):
-        x = Tensor(rand(2, 8, 3), requires_grad=True)
-        w = rand(2, 2, 3, seed=1)
-        err = T.grad_check(
-            lambda: (T.select_positions(x, np.array([1, 5])) * Tensor(w)).sum(),
-            [x], eps=1e-6)
-        assert err < 1e-3
+        """Unique positions scatter by assignment; repeated ones (-1 and 7
+        name the same row) must sum their gradients."""
+        for positions in ([1, 5], [5, 1, 7], [1, 5, 1], [-1, 7, 2]):
+            positions = np.array(positions)
+            x = Tensor(rand(2, 8, 3), requires_grad=True)
+            w = rand(2, positions.size, 3, seed=1)
+            err = T.grad_check(
+                lambda: (T.select_positions(x, positions) * Tensor(w)).sum(),
+                [x], eps=1e-6)
+            assert err < 1e-3, positions
+            want = np.zeros_like(x.data)
+            np.add.at(want, (slice(None), positions), w)
+            np.testing.assert_array_equal(x.grad, want, err_msg=str(positions))
 
 
     @pytest.mark.parametrize("spec,shape_a,shape_b", [
