@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from .features import ACTION_MARK, STATE_DIM
-from .model import load_checkpoint
+from .model import InferencePolicy, load_checkpoint
 from .pool import compute_reward, normalize_state
 from .simulator import PROB_SCALE, ScenarioConfig, World, applied_action, run_scenario
 
@@ -49,7 +49,8 @@ class RuleBased:
 
 
 class LlmEvery:
-    """Route every n-th AQM decision through the policy model.
+    """Route every n-th AQM decision through the checkpoint's policy, run as
+    a `model.InferencePolicy` snapshot (`self.model`).
 
     Keeps a rolling window of (return-target, state, action) history fed to
     the model exactly as during training: states are normalised with the
@@ -69,9 +70,10 @@ class LlmEvery:
             raise EvalError(f"every must be >= 1, got {every}")
         self.every = every
         self.shadow = shadow
-        self.model, self.feature_stats, extra = load_checkpoint(checkpoint_path)
+        model, self.feature_stats, extra = load_checkpoint(checkpoint_path)
         if self.feature_stats is None:
             raise EvalError("checkpoint has no feature statistics")
+        self.model = InferencePolicy(model)
         self.target_return = float(extra.get("target_return", 1.0))
         self.window = int(extra.get("window", self.model.config.context_window))
         self._hist = []          # (ret, normalised state, applied action, timestep) per decision

@@ -8,6 +8,12 @@ stored stacked along a feature axis so that a few contractions encode all 8
 features at once.  A causal transformer backbone feeds a 3-way action head
 read at the last state token of each step.  Attention Q/V projections can be
 LoRA-wrapped (frozen base, trainable low-rank delta).
+
+PolicyModel is the trainable form: its forward pass builds a Tensor graph,
+and its `predict` is the reference for inference.  InferencePolicy is a
+read-only plain-numpy snapshot of a PolicyModel for closed-loop decisions: the
+linear encoder chain folds into one causal conv per token type, LoRA deltas
+are merged, and only the newest step's head row is computed.
 """
 
 from __future__ import annotations
@@ -132,6 +138,30 @@ def _mask_arrays(n, dtype):
     diag = np.eye(n, dtype=bool)
     bias.flags.writeable = diag.flags.writeable = False
     return bias, diag
+
+
+def _attention_bias(pad_mask, n, dtype):
+    """Additive attention bias for the first n tokens of a window: causal
+    [n, n] alone, or [batch, 1, n, n] that also blocks the keys of the steps
+    `pad_mask` ([batch, w], 0 for padding) marks as padding."""
+    bias, diag = _mask_arrays(n, dtype)
+    if pad_mask is None:
+        return bias
+    pad_mask = np.asarray(pad_mask)
+    if (pad_mask > 0).all():
+        return bias
+    token_keep = np.repeat(pad_mask, TOKENS_PER_STEP, axis=1)[:, :n]  # [b, n]
+    key_block = np.where(token_keep[:, None, :] > 0, 0.0, -1e9).astype(dtype)
+    bias = bias[None, None, :, :] + key_block[:, None, :, :]
+    # keep self-attention open on padded rows so softmax stays defined
+    return np.where(diag[None, None], np.maximum(bias, -1e8), bias)
+
+
+def _softmax64(logits):
+    """Softmax over the last axis, in float64."""
+    z = logits.astype(np.float64)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class PolicyModel:
@@ -393,14 +423,7 @@ class PolicyModel:
         n = w * TOKENS_PER_STEP
 
         x, raw_tokens = self.build_sequence(returns, states, actions, timesteps)
-        bias, diag = _mask_arrays(n, cfg.np_dtype)
-        if pad_mask is not None:
-            pad_mask = np.asarray(pad_mask)
-            token_keep = np.repeat(pad_mask, TOKENS_PER_STEP, axis=1)  # [b, n]
-            key_block = np.where(token_keep[:, None, :] > 0, 0.0, -1e9).astype(cfg.np_dtype)
-            bias = bias[None, None, :, :] + key_block[:, None, :, :]
-            # keep self-attention open on padded rows so softmax stays defined
-            bias = np.where(diag[None, None], np.maximum(bias, -1e8), bias)
+        bias = _attention_bias(pad_mask, n, cfg.np_dtype)
         # last state token of step t precedes the action token by one position
         positions = np.arange(w) * TOKENS_PER_STEP + (TOKENS_PER_STEP - 2)
         for l in range(cfg.n_layers - 1):
@@ -414,11 +437,7 @@ class PolicyModel:
         return T.linear(x, self.params["head_W"], self.params["head_b"])
 
     def action_distributions(self, logits):
-        z = logits.data.astype(np.float64)
-        z = z - z.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        probs = e / e.sum(axis=-1, keepdims=True)
-        return logits.data, probs
+        return logits.data, _softmax64(logits.data)
 
     def predict(self, returns, states, actions, timesteps, pad_mask=None):
         """ActionDistribution for the newest step of each window (no graph kept)."""
@@ -426,6 +445,149 @@ class PolicyModel:
             logits = self.forward(returns, states, actions, timesteps, pad_mask)
         raw, probs = self.action_distributions(logits)
         return [ActionDistribution(raw[i, -1], probs[i, -1]) for i in range(raw.shape[0])]
+
+
+class InferencePolicy:
+    """A read-only snapshot of a PolicyModel that computes `predict` in plain
+    numpy, for the closed loop's one-window decisions.
+
+    Built once, in float64 and stored in the model dtype:
+    - the token encoders fold into one causal conv of width
+      max(conv_kernel_sizes) per token type.  The encoder chain (per-kernel
+      conv, concat, enc_proj, embed) has no nonlinearity, so a conv feature
+      becomes one kernel [kmax, d] plus a bias [d]; a scalar feature, the
+      return and the action are the width-1 case x·W + b, a kernel whose
+      only non-zero tap is the newest;
+    - LoRA deltas are merged into their base matrices (`merge_lora`);
+    - each layer norm's gain and shift, and the attention scale, fold into
+      the projection that reads them.
+
+    `predict` builds no Tensor and computes only the newest step's head row,
+    the one row it returns: its attention still reads the keys and values of
+    every token up to that row.  The newest action token comes after the row
+    and so is never built.  Later changes to the model do not reach the
+    snapshot.
+    """
+
+    def __init__(self, model: PolicyModel):
+        cfg = self.config = model.config
+        self.forward_count = 0
+        dt, d, h = cfg.np_dtype, cfg.embed_size, cfg.n_heads
+        p = {name: t.data.astype(np.float64) for name, t in model.params.items()}
+        p.update((name, W.astype(np.float64)) for name, W in model.merge_lora().items())
+        self._kmax = kmax = max(cfg.conv_kernel_sizes)
+
+        # token c of a step reads input channel c of [R, s1..s8, a]
+        K = np.zeros((TOKENS_PER_STEP, kmax, d))
+        B = np.zeros((TOKENS_PER_STEP, d))
+        K[0, -1], B[0] = p["W_return"][0], p["b_return"]
+        K[-1, -1], B[-1] = p["W_action"][0], p["b_action"]
+        for j, i in enumerate(model._scalar_idx):
+            E = p["embed_W"][i]
+            K[1 + i, -1] = p["enc_scalar_W"][j] @ E
+            B[1 + i] = p["enc_scalar_b"][j] @ E + p["embed_b"][i]
+        fd = cfg.feature_dim
+        for c, i in enumerate(model._conv_idx):
+            E, P = p["embed_W"][i], p["enc_proj_W"][c]    # P: [nk*fd, fd], one row block per kernel
+            proj_b = p["enc_proj_b"][c]
+            for r, k in enumerate(cfg.conv_kernel_sizes):
+                Pk = P[r * fd:(r + 1) * fd]
+                # a size-k kernel reads the newest k taps of the kmax window
+                K[1 + i, kmax - k:] += p[f"enc_conv{k}_K"][c] @ Pk @ E
+                proj_b = proj_b + p[f"enc_conv{k}_b"][c] @ Pk
+            B[1 + i] = proj_b @ E + p["embed_b"][i]
+
+        def affine_after_ln(g, b, W, c):
+            # (g * xhat + b) @ W + c  ==  xhat @ (g[:, None] * W) + (b @ W + c)
+            return g[:, None] * W, b @ W + c
+
+        scale = 1.0 / math.sqrt(d // h)
+        blocks = []
+        for l in range(cfg.n_layers):
+            ln1 = p[f"blk{l}_ln1_g"], p[f"blk{l}_ln1_b"]
+            Wq, bq = affine_after_ln(*ln1, p[f"blk{l}_attn_q_W"] * scale, p[f"blk{l}_attn_q_b"] * scale)
+            Wkv, bkv = affine_after_ln(
+                *ln1, np.concatenate([p[f"blk{l}_attn_k_W"], p[f"blk{l}_attn_v_W"]], axis=1),
+                np.concatenate([p[f"blk{l}_attn_k_b"], p[f"blk{l}_attn_v_b"]]))
+            W1, b1 = affine_after_ln(p[f"blk{l}_ln2_g"], p[f"blk{l}_ln2_b"],
+                                     p[f"blk{l}_ffn_W1"], p[f"blk{l}_ffn_b1"])
+            blocks.append((Wq, bq, Wkv, bkv, p[f"blk{l}_attn_o_W"], p[f"blk{l}_attn_o_b"],
+                           W1, b1, p[f"blk{l}_ffn_W2"], p[f"blk{l}_ffn_b2"]))
+
+        def frozen(a):
+            a = np.ascontiguousarray(a, dtype=dt)
+            a.flags.writeable = False
+            return a
+
+        # one product maps a step's taps [kmax, 10] to its 10 tokens [10, d]:
+        # row (tap m, channel c) holds token c's kernel tap m in column block c
+        dense = np.zeros((kmax, TOKENS_PER_STEP, TOKENS_PER_STEP, d))
+        for c in range(TOKENS_PER_STEP):
+            dense[:, c, c] = K[c]
+        self._token_W = frozen(dense.reshape(kmax * TOKENS_PER_STEP, TOKENS_PER_STEP * d))
+        self._token_b = frozen(B.reshape(-1))
+        self._W_time = frozen(p["W_time"])
+        self._pre_ln = frozen(p["pre_ln_g"]), frozen(p["pre_ln_b"])
+        self._blocks = [tuple(map(frozen, blk)) for blk in blocks]
+        self._head = frozen(p["head_W"]), frozen(p["head_b"])
+
+    def _block(self, x, blk, bias, last):
+        """Pre-LN causal self-attention and FFN, each with its residual; with
+        `last`, only the newest row is computed and returned ([b, 1, d])."""
+        Wq, bq, Wkv, bkv, Wo, bo, W1, b1, W2, b2 = blk
+        b, m, d = x.shape
+        h = self.config.n_heads
+        xhat = T.normalize(x)[0]
+        kv = (xhat @ Wkv + bkv).reshape(b, m, 2, h, d // h).transpose(2, 0, 3, 1, 4)  # [2, b, h, m, dk]
+        if last:
+            x, xhat, bias = x[:, -1:], xhat[:, -1:], bias[..., -1:, :]
+        r = x.shape[1]
+        q = (xhat @ Wq + bq).reshape(b, r, h, d // h).transpose(0, 2, 1, 3)          # [b, h, r, dk]
+        s = q @ kv[0].transpose(0, 1, 3, 2) + bias
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        att = (e / e.sum(axis=-1, keepdims=True)) @ kv[1]
+        x = x + att.transpose(0, 2, 1, 3).reshape(b, r, d) @ Wo + bo
+        return x + np.maximum(T.normalize(x)[0] @ W1 + b1, 0.0) @ W2 + b2
+
+    def predict(self, returns, states, actions, timesteps, pad_mask=None):
+        """ActionDistribution for the newest step of each window, as
+        `PolicyModel.predict` gives it."""
+        cfg = self.config
+        dt = cfg.np_dtype
+        self.forward_count += 1
+        returns = np.asarray(returns, dtype=dt)
+        states = np.asarray(states, dtype=dt)
+        actions = np.asarray(actions, dtype=dt)
+        timesteps = np.asarray(timesteps, dtype=np.int64)
+        b, w = returns.shape
+        if states.shape != (b, w, cfg.state_dim) or actions.shape != (b, w) \
+                or timesteps.shape != (b, w):
+            raise T.TensorError("window length mismatch across modalities")
+        kmax, n = self._kmax, w * TOKENS_PER_STEP - 1    # n: up to the newest head row
+
+        # causal padding: left zeros, so no step reads a later one
+        inputs = np.zeros((b, w + kmax - 1, TOKENS_PER_STEP), dtype=dt)
+        inputs[:, kmax - 1:, 0] = returns
+        inputs[:, kmax - 1:, 1:-1] = states
+        inputs[:, kmax - 1:, -1] = actions
+        taps = inputs[:, np.arange(w)[:, None] + np.arange(kmax)]              # [b, w, kmax, 10]
+        tokens = (taps.reshape(b, w, -1) @ self._token_W + self._token_b).reshape(
+            b, w, TOKENS_PER_STEP, cfg.embed_size)
+        tokens += self._W_time[np.minimum(np.maximum(timesteps, 0), cfg.max_timestep)][:, :, None]
+        raw = tokens.reshape(b, w * TOKENS_PER_STEP, cfg.embed_size)[:, :n]
+
+        g, beta = self._pre_ln
+        x = g * T.normalize(raw)[0] + beta
+        bias = _attention_bias(pad_mask, n, dt)
+        for l, blk in enumerate(self._blocks):
+            x = self._block(x, blk, bias, last=l == cfg.n_layers - 1)
+        x = x[:, -1]
+        if cfg.residual_flag:
+            x = x + raw[:, -1]
+        W, c = self._head
+        logits = x @ W + c
+        probs = _softmax64(logits)
+        return [ActionDistribution(logits[i], probs[i]) for i in range(b)]
 
 
 # --------------------------------------------------------------- checkpointing

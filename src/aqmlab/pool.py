@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -247,7 +248,8 @@ def trajectory_from_columns(cols, gamma) -> Trajectory:
 
 
 def build_pool(log_files, gamma=0.95) -> ExperiencePool:
-    """One trajectory per .klog file, merged in sorted file-name order."""
+    """One trajectory per .klog file, merged in sorted path order; the
+    provenance names each log by its base name."""
     log_files = sorted(str(f) for f in log_files)
     if not log_files:
         raise PoolError("no log files given")
@@ -260,7 +262,9 @@ def build_pool(log_files, gamma=0.95) -> ExperiencePool:
         pool.trajectories.append(trajectory_from_columns(cols, gamma))
         with open(path, "rb") as fh:
             digest.update(fh.read())
-    pool.provenance = {"source_logs": log_files, "content_sha256": digest.hexdigest()}
+    # base names, so that the pool does not depend on where the logs sit
+    pool.provenance = {"source_logs": [os.path.basename(f) for f in log_files],
+                       "content_sha256": digest.hexdigest()}
     pool.validate()
     return pool
 

@@ -16,6 +16,7 @@ import dataclasses
 import heapq
 import json
 import random
+from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from typing import Callable, NamedTuple, Optional
@@ -448,7 +449,7 @@ class World:
             QueueClass.CLASSIC: QueueState(QueueClass.CLASSIC, burst_allowance=p.max_burst),
             QueueClass.L4S: QueueState(QueueClass.L4S, burst_allowance=p.max_burst),
         }
-        self._buffers = {QueueClass.CLASSIC: [], QueueClass.L4S: []}
+        self._buffers = {QueueClass.CLASSIC: deque(), QueueClass.L4S: deque()}
         # Hidden controller state fed with max(classic delay, l4s delay); its
         # p' is mirrored into both queue states as the shared base probability.
         self._ctrl = QueueState(QueueClass.CLASSIC)
@@ -460,7 +461,6 @@ class World:
         self._klog_params = (p.qdelay_target, p.tupdate, p.max_burst, p.max_ecn_threshold,
                              int(round(p.alpha * GAIN_SCALE)),
                              int(round(p.beta * GAIN_SCALE)), 0)
-        self.decision_meta: list[tuple] = []   # (time_us, queue_type, cause)
 
         # Measurement series
         self.qdelay_samples = []   # (time_us, queue_type, delay_us)
@@ -537,7 +537,6 @@ class World:
             # safety override, counted by the hook owner
             action = applied_action(self.decision_hook(self, q, pkt, decision), pkt)
         self._emit_record(q, pkt, action)
-        self.decision_meta.append((self.now, int(qc), decision.cause))
 
         q.total_packets += 1
         q.total_bytes += pkt.size_bytes
@@ -566,7 +565,7 @@ class World:
             qc = QueueClass.CLASSIC
         else:
             return
-        pkt = self._buffers[qc].pop(0)
+        pkt = self._buffers[qc].popleft()
         q = self.queues[qc]
         q.length_bytes -= pkt.size_bytes
         q.length_packets -= 1

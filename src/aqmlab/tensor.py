@@ -327,14 +327,23 @@ def softmax(x, axis=-1):
     return Tensor(out_data, _parents=(x,), _backward=bwd)
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """Normalize over the last axis, then affine with gamma/beta."""
+def normalize(x, eps=1e-5):
+    """Array x standardized over its last axis, with the mean and variance
+    reduced in float64: (x - mean) / sqrt(var + eps) and 1 / sqrt(var + eps),
+    both in x's dtype."""
     if eps <= 0:
         raise TensorError("layer_norm eps must be > 0")
-    mu = x.data.mean(axis=-1, keepdims=True, dtype=np.float64)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True, dtype=np.float64)
-    inv = (1.0 / np.sqrt(var + eps)).astype(x.data.dtype)
-    xhat = ((x.data - mu) * inv).astype(x.data.dtype)
+    n = x.shape[-1]
+    x64 = x.astype(np.float64)
+    centred = x64 - np.add.reduce(x64, axis=-1, keepdims=True) / n
+    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / n
+    inv = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
+    return (centred * inv).astype(x.dtype), inv
+
+
+def layer_norm(x, gamma, beta, eps=1e-5):
+    """Normalize over the last axis, then affine with gamma/beta."""
+    xhat, inv = normalize(x.data, eps)
     out_data = gamma.data * xhat + beta.data
 
     def bwd(g):

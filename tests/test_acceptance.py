@@ -16,7 +16,9 @@ from aqmlab.features import (
 )
 from aqmlab import tensor as T
 from aqmlab.tensor import Tensor, grad_check
-from aqmlab.model import ModelConfig, PolicyModel, TOKENS_PER_STEP
+from aqmlab.model import (
+    InferencePolicy, ModelConfig, PolicyModel, TOKENS_PER_STEP, load_checkpoint,
+)
 from aqmlab.pool import (
     ExperiencePool, build_pool_from_records, returns_to_go,
 )
@@ -346,6 +348,25 @@ class TestCloneFidelity:
 
     def test_eval_runtime_under_five_minutes_per_seed(self, clone_run):
         assert clone_run["eval_seconds"] < 300
+
+
+    def test_inference_policy_decides_as_the_tensor_model(self, clone_run):
+        """The closed loop runs a model.InferencePolicy snapshot; driving the
+        same episode through the Tensor PolicyModel changes no decision."""
+        scenario = default_scenario(seed=3, duration_us=3_000_000)
+        worlds, drivers = [], []
+        for tensor_model in (False, True):
+            driver = ev.LlmEvery(clone_run["ckpt"], every=1)
+            if tensor_model:
+                driver.model = load_checkpoint(clone_run["ckpt"])[0]
+            worlds.append(run_scenario(scenario, decision_hook=driver.hook))
+            drivers.append(driver)
+        assert isinstance(drivers[0].model, InferencePolicy)
+        assert isinstance(drivers[1].model, PolicyModel)
+        assert len(worlds[0].records) > 1000
+        assert worlds[0].records == worlds[1].records
+        for driver, world in zip(drivers, worlds):
+            assert driver.model.forward_count == driver.model_decisions == len(world.records)
 
 
 # ------------------------------------------ 8. simulator invariants

@@ -1,5 +1,6 @@
 """Policy model tests: shapes, token layout, causality, LoRA, checkpoints,
-the fused state encoder and inference without a graph."""
+the fused state encoder, inference without a graph and the plain-numpy
+inference policy."""
 
 import json
 import pathlib
@@ -10,8 +11,8 @@ import pytest
 from aqmlab import tensor as T
 from aqmlab.features import STATE_FEATURES
 from aqmlab.model import (
-    CHECKPOINT_VERSION, TOKENS_PER_STEP, CheckpointError, ModelConfig, PolicyModel,
-    load_checkpoint, save_checkpoint,
+    CHECKPOINT_VERSION, TOKENS_PER_STEP, CheckpointError, InferencePolicy, ModelConfig,
+    PolicyModel, load_checkpoint, save_checkpoint,
 )
 from aqmlab.tensor import Tensor
 
@@ -582,3 +583,128 @@ class TestHeadRowsOnly:
             # of 0 and only rounding noise to compare
             scale = largest if "attn_k_b" in name else np.abs(g).max()
             assert np.abs(g_p[name] - g).max() <= grad_tol * scale, name
+
+
+def perturbed_model(cfg, seed=3, lora=True):
+    """A model whose every parameter is moved off its initial value: biases,
+    layer-norm gains and shifts, and (with LoRA on) the B matrices all start
+    at 0 or 1, where folding them in wrongly would go unseen."""
+    m = PolicyModel(cfg, seed=seed)
+    if lora:
+        m.enable_lora(rank=2, seed=5)
+    rng = np.random.default_rng(6)
+    for p in m.params.values():
+        p.data = p.data + rng.normal(0.0, 0.05, p.shape).astype(cfg.np_dtype)
+    return m
+
+
+def assert_policy_matches_predict(model, tol, seed=7):
+    """InferencePolicy.predict against PolicyModel.predict at b=1 and b=3, on
+    left-padded windows, one of them with a single real step."""
+    policy = InferencePolicy(model)
+    w = model.config.context_window
+    R, S, A, ts = rand_batch(model.config, b=3, w=w, seed=seed)
+    pad = np.ones((3, w))
+    pad[1, :3] = 0.0
+    pad[2, :-1] = 0.0   # one real step
+    for rows in (slice(0, 3), slice(1, 2), slice(2, 3), slice(0, 1)):
+        args = (R[rows], S[rows], A[rows], ts[rows])
+        for pm in (pad[rows], None):
+            want = model.predict(*args, pad_mask=pm)
+            got = policy.predict(*args, pad_mask=pm)
+            assert len(got) == len(want)
+            for g, r in zip(got, want):
+                assert g.logits.dtype == r.logits.dtype and g.logits.shape == (3,)
+                np.testing.assert_allclose(g.logits, r.logits, rtol=0, atol=tol)
+                np.testing.assert_allclose(g.probabilities, r.probabilities, rtol=0, atol=tol)
+
+
+class TestInferencePolicy:
+    """The plain-numpy snapshot the closed loop runs must give the logits of
+    PolicyModel.predict, within rounding of its folded, merged weights."""
+
+    @pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-12)])
+    @pytest.mark.parametrize("lora", [False, True])
+    @pytest.mark.parametrize("residual", [True, False])
+    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+    def test_matches_predict(self, n_layers, residual, lora, dtype, tol):
+        cfg = bench_config(n_layers=n_layers, residual_flag=residual, dtype=dtype)
+        assert_policy_matches_predict(perturbed_model(cfg, lora=lora), tol)
+
+    @pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-12)])
+    @pytest.mark.parametrize("conv_features", [
+        None, ("current_queue_delay",), ("queue_type", "packet_length", "drop_probability"),
+        (), STATE_FEATURES])
+    def test_matches_predict_for_every_conv_feature_set(self, conv_features, dtype, tol):
+        over = {"dtype": dtype, "n_layers": 2}
+        if conv_features is not None:
+            over["conv_features"] = conv_features
+        assert_policy_matches_predict(perturbed_model(bench_config(**over), seed=4), tol)
+
+    def test_other_kernel_sizes_and_heads(self):
+        cfg = small_config(conv_kernel_sizes=(2, 4), n_heads=4, n_layers=2)
+        assert_policy_matches_predict(perturbed_model(cfg), 1e-12)
+
+    def test_v1_fixture(self):
+        m, _, extra = load_checkpoint(V1_CHECKPOINT)
+        probe = extra["probe"]
+        args = (probe["returns"], np.array(probe["states"]), probe["actions"],
+                np.array(probe["timesteps"]))
+        pad = np.array(probe["pad_mask"])
+        got = InferencePolicy(m).predict(*args, pad_mask=pad)
+        want = m.predict(*args, pad_mask=pad)
+        for g, r, logged in zip(got, want, np.array(probe["logits"])):
+            np.testing.assert_allclose(g.logits, r.logits, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(g.logits, logged[-1], rtol=0, atol=1e-6)
+
+    def test_builds_no_tensor(self, monkeypatch):
+        cfg = bench_config()
+        policy = InferencePolicy(perturbed_model(cfg))
+        built = []
+        init = Tensor.__init__
+
+        def counting_init(obj, *args, **kwargs):
+            built.append(1)
+            init(obj, *args, **kwargs)
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        R, S, A, ts = rand_batch(cfg, b=1)
+        pad = np.ones((1, cfg.context_window))
+        pad[0, :5] = 0.0
+        policy.predict(R, S, A, ts, pad_mask=pad)
+        policy.predict(R, S, A, ts)
+        assert built == []
+
+    def test_snapshot_leaves_model_untouched(self):
+        cfg = bench_config()
+        m = perturbed_model(cfg)
+        digest = m.parameter_digest()
+        trainable = {n: p.requires_grad for n, p in m.params.items()}
+        batch = rand_batch(cfg, b=2)
+        before = [d.logits.copy() for d in m.predict(*batch)]
+        policy = InferencePolicy(m)
+        assert m.parameter_digest() == digest
+        assert {n: p.requires_grad for n, p in m.params.items()} == trainable
+        for d, b in zip(m.predict(*batch), before):
+            assert d.logits.tobytes() == b.tobytes()
+        # a read-only snapshot: later training does not reach it
+        got = [d.logits.copy() for d in policy.predict(*batch)]
+        for p in m.params.values():
+            p.data = p.data + 1.0
+        for d, g in zip(policy.predict(*batch), got):
+            assert d.logits.tobytes() == g.tobytes()
+        with pytest.raises(ValueError):
+            policy._head[0][0, 0] = 0.0
+
+    def test_interface(self):
+        cfg = small_config()
+        m = PolicyModel(cfg, seed=0)
+        policy = InferencePolicy(m)
+        assert policy.config == m.config and policy.forward_count == 0
+        R, S, A, ts = rand_batch(cfg, b=2)
+        out = policy.predict(R, S, A, ts)
+        policy.predict(R[:1], S[:1], A[:1], ts[:1])
+        assert policy.forward_count == 2 and m.forward_count == 0
+        assert all(isinstance(d.action, int) for d in out)
+        np.testing.assert_allclose([d.probabilities.sum() for d in out], 1.0)
+        with pytest.raises(T.TensorError):
+            policy.predict(R, S[:, :-1], A, ts)

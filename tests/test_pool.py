@@ -131,6 +131,27 @@ class TestPoolConstruction:
         assert "source_logs" in pool.provenance
         assert "content_sha256" in pool.provenance
 
+    def test_provenance_does_not_depend_on_the_log_directory(self, tmp_path):
+        """Base names in sorted full-path order, and the content digest, so
+        copies of the same logs in two directories give equal provenance."""
+        pools = []
+        for sub in ("a", "much/longer/dir"):
+            d = tmp_path / sub
+            d.mkdir(parents=True)
+            paths = []
+            for seed, name in ((1, "z.klog"), (2, "m.klog")):
+                write_klog(_sim_records(seed=seed), d / name)
+                paths.append(d / name)
+            pools.append(build_pool(paths, gamma=0.9))
+        assert pools[0].provenance == pools[1].provenance
+        assert pools[0].provenance["source_logs"] == ["m.klog", "z.klog"]
+        # full-path order, not base-name order: the trajectories follow it
+        nested = tmp_path / "b"
+        nested.mkdir()
+        write_klog(_sim_records(seed=2), nested / "a.klog")
+        p = build_pool([nested / "a.klog", tmp_path / "a" / "z.klog"], gamma=0.9)
+        assert p.provenance["source_logs"] == ["z.klog", "a.klog"]
+
     def test_json_round_trip(self, tmp_path):
         pool = build_pool_from_records([_sim_records()], gamma=0.95)
         pool.feature_stats = compute_feature_stats(pool)
