@@ -14,6 +14,7 @@ import json
 import sys
 
 from . import evaluation, pool as pool_mod, simulator, training
+from .features import ACTION_NAMES
 from .model import ModelConfig, PolicyModel, load_checkpoint
 
 
@@ -58,8 +59,11 @@ def _cmd_train(args):
                                 seed=args.seed)
     report = training.train(model, p, tcfg, checkpoint_path=args.output)
     for row in report.rows:
+        recall = "  ".join(f"{name} {'-' if r is None else f'{r:.3f}'}"
+                           for name, r in row["eval_recall"].items())
         print(f"epoch {row['epoch']:3d}  loss {row['mean_loss']:.4f}  "
-              f"acc {row['mean_accuracy']:.3f}  eval {row['eval_accuracy']:.3f}")
+              f"acc {row['mean_accuracy']:.3f}  eval {row['eval_accuracy']:.3f}  "
+              f"eval recall {recall}")
     print(f"best eval accuracy {report.best_eval_accuracy:.3f} "
           f"(epoch {report.best_epoch}) -> {args.output}")
 
@@ -85,6 +89,10 @@ def _cmd_evaluate(args):
     print(f"median delay {s['median']:.2f} ms, IQR {s['iqr']:.2f} ms, "
           f"utilization {doc['summary']['utilization']['mean']:.3f} "
           f"-> {args.output}")
+    matrix = doc["driver"].get("action_matrix")
+    if matrix is not None:
+        print(f"model decisions by rule action (rows) and model action (columns), "
+              f"{'/'.join(ACTION_NAMES)}: {matrix}")
 
 
 def _cmd_compare(args):

@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .features import ACTION_MARK, STATE_DIM
+from .features import ACTION_COUNT, ACTION_MARK, STATE_DIM
 from .model import InferencePolicy, load_checkpoint
 from .pool import compute_reward, normalize_state
 from .simulator import PROB_SCALE, ScenarioConfig, World, applied_action, run_scenario
@@ -58,6 +58,11 @@ class LlmEvery:
     training-time target return.  Model marks on not-ECN-capable packets are
     downgraded to drops by the simulator and counted here as violations.
 
+    `action_matrix[rule][model]` counts the model decisions by the rule's
+    action (row) and the action the model asked for (column), in
+    `ACTION_NAMES` order, so a policy that answers one class to everything
+    shows as one full column.
+
     shadow=True runs (and counts) inference on schedule but always applies
     the rule action, so runs with different `every` traverse identical
     traces — useful for inference-cost measurements.
@@ -80,7 +85,7 @@ class LlmEvery:
         self._last_drops = {}
         self._count = 0
         self.model_decisions = 0
-        self.overridden = 0      # model action != rule action
+        self.action_matrix = [[0] * ACTION_COUNT for _ in range(ACTION_COUNT)]
         self.violations = 0      # model marked a not-ECN-capable packet
         self.latencies = []      # seconds per model inference
 
@@ -92,8 +97,7 @@ class LlmEvery:
         if self._count % self.every == 0:
             predicted = self._infer(norm)
             self.model_decisions += 1
-            if predicted != decision.action:
-                self.overridden += 1
+            self.action_matrix[decision.action][predicted] += 1
             if predicted == ACTION_MARK and not pkt.ecn_capable:
                 self.violations += 1
             if not self.shadow:
@@ -145,7 +149,7 @@ class LlmEvery:
         lat = self.latencies or [0.0]
         return {
             "model_decisions": self.model_decisions,
-            "overridden": self.overridden,
+            "action_matrix": [row[:] for row in self.action_matrix],
             "mark_violations": self.violations,
             "mean_latency_s": float(np.mean(lat)),
             "p95_latency_s": float(np.percentile(lat, 95)),

@@ -27,3 +27,4 @@ ACTION_ENQUEUE = 0
 ACTION_DROP = 1
 ACTION_MARK = 2
 ACTION_COUNT = 3
+ACTION_NAMES = ("enqueue", "drop", "mark")   # indexed by action

@@ -13,10 +13,11 @@ fully deterministic for a given (config, seed).
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import json
 import random
+import warnings
 from collections import deque
+from heapq import heappop, heappush
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from typing import Callable, NamedTuple, Optional
@@ -51,7 +52,13 @@ class QueueClass(IntEnum):
     L4S = 1
 
 
-@dataclass
+# Enum members read through their class cost a class-attribute lookup each
+# time; the per-packet paths read these module constants instead.
+_NON_ECT, _ECT1, _CE = Ecn.NON_ECT, Ecn.ECT1, Ecn.CE
+_CLASSIC, _L4S = QueueClass.CLASSIC, QueueClass.L4S
+
+
+@dataclass(slots=True)
 class Packet:
     flow_id: int
     size_bytes: int
@@ -65,7 +72,7 @@ class Packet:
 
     @property
     def ecn_capable(self):
-        return self.ecn_codepoint != Ecn.NON_ECT
+        return self.ecn_codepoint != _NON_ECT
 
 
 @dataclass
@@ -193,25 +200,25 @@ def write_klog(records, path):
 def read_klog_columns(path) -> np.ndarray:
     """The log as an int64 [N, 24] matrix, one row per non-blank line.
 
-    The fast path converts every line's tokens in one `np.array` call; any
-    line it cannot take (ragged, non-numeric, beyond int64, bad action) sends
-    the log through `parse_log`, whose error names the line.
+    The fast path is numpy's C text parser.  A log it does not take whole,
+    or takes with a warning, goes through `parse_log` line by line instead:
+    that returns `parse_log`'s rows or raises its error, which names the line.
+    So the result is always the one `parse_log` gives, though `int()` takes
+    tokens the C parser does not (`1_0`, non-ASCII digits), and an empty log
+    is just a log with no rows.
     """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
-    rows = [tokens for tokens in map(str.split, lines) if tokens]
-    if not rows:
-        return np.empty((0, len(KLOG_FIELDS)), dtype=np.int64)
     try:
-        cols = np.array(rows, dtype=np.int64)
-    except (ValueError, OverflowError):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cols = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
+    except (ValueError, OverflowError, Warning):
         cols = None
     if (cols is None or cols.shape[1] != len(KLOG_FIELDS)
             or not np.isin(cols[:, -1], VALID_ACTIONS).all()):
-        for i, line in enumerate(lines, start=1):
-            if line.strip():
-                parse_log(line, i)
-        raise KlogParseError("log does not convert to int64 columns", 0)
+        rows = [parse_log(line, i) for i, line in enumerate(lines, start=1) if line.strip()]
+        cols = np.array(rows, dtype=np.int64).reshape(-1, len(KLOG_FIELDS))
     return cols
 
 
@@ -223,30 +230,46 @@ def read_klog(path):
 
 
 def pi_update(q: QueueState, params: Dualpi2Params, now: int) -> QueueState:
-    """One PI controller step: p' += alpha*(delay-target) + beta*(delay-prev)."""
+    """One PI controller step: p' += alpha*(delay-target) + beta*(delay-prev).
+
+    Returns the stepped state; q itself is left as it was."""
+    out = replace(q)
+    _pi_step(out, params, now)
+    return out
+
+
+def _pi_step(q: QueueState, params: Dualpi2Params, now: int):
+    """pi_update in place, for a state its caller owns."""
     if q.current_queue_delay < 0 or q.previous_queue_delay < 0:
         raise SimulationFault("negative queue delay in pi_update")
     p = (q.drop_probability
          + params.alpha * (q.current_queue_delay - params.qdelay_target)
          + params.beta * (q.current_queue_delay - q.previous_queue_delay))
-    p = min(1.0, max(0.0, p))
-    return replace(q, drop_probability=p,
-                   previous_queue_delay=q.current_queue_delay,
-                   measurement_start_time=now)
+    q.drop_probability = min(1.0, max(0.0, p))
+    q.previous_queue_delay = q.current_queue_delay
+    q.measurement_start_time = now
 
 
 def classify_packet(p: Packet) -> QueueClass:
     """ECT(1) traffic (and router-set CE on L4S flows) goes to the L4S queue."""
-    if p.ecn_codepoint == Ecn.ECT1:
-        return QueueClass.L4S
-    if p.ecn_codepoint == Ecn.CE and p.queue_class == QueueClass.L4S:
-        return QueueClass.L4S
-    return QueueClass.CLASSIC
+    ecn = p.ecn_codepoint
+    if ecn == _ECT1 or (ecn == _CE and p.queue_class == _L4S):
+        return _L4S
+    return _CLASSIC
 
 
 class Decision(NamedTuple):
     action: int
     cause: str
+
+
+# every Decision aqm_decision can return, built once
+_BUFFER_FULL = Decision(ACTION_DROP, "buffer_full")
+_BURST = Decision(ACTION_ENQUEUE, "burst")
+_STEP_MARK = Decision(ACTION_MARK, "step_threshold")
+_COUPLED_MARK, _COUPLED_DROP = Decision(ACTION_MARK, "coupled"), Decision(ACTION_DROP, "coupled")
+_SQUARED_MARK, _SQUARED_DROP = Decision(ACTION_MARK, "squared"), Decision(ACTION_DROP, "squared")
+_OK = Decision(ACTION_ENQUEUE, "ok")
 
 
 def aqm_decision(q: QueueState, p: Packet, params: Dualpi2Params, rng_draw: float) -> Decision:
@@ -258,24 +281,20 @@ def aqm_decision(q: QueueState, p: Packet, params: Dualpi2Params, rng_draw: floa
     allowance suppresses drop/mark; a full buffer forces a drop.
     """
     if q.length_bytes + p.size_bytes > params.buffer_limit_bytes:
-        return Decision(ACTION_DROP, "buffer_full")
+        return _BUFFER_FULL
     if q.burst_allowance > 0:
-        return Decision(ACTION_ENQUEUE, "burst")
-    if q.queue_type == QueueClass.L4S:
+        return _BURST
+    if q.queue_type == _L4S:
         if p.ecn_capable and q.current_queue_delay > params.max_ecn_threshold:
-            return Decision(ACTION_MARK, "step_threshold")
+            return _STEP_MARK
         p_mark = min(params.coupling_factor_k * q.drop_probability, 1.0)
         if rng_draw < p_mark:
-            if p.ecn_capable:
-                return Decision(ACTION_MARK, "coupled")
-            return Decision(ACTION_DROP, "coupled")
+            return _COUPLED_MARK if p.ecn_capable else _COUPLED_DROP
     else:
         p_drop = q.drop_probability * q.drop_probability
         if rng_draw < p_drop:
-            if p.ecn_capable:
-                return Decision(ACTION_MARK, "squared")
-            return Decision(ACTION_DROP, "squared")
-    return Decision(ACTION_ENQUEUE, "ok")
+            return _SQUARED_MARK if p.ecn_capable else _SQUARED_DROP
+    return _OK
 
 
 def applied_action(action: int, p: Packet) -> int:
@@ -296,7 +315,8 @@ class FlowKind(IntEnum):
     CBR_UDP = 3
 
 
-_WINDOW_KINDS = (FlowKind.AIMD_RENO, FlowKind.CUBIC_LIKE, FlowKind.DCTCP_LIKE)
+_AIMD_RENO, _CUBIC_LIKE, _DCTCP_LIKE, _CBR_UDP = FlowKind
+_WINDOW_KINDS = (_AIMD_RENO, _CUBIC_LIKE, _DCTCP_LIKE)
 
 
 @dataclass
@@ -310,55 +330,61 @@ class FlowSpec:
     initial_cwnd_packets: int = 4
 
     def codepoint(self) -> Ecn:
-        if self.kind in (FlowKind.DCTCP_LIKE, FlowKind.CBR_UDP):
-            return Ecn.ECT1
-        return Ecn.ECT0 if self.ecn_capable else Ecn.NON_ECT
+        if self.kind == _DCTCP_LIKE or self.kind == _CBR_UDP:
+            return _ECT1
+        return Ecn.ECT0 if self.ecn_capable else _NON_ECT
 
 
 class _Flow:
-    """Closed-form deterministic flow dynamics; not a real TCP state machine."""
+    """Closed-form deterministic flow dynamics; not a real TCP state machine.
+
+    What does not change over a run is read from the spec once: the packet
+    size, codepoint and queue class, the RTT and, for CBR, the send gap.
+    """
 
     def __init__(self, flow_id: int, spec: FlowSpec):
         self.id = flow_id
         self.spec = spec
+        self.kind = spec.kind
+        self.mss = spec.mss
+        self.rtt_us = spec.rtt_us
+        self.codepoint = spec.codepoint()
+        self.queue_class = _L4S if self.codepoint == _ECT1 else _CLASSIC
+        self.is_window_based = spec.kind in _WINDOW_KINDS
+        self._cbr_gap = (max(1, round(spec.mss * 8 * 1_000_000 / spec.cbr_rate_bps))
+                         if spec.kind == _CBR_UDP else None)
+        self._mss_rtt = spec.mss * spec.rtt_us
         self.cwnd = float(spec.initial_cwnd_packets * spec.mss)
         self.recovery_until = -1
         self.sent_in_rtt = 0
         self.marked_in_rtt = 0
 
-    @property
-    def is_window_based(self):
-        return self.spec.kind in _WINDOW_KINDS
-
     def send_gap_us(self) -> int:
-        s = self.spec
-        if s.kind == FlowKind.CBR_UDP:
-            gap = s.mss * 8 * 1_000_000 / s.cbr_rate_bps
-        else:
-            gap = s.mss * s.rtt_us / self.cwnd
-        return max(1, int(round(gap)))
+        if self._cbr_gap is not None:
+            return self._cbr_gap
+        return max(1, round(self._mss_rtt / self.cwnd))
 
     def on_rtt_tick(self):
-        if self.spec.kind == FlowKind.AIMD_RENO:
-            self.cwnd += self.spec.mss
-        elif self.spec.kind == FlowKind.CUBIC_LIKE:
-            self.cwnd += 1.5 * self.spec.mss
-        elif self.spec.kind == FlowKind.DCTCP_LIKE:
-            self.cwnd += self.spec.mss
+        if self.kind == _AIMD_RENO:
+            self.cwnd += self.mss
+        elif self.kind == _CUBIC_LIKE:
+            self.cwnd += 1.5 * self.mss
+        elif self.kind == _DCTCP_LIKE:
+            self.cwnd += self.mss
         self.sent_in_rtt = 0
         self.marked_in_rtt = 0
 
     def on_congestion(self, now: int, was_drop: bool):
         if not self.is_window_based or now < self.recovery_until:
             return
-        if self.spec.kind == FlowKind.DCTCP_LIKE and not was_drop:
+        if self.kind == _DCTCP_LIKE and not was_drop:
             sent = max(1, self.sent_in_rtt)
             frac = min(1.0, self.marked_in_rtt / sent)
             self.cwnd *= (1.0 - 0.5 * max(frac, 0.125))
         else:
             self.cwnd *= 0.5
-        self.cwnd = max(float(self.spec.mss), self.cwnd)
-        self.recovery_until = now + self.spec.rtt_us
+        self.cwnd = max(float(self.mss), self.cwnd)
+        self.recovery_until = now + self.rtt_us
 
 
 # ------------------------------------------------------------------ scenarios
@@ -426,12 +452,19 @@ def default_scenario(seed=1, duration_us=60_000_000):
 # ---------------------------------------------------------------- world/event
 
 
+def _fixed_probs(q: QueueState):
+    """p' and the accumulated probability as the log's 1e-6 fixed point."""
+    return round(q.drop_probability * PROB_SCALE), round(q.accumulated_probability * PROB_SCALE)
+
+
 class World:
     """One simulation instance.  Not shareable across threads.
 
     `decision_hook(world, queue, packet, rule_decision) -> action` lets an
     external policy override the rule-based action at decision points; the
-    hook sees the same queue snapshot the log records.
+    hook sees the same queue snapshot the log records.  The world owns its
+    queue states: p' and the accumulated probability change only at
+    Tupdate, which also computes the fixed-point form the log records.
     """
 
     def __init__(self, config: ScenarioConfig,
@@ -446,21 +479,25 @@ class World:
 
         p = self.params
         self.queues = {
-            QueueClass.CLASSIC: QueueState(QueueClass.CLASSIC, burst_allowance=p.max_burst),
-            QueueClass.L4S: QueueState(QueueClass.L4S, burst_allowance=p.max_burst),
+            _CLASSIC: QueueState(_CLASSIC, burst_allowance=p.max_burst),
+            _L4S: QueueState(_L4S, burst_allowance=p.max_burst),
         }
-        self._buffers = {QueueClass.CLASSIC: deque(), QueueClass.L4S: deque()}
+        self._buffers = {_CLASSIC: deque(), _L4S: deque()}
         # Hidden controller state fed with max(classic delay, l4s delay); its
         # p' is mirrored into both queue states as the shared base probability.
-        self._ctrl = QueueState(QueueClass.CLASSIC)
+        self._ctrl = QueueState(_CLASSIC)
         self.link_busy = False
 
         self.flows = [_Flow(i, s) for i, s in enumerate(config.flows)]
         self.records: list[KernelLogRecord] = []
-        # fields 1-7 of every record: the AQM parameters, gains in fixed point
-        self._klog_params = (p.qdelay_target, p.tupdate, p.max_burst, p.max_ecn_threshold,
-                             int(round(p.alpha * GAIN_SCALE)),
-                             int(round(p.beta * GAIN_SCALE)), 0)
+        # fields 0-7 of a record from each queue: the queue type, then the AQM
+        # parameters with the gains in fixed point
+        klog_params = (p.qdelay_target, p.tupdate, p.max_burst, p.max_ecn_threshold,
+                       int(round(p.alpha * GAIN_SCALE)), int(round(p.beta * GAIN_SCALE)), 0)
+        self._klog_head = {qc: (int(qc), *klog_params) for qc in QueueClass}
+        # fields 9 and 12, the probabilities in fixed point, set at Tupdate
+        self._klog_probs = {qc: _fixed_probs(q) for qc, q in self.queues.items()}
+        self._service_us = {}      # packet size -> link service time
 
         # Measurement series
         self.qdelay_samples = []   # (time_us, queue_type, delay_us)
@@ -473,7 +510,7 @@ class World:
         for fl in self.flows:
             self._schedule(fl.spec.start_us, self._flow_send, fl)
             if fl.is_window_based:
-                self._schedule(fl.spec.start_us + fl.spec.rtt_us, self._flow_tick, fl)
+                self._schedule(fl.spec.start_us + fl.rtt_us, self._flow_tick, fl)
         self._schedule(self.params.tupdate, self._tupdate)
 
     # ---------------------------------------------------------------- events
@@ -482,12 +519,13 @@ class World:
         if t < self.now:
             raise SimulationFault(f"event scheduled in the past: {t} < {self.now}")
         self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, fn, args))
+        heappush(self._heap, (t, self._seq, fn, args))
 
     def run(self):
         end = self.config.duration_us
-        while self._heap:
-            t, _, fn, args = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            t, _, fn, args = heappop(heap)
             if t > end:
                 break
             if t < self.now:
@@ -496,23 +534,21 @@ class World:
             fn(*args)
         # the pending events hold bound methods of this world; dropping them
         # lets reference counting free a finished world
-        self._heap.clear()
+        heap.clear()
         return self
 
     # ----------------------------------------------------------------- flows
 
     def _flow_send(self, fl: _Flow):
-        pkt = Packet(flow_id=fl.id, size_bytes=fl.spec.mss,
-                     ecn_codepoint=fl.spec.codepoint(), enqueue_time=self.now)
-        if pkt.ecn_codepoint == Ecn.ECT1:
-            pkt.queue_class = QueueClass.L4S
+        now = self.now
+        pkt = Packet(fl.id, fl.mss, fl.codepoint, now, fl.queue_class)
         fl.sent_in_rtt += 1
         self._router_arrival(pkt, fl)
-        self._schedule(self.now + fl.send_gap_us(), self._flow_send, fl)
+        self._schedule(now + fl.send_gap_us(), self._flow_send, fl)
 
     def _flow_tick(self, fl: _Flow):
         fl.on_rtt_tick()
-        self._schedule(self.now + fl.spec.rtt_us, self._flow_tick, fl)
+        self._schedule(self.now + fl.rtt_us, self._flow_tick, fl)
 
     def _flow_signal(self, fl: _Flow, was_drop: bool):
         if not was_drop:
@@ -528,8 +564,9 @@ class World:
         qc = classify_packet(pkt)
         pkt.queue_class = qc
         q = self.queues[qc]
+        size = pkt.size_bytes
         q.current_queue_delay = self._est_delay_us(q)
-        self.arrived_bytes[qc] += pkt.size_bytes
+        self.arrived_bytes[qc] += size
 
         decision = aqm_decision(q, pkt, self.params, self.rng.random())
         action = decision.action
@@ -539,70 +576,75 @@ class World:
         self._emit_record(q, pkt, action)
 
         q.total_packets += 1
-        q.total_bytes += pkt.size_bytes
+        q.total_bytes += size
         if action == ACTION_DROP:
             q.total_drops += 1
-            self.dropped_bytes[qc] += pkt.size_bytes
+            self.dropped_bytes[qc] += size
             if fl is not None:
-                self._schedule(self.now + fl.spec.rtt_us, self._flow_signal, fl, True)
+                self._schedule(self.now + fl.rtt_us, self._flow_signal, fl, True)
             return
         if action == ACTION_MARK:
-            pkt.ecn_codepoint = Ecn.CE
+            pkt.ecn_codepoint = _CE
             if fl is not None:
-                self._schedule(self.now + fl.spec.rtt_us, self._flow_signal, fl, False)
-        q.length_bytes += pkt.size_bytes
+                self._schedule(self.now + fl.rtt_us, self._flow_signal, fl, False)
+        q.length_bytes += size
         q.length_packets += 1
-        self.enqueued_bytes[qc] += pkt.size_bytes
+        self.enqueued_bytes[qc] += size
         self._buffers[qc].append(pkt)
-        self._maybe_start_service()
+        if not self.link_busy:
+            self._start_service()
 
-    def _maybe_start_service(self):
-        if self.link_busy:
-            return
-        if self._buffers[QueueClass.L4S]:
-            qc = QueueClass.L4S
-        elif self._buffers[QueueClass.CLASSIC]:
-            qc = QueueClass.CLASSIC
+    def _start_service(self):
+        """Put the head packet on the idle link, L4S first."""
+        buffers = self._buffers
+        if buffers[_L4S]:
+            qc = _L4S
+        elif buffers[_CLASSIC]:
+            qc = _CLASSIC
         else:
             return
-        pkt = self._buffers[qc].popleft()
+        pkt = buffers[qc].popleft()
+        size = pkt.size_bytes
         q = self.queues[qc]
-        q.length_bytes -= pkt.size_bytes
+        q.length_bytes -= size
         q.length_packets -= 1
-        self.dequeued_bytes[qc] += pkt.size_bytes
-        service = max(1, int(round(pkt.size_bytes * 8 * 1_000_000 / self.params.link_rate_bps)))
+        self.dequeued_bytes[qc] += size
+        service = self._service_us.get(size)
+        if service is None:
+            service = self._service_us[size] = max(
+                1, round(size * 8 * 1_000_000 / self.params.link_rate_bps))
         self.link_busy = True
-        self._schedule(self.now + service, self._service_done, pkt, qc, service)
+        self._schedule(self.now + service, self._service_done, pkt, q, service)
 
-    def _service_done(self, pkt: Packet, qc: QueueClass, service: int):
-        q = self.queues[qc]
-        sojourn = self.now - pkt.enqueue_time
-        self.qdelay_samples.append((self.now, int(qc), sojourn))
+    def _service_done(self, pkt: Packet, q: QueueState, service: int):
+        now = self.now
+        self.qdelay_samples.append((now, int(q.queue_type), now - pkt.enqueue_time))
         q.dequeue_count += 1
         q.avg_dequeue_time = (service if q.dequeue_count == 1
                               else (7 * q.avg_dequeue_time + service) // 8)
-        self.delivered.append((self.now + self.params.link_delay, pkt.size_bytes))
+        self.delivered.append((now + self.params.link_delay, pkt.size_bytes))
         self.link_busy = False
-        self._maybe_start_service()
+        self._start_service()
 
     # ------------------------------------------------------------- controller
 
     def _tupdate(self):
         p = self.params
-        for q in self.queues.values():
+        queues = self.queues.values()
+        for q in queues:
             q.current_queue_delay = self._est_delay_us(q)
             q.burst_allowance = max(0, q.burst_allowance - p.tupdate)
-        self._ctrl = replace(
-            self._ctrl,
-            current_queue_delay=max(q.current_queue_delay for q in self.queues.values()),
-        )
-        self._ctrl = pi_update(self._ctrl, p, self.now)
-        base = self._ctrl.drop_probability
-        for q in self.queues.values():
+        # the controller state is this world's own, so it steps in place
+        ctrl = self._ctrl
+        ctrl.current_queue_delay = max(q.current_queue_delay for q in queues)
+        _pi_step(ctrl, p, self.now)
+        base = ctrl.drop_probability
+        for q in queues:
             q.drop_probability = base
             q.previous_queue_delay = q.current_queue_delay
             q.accumulated_probability = min(q.accumulated_probability + base, 1e6)
             q.measurement_start_time = self.now
+            self._klog_probs[q.queue_type] = _fixed_probs(q)
         self._schedule(self.now + p.tupdate, self._tupdate)
 
     # ---------------------------------------------------------------- logging
@@ -610,14 +652,15 @@ class World:
     def _emit_record(self, q: QueueState, pkt: Packet, action: int):
         if action not in VALID_ACTIONS:
             raise ValueError(f"dequeue_action must be 0/1/2, got {action}")
+        drop_p, acc_p = self._klog_probs[q.queue_type]
         # validated above, so skip the record constructor's own check
         self.records.append(tuple.__new__(KernelLogRecord, (
-            int(q.queue_type), *self._klog_params,
+            *self._klog_head[q.queue_type],
             q.burst_allowance,
-            int(round(q.drop_probability * PROB_SCALE)),
+            drop_p,                     # drop_probability
             q.current_queue_delay,
             q.previous_queue_delay,
-            int(round(q.accumulated_probability * PROB_SCALE)),
+            acc_p,                      # accumulated_probability
             q.measurement_start_time,
             q.avg_dequeue_time,         # average_dequeue_time
             q.dequeue_count,

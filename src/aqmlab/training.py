@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .features import ACTION_COUNT
+from .features import ACTION_COUNT, ACTION_NAMES
 from .model import PolicyModel, save_checkpoint
 from .pool import ExperiencePool, normalize_states
 
@@ -174,7 +174,12 @@ def train_epoch(model: PolicyModel, dataset: WindowDataset, cfg: TrainConfig, rn
 
 
 def evaluate_accuracy(model: PolicyModel, dataset: WindowDataset, batch_size=64,
-                      max_batches=0):
+                      max_batches=0, confusion=None):
+    """Share of unmasked positions whose action the model predicts.
+
+    A given `confusion` [ACTION_COUNT, ACTION_COUNT] int array gains the
+    count of each (true action, predicted action) pair.
+    """
     hits, total = 0, 0
     for bi, batch in enumerate(dataset.iter_all(batch_size)):
         if max_batches and bi >= max_batches:
@@ -186,7 +191,18 @@ def evaluate_accuracy(model: PolicyModel, dataset: WindowDataset, batch_size=64,
         keep = mask > 0
         hits += int(np.sum((preds == tgt) & keep))
         total += int(np.sum(keep))
+        if confusion is not None:
+            np.add.at(confusion, (tgt[keep], preds[keep]), 1)
     return hits / max(1, total)
+
+
+def class_recall(confusion) -> dict:
+    """Recall per action name from a (true, predicted) count matrix; None
+    for an action that never occurs."""
+    confusion = np.asarray(confusion)
+    support = confusion.sum(axis=1)
+    return {name: (float(confusion[a, a] / support[a]) if support[a] else None)
+            for a, name in enumerate(ACTION_NAMES)}
 
 
 def split_pool(pool: ExperiencePool, eval_split: float, seed: int):
@@ -246,8 +262,11 @@ def train(model: PolicyModel, pool: ExperiencePool, cfg: TrainConfig,
     for epoch in range(cfg.epochs):
         row = train_epoch(model, train_ds, cfg, rng, class_weights)
         row["epoch"] = epoch
-        row["eval_accuracy"] = evaluate_accuracy(model, eval_ds,
-                                                 max_batches=cfg.eval_batches)
+        confusion = np.zeros((ACTION_COUNT, ACTION_COUNT), dtype=np.int64)
+        row["eval_accuracy"] = evaluate_accuracy(model, eval_ds, max_batches=cfg.eval_batches,
+                                                 confusion=confusion)
+        # accuracy alone hides a policy that answers the majority class
+        row["eval_recall"] = class_recall(confusion)
         report.rows.append(row)
         if log:
             log(f"epoch {epoch}: loss={row['mean_loss']:.4f} "

@@ -14,7 +14,9 @@ from aqmlab import cli
 from aqmlab import evaluation as ev
 from aqmlab.model import load_checkpoint
 from aqmlab.pool import ExperiencePool
-from aqmlab.simulator import default_scenario, run_scenario, write_klog
+from aqmlab.simulator import (
+    Dualpi2Params, FlowKind, FlowSpec, ScenarioConfig, default_scenario, run_scenario, write_klog,
+)
 
 SECONDS = 2
 
@@ -111,6 +113,42 @@ def test_report_has_one_row_per_stats_file(pipeline):
         assert float(row["median_delay_ms"]) == doc["summary"]["delay_ms"]["median"]
         assert float(row["drop_frac"]) == doc["actions"]["drop_frac"]
     assert out["report"].startswith("wrote 2 rows")
+
+
+def test_train_prints_eval_recall_per_action(pipeline):
+    paths, out = pipeline
+    first = out["train"].splitlines()[0]
+    _, recall = first.split("  eval recall ")
+    fields = recall.split()
+    assert fields[0::2] == ["enqueue", "drop", "mark"]
+    assert all(f == "-" or 0.0 <= float(f) <= 1.0 for f in fields[1::2])
+
+
+def test_evaluate_prints_the_action_matrix(pipeline):
+    paths, out = pipeline
+    matrix = ev.load_stats(paths["llm.json"])["driver"]["action_matrix"]
+    assert out["llm"].splitlines()[1].endswith(f"enqueue/drop/mark: {matrix}")
+    assert len(out["rule"].splitlines()) == 1
+
+
+def test_diagnose_reports_positive_drift_on_a_diverging_run(tmp_path, capsys):
+    """With the controller off (alpha = beta = 0) and a 10 MB buffer, a
+    loss-based flow grows its window every RTT and the Classic delay grows
+    without bound, so its Lyapunov drift must be positive."""
+    sc = ScenarioConfig(name="classic_unbounded", seed=3, duration_us=3_000_000,
+                        aqm=Dualpi2Params(alpha=0.0, beta=0.0, buffer_limit_bytes=10_000_000),
+                        flows=[FlowSpec(FlowKind.CUBIC_LIKE, ecn_capable=False)])
+    sc.save(tmp_path / "scenario.json")
+    stats = tmp_path / "stats.json"
+    assert cli.main(["evaluate", "--scenario", str(tmp_path / "scenario.json"),
+                     "-o", str(stats)]) == 0
+    trace = ev.load_stats(stats)["trace"]["delay_ms"]
+    assert len(trace) > 100 and trace[-1] > trace[0]
+    capsys.readouterr()
+    assert cli.main(["diagnose", str(stats)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["lyapunov"]["mean_drift"] > 0
+    assert out["lyapunov"]["negative_fraction"] < 0.5
 
 
 def test_missing_input_exits_1(tmp_path, capsys):

@@ -259,6 +259,34 @@ class TestLlmEveryHistory:
         assert driver.violations == sum(a == ACTION_DROP for _, a in entries)
 
 
+class TestActionMatrix:
+    def test_matrix_counts_rule_against_model_actions(self, tmp_path):
+        cfg = ModelConfig(feature_dim=2, embed_size=8, n_layers=1, n_heads=2,
+                          context_window=4, max_timestep=64)
+        ckpt = tmp_path / "m.npz"
+        stats = {"mean": [0.0] * 8, "std": [1.0] * 8, "zero_variance": [False] * 8}
+        save_checkpoint(PolicyModel(cfg, seed=0), ckpt, feature_stats=stats,
+                        extra={"target_return": 1.0, "window": 4})
+        driver = ev.LlmEvery(str(ckpt), every=3)
+        want = np.zeros((3, 3), dtype=np.int64)
+        hook = driver.hook
+
+        def recording_hook(world, q, pkt, decision):
+            before = driver.model_decisions
+            action = hook(world, q, pkt, decision)
+            if driver.model_decisions != before:
+                want[decision.action, action] += 1
+            return action
+
+        driver.hook = recording_hook
+        doc = ev.evaluate(default_scenario(seed=3, duration_us=2_000_000), driver)
+        matrix = doc["driver"]["action_matrix"]
+        assert matrix == want.tolist()
+        assert want.sum() == driver.model_decisions == doc["actions"]["total"] // 3
+        assert len(np.flatnonzero(want.sum(axis=1))) > 1   # the rule used more than one action
+        assert "overridden" not in doc["driver"]
+
+
 class TestOnlineStateParity:
     def test_online_states_equal_pool_states(self, tmp_path):
         """The states LlmEvery builds from the live queue must be the ones the

@@ -3,11 +3,12 @@
 import gc
 import hashlib
 import math
+import warnings
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from aqmlab import simulator as sim
@@ -185,6 +186,78 @@ class TestKlogFormat:
 # writes, as the dataclass-record code wrote it; the text format must not move
 KLOG_SHA256_SEED1000 = "849e02dacfe3b1a1fe9e8348e65e6c59adec840c41946a13787c4e75803d39ad"
 
+# sha256 of (.klog bytes, qdelay_samples, delivered) of two 3 s seed-3 runs,
+# taken before the simulator's hot loop was tuned.  The series are hashed as
+# little-endian int64 rows, because evaluation reads them as well as the log.
+GOLDEN_OVERLOAD = (
+    "e38db3bf41cc7731553c6cc52f24e92fdf64a795ad738e9abb6dc05006656065",
+    "1f4f67fd099fe7f09aa4a2bcb8d6b94b4a0ec295c01a1cc56c0c2962f250a638",
+    "a7310bee951c3a886c98fbe7c8f09971143bc49d6ee7d620d58ebdf4f64106d8",
+)
+GOLDEN_MARK_EVERY_7TH = (
+    "98128b8365d57fb041c74b8bf0903575338a4b6a4bd3769c3eff2161fa93a55b",
+    "9eb4971cef0ee64fd6d2bee21c32171c680ad068accfba0e27126bc17573e874",
+    "0cd1c976feb8ed553151a5a3e4c6a6058340441e9779ccb4d3d9991865d26cb5",
+)
+
+
+def _digests(world, path):
+    sim.write_klog(world.records, path)
+    series = [hashlib.sha256(np.asarray(rows, dtype="<i8").tobytes()).hexdigest()
+              for rows in (world.qdelay_samples, world.delivered)]
+    return (hashlib.sha256(path.read_bytes()).hexdigest(), *series)
+
+
+class TestGoldenRuns:
+    def test_overload_with_unresponsive_l4s_flow(self, tmp_path):
+        """The default scenario plus a 10 Mbit/s ECT(1) CBR flow on the
+        8 Mbit/s link: buffer_full drops and CE marks."""
+        sc = _short_scenario()
+        sc.flows.append(FlowSpec(FlowKind.CBR_UDP, cbr_rate_bps=10_000_000))
+        world = run_scenario(sc)
+        full = sum(1 for r in world.records if r.dequeue_action == ACTION_DROP
+                   and r.length_in_bytes + r.packet_length > sc.aqm.buffer_limit_bytes)
+        assert full > 0
+        assert any(r.dequeue_action == ACTION_MARK and r.queue_type == 1 for r in world.records)
+        assert _digests(world, tmp_path / "x.klog") == GOLDEN_OVERLOAD
+
+    def test_hook_marking_every_7th_decision(self, tmp_path):
+        """A MARK asked for a not-ECN-capable packet is applied as a DROP,
+        and every applied MARK or DROP signals its flow one RTT later."""
+        asked = []
+
+        def hook(world, q, pkt, decision):
+            asked.append(pkt.ecn_capable)
+            return ACTION_MARK if len(asked) % 7 == 0 else decision.action
+
+        world = run_scenario(_short_scenario(), decision_hook=hook)
+        downgraded = [i for i, capable in enumerate(asked) if (i + 1) % 7 == 0 and not capable]
+        assert downgraded
+        assert all(world.records[i].dequeue_action == ACTION_DROP for i in downgraded)
+        assert _digests(world, tmp_path / "x.klog") == GOLDEN_MARK_EVERY_7TH
+
+
+# Klog lines for the reader parity test: mostly well-formed rows, some with
+# one odd token (taken by int() or not), some ragged, some blank; fields are
+# split by spaces or tabs.
+_ODD_TOKENS = ["+1", "-0", "007", "1_0", "\u0661", "\u0661\u0662", "x", "1.0", "1e3",
+               str(2 ** 63), str(-2 ** 63 - 1), "3", "-1"]
+_int64_tokens = st.integers(-2 ** 63, 2 ** 63 - 1).map(str)
+_row_tokens = st.builds(
+    lambda fields, action, odd: (
+        [*fields, action] if odd is None
+        else [*fields[:odd[0]], odd[1], *fields[odd[0] + 1:], action]),
+    st.lists(_int64_tokens, min_size=23, max_size=23),
+    st.sampled_from(["0", "1", "2", "+2", "3"]),
+    st.none() | st.tuples(st.integers(0, 22), st.sampled_from(_ODD_TOKENS)),
+)
+_klog_lines = st.one_of(
+    st.builds(lambda tokens, sep: sep.join(tokens), _row_tokens,
+              st.sampled_from([" ", "\t", "  ", " \t "])),
+    st.lists(_int64_tokens, max_size=26).map(" ".join),
+    st.sampled_from(["", "  ", "\t", " \t "]),
+)
+
 
 class TestKlogColumns:
     @pytest.fixture(scope="class")
@@ -241,6 +314,44 @@ class TestKlogColumns:
         with pytest.raises(KlogParseError) as ei:
             sim.read_klog_columns(path)
         assert ei.value.line_number == 1
+
+    def test_tokens_only_int_takes_fall_back_to_parse_log(self, tmp_path):
+        """`int()` takes `+1`, `-0`, `1_0` and non-ASCII digits; numpy's C
+        parser refuses the last two, so the log goes through `parse_log`."""
+        rec = KernelLogRecord(*range(23), 2)
+        odd = ["+1", "-0", "1_0", "\u0661\u0662"] + [str(v) for v in rec[4:]]
+        path = tmp_path / "x.klog"
+        path.write_text(emit_log(rec) + "\n" + " ".join(odd) + "\n", encoding="utf-8")
+        np.testing.assert_array_equal(sim.read_klog_columns(path),
+                                      [list(rec), [1, 0, 10, 12, *rec[4:]]])
+
+    @pytest.mark.parametrize("text", ["", "\n\n", " \t\n  \r\n\t"])
+    def test_empty_log_has_no_rows_and_no_warning(self, text, tmp_path):
+        path = tmp_path / "x.klog"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert sim.read_klog_columns(path).shape == (0, 24)
+        assert caught == []
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(_klog_lines, max_size=6), newline=st.sampled_from(["\n", "\r\n"]))
+    def test_reader_agrees_with_parse_log(self, lines, newline, tmp_path):
+        """Row for row the rows `parse_log` gives, or its error on the same line."""
+        path = tmp_path / "x.klog"
+        path.write_bytes(newline.join(lines).encode("utf-8"))
+        try:
+            want = [list(parse_log(line, i)) for i, line in enumerate(lines, start=1)
+                    if line.strip()]
+        except KlogParseError as e:
+            with pytest.raises(KlogParseError) as ei:
+                sim.read_klog_columns(path)
+            assert ei.value.line_number == e.line_number
+        else:
+            got = sim.read_klog_columns(path)
+            assert got.dtype == np.int64 and got.shape == (len(want), 24)
+            np.testing.assert_array_equal(got, np.array(want, dtype=np.int64).reshape(-1, 24))
 
     def test_hook_with_invalid_action_raises(self):
         with pytest.raises(ValueError, match="dequeue_action"):

@@ -7,7 +7,7 @@ from aqmlab import tensor as T
 from aqmlab.model import ModelConfig, PolicyModel
 from aqmlab.pool import ExperiencePool, Trajectory, returns_to_go
 from aqmlab.training import (
-    TrainConfig, TrainError, WindowDataset, accuracy, evaluate_accuracy,
+    TrainConfig, TrainError, WindowDataset, accuracy, class_recall, evaluate_accuracy,
     split_pool, target_return, train, train_epoch,
 )
 
@@ -250,6 +250,32 @@ class TestTrainEpoch:
         ds = WindowDataset(pool, window=4)
         with pytest.raises(T.OptimizerFault):
             train_epoch(m, ds, cfg, np.random.default_rng(0))
+
+
+class TestRecall:
+    def test_worked_example(self):
+        """Recall is the diagonal over the row sum; a class with no support
+        has none."""
+        confusion = [[5, 0, 5], [0, 0, 0], [1, 1, 8]]
+        assert class_recall(confusion) == {"enqueue": 0.5, "drop": None, "mark": 0.8}
+
+    def test_confusion_counts_every_unmasked_position(self):
+        ds = WindowDataset(make_pool(n_traj=3, steps=7), window=4)
+        m = tiny_model()
+        confusion = np.zeros((3, 3), dtype=np.int64)
+        acc = evaluate_accuracy(m, ds, batch_size=5, confusion=confusion)
+        tgts = np.concatenate([tgt[mask > 0] for _, _, _, tgt, _, mask in ds.iter_all(5)])
+        np.testing.assert_array_equal(confusion.sum(axis=1), np.bincount(tgts, minlength=3))
+        assert np.trace(confusion) / confusion.sum() == acc
+
+    def test_report_rows_give_eval_recall_per_action(self):
+        """A policy that answers one class to everything scores 1.0 recall on
+        that class and 0.0 on the others, whatever its accuracy."""
+        m = tiny_model()
+        m.params["head_b"].data[:] = [0.0, 0.0, 100.0]   # always MARK
+        cfg = TrainConfig(epochs=1, batch_size=8, lr=1e-9, window=4, batches_per_epoch=1)
+        report = train(m, make_pool(n_traj=5, steps=20), cfg)
+        assert report.rows[0]["eval_recall"] == {"enqueue": 0.0, "drop": 0.0, "mark": 1.0}
 
 
 class TestTrainLoop:
