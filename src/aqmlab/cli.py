@@ -57,6 +57,8 @@ def _cmd_train(args):
                                 lr=args.lr, clip_norm=args.clip_norm,
                                 gamma=p.gamma, window=args.window,
                                 seed=args.seed)
+    total = sum(t.data.size for t in model.params.values())
+    print(f"parameters: {model.trainable_count():,} trainable of {total:,}")
     report = training.train(model, p, tcfg, checkpoint_path=args.output)
     for row in report.rows:
         recall = "  ".join(f"{name} {'-' if r is None else f'{r:.3f}'}"

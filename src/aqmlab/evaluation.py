@@ -14,14 +14,16 @@ library-only probe that no CLI command calls.
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 import time
 
 import numpy as np
 
 from .features import ACTION_COUNT, ACTION_MARK, STATE_DIM
 from .model import InferencePolicy, load_checkpoint
-from .pool import compute_reward, normalize_state
+from .pool import PoolError, normalize_state
 from .simulator import PROB_SCALE, ScenarioConfig, World, applied_action, run_scenario
 
 STATS_FORMAT_VERSION = 2           # 2 added the time-ordered Classic delay trace
@@ -190,15 +192,19 @@ def _cdf(values, points=101):
     return {"x": np.quantile(v, p).tolist(), "p": p.tolist()}
 
 
+def _int_rows(rows, width):
+    """A list of equal-length int tuples as an int64 [len, width] array."""
+    return np.fromiter(itertools.chain.from_iterable(rows), np.int64,
+                       len(rows) * width).reshape(-1, width)
+
+
 def utilization(delivered, duration_us, link_rate_bps, bin_us=UTIL_BIN_US,
                 skip_us=STEADY_STATE_SKIP_US):
     """Per-bin link utilisation in [0, 1] over the steady-state interval."""
     nbins = max(1, (duration_us - skip_us) // bin_us)
-    bins = np.zeros(nbins)
-    for t, nbytes in delivered:
-        if t < skip_us or t >= skip_us + nbins * bin_us:
-            continue
-        bins[(t - skip_us) // bin_us] += nbytes
+    d = _int_rows(delivered, 2)
+    d = d[(d[:, 0] >= skip_us) & (d[:, 0] < skip_us + nbins * bin_us)]
+    bins = np.bincount((d[:, 0] - skip_us) // bin_us, weights=d[:, 1], minlength=nbins)
     cap = link_rate_bps * bin_us / 8 / 1_000_000
     return bins / cap
 
@@ -217,21 +223,24 @@ def _steady_state_skip(world: World) -> int:
 
 def collect_stats(world: World, driver) -> dict:
     skip = _steady_state_skip(world)
-    delay_ms = {0: [], 1: []}
-    t_us = {0: [], 1: []}
-    for t, qc, sojourn in world.qdelay_samples:
-        if t >= skip:
-            delay_ms[qc].append(sojourn / 1000.0)
-            t_us[qc].append(t)
-    all_delay = delay_ms[0] + delay_ms[1]
+    samples = _int_rows(world.qdelay_samples, 3)
+    samples = samples[samples[:, 0] >= skip]
+    classic = samples[:, 1] == 0
+    delay_ms = {0: samples[classic, 2] / 1000.0, 1: samples[~classic, 2] / 1000.0}
+    all_delay = np.concatenate([delay_ms[0], delay_ms[1]])
 
-    rewards = []
-    for rec in world.records:
-        rewards.append(compute_reward(rec.packet_length,
-                                      rec.current_queue_delay // 1000))
+    packet_length, queue_delay_us, actions = (
+        np.fromiter(map(operator.attrgetter(name), world.records), np.int64, len(world.records))
+        for name in ("packet_length", "current_queue_delay", "dequeue_action"))
+    # compute_reward's checks and arithmetic, over the whole run at once
+    if (packet_length <= 0).any():
+        raise PoolError("packet_length must be > 0")
+    if (queue_delay_us < 0).any():
+        raise PoolError("queue_delay must be >= 0")
+    rewards = packet_length / (queue_delay_us // 1000 + 1.0)
     util = utilization(world.delivered, world.config.duration_us,
                        world.params.link_rate_bps, skip_us=skip)
-    actions = [rec.dequeue_action for rec in world.records]
+    counts = np.bincount(actions, minlength=ACTION_COUNT).tolist()
     n = max(1, len(actions))
     doc = {
         "format_version": STATS_FORMAT_VERSION,
@@ -250,14 +259,14 @@ def collect_stats(world: World, driver) -> dict:
             "reward": _summary(rewards),
         },
         "actions": {
-            "enqueue_frac": actions.count(0) / n,
-            "drop_frac": actions.count(1) / n,
-            "mark_frac": actions.count(2) / n,
+            "enqueue_frac": counts[0] / n,
+            "drop_frac": counts[1] / n,
+            "mark_frac": counts[2] / n,
             "total": len(actions),
         },
         "cdf": {"delay_ms": _cdf(all_delay)},
         # the steady-state Classic queue delay in time order, which diagnose reads
-        "trace": {"t_us": t_us[0], "delay_ms": delay_ms[0]},
+        "trace": {"t_us": samples[classic, 0].tolist(), "delay_ms": delay_ms[0].tolist()},
         "driver": driver.finish(),
     }
     return doc

@@ -2,9 +2,18 @@
 
 Just enough machinery for the policy network: linear maps, a two-operand
 einsum, 1D convolution, layer normalization, softmax, masked attention
-building blocks, cross-entropy and a clipped-SGD optimizer.  Arrays are
-numpy; float32 storage with float64 accumulation in the reductions that need
-it.  Inside `no_grad()` ops record no graph, which is how inference runs.
+building blocks, cross-entropy and a clipped-SGD optimizer.  Inside
+`no_grad()` ops record no graph, which is how inference runs.
+
+Arrays are numpy, stored in the model dtype (float32 by default).  The hot
+ops are shaped for BLAS: `linear` is one 2-D GEMM forward and two in its
+backward (input and weight gradients) plus one bias reduction; `@` with a 2-D
+weight folds the batch axes into that GEMM; `einsum` contracts through
+`np.einsum(..., optimize=True)` both ways.  Float64 is kept where a
+reduction needs it: the layer-norm mean and variance (matrix-vector products
+over a float64 copy), the cross-entropy log-sum-exp and the optimizer's
+global gradient norm.  A backward computes no gradient for an operand with
+requires_grad False, such as an attention mask or an input batch.
 """
 
 from __future__ import annotations
@@ -46,8 +55,19 @@ def no_grad():
         _GRAD_ENABLED.reset(token)
 
 
+def _sum_rows(a):
+    """Sum of the rows of 2-D `a`, as one BLAS matrix-vector product: several
+    times faster than numpy's axis-0 reduction when rows are short."""
+    return np.ones(a.shape[0], dtype=a.dtype) @ a
+
+
 def _unbroadcast(grad, shape):
     """Sum grad down to `shape` (inverse of numpy broadcasting)."""
+    if grad.shape == shape:
+        return grad
+    if grad.shape[grad.ndim - len(shape):] == shape:
+        # a trailing-shape operand (a bias): one sum over the folded leading axes
+        return _sum_rows(grad.reshape(-1, math.prod(shape))).reshape(shape)
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for i, s in enumerate(shape):
@@ -121,7 +141,10 @@ class Tensor:
             return
         g = g.astype(self.data.dtype, copy=False)
         if self.grad is None:
-            self.grad = g.copy() if g.base is not None else g
+            # keep a fresh array, or a reshape of a whole one; copy a slice or
+            # a broadcast, which would pin a larger array or repeat entries
+            whole = g.base is None or (g.flags.c_contiguous and g.size == g.base.size)
+            self.grad = g if whole else g.copy()
         else:
             self.grad = self.grad + g
 
@@ -132,8 +155,10 @@ class Tensor:
         out_data = self.data + other.data
 
         def bwd(g):
-            self._accum(_unbroadcast(g, self.data.shape))
-            other._accum(_unbroadcast(g, other.data.shape))
+            if self.requires_grad:
+                self._accum(_unbroadcast(g, self.data.shape))
+            if other.requires_grad:
+                other._accum(_unbroadcast(g, other.data.shape))
 
         return Tensor(out_data, _parents=(self, other), _backward=bwd)
 
@@ -142,8 +167,10 @@ class Tensor:
         out_data = self.data * other.data
 
         def bwd(g):
-            self._accum(_unbroadcast(g * other.data, self.data.shape))
-            other._accum(_unbroadcast(g * self.data, other.data.shape))
+            if self.requires_grad:
+                self._accum(_unbroadcast(g * other.data, self.data.shape))
+            if other.requires_grad:
+                other._accum(_unbroadcast(g * self.data, other.data.shape))
 
         return Tensor(out_data, _parents=(self, other), _backward=bwd)
 
@@ -160,14 +187,17 @@ class Tensor:
     def __matmul__(self, other):
         if not isinstance(other, Tensor):
             other = Tensor(other, dtype=self.data.dtype)
-        out_data = self.data @ other.data
+        a, b = self.data, other.data
+        if a.ndim >= 2 and b.ndim == 2:
+            # a 2-D weight: fold the batch axes into one GEMM
+            return linear(self, other)
+        out_data = a @ b
 
         def bwd(g):
-            a, b = self.data, other.data
-            ga = g @ np.swapaxes(b, -1, -2)
-            gb = np.swapaxes(a, -1, -2) @ g
-            self._accum(_unbroadcast(ga, a.shape))
-            other._accum(_unbroadcast(gb, b.shape))
+            if self.requires_grad:
+                self._accum(_unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape))
+            if other.requires_grad:
+                other._accum(_unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape))
 
         return Tensor(out_data, _parents=(self, other), _backward=bwd)
 
@@ -233,9 +263,10 @@ def concat(tensors, axis):
 
     def bwd(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            t._accum(g[tuple(idx)])
+            if t.requires_grad:
+                idx = [slice(None)] * g.ndim
+                idx[axis] = slice(lo, hi)
+                t._accum(g[tuple(idx)])
 
     return Tensor(out_data, _parents=tuple(tensors), _backward=bwd)
 
@@ -274,9 +305,10 @@ def embedding(table, indices):
     out_data = table.data[indices]
 
     def bwd(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, indices, g)
-        table._accum(gt)
+        if table.requires_grad:
+            gt = np.zeros_like(table.data)
+            np.add.at(gt, indices, g)
+            table._accum(gt)
 
     return Tensor(out_data, _parents=(table,), _backward=bwd)
 
@@ -294,25 +326,44 @@ def einsum(spec, a, b):
             or any(len(set(s)) != len(s) for s in (sa, sb, out))
             or set(out) - set(sa + sb) or set(sa) - set(sb + out) or set(sb) - set(sa + out)):
         raise TensorError(f"einsum spec {spec!r} unsupported for shapes {a.shape}, {b.shape}")
-    out_data = np.einsum(spec, a.data, b.data)
+    out_data = np.einsum(spec, a.data, b.data, optimize=True)
 
     def bwd(g):
         if a.requires_grad:
-            a._accum(np.einsum(f"{out},{sb}->{sa}", g, b.data))
+            a._accum(np.einsum(f"{out},{sb}->{sa}", g, b.data, optimize=True))
         if b.requires_grad:
-            b._accum(np.einsum(f"{sa},{out}->{sb}", a.data, g))
+            b._accum(np.einsum(f"{sa},{out}->{sb}", a.data, g, optimize=True))
 
     return Tensor(out_data, _parents=(a, b), _backward=bwd)
 
 
 def linear(x, W, b=None):
-    """x:[*,in] @ W:[in,out] (+ b:[out])."""
-    if x.shape[-1] != W.shape[0]:
-        raise TensorError(f"linear shape mismatch: x {x.shape} vs W {W.shape}")
-    out = x @ W
+    """x:[*,in] @ W:[in,out] (+ b:[out]) as one node.
+
+    The leading axes of x fold into the rows of one 2-D GEMM, so the weight
+    gradient is a single GEMM too and the bias gradient one column sum.
+    """
+    if W.ndim != 2 or x.ndim < 1 or x.shape[-1] != W.shape[0] or (
+            b is not None and b.shape != W.shape[1:]):
+        raise TensorError(f"linear shape mismatch: x {x.shape} vs W {W.shape}"
+                          + ("" if b is None else f", b {b.shape}"))
+    x2 = x.data.reshape(-1, W.shape[0])
+    out_data = x2 @ W.data
     if b is not None:
-        out = out + b
-    return out
+        out_data += b.data
+    out_shape = x.shape[:-1] + W.shape[1:]
+
+    def bwd(g):
+        g2 = g.reshape(-1, W.shape[1])
+        if x.requires_grad:
+            x._accum((g2 @ W.data.T).reshape(x.shape))
+        if W.requires_grad:
+            W._accum(x2.T @ g2)
+        if b is not None and b.requires_grad:
+            b._accum(_sum_rows(g2))
+
+    parents = (x, W) if b is None else (x, W, b)
+    return Tensor(out_data.reshape(out_shape), _parents=parents, _backward=bwd)
 
 
 def softmax(x, axis=-1):
@@ -330,30 +381,41 @@ def softmax(x, axis=-1):
 def normalize(x, eps=1e-5):
     """Array x standardized over its last axis, with the mean and variance
     reduced in float64: (x - mean) / sqrt(var + eps) and 1 / sqrt(var + eps),
-    both in x's dtype."""
+    both in x's dtype, the second with a trailing axis of 1.
+
+    The rows are centred and scaled in place in one float64 copy; the mean
+    and the variance are products with a [d, 1] column of 1/d.
+    """
     if eps <= 0:
         raise TensorError("layer_norm eps must be > 0")
-    n = x.shape[-1]
-    x64 = x.astype(np.float64)
-    centred = x64 - np.add.reduce(x64, axis=-1, keepdims=True) / n
-    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / n
-    inv = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
-    return (centred * inv).astype(x.dtype), inv
+    d = x.shape[-1]
+    x64 = x.reshape(-1, d).astype(np.float64)
+    mean_of = np.full((d, 1), 1.0 / d)
+    x64 -= x64 @ mean_of
+    inv = 1.0 / np.sqrt(np.square(x64) @ mean_of + eps)      # [rows, 1]
+    x64 *= inv
+    return x64.astype(x.dtype).reshape(x.shape), inv.astype(x.dtype).reshape(x.shape[:-1] + (1,))
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
     """Normalize over the last axis, then affine with gamma/beta."""
     xhat, inv = normalize(x.data, eps)
-    out_data = gamma.data * xhat + beta.data
+    out_data = xhat * gamma.data + beta.data
 
     def bwd(g):
-        gxhat = g * gamma.data
-        m1 = gxhat.mean(axis=-1, keepdims=True)
-        m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
-        x._accum(inv * (gxhat - m1 - xhat * m2))
-        reduce_axes = tuple(range(g.ndim - 1))
-        gamma._accum((g * xhat).sum(axis=reduce_axes))
-        beta._accum(g.sum(axis=reduce_axes))
+        d = g.shape[-1]
+        g2, xh = g.reshape(-1, d), xhat.reshape(-1, d)
+        gx = g2 * xh                      # feeds the gamma gradient and m2
+        if x.requires_grad:
+            # the row means of g*gamma and g*gamma*xhat, as matrix-vector products
+            w = gamma.data / d
+            m1, m2 = g2 @ w, gx @ w
+            gin = (g2 * gamma.data - m1[:, None] - xh * m2[:, None]) * inv.reshape(-1, 1)
+            x._accum(gin.reshape(x.shape))
+        if gamma.requires_grad:
+            gamma._accum(_sum_rows(gx))
+        if beta.requires_grad:
+            beta._accum(_sum_rows(g2))
 
     return Tensor(out_data, _parents=(x, gamma, beta), _backward=bwd)
 
@@ -381,14 +443,14 @@ def conv1d(x, K, b=None, padding="same"):
         out_data = out_data + b.data[None, :, None]
 
     def bwd(g):
-        gK = np.einsum("bclk,bol->ock", win, g)
-        K._accum(gK)
-        gxpad = np.zeros_like(xpad)
-        for t in range(k):
-            gxpad[:, :, t : t + x.shape[2]] += np.einsum("bol,oc->bcl", g, K.data[:, :, t])
-        gx = gxpad[:, :, pad_l : pad_l + x.shape[2]]
-        x._accum(gx)
-        if b is not None:
+        if K.requires_grad:
+            K._accum(np.einsum("bclk,bol->ock", win, g))
+        if x.requires_grad:
+            gxpad = np.zeros_like(xpad)
+            for t in range(k):
+                gxpad[:, :, t : t + x.shape[2]] += np.einsum("bol,oc->bcl", g, K.data[:, :, t])
+            x._accum(gxpad[:, :, pad_l : pad_l + x.shape[2]])
+        if b is not None and b.requires_grad:
             b._accum(g.sum(axis=(0, 2)))
 
     parents = (x, K) if b is None else (x, K, b)
@@ -462,31 +524,36 @@ class OptimizerFault(RuntimeError):
 
 
 def global_grad_norm(params):
+    """L2 norm over every gradient of `params`, accumulated in float64: inf or
+    nan when any gradient entry is."""
     total = 0.0
     for p in params:
         if p.grad is not None:
-            total += float(np.sum(p.grad.astype(np.float64) ** 2))
+            g = p.grad.reshape(-1).astype(np.float64)
+            total += float(np.dot(g, g))
     return math.sqrt(total)
 
 
 def sgd_step(params, lr, clip_norm=None):
     """Clip by global norm, then plain SGD on `params` (trainable only).
 
-    Tensors without requires_grad are never touched.  Returns the pre-clip
-    global gradient norm.
+    Tensors without requires_grad are never touched.  A non-finite global
+    norm raises OptimizerFault before any parameter changes.  Parameters are
+    updated in place; gradients are only read, because one gradient array can
+    be shared by two leaves (`__add__` hands both the same one).  Returns the
+    pre-clip global gradient norm.
     """
     if lr < 0:
         raise TensorError("lr must be >= 0")
     trainable = [p for p in params if p.requires_grad and p.grad is not None]
-    for p in trainable:
-        if not np.all(np.isfinite(p.grad)):
-            raise OptimizerFault("non-finite gradient; step aborted")
     norm = global_grad_norm(trainable)
+    if not math.isfinite(norm):
+        raise OptimizerFault("non-finite gradient; step aborted")
     scale = 1.0
     if clip_norm is not None and clip_norm > 0 and norm > clip_norm:
         scale = clip_norm / norm
     for p in trainable:
-        p.data = p.data - (lr * scale) * p.grad
+        p.data -= (lr * scale) * p.grad
     return norm
 
 

@@ -62,48 +62,61 @@ class TrainReport:
 
 
 class WindowDataset:
-    """Flattened trajectory arrays plus uniform window sampling."""
+    """Every trajectory's columns concatenated, plus uniform window sampling.
+
+    A window is named by its end step: a flat position into the concatenated
+    steps, or a (trajectory index, end position) pair.  Flat position i is
+    step i - starts[ti] of trajectory ti.
+    """
 
     def __init__(self, pool: ExperiencePool, window: int):
         if pool.num_steps() < 1:
             raise TrainError("pool has no steps")
         self.window = window
-        self.trajs = [{"R": traj.returns, "S": traj.states, "A": traj.actions,
-                       "T": traj.step_timesteps(), "keep": (~traj.step_masked()).astype(np.float64)}
-                      for traj in pool.trajectories]
-        self.index = [(ti, t) for ti, tr in enumerate(self.trajs)
-                      for t in range(len(tr["R"]))]
+        trajs = pool.trajectories
+        self.starts = np.cumsum([0] + [len(t) for t in trajs])
+        self.returns = np.concatenate([t.returns for t in trajs])
+        self.states = np.concatenate([t.states for t in trajs])
+        self.actions = np.concatenate([t.actions for t in trajs])
+        self.timesteps = np.concatenate([t.step_timesteps() for t in trajs])
+        self.keep = np.concatenate([~t.step_masked() for t in trajs]).astype(np.float64)
 
     def __len__(self):
-        return len(self.index)
+        return int(self.starts[-1])
+
+    def picks(self, positions):
+        """(trajectory index, end position) pairs [n, 2] of flat positions."""
+        positions = np.asarray(positions, dtype=np.int64)
+        ti = np.searchsorted(self.starts, positions, side="right") - 1
+        return np.column_stack([ti, positions - self.starts[ti]])
 
     def gather(self, picks):
-        """Build batch tensors for a list of (traj_idx, end_pos) picks."""
-        w = self.window
-        b = len(picks)
-        R = np.zeros((b, w)); S = np.zeros((b, w, self.trajs[0]["S"].shape[1]))
-        A = np.zeros((b, w)); tgt = np.zeros((b, w), dtype=np.int64)
-        ts = np.zeros((b, w), dtype=np.int64); mask = np.zeros((b, w))
-        for row, (ti, end) in enumerate(picks):
-            tr = self.trajs[ti]
-            lo = max(0, end - w + 1)
-            n = end - lo + 1
-            sl = slice(w - n, w)
-            R[row, sl] = tr["R"][lo:end + 1]
-            S[row, sl] = tr["S"][lo:end + 1]
-            A[row, sl] = tr["A"][lo:end + 1]
-            tgt[row, sl] = tr["A"][lo:end + 1]
-            ts[row, sl] = tr["T"][lo:end + 1]
-            mask[row, sl] = tr["keep"][lo:end + 1]
-        return R, S, A, tgt, ts, mask
+        """Build batch arrays for (traj_idx, end_pos) picks: each row holds
+        the window's steps up to its end, left-padded with zeros (mask 0)
+        where the trajectory starts later."""
+        picks = np.asarray(picks, dtype=np.int64).reshape(-1, 2)
+        ti, end = picks[:, 0], picks[:, 1]
+        if ((ti < 0) | (ti >= len(self.starts) - 1)).any():
+            raise TrainError("trajectory index out of range")
+        first = self.starts[ti]
+        if ((end < 0) | (first + end >= self.starts[ti + 1])).any():
+            raise TrainError("window end outside its trajectory")
+        steps = (first + end)[:, None] + np.arange(1 - self.window, 1)   # [b, w]
+        real = steps >= first[:, None]
+        steps = np.where(real, steps, 0)
+        R = np.where(real, self.returns[steps], 0.0)
+        S = np.where(real[:, :, None], self.states[steps], 0.0)
+        tgt = np.where(real, self.actions[steps], 0)
+        ts = np.where(real, self.timesteps[steps], 0)
+        mask = np.where(real, self.keep[steps], 0.0)
+        return R, S, tgt.astype(np.float64), tgt, ts, mask
 
     def sample(self, batch_size, rng):
-        picks = [self.index[rng.integers(len(self.index))] for _ in range(batch_size)]
-        return self.gather(picks)
+        return self.gather(self.picks(rng.integers(len(self), size=batch_size)))
 
     def iter_all(self, batch_size):
-        for i in range(0, len(self.index), batch_size):
-            yield self.gather(self.index[i:i + batch_size])
+        for i in range(0, len(self), batch_size):
+            yield self.gather(self.picks(np.arange(i, min(i + batch_size, len(self)))))
 
 
 def accuracy(preds, true_actions) -> float:
@@ -130,12 +143,8 @@ def _batch_loss(model, batch, class_weights=None):
 
 
 def _class_weights(dataset):
-    counts = np.ones(ACTION_COUNT)
-    for tr in dataset.trajs:
-        for a in range(ACTION_COUNT):
-            counts[a] += np.sum(tr["A"] == a)
-    inv = counts.sum() / (ACTION_COUNT * counts)
-    return inv
+    counts = 1.0 + np.bincount(dataset.actions, minlength=ACTION_COUNT)
+    return counts.sum() / (ACTION_COUNT * counts)
 
 
 def train_epoch(model: PolicyModel, dataset: WindowDataset, cfg: TrainConfig, rng,

@@ -74,8 +74,26 @@ def test_train_writes_a_checkpoint_with_the_cli_config(pipeline):
     cfg = model.config
     assert (cfg.context_window, cfg.embed_size, cfg.n_layers, cfg.n_heads) == (4, 16, 1, 2)
     assert stats is not None and extra["window"] == 4
-    first, last = out["train"].splitlines()   # one epoch row, then the best
+    # the parameter counts, one epoch row, then the best
+    counts, first, last = out["train"].splitlines()
     assert first.startswith("epoch   0  loss") and last.startswith("best eval accuracy")
+    total = sum(p.data.size for p in model.params.values())
+    assert counts == f"parameters: {total:,} trainable of {total:,}"
+
+
+def test_train_with_lora_prints_the_trainable_share(pipeline, tmp_path):
+    paths, _ = pipeline
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main([str(a) for a in (
+            "train", paths["pool.npz"], "--epochs", 1, "--batch-size", 64, "--window", 4,
+            "--init-from", paths["policy.npz"], "--lora-rank", 2,
+            "-o", tmp_path / "lora.npz")]) == 0
+    model, _, _ = load_checkpoint(tmp_path / "lora.npz")
+    total = sum(p.data.size for p in model.params.values())
+    trainable = model.trainable_count()
+    assert model.lora_enabled and trainable < total
+    assert buf.getvalue().splitlines()[0] == f"parameters: {trainable:,} trainable of {total:,}"
 
 
 def test_evaluate_with_checkpoint_runs_the_inference_policy(pipeline):
@@ -117,7 +135,7 @@ def test_report_has_one_row_per_stats_file(pipeline):
 
 def test_train_prints_eval_recall_per_action(pipeline):
     paths, out = pipeline
-    first = out["train"].splitlines()[0]
+    first = out["train"].splitlines()[1]
     _, recall = first.split("  eval recall ")
     fields = recall.split()
     assert fields[0::2] == ["enqueue", "drop", "mark"]

@@ -12,7 +12,7 @@ from aqmlab.evaluation import (
 )
 from aqmlab.features import ACTION_DROP, ACTION_MARK
 from aqmlab.model import ModelConfig, PolicyModel, save_checkpoint
-from aqmlab.pool import build_pool_from_records
+from aqmlab.pool import PoolError, build_pool_from_records, compute_reward
 from aqmlab.simulator import default_scenario, run_scenario
 
 
@@ -194,6 +194,75 @@ class TestClosedLoopEval:
         world = run_scenario(default_scenario(seed=1, duration_us=4_000_000))
         out = ev.diagnose(world, target_ms=15.0)
         assert np.isfinite(out["lyapunov"]["mean_drift"])
+
+
+def loop_collect_stats(world, driver):
+    """collect_stats as a Python loop over every sample, record and delivery:
+    the reference for the array version."""
+    skip = ev._steady_state_skip(world)
+    delay_ms, t_us = {0: [], 1: []}, {0: [], 1: []}
+    for t, qc, sojourn in world.qdelay_samples:
+        if t >= skip:
+            delay_ms[qc].append(sojourn / 1000.0)
+            t_us[qc].append(t)
+    all_delay = delay_ms[0] + delay_ms[1]
+    rewards = [compute_reward(rec.packet_length, rec.current_queue_delay // 1000)
+               for rec in world.records]
+    nbins = max(1, (world.config.duration_us - skip) // ev.UTIL_BIN_US)
+    bins = np.zeros(nbins)
+    for t, nbytes in world.delivered:
+        if skip <= t < skip + nbins * ev.UTIL_BIN_US:
+            bins[(t - skip) // ev.UTIL_BIN_US] += nbytes
+    util = bins / (world.params.link_rate_bps * ev.UTIL_BIN_US / 8 / 1_000_000)
+    actions = [rec.dequeue_action for rec in world.records]
+    n = max(1, len(actions))
+    return {
+        "format_version": ev.STATS_FORMAT_VERSION,
+        "header": {"driver": driver.name, "scenario": world.config.name,
+                   "seed": world.config.seed, "duration_us": world.config.duration_us,
+                   "steady_state_skip_us": skip},
+        "summary": {"delay_ms": ev._summary(all_delay),
+                    "classic_delay_ms": ev._summary(delay_ms[0]),
+                    "l4s_delay_ms": ev._summary(delay_ms[1]),
+                    "utilization": ev._summary(util), "reward": ev._summary(rewards)},
+        "actions": {"enqueue_frac": actions.count(0) / n, "drop_frac": actions.count(1) / n,
+                    "mark_frac": actions.count(2) / n, "total": len(actions)},
+        "cdf": {"delay_ms": ev._cdf(all_delay)},
+        "trace": {"t_us": t_us[0], "delay_ms": delay_ms[0]},
+        "driver": driver.finish(),
+    }
+
+
+class TestCollectStats:
+    @pytest.fixture(scope="class")
+    def ckpt(self, tmp_path_factory):
+        cfg = ModelConfig(feature_dim=2, embed_size=8, n_layers=1, n_heads=2,
+                          context_window=4, max_timestep=64)
+        path = tmp_path_factory.mktemp("stats") / "m.npz"
+        stats = {"mean": [0.0] * 8, "std": [1.0] * 8, "zero_variance": [False] * 8}
+        save_checkpoint(PolicyModel(cfg, seed=3), path, feature_stats=stats,
+                        extra={"target_return": 1.0, "window": 4})
+        return str(path)
+
+    @pytest.mark.parametrize("seed", [1, 2, 1000])
+    @pytest.mark.parametrize("driver_name", ["rule", "llm"])
+    def test_document_equals_the_loop_reference(self, ckpt, seed, driver_name):
+        """The same JSON text, number for number, for the rule and for a
+        model driving every 3rd decision (so actions and delays differ)."""
+        driver = RuleBased() if driver_name == "rule" else ev.LlmEvery(ckpt, every=3)
+        world = run_scenario(default_scenario(seed=seed, duration_us=6_000_000),
+                             decision_hook=driver.hook)
+        assert world.qdelay_samples and world.delivered
+        assert json.dumps(ev.collect_stats(world, driver)) == json.dumps(
+            loop_collect_stats(world, driver))
+
+    @pytest.mark.parametrize("field,value", [("packet_length", 0), ("packet_length", -3),
+                                             ("current_queue_delay", -1)])
+    def test_invalid_record_rejected(self, field, value):
+        world = run_scenario(default_scenario(seed=1, duration_us=500_000))
+        world.records[7] = world.records[7]._replace(**{field: value})
+        with pytest.raises(PoolError):
+            ev.collect_stats(world, RuleBased())
 
 
 class TestDiagnoseCli:

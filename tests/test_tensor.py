@@ -88,6 +88,43 @@ class TestGradChecks:
                            [x, W, b], eps=1e-6)
         assert err < 1e-6
 
+    @pytest.mark.parametrize("x_shape", [(4, 6), (2, 3, 6)])
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("frozen_W", [False, True])
+    def test_linear_fused(self, x_shape, bias, frozen_W):
+        """One node for x @ W + b on 2-D and 3-D x; a frozen W gets no
+        gradient while x and b still get theirs."""
+        x = Tensor(rand(*x_shape), requires_grad=True)
+        W = Tensor(rand(6, 3, seed=1), requires_grad=not frozen_W)
+        b = Tensor(rand(3, seed=2), requires_grad=True) if bias else None
+        out = T.linear(x, W, b)
+        want = x.data @ W.data + (b.data if bias else 0.0)
+        np.testing.assert_allclose(out.data, want, rtol=1e-12)
+        assert out._parents == ((x, W, b) if bias else (x, W))
+        w = rand(*out.shape, seed=3)
+        params = [x] + ([] if frozen_W else [W]) + ([b] if bias else [])
+        err = T.grad_check(lambda: (T.linear(x, W, b) * Tensor(w)).sum(), params, eps=1e-6)
+        assert err < 1e-6
+        assert (W.grad is None) == frozen_W
+
+    def test_linear_rejects_mismatched_shapes(self):
+        x, W = Tensor(rand(2, 6)), Tensor(rand(6, 3))
+        for args in [(Tensor(rand(2, 5)), W), (x, Tensor(rand(6))), (x, W, Tensor(rand(4)))]:
+            with pytest.raises(T.TensorError):
+                T.linear(*args)
+
+    def test_matmul_2d_weight(self):
+        """x [b, n, k] @ W [k, m] folds the batch into one GEMM: the same
+        values and gradients as per-batch products."""
+        a = Tensor(rand(3, 4, 5), requires_grad=True)
+        W = Tensor(rand(5, 2, seed=1), requires_grad=True)
+        w = rand(3, 4, 2, seed=2)
+        out = a @ W
+        np.testing.assert_allclose(out.data, np.stack([m @ W.data for m in a.data]), rtol=1e-12)
+        err = T.grad_check(lambda: ((a @ W) * Tensor(w)).sum(), [a, W], eps=1e-6)
+        assert err < 1e-6
+        np.testing.assert_allclose(W.grad, np.einsum("bnk,bnm->km", a.data, w), rtol=1e-12)
+
     def test_matmul_batched(self):
         a = Tensor(rand(2, 3, 4), requires_grad=True)
         b = Tensor(rand(2, 4, 5, seed=1), requires_grad=True)
@@ -182,6 +219,113 @@ class TestGradChecks:
         err = T.grad_check(lambda: (T.einsum(spec, a, b) * Tensor(w)).sum(),
                            [a, b], eps=1e-6)
         assert err < 1e-3
+
+
+class TestFloat32Paths:
+    """The float32 model paths against float64 references."""
+
+    @staticmethod
+    def layer_norm64(x, g, b, eps=1e-5):
+        mu = x.mean(axis=-1, keepdims=True)
+        return g * (x - mu) / np.sqrt(((x - mu) ** 2).mean(axis=-1, keepdims=True) + eps) + b
+
+    @pytest.mark.parametrize("shape", [(7, 32), (3, 20, 32), (2, 5, 8)])
+    def test_layer_norm_matches_float64(self, shape):
+        d = shape[-1]
+        x64 = rand(*shape) * 5 + 3
+        g64, b64 = 1.0 + 0.3 * rand(d, seed=1), rand(d, seed=2)
+        w = rand(*shape, seed=3)
+        x, g, b = (Tensor(a.astype(np.float32), requires_grad=True) for a in (x64, g64, b64))
+        out = T.layer_norm(x, g, b)
+        assert out.data.dtype == np.float32
+        want = self.layer_norm64(x64, g64, b64)
+        # float32 rounding of the inputs and the output, at |out| up to ~5
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=2e-5)
+        (out * Tensor(w.astype(np.float32))).sum().backward()
+        # the float64 op matches the reference exactly, and its gradients
+        # are the reference for the float32 ones
+        x2, g2, b2 = (Tensor(a, requires_grad=True) for a in (x64, g64, b64))
+        out64 = T.layer_norm(x2, g2, b2)
+        np.testing.assert_allclose(out64.data, want, rtol=1e-12, atol=1e-12)
+        (out64 * Tensor(w)).sum().backward()
+        for lo, hi in ((x, x2), (g, g2), (b, b2)):
+            assert lo.grad.dtype == np.float32
+            np.testing.assert_allclose(lo.grad, hi.grad, rtol=1e-4, atol=1e-4)
+
+    def test_normalize_is_float64_reduced(self):
+        """A mean 1e4 times the spread: float32 reductions would lose it."""
+        x64 = 1e4 + rand(5, 64)
+        xhat, inv = T.normalize(x64.astype(np.float32))
+        ref = x64.astype(np.float32).astype(np.float64)
+        mu, var = ref.mean(axis=-1, keepdims=True), ref.var(axis=-1, keepdims=True)
+        np.testing.assert_allclose(xhat, (ref - mu) / np.sqrt(var + 1e-5), atol=1e-5)
+        np.testing.assert_allclose(inv, 1.0 / np.sqrt(var + 1e-5), rtol=1e-6)
+        assert xhat.dtype == inv.dtype == np.float32 and inv.shape == (5, 1)
+
+    def test_encode_state_einsum_specs(self):
+        """Every einsum encode_state runs, with its strided window operand, in
+        float32: values and both gradients against float64 np.einsum."""
+        rng = np.random.default_rng(0)
+        xpad = rng.normal(size=(4, 12, 3))
+        win = np.lib.stride_tricks.sliding_window_view(xpad, 7, axis=1)[..., 2:]   # [b, w, c, 5]
+        cases = [("bwck,ckf->bwcf", win, rng.normal(size=(3, 5, 6))),
+                 ("bwcj,cjf->bwcf", rng.normal(size=(4, 6, 3, 9)), rng.normal(size=(3, 9, 6))),
+                 ("bwif,ifd->bwid", rng.normal(size=(4, 6, 8, 6)), rng.normal(size=(8, 6, 16)))]
+        for spec, a64, b64 in cases:
+            a = Tensor(a64.astype(np.float32), requires_grad=True)
+            b = Tensor(b64.astype(np.float32), requires_grad=True)
+            out = T.einsum(spec, a, b)
+            np.testing.assert_allclose(out.data, np.einsum(spec, a64, b64), rtol=1e-4, atol=1e-5)
+            g = rng.normal(size=out.shape)
+            (out * Tensor(g.astype(np.float32))).sum().backward()
+            ins, _, o = spec.partition("->")
+            sa, _, sb = ins.partition(",")
+            np.testing.assert_allclose(a.grad, np.einsum(f"{o},{sb}->{sa}", g, b64), rtol=1e-4, atol=1e-4)
+            np.testing.assert_allclose(b.grad, np.einsum(f"{sa},{o}->{sb}", a64, g), rtol=1e-4, atol=1e-4)
+
+
+class TestConstantOperands:
+    def test_no_gradient_is_built_for_a_constant(self, monkeypatch):
+        """A backward never hands a gradient to an operand with requires_grad
+        False (a mask, an input batch, a frozen weight), so it never computes
+        one."""
+        accumulated = []
+        accum = Tensor._accum
+
+        def recording(self, g):
+            accumulated.append(self)
+            accum(self, g)
+
+        monkeypatch.setattr(Tensor, "_accum", recording)
+        x = Tensor(rand(2, 5, 4), requires_grad=True)
+        W = Tensor(rand(4, 4, seed=1), requires_grad=True)
+        consts = {
+            "batch": Tensor(rand(2, 5, 4, seed=2)),
+            "mask": Tensor(rand(5, 4, seed=3)),
+            "frozen_W": Tensor(rand(4, 4, seed=4)),
+            "frozen_g": Tensor(np.ones(4)),
+            "frozen_b": Tensor(np.zeros(4)),
+            "table": Tensor(rand(9, 4, seed=5)),
+            "kernel": Tensor(rand(4, 4, 3, seed=6)),
+        }
+        c = consts
+        h = (x + c["mask"]) * c["batch"] + c["batch"] * x           # __add__, __mul__ both ways
+        h = h @ W + c["batch"] @ W + x @ c["frozen_W"]             # 2-D weights
+        h = T.linear(c["batch"], W, c["frozen_b"]) + T.linear(h, c["frozen_W"])
+        h = T.layer_norm(h, c["frozen_g"], c["frozen_b"])
+        h = h + T.embedding(c["table"], np.array([[1, 2, 3, 4, 5]] * 2))
+        h = h + T.conv1d(c["batch"].transpose(0, 2, 1), c["kernel"], padding="causal").transpose(0, 2, 1)
+        q = h.reshape(2, 5, 2, 2).transpose(0, 2, 1, 3)
+        att = T.attention(q, q, q, mask_bias=T.causal_mask_bias(5))
+        h = h + att.transpose(0, 2, 1, 3).reshape(2, 5, 4)
+        h = h + T.einsum("bnd,de->bne", c["batch"], W) + T.einsum("bnd,de->bne", h, c["frozen_W"])
+        h = h + T.concat([T.select_positions(h, np.arange(2), axis=2),
+                          T.select_positions(c["batch"], np.arange(2), axis=2)], axis=2)
+        h.sum().backward()
+        touched = {id(t) for t in accumulated}
+        assert not [name for name, t in consts.items() if id(t) in touched]
+        assert x.grad is not None and W.grad is not None
+        assert all(t.grad is None for t in consts.values())
 
 
 class TestNoGrad:
@@ -303,11 +447,39 @@ class TestOptimizer:
         T.sgd_step([p], lr=1.0, clip_norm=1.0)
         np.testing.assert_allclose(p.data, [1.0])
 
-    def test_nonfinite_grad_raises(self):
-        p = self._param([1.0])
-        p.grad = np.array([np.nan])
-        with pytest.raises(T.OptimizerFault):
-            T.sgd_step([p], lr=0.1, clip_norm=1.0)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_grad_raises(self, bad):
+        """Raised before any update: every parameter, including those whose
+        own gradient is finite, keeps its values."""
+        ok, p = self._param([1.0, 2.0]), self._param([1.0])
+        ok.grad, p.grad = np.array([0.5, 0.5]), np.array([bad])
+        for clip in (1.0, None):
+            with pytest.raises(T.OptimizerFault):
+                T.sgd_step([ok, p], lr=0.1, clip_norm=clip)
+            np.testing.assert_array_equal(ok.data, [1.0, 2.0])
+            np.testing.assert_array_equal(p.data, [1.0])
+
+    def test_float32_gradient_norm_accumulates_in_float64(self):
+        g = np.full(1 << 20, 1e-3, dtype=np.float32)
+        p = Tensor(np.zeros_like(g), requires_grad=True)
+        p.grad = g
+        assert T.global_grad_norm([p]) == pytest.approx(
+            np.sqrt(g.size * float(np.float32(1e-3)) ** 2), rel=1e-12)
+
+    def test_shared_gradient_array_updates_each_leaf_once(self):
+        """__add__ hands both leaves the same gradient array; the clipped step
+        moves each leaf by it exactly once and leaves it unchanged."""
+        a, b = self._param([1.0, -1.0]), self._param([2.0, 0.5])
+        c = Tensor(np.array([30.0, 40.0]))
+        ((a + b) * c).sum().backward()
+        assert a.grad is b.grad
+        g = a.grad.copy()
+        norm = T.sgd_step([a, b], lr=0.5, clip_norm=1.0)
+        assert norm == pytest.approx(np.sqrt(2) * 50.0)
+        step = 0.5 * g / norm
+        np.testing.assert_allclose(a.data, [1.0, -1.0] - step, rtol=1e-15)
+        np.testing.assert_allclose(b.data, [2.0, 0.5] - step, rtol=1e-15)
+        np.testing.assert_array_equal(a.grad, g)
 
     def test_accumulation_matches_large_batch(self):
         """Two half-batch backwards == one full-batch backward, step for step."""

@@ -83,9 +83,54 @@ class TestWindowDataset:
         rng = np.random.default_rng(0)
         seen = set()
         for _ in range(60):
-            for ti_end in [ds.index[rng.integers(len(ds.index))]]:
-                seen.add(ti_end)
-        assert seen == set(ds.index)
+            seen.update(map(tuple, ds.picks(rng.integers(len(ds), size=1)).tolist()))
+        assert seen == {(ti, t) for ti in range(2) for t in range(4)}
+
+    @staticmethod
+    def loop_batches(pool, window, batch_size, seed):
+        """The per-pick loop WindowDataset.sample replaced: one scalar draw
+        per window, then a copy of each window's slices into zeroed rows."""
+        trajs = [(t.returns, t.states, t.actions, t.step_timesteps(),
+                  (~t.step_masked()).astype(np.float64)) for t in pool.trajectories]
+        index = [(ti, t) for ti, tr in enumerate(trajs) for t in range(len(tr[0]))]
+        rng = np.random.default_rng(seed)
+        picks = [index[rng.integers(len(index))] for _ in range(batch_size)]
+        w, b = window, batch_size
+        R = np.zeros((b, w)); S = np.zeros((b, w, 8)); A = np.zeros((b, w))
+        tgt = np.zeros((b, w), dtype=np.int64); ts = np.zeros((b, w), dtype=np.int64)
+        mask = np.zeros((b, w))
+        for row, (ti, end) in enumerate(picks):
+            r, s, a, t, keep = trajs[ti]
+            lo = max(0, end - w + 1)
+            sl = slice(w - (end - lo + 1), w)
+            R[row, sl], S[row, sl], A[row, sl] = r[lo:end + 1], s[lo:end + 1], a[lo:end + 1]
+            tgt[row, sl], ts[row, sl], mask[row, sl] = a[lo:end + 1], t[lo:end + 1], keep[lo:end + 1]
+        return (R, S, A, tgt, ts, mask), rng.integers(1 << 30)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    @pytest.mark.parametrize("batch_size,window", [(1, 4), (5, 3), (32, 8), (64, 20)])
+    def test_sample_matches_the_per_pick_loop(self, seed, batch_size, window):
+        """Same batches, dtypes and rng stream as the loop, with trajectories
+        of uneven length (some shorter than the window), masked steps and
+        explicit timesteps."""
+        pool = make_pool(n_traj=3, steps=6, seed=seed)
+        pool.trajectories.append(make_pool(n_traj=1, steps=2, seed=seed + 1).trajectories[0])
+        pool.trajectories.append(make_pool(n_traj=1, steps=25, seed=seed + 2).trajectories[0])
+        pool.trajectories[1].masked = np.arange(6) % 4 == 1
+        pool.trajectories[4].timesteps = np.arange(25, dtype=np.int64) * 3 + 5
+        want, want_next = self.loop_batches(pool, window, batch_size, seed)
+        rng = np.random.default_rng(seed)
+        got = WindowDataset(pool, window).sample(batch_size, rng)
+        assert rng.integers(1 << 30) == want_next
+        for g, x in zip(got, want):
+            assert g.dtype == x.dtype and g.shape == x.shape
+            np.testing.assert_array_equal(g, x)
+
+    def test_gather_rejects_a_pick_outside_the_pool(self):
+        ds = WindowDataset(make_pool(n_traj=2, steps=5), window=3)
+        for pick in [(0, 5), (1, -1), (2, 0), (-1, 0)]:
+            with pytest.raises(TrainError):
+                ds.gather([pick])
 
     def test_iter_all_visits_every_index_once(self):
         pool = make_pool(n_traj=2, steps=5)
@@ -185,7 +230,7 @@ class TestTrainEpoch:
         reproduce the single-large-batch update exactly."""
         pool = make_pool(n_traj=2, steps=10, seed=2)
         ds = WindowDataset(pool, window=4)
-        picks = [ds.index[i] for i in (0, 3, 7, 12)]
+        picks = ds.picks([0, 3, 7, 12]).tolist()
         total_w = sum(ds.gather([p])[5].sum() for p in picks)
 
         def run(splits):
