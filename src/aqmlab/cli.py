@@ -35,8 +35,8 @@ def _cmd_simulate(args):
 def _cmd_build_pool(args):
     p = pool_mod.build_pool(args.logs, gamma=args.gamma)
     if args.augment:
-        p = pool_mod.augment(p, jitter_range=args.jitter, noise_sigma=args.noise,
-                             dropout_prob=args.dropout, seed=args.seed)
+        p = pool_mod.augment(p, noise_sigma=args.noise, dropout_prob=args.dropout,
+                             seed=args.seed)
     p.feature_stats = pool_mod.compute_feature_stats(p)
     p.validate()
     p.save(args.output)
@@ -138,6 +138,8 @@ def _cmd_report(args):
 
 
 def build_parser():
+    # the model and training defaults are the config dataclasses' own
+    mdef, tdef = ModelConfig(), training.TrainConfig()
     ap = argparse.ArgumentParser(prog="aqmlab",
                                  description="L4S AQM policy distillation lab")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -151,9 +153,8 @@ def build_parser():
 
     p = sub.add_parser("build-pool", help="logs -> experience pool")
     p.add_argument("logs", nargs="+")
-    p.add_argument("--gamma", type=float, default=0.95)
+    p.add_argument("--gamma", type=float, default=tdef.gamma)
     p.add_argument("--augment", action="store_true")
-    p.add_argument("--jitter", type=int, default=0)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--dropout", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
@@ -162,18 +163,19 @@ def build_parser():
 
     p = sub.add_parser("train", help="behaviour-clone a policy from a pool")
     p.add_argument("pool")
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--clip-norm", type=float, default=1.0)
-    p.add_argument("--window", type=int, default=8)
-    p.add_argument("--feature-dim", type=int, default=8)
-    p.add_argument("--embed-size", type=int, default=32)
-    p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=tdef.epochs)
+    p.add_argument("--batch-size", type=int, default=tdef.batch_size)
+    p.add_argument("--lr", type=float, default=tdef.lr)
+    p.add_argument("--clip-norm", type=float, default=tdef.clip_norm)
+    p.add_argument("--window", type=int, default=tdef.window,
+                   help="context window of the model and of training")
+    p.add_argument("--feature-dim", type=int, default=mdef.feature_dim)
+    p.add_argument("--embed-size", type=int, default=mdef.embed_size)
+    p.add_argument("--layers", type=int, default=mdef.n_layers)
+    p.add_argument("--heads", type=int, default=mdef.n_heads)
+    p.add_argument("--seed", type=int, default=tdef.seed)
     p.add_argument("--init-from", help="fine-tune this checkpoint with LoRA")
-    p.add_argument("--lora-rank", type=int, default=4)
+    p.add_argument("--lora-rank", type=int, default=mdef.lora_rank)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=_cmd_train)
 

@@ -18,13 +18,14 @@ import itertools
 import json
 import operator
 import time
+from collections import deque
 
 import numpy as np
 
 from .features import ACTION_COUNT, ACTION_MARK, STATE_DIM
 from .model import InferencePolicy, load_checkpoint
-from .pool import PoolError, normalize_state
-from .simulator import PROB_SCALE, ScenarioConfig, World, applied_action, run_scenario
+from .pool import PoolError, klog_states, normalize
+from .simulator import ScenarioConfig, World, applied_action, fixed_probs, run_scenario
 
 STATS_FORMAT_VERSION = 2           # 2 added the time-ordered Classic delay trace
 STEADY_STATE_SKIP_US = 5_000_000   # discard the first 5 s of every run
@@ -54,11 +55,13 @@ class LlmEvery:
     """Route every n-th AQM decision through the checkpoint's policy, run as
     a `model.InferencePolicy` snapshot (`self.model`).
 
-    Keeps a rolling window of (return-target, state, action) history fed to
-    the model exactly as during training: states are normalised with the
-    checkpoint's feature statistics and the return channel is pinned to the
-    training-time target return.  Model marks on not-ECN-capable packets are
-    downgraded to drops by the simulator and counted here as violations.
+    Keeps the last `window` decisions' klog fields and applied actions, and
+    at a model decision builds the window the pool would hold for them:
+    states through `pool.klog_states`, normalised with the checkpoint's
+    feature statistics, the decision index as the timestep, and the return
+    channel pinned to the training-time target return.  Model marks on
+    not-ECN-capable packets are downgraded to drops by the simulator and
+    counted here as violations.
 
     `action_matrix[rule][model]` counts the model decisions by the rule's
     action (row) and the action the model asked for (column), in
@@ -77,13 +80,16 @@ class LlmEvery:
             raise EvalError(f"every must be >= 1, got {every}")
         self.every = every
         self.shadow = shadow
-        model, self.feature_stats, extra = load_checkpoint(checkpoint_path)
-        if self.feature_stats is None:
+        model, stats, extra = load_checkpoint(checkpoint_path)
+        if stats is None:
             raise EvalError("checkpoint has no feature statistics")
+        # arrays once, not at every model decision
+        self.feature_stats = {key: np.asarray(value) for key, value in stats.items()}
         self.model = InferencePolicy(model)
         self.target_return = float(extra.get("target_return", 1.0))
         self.window = int(extra.get("window", self.model.config.context_window))
-        self._hist = []          # (ret, normalised state, applied action, timestep) per decision
+        self._fields = deque(maxlen=self.window)        # klog_states input per decision
+        self._actions = deque(maxlen=self.window - 1)   # applied action of the earlier ones
         self._last_drops = {}
         self._count = 0
         self.model_decisions = 0
@@ -92,12 +98,17 @@ class LlmEvery:
         self.latencies = []      # seconds per model inference
 
     def hook(self, world, q, pkt, decision):
-        raw = self._raw_state(q, pkt)
-        norm = normalize_state(raw, self.feature_stats)
+        drops = q.total_drops
+        delta = drops - self._last_drops.get(q.queue_type, drops)
+        self._last_drops[q.queue_type] = drops
+        drop_p, acc_p = fixed_probs(q)
+        # in STATE_FEATURES order
+        self._fields.append((q.queue_type, q.burst_allowance, drop_p, q.current_queue_delay,
+                             acc_p, q.length_bytes, delta, pkt.size_bytes))
         self._count += 1
         action = decision.action
         if self._count % self.every == 0:
-            predicted = self._infer(norm)
+            predicted = self._infer()
             self.model_decisions += 1
             self.action_matrix[decision.action][predicted] += 1
             if predicted == ACTION_MARK and not pkt.ecn_capable:
@@ -106,42 +117,23 @@ class LlmEvery:
                 action = predicted
         # the history holds what the world applies, as the .klog and the
         # training pool do, not what was asked for
-        self._hist.append([self.target_return, norm, applied_action(action, pkt), self._count - 1])
-        if len(self._hist) > self.window:
-            self._hist.pop(0)
+        self._actions.append(applied_action(action, pkt))
         return action
 
-    def _raw_state(self, q, pkt):
-        """The 8 features the pool holds for this decision: probabilities go
-        through the log's 1e-6 fixed point, as they do offline."""
-        prev = self._last_drops.get(q.queue_type, q.total_drops)
-        delta = q.total_drops - prev
-        self._last_drops[q.queue_type] = q.total_drops
-        return [
-            float(q.queue_type),
-            float(q.burst_allowance),
-            round(q.drop_probability * PROB_SCALE) / PROB_SCALE,
-            float(q.current_queue_delay),
-            round(q.accumulated_probability * PROB_SCALE) / PROB_SCALE,
-            float(q.length_bytes),
-            float(delta),
-            float(pkt.size_bytes),
-        ]
-
-    def _infer(self, norm_state):
-        w = self.window
-        hist = self._hist[-(w - 1):] if w > 1 else []
-        n = len(hist) + 1
+    def _infer(self):
+        """The newest decision's action for the window of the last `n`
+        decisions, left-padded to `window` steps as `WindowDataset.gather`
+        pads; the newest step's action slot stays 0."""
+        w, n = self.window, len(self._fields)
+        real = slice(w - n, w)
         R = np.zeros((1, w)); S = np.zeros((1, w, STATE_DIM))
-        A = np.zeros((1, w)); T = np.zeros((1, w)); pad = np.zeros((1, w))
-        off = w - n
-        for i, (r, s, a, t) in enumerate(hist):
-            R[0, off + i] = r; S[0, off + i] = s; A[0, off + i] = a
-            T[0, off + i] = t; pad[0, off + i] = 1.0
-        R[0, w - 1] = self.target_return
-        S[0, w - 1] = norm_state
-        T[0, w - 1] = self._count - 1
-        pad[0, w - 1] = 1.0
+        A = np.zeros((1, w)); T = np.zeros((1, w), dtype=np.int64); pad = np.zeros((1, w))
+        R[0, real] = self.target_return
+        fields = np.fromiter(itertools.chain.from_iterable(self._fields), np.float64, n * STATE_DIM)
+        S[0, real] = normalize(klog_states(fields.reshape(n, STATE_DIM)), self.feature_stats)
+        A[0, w - n:w - 1] = self._actions
+        T[0, real] = np.arange(self._count - n, self._count)
+        pad[0, real] = 1.0
         t0 = time.perf_counter()
         dist = self.model.predict(R, S, A, T, pad_mask=pad)[0]
         self.latencies.append(time.perf_counter() - t0)

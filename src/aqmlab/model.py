@@ -44,11 +44,11 @@ class CheckpointError(RuntimeError):
 class ModelConfig:
     state_dim: int = STATE_DIM
     action_count: int = ACTION_COUNT
-    feature_dim: int = 32
-    embed_size: int = 128
-    n_layers: int = 4
-    n_heads: int = 4
-    context_window: int = 20
+    feature_dim: int = 8
+    embed_size: int = 32
+    n_layers: int = 1
+    n_heads: int = 2
+    context_window: int = 8
     max_timestep: int = 4096
     conv_kernel_sizes: tuple = (3, 5, 7)
     lora_rank: int = 4
@@ -630,10 +630,15 @@ def load_checkpoint(path):
             saved = {key[len("param::"):]: z[key] for key in z.files if key.startswith("param::")}
             if version == 1:
                 saved.update(_stack_encoder(saved, cfg))
-            for name in model.params:
+            for name, param in model.params.items():
                 if name not in saved:
                     raise CheckpointError(f"missing parameter {name}")
-                model.params[name].data = saved[name]
+                got, want = saved[name], param.data
+                if got.shape != want.shape or got.dtype != want.dtype:
+                    raise CheckpointError(
+                        f"parameter {name} is {got.dtype}{list(got.shape)}, but the stored "
+                        f"config builds {want.dtype}{list(want.shape)}")
+                param.data = got
             for name in meta["frozen"]:
                 model.params[name].requires_grad = False
     except (OSError, ValueError, KeyError, json.JSONDecodeError,

@@ -1,8 +1,10 @@
 """Turn kernel logs into return-conditioned training trajectories.
 
 One trajectory per log file, held as columns: rewards, 8-feature states,
-actions and returns-to-go, each a numpy array with one row per decision.
-Pools serialize to an uncompressed `.npz` file (format 2): those arrays plus
+actions and returns-to-go, each a numpy array with one row per decision; a
+step's timestep is its index.  `klog_states` and `normalize` are the one
+definition of the model's state input, which the closed loop shares.  Pools
+serialize to an uncompressed `.npz` file (format 2): those arrays plus
 a JSON header with the discount factor, normalization stats and provenance.
 """
 
@@ -22,9 +24,13 @@ from .features import ACTION_COUNT, STATE_DIM, STATE_FEATURES
 from .simulator import KLOG_FIELDS, PROB_SCALE, read_klog, read_klog_columns  # noqa: F401
 
 POOL_FORMAT_VERSION = 2
-# optional columns: None means "the step index" and "nothing masked"
-_TRAJECTORY_ARRAYS = ("rewards", "states", "actions", "returns", "timesteps", "masked")
+_REQUIRED_ARRAYS = ("rewards", "states", "actions", "returns")
+_TRAJECTORY_ARRAYS = _REQUIRED_ARRAYS + ("masked",)   # masked None: nothing masked
 _COLUMN = {name: i for i, name in enumerate(KLOG_FIELDS)}
+# divides the fixed-point probabilities by PROB_SCALE and every other
+# feature by 1.0, which leaves it exact
+_STATE_SCALE = np.array([PROB_SCALE if name in ("drop_probability", "accumulated_probability")
+                         else 1.0 for name in STATE_FEATURES])
 
 
 class PoolError(ValueError):
@@ -63,14 +69,13 @@ class Step:
     action: int
     done: int
     ret: float = 0.0      # return-to-go
-    timestep: Optional[int] = None   # set by temporal jitter, else implicit index
-    masked: bool = False             # set by timestep dropout
+    masked: bool = False  # set by step dropout
 
 
 class Trajectory:
     """One episode as columns: rewards [n], states [n, 8], actions [n] and
-    returns [n]; timesteps [n] (None: the step index) and masked [n] (None:
-    no step masked).  The last step is the terminal one.
+    returns [n]; masked [n] (None: no step masked).  The last step is the
+    terminal one.
 
     `len`, indexing and iteration give `Step` views, built on demand; edit
     the arrays to change the trajectory.
@@ -78,21 +83,17 @@ class Trajectory:
 
     __slots__ = _TRAJECTORY_ARRAYS
 
-    def __init__(self, rewards, states, actions, returns, timesteps=None, masked=None):
+    def __init__(self, rewards, states, actions, returns, masked=None):
         self.rewards = np.asarray(rewards, dtype=np.float64)
         self.states = np.asarray(states, dtype=np.float64)
         self.actions = np.asarray(actions, dtype=np.int64)
         self.returns = np.asarray(returns, dtype=np.float64)
-        self.timesteps = None if timesteps is None else np.asarray(timesteps, dtype=np.int64)
         self.masked = None if masked is None else np.asarray(masked, dtype=bool)
 
     def replace(self, **columns) -> "Trajectory":
         """A new trajectory sharing every column not given."""
         return Trajectory(**{name: columns.get(name, getattr(self, name))
                              for name in _TRAJECTORY_ARRAYS})
-
-    def step_timesteps(self):
-        return np.arange(len(self)) if self.timesteps is None else self.timesteps
 
     def step_masked(self):
         return np.zeros(len(self), dtype=bool) if self.masked is None else self.masked
@@ -109,16 +110,14 @@ class Trajectory:
             raise IndexError(f"step {index} out of range for {n} steps")
         return Step(float(self.rewards[i]), self.states[i].tolist(), int(self.actions[i]),
                     int(i == n - 1), float(self.returns[i]),
-                    None if self.timesteps is None else int(self.timesteps[i]),
                     False if self.masked is None else bool(self.masked[i]))
 
     def __iter__(self):
         n = len(self)
-        timesteps = [None] * n if self.timesteps is None else self.timesteps.tolist()
-        for i, (r, s, a, ret, t, m) in enumerate(zip(
+        for i, (r, s, a, ret, m) in enumerate(zip(
                 self.rewards.tolist(), self.states.tolist(), self.actions.tolist(),
-                self.returns.tolist(), timesteps, self.step_masked().tolist())):
-            yield Step(r, s, a, int(i == n - 1), ret, t, m)
+                self.returns.tolist(), self.step_masked().tolist())):
+            yield Step(r, s, a, int(i == n - 1), ret, m)
 
 
 @dataclass
@@ -145,7 +144,7 @@ class ExperiencePool:
             if traj.states.shape != (n, STATE_DIM):
                 raise PoolError(f"trajectory {ti}: states are {traj.states.shape}, "
                                 f"expected ({n}, {STATE_DIM})")
-            for name in ("actions", "returns", "timesteps", "masked"):
+            for name in ("actions", "returns", "masked"):
                 col = getattr(traj, name)
                 if col is not None and col.shape != (n,):
                     raise PoolError(f"trajectory {ti}: {name} are {col.shape}, expected ({n},)")
@@ -195,16 +194,39 @@ class ExperiencePool:
                 meta = json.loads(z["meta"].tobytes().decode("utf-8"))
                 if meta.get("format_version") != POOL_FORMAT_VERSION:
                     raise PoolError(f"unsupported pool format version {meta.get('format_version')}")
+                if any(key.endswith("_timesteps") for key in stored):
+                    raise PoolError(f"{path} stores timestep columns, which came from --jitter; "
+                                    f"a step's timestep is its index, so rebuild the pool "
+                                    f"with `aqmlab build-pool` without --jitter")
+                count = meta.get("trajectories")
+                if not isinstance(count, int) or count < 0:
+                    raise PoolError(f"{path} has no trajectory count")
+                missing = [f"t{ti}_{name}" for ti in range(count) for name in _REQUIRED_ARRAYS
+                           if f"t{ti}_{name}" not in stored]
+                if missing:
+                    raise PoolError(f"{path} lacks the array {missing[0]}")
                 trajectories = [
                     Trajectory(**{name: z[f"t{ti}_{name}"] for name in _TRAJECTORY_ARRAYS
                                   if f"t{ti}_{name}" in stored})
-                    for ti in range(meta["trajectories"])]
+                    for ti in range(count)]
         return cls(trajectories=trajectories, gamma=meta["gamma"],
                    feature_stats=meta.get("feature_stats"),
                    provenance=meta.get("provenance", {}))
 
 
 # ------------------------------------------------------------------ building
+
+
+def klog_states(fields) -> np.ndarray:
+    """The float64 [N, 8] states of N decisions from their klog fields.
+
+    `fields` is [N, 8] integers in STATE_FEATURES order: the probabilities in
+    the log's 1e-6 fixed point (`simulator.fixed_probs`) and the drops as the
+    rise in total_drops since the previous record of the same queue.  The
+    pool builder and the closed loop both call it, so the model sees online
+    the states it was trained on.
+    """
+    return np.asarray(fields, dtype=np.float64) / _STATE_SCALE
 
 
 def trajectory_from_columns(cols, gamma) -> Trajectory:
@@ -227,21 +249,11 @@ def trajectory_from_columns(cols, gamma) -> Trajectory:
     if not np.isin(c["dequeue_action"], np.arange(ACTION_COUNT)).all():
         raise PoolError("dequeue_action must be 0/1/2")
 
-    drops_delta = np.zeros(len(cols), dtype=np.int64)
+    drops_delta = c["total_drops_delta"] = np.zeros(len(cols), dtype=np.int64)
     for qt in np.unique(c["queue_type"]):
         idx = np.flatnonzero(c["queue_type"] == qt)
         drops_delta[idx[1:]] = np.diff(c["total_drops"][idx])
-    state_columns = {
-        "queue_type": c["queue_type"],
-        "burst_allowance": c["burst_allowance"],
-        "drop_probability": c["drop_probability"] / PROB_SCALE,
-        "current_queue_delay": c["current_queue_delay"],
-        "accumulated_probability": c["accumulated_probability"] / PROB_SCALE,
-        "length_in_bytes": c["length_in_bytes"],
-        "total_drops_delta": drops_delta,
-        "packet_length": c["packet_length"],
-    }
-    states = np.column_stack([state_columns[name] for name in STATE_FEATURES]).astype(np.float64)
+    states = klog_states(np.column_stack([c[name] for name in STATE_FEATURES]))
     rewards = c["packet_length"] / (c["current_queue_delay"] // 1000 + 1.0)
     return Trajectory(rewards, states, c["dequeue_action"].copy(),
                       returns_to_go(rewards.tolist(), gamma))
@@ -297,14 +309,11 @@ def compute_feature_stats(pool: ExperiencePool) -> dict:
     }
 
 
-def normalize_state(state, stats):
-    return [0.0 if z else (x - m) / sd
-            for x, m, sd, z in zip(state, stats["mean"], stats["std"], stats["zero_variance"])]
-
-
-def denormalize_state(state, stats):
-    return [m if z else x * sd + m
-            for x, m, sd, z in zip(state, stats["mean"], stats["std"], stats["zero_variance"])]
+def normalize(states, stats):
+    """(state - mean) / std per feature over the last axis of `states`, with
+    zero-variance features mapped to 0."""
+    return np.where(stats["zero_variance"], 0.0,
+                    (states - np.asarray(stats["mean"])) / np.asarray(stats["std"]))
 
 
 def normalize_states(pool: ExperiencePool):
@@ -314,38 +323,31 @@ def normalize_states(pool: ExperiencePool):
     pool shares every column but the states with the input.
     """
     stats = compute_feature_stats(pool)
-    mean, std = np.array(stats["mean"]), np.array(stats["std"])
-    zero = np.array(stats["zero_variance"], dtype=bool)
     out = ExperiencePool(gamma=pool.gamma, feature_stats=stats,
                          provenance=dict(pool.provenance, normalized=True))
     for traj in pool.trajectories:
-        out.trajectories.append(traj.replace(
-            states=np.where(zero, 0.0, (traj.states - mean) / std)))
+        out.trajectories.append(traj.replace(states=normalize(traj.states, stats)))
     return out, stats
 
 
 # ---------------------------------------------------------------- augmentation
 
 
-def augment(pool: ExperiencePool, jitter_range=0, noise_sigma=0.0,
-            dropout_prob=0.0, seed=0) -> ExperiencePool:
-    """Stochastic temporal augmentation: timestep jitter, state noise, dropout.
+def augment(pool: ExperiencePool, noise_sigma=0.0, dropout_prob=0.0, seed=0) -> ExperiencePool:
+    """Stochastic augmentation: state noise and step dropout.
 
-    Actions and returns are never touched; jitter shifts only the timestep
-    index, noise perturbs only states, dropout marks steps as masked for the
-    trainer.  The input pool is left untouched.
+    Actions and returns are never touched; noise perturbs only states,
+    dropout marks steps as masked for the trainer.  The input pool is left
+    untouched.
     """
     if noise_sigma < 0:
         raise PoolError("noise_sigma must be >= 0")
     if not (0.0 <= dropout_prob <= 1.0):
         raise PoolError("dropout_prob must be in [0,1]")
-    if jitter_range < 0:
-        raise PoolError("jitter_range must be >= 0")
     rng = random.Random(seed)
     out = ExperiencePool(gamma=pool.gamma, feature_stats=pool.feature_stats,
                          provenance=dict(pool.provenance, augmented=True))
     for traj in pool.trajectories:
-        offset = rng.randint(0, jitter_range) if jitter_range else 0
         states, masked = traj.states.copy(), traj.step_masked().copy()
         # one pass in step order keeps the random stream of earlier versions
         for idx in range(len(traj) if noise_sigma > 0 or dropout_prob > 0 else 0):
@@ -353,7 +355,5 @@ def augment(pool: ExperiencePool, jitter_range=0, noise_sigma=0.0,
                 states[idx] += [rng.gauss(0.0, noise_sigma) for _ in range(STATE_DIM)]
             if dropout_prob > 0 and not masked[idx] and rng.random() < dropout_prob:
                 masked[idx] = True
-        out.trajectories.append(traj.replace(
-            states=states, masked=masked,
-            timesteps=traj.step_timesteps() + offset if jitter_range else traj.timesteps))
+        out.trajectories.append(traj.replace(states=states, masked=masked))
     return out

@@ -452,7 +452,7 @@ def default_scenario(seed=1, duration_us=60_000_000):
 # ---------------------------------------------------------------- world/event
 
 
-def _fixed_probs(q: QueueState):
+def fixed_probs(q: QueueState):
     """p' and the accumulated probability as the log's 1e-6 fixed point."""
     return round(q.drop_probability * PROB_SCALE), round(q.accumulated_probability * PROB_SCALE)
 
@@ -496,7 +496,7 @@ class World:
                        int(round(p.alpha * GAIN_SCALE)), int(round(p.beta * GAIN_SCALE)), 0)
         self._klog_head = {qc: (int(qc), *klog_params) for qc in QueueClass}
         # fields 9 and 12, the probabilities in fixed point, set at Tupdate
-        self._klog_probs = {qc: _fixed_probs(q) for qc, q in self.queues.items()}
+        self._klog_probs = {qc: fixed_probs(q) for qc, q in self.queues.items()}
         self._service_us = {}      # packet size -> link service time
 
         # Measurement series
@@ -644,7 +644,7 @@ class World:
             q.previous_queue_delay = q.current_queue_delay
             q.accumulated_probability = min(q.accumulated_probability + base, 1e6)
             q.measurement_start_time = self.now
-            self._klog_probs[q.queue_type] = _fixed_probs(q)
+            self._klog_probs[q.queue_type] = fixed_probs(q)
         self._schedule(self.now + p.tupdate, self._tupdate)
 
     # ---------------------------------------------------------------- logging

@@ -20,6 +20,10 @@ from .model import PolicyModel, save_checkpoint
 from .pool import ExperiencePool, normalize_states
 
 
+# the closed loop conditions on this percentile of the pool's returns-to-go
+TARGET_RETURN_PERCENTILE = 90.0
+
+
 class TrainError(ValueError):
     pass
 
@@ -29,14 +33,12 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 32
     accumulation_steps: int = 1
-    lr: float = 0.05
+    lr: float = 0.5
     clip_norm: float = 1.0
     gamma: float = 0.95
-    window: int = 20
+    window: int = 8
     seed: int = 0
     eval_split: float = 0.2
-    target_return_percentile: float = 90.0
-    class_weighting: bool = False
     batches_per_epoch: int = 0   # 0 = cover every end-position once per epoch
     eval_batches: int = 0        # 0 = score the whole eval split each epoch
 
@@ -66,7 +68,7 @@ class WindowDataset:
 
     A window is named by its end step: a flat position into the concatenated
     steps, or a (trajectory index, end position) pair.  Flat position i is
-    step i - starts[ti] of trajectory ti.
+    step i - starts[ti] of trajectory ti, and that index is its timestep.
     """
 
     def __init__(self, pool: ExperiencePool, window: int):
@@ -78,7 +80,6 @@ class WindowDataset:
         self.returns = np.concatenate([t.returns for t in trajs])
         self.states = np.concatenate([t.states for t in trajs])
         self.actions = np.concatenate([t.actions for t in trajs])
-        self.timesteps = np.concatenate([t.step_timesteps() for t in trajs])
         self.keep = np.concatenate([~t.step_masked() for t in trajs]).astype(np.float64)
 
     def __len__(self):
@@ -107,7 +108,7 @@ class WindowDataset:
         R = np.where(real, self.returns[steps], 0.0)
         S = np.where(real[:, :, None], self.states[steps], 0.0)
         tgt = np.where(real, self.actions[steps], 0)
-        ts = np.where(real, self.timesteps[steps], 0)
+        ts = np.where(real, steps - first[:, None], 0)
         mask = np.where(real, self.keep[steps], 0.0)
         return R, S, tgt.astype(np.float64), tgt, ts, mask
 
@@ -129,26 +130,18 @@ def accuracy(preds, true_actions) -> float:
     return float(np.mean(preds == true_actions))
 
 
-def _batch_loss(model, batch, class_weights=None):
+def _batch_loss(model, batch):
     R, S, A, tgt, ts, mask = batch
     logits = model.forward(R, S, A, ts, pad_mask=(mask > 0).astype(float))
     b, w = tgt.shape
     weights = mask.reshape(-1).astype(np.float64)
-    if class_weights is not None:
-        weights = weights * class_weights[tgt.reshape(-1)]
     loss = T.cross_entropy(logits.reshape(b * w, ACTION_COUNT), tgt.reshape(-1), weights)
     preds = np.argmax(logits.data, axis=-1).reshape(-1)
     keep = mask.reshape(-1) > 0
     return loss, preds[keep], tgt.reshape(-1)[keep]
 
 
-def _class_weights(dataset):
-    counts = 1.0 + np.bincount(dataset.actions, minlength=ACTION_COUNT)
-    return counts.sum() / (ACTION_COUNT * counts)
-
-
-def train_epoch(model: PolicyModel, dataset: WindowDataset, cfg: TrainConfig, rng,
-                class_weights=None):
+def train_epoch(model: PolicyModel, dataset: WindowDataset, cfg: TrainConfig, rng):
     """One pass of accumulate -> clip -> step updates; returns a report row."""
     params = list(model.params.values())
     n_batches = cfg.batches_per_epoch or max(1, len(dataset) // cfg.batch_size)
@@ -158,8 +151,7 @@ def train_epoch(model: PolicyModel, dataset: WindowDataset, cfg: TrainConfig, rn
         T.zero_grads(params)
         micro_losses = []
         for _ in range(cfg.accumulation_steps):
-            loss, preds, tgts = _batch_loss(model, dataset.sample(cfg.batch_size, rng),
-                                            class_weights)
+            loss, preds, tgts = _batch_loss(model, dataset.sample(cfg.batch_size, rng))
             if not np.isfinite(loss.data):
                 raise T.OptimizerFault("non-finite loss; epoch aborted")
             loss.backward()
@@ -262,14 +254,13 @@ def train(model: PolicyModel, pool: ExperiencePool, cfg: TrainConfig,
     train_ds = WindowDataset(train_pool, cfg.window)
     eval_ds = WindowDataset(eval_pool, cfg.window)
     rng = np.random.default_rng(cfg.seed)
-    class_weights = _class_weights(train_ds) if cfg.class_weighting else None
 
     report = TrainReport()
-    extra = {"target_return": target_return(pool, cfg.target_return_percentile),
+    extra = {"target_return": target_return(pool, TARGET_RETURN_PERCENTILE),
              "window": cfg.window, "gamma": cfg.gamma,
              "return_mean": r_mean, "return_std": r_std}
     for epoch in range(cfg.epochs):
-        row = train_epoch(model, train_ds, cfg, rng, class_weights)
+        row = train_epoch(model, train_ds, cfg, rng)
         row["epoch"] = epoch
         confusion = np.zeros((ACTION_COUNT, ACTION_COUNT), dtype=np.int64)
         row["eval_accuracy"] = evaluate_accuracy(model, eval_ds, max_batches=cfg.eval_batches,

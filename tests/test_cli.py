@@ -12,8 +12,9 @@ import pytest
 
 from aqmlab import cli
 from aqmlab import evaluation as ev
-from aqmlab.model import load_checkpoint
+from aqmlab.model import ModelConfig, load_checkpoint
 from aqmlab.pool import ExperiencePool
+from aqmlab.training import TrainConfig
 from aqmlab.simulator import (
     Dualpi2Params, FlowKind, FlowSpec, ScenarioConfig, default_scenario, run_scenario, write_klog,
 )
@@ -79,6 +80,20 @@ def test_train_writes_a_checkpoint_with_the_cli_config(pipeline):
     assert first.startswith("epoch   0  loss") and last.startswith("best eval accuracy")
     total = sum(p.data.size for p in model.params.values())
     assert counts == f"parameters: {total:,} trainable of {total:,}"
+
+
+def test_parsed_defaults_are_the_config_defaults():
+    """`aqmlab train` and `build-pool` write no default of their own."""
+    mdef, tdef = ModelConfig(), TrainConfig()
+    args = cli.build_parser().parse_args(["train", "pool.npz", "-o", "m.npz"])
+    assert (args.feature_dim, args.embed_size, args.layers, args.heads, args.window,
+            args.lora_rank) == (mdef.feature_dim, mdef.embed_size, mdef.n_layers,
+                                mdef.n_heads, mdef.context_window, mdef.lora_rank)
+    assert (args.epochs, args.batch_size, args.lr, args.clip_norm, args.window, args.seed) == (
+        tdef.epochs, tdef.batch_size, tdef.lr, tdef.clip_norm, tdef.window, tdef.seed)
+    args = cli.build_parser().parse_args(["build-pool", "x.klog", "-o", "pool.npz"])
+    assert args.gamma == tdef.gamma
+    assert not hasattr(args, "jitter")
 
 
 def test_train_with_lora_prints_the_trainable_share(pipeline, tmp_path):

@@ -1,5 +1,6 @@
 """Evaluation tests: summaries, KS/compare, Lyapunov, Lipschitz, drivers."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -11,9 +12,21 @@ from aqmlab.evaluation import (
     lyapunov_drift, utilization,
 )
 from aqmlab.features import ACTION_DROP, ACTION_MARK
-from aqmlab.model import ModelConfig, PolicyModel, save_checkpoint
-from aqmlab.pool import PoolError, build_pool_from_records, compute_reward
-from aqmlab.simulator import default_scenario, run_scenario
+from aqmlab.model import ActionDistribution, ModelConfig, PolicyModel, save_checkpoint
+from aqmlab.pool import PoolError, build_pool_from_records, compute_feature_stats, compute_reward
+from aqmlab.simulator import default_scenario, run_scenario, write_klog
+from aqmlab.training import WindowDataset
+
+IDENTITY_STATS = {"mean": [0.0] * 8, "std": [1.0] * 8, "zero_variance": [False] * 8}
+
+
+def tiny_checkpoint(path, seed=0, window=4):
+    """An untrained small model whose feature stats leave states as they are."""
+    cfg = ModelConfig(feature_dim=2, embed_size=8, n_layers=1, n_heads=2,
+                      context_window=window, max_timestep=64)
+    save_checkpoint(PolicyModel(cfg, seed=seed), path, feature_stats=IDENTITY_STATS,
+                    extra={"target_return": 1.0, "window": window})
+    return str(path)
 
 
 class TestLyapunov:
@@ -236,13 +249,7 @@ def loop_collect_stats(world, driver):
 class TestCollectStats:
     @pytest.fixture(scope="class")
     def ckpt(self, tmp_path_factory):
-        cfg = ModelConfig(feature_dim=2, embed_size=8, n_layers=1, n_heads=2,
-                          context_window=4, max_timestep=64)
-        path = tmp_path_factory.mktemp("stats") / "m.npz"
-        stats = {"mean": [0.0] * 8, "std": [1.0] * 8, "zero_variance": [False] * 8}
-        save_checkpoint(PolicyModel(cfg, seed=3), path, feature_stats=stats,
-                        extra={"target_return": 1.0, "window": 4})
-        return str(path)
+        return tiny_checkpoint(tmp_path_factory.mktemp("stats") / "m.npz", seed=3)
 
     @pytest.mark.parametrize("seed", [1, 2, 1000])
     @pytest.mark.parametrize("driver_name", ["rule", "llm"])
@@ -298,45 +305,9 @@ class TestDiagnoseCli:
         assert "re-run `aqmlab evaluate`" in capsys.readouterr().err
 
 
-class TestLlmEveryHistory:
-    def test_history_holds_the_applied_action(self, tmp_path):
-        """A model MARK on a not-ECN-capable packet is applied as a DROP; the
-        history the next windows see must hold the DROP, as the log does."""
-        cfg = ModelConfig(feature_dim=2, embed_size=8, n_layers=1, n_heads=2,
-                          context_window=4, max_timestep=64)
-        ckpt = tmp_path / "m.npz"
-        stats = {"mean": [0.0] * 8, "std": [1.0] * 8, "zero_variance": [False] * 8}
-        save_checkpoint(PolicyModel(cfg, seed=0), ckpt, feature_stats=stats,
-                        extra={"target_return": 1.0, "window": 4})
-        driver = ev.LlmEvery(str(ckpt), every=1)
-        driver._infer = lambda norm_state: ACTION_MARK
-        entries = []
-        hook = driver.hook
-
-        def recording_hook(world, q, pkt, decision):
-            action = hook(world, q, pkt, decision)
-            entries.append((driver._hist[-1][3], driver._hist[-1][2]))
-            return action
-
-        world = run_scenario(default_scenario(seed=3, duration_us=1_000_000),
-                             decision_hook=recording_hook)
-        assert len(entries) == len(world.records) == driver.model_decisions
-        for t, action in entries:
-            assert action == world.records[t].dequeue_action, t
-        applied = {a for _, a in entries}
-        assert applied == {ACTION_MARK, ACTION_DROP}
-        assert driver.violations == sum(a == ACTION_DROP for _, a in entries)
-
-
 class TestActionMatrix:
     def test_matrix_counts_rule_against_model_actions(self, tmp_path):
-        cfg = ModelConfig(feature_dim=2, embed_size=8, n_layers=1, n_heads=2,
-                          context_window=4, max_timestep=64)
-        ckpt = tmp_path / "m.npz"
-        stats = {"mean": [0.0] * 8, "std": [1.0] * 8, "zero_variance": [False] * 8}
-        save_checkpoint(PolicyModel(cfg, seed=0), ckpt, feature_stats=stats,
-                        extra={"target_return": 1.0, "window": 4})
-        driver = ev.LlmEvery(str(ckpt), every=3)
+        driver = ev.LlmEvery(tiny_checkpoint(tmp_path / "m.npz"), every=3)
         want = np.zeros((3, 3), dtype=np.int64)
         hook = driver.hook
 
@@ -356,28 +327,77 @@ class TestActionMatrix:
         assert "overridden" not in doc["driver"]
 
 
-class TestOnlineStateParity:
-    def test_online_states_equal_pool_states(self, tmp_path):
-        """The states LlmEvery builds from the live queue must be the ones the
-        pool builds from the logged records of the same decisions, bit for bit
-        (probabilities through the log's 1e-6 fixed point on both sides)."""
-        cfg = ModelConfig(feature_dim=2, embed_size=8, n_layers=1, n_heads=2,
-                          context_window=4, max_timestep=64)
-        ckpt = tmp_path / "m.npz"
-        stats = {"mean": [0.0] * 8, "std": [1.0] * 8, "zero_variance": [False] * 8}
-        save_checkpoint(PolicyModel(cfg, seed=0), ckpt, feature_stats=stats,
-                        extra={"target_return": 1.0, "window": 4})
-        driver = ev.LlmEvery(str(ckpt), every=10 ** 9, shadow=True)
-        online = []
-        raw_state = driver._raw_state
+class TestOnlineWindowParity:
+    @pytest.mark.parametrize("window,forced,shadow,seconds", [
+        (4, None, False, 1), (1, None, False, 1), (4, ACTION_MARK, False, 1), (8, None, True, 6)])
+    def test_windows_equal_the_pool_windows(self, tmp_path, window, forced, shadow, seconds):
+        """Every window LlmEvery(every=1) passes to the model is, bit for bit,
+        the one WindowDataset.gather builds at that step of the episode's own
+        log: the states (under identity stats), timesteps, pad mask and the
+        earlier steps' actions; the newest action slot is 0.  With a model
+        forced to MARK, a not-ECN-capable packet's MARK is applied as a DROP,
+        and the later windows hold the DROP, as the log does.  In shadow mode
+        the rule drives a longer episode."""
+        driver = ev.LlmEvery(tiny_checkpoint(tmp_path / "m.npz", window=window), every=1,
+                             shadow=shadow)
+        windows = []
+        predict = driver.model.predict
 
-        def recording_raw_state(q, pkt):
-            online.append(raw_state(q, pkt))
-            return online[-1]
+        def recording_predict(R, S, A, Ts, pad_mask=None):
+            windows.append((R.copy(), S.copy(), A.copy(), Ts.copy(), pad_mask.copy()))
+            if forced is None:
+                return predict(R, S, A, Ts, pad_mask=pad_mask)
+            return [ActionDistribution(np.zeros(3), np.eye(3)[forced])]
 
-        driver._raw_state = recording_raw_state
-        world = run_scenario(default_scenario(seed=3, duration_us=10_000_000),
+        driver.model.predict = recording_predict
+        world = run_scenario(default_scenario(seed=3, duration_us=seconds * 1_000_000),
                              decision_hook=driver.hook)
-        offline = build_pool_from_records([world.records]).trajectories[0].states
-        assert len(online) == len(offline) > 5000
-        assert np.array_equal(np.array(online), offline)
+        assert len(windows) == len(world.records) == driver.model_decisions > 400 * seconds
+        R, S, A, Ts, pad = (np.concatenate(column) for column in zip(*windows))
+        pool = build_pool_from_records([world.records])
+        want_R, want_S, want_A, _, want_ts, want_mask = WindowDataset(pool, window).gather(
+            [(0, i) for i in range(len(windows))])
+        assert S.tobytes() == want_S.tobytes()
+        assert Ts.dtype == want_ts.dtype and Ts.tobytes() == want_ts.tobytes()
+        assert pad.tobytes() == want_mask.tobytes()
+        assert A[:, :-1].tobytes() == want_A[:, :-1].tobytes() and not A[:, -1].any()
+        assert (R == driver.target_return * pad).all()
+        if forced is not None:
+            applied = pool.trajectories[0].actions
+            assert set(applied.tolist()) == {ACTION_MARK, ACTION_DROP}
+            assert driver.violations == int((applied == ACTION_DROP).sum())
+
+
+# sha256 of the .klog of 6 s seed-11 episodes driven by LlmEvery with the
+# untrained seed-5 model below, taken before the driver's window became an
+# array: the state, normalisation, timesteps and history it feeds the model
+# must not move.
+GOLDEN_LLM_EVERY = {
+    1: "a7533e1e25f0bf27455c743b28258d5d91f879ebc550048b165a7bcd8c2721e9",
+    10: "c0cf8f1ccc5f96dfb2603b07a2fe3496459fb0f4afb9f560607817508af6bd00",
+}
+
+
+class TestLlmEveryGolden:
+    @pytest.fixture(scope="class")
+    def ckpt(self, tmp_path_factory):
+        """A seeded, untrained CLI-sized model (float64, so that no BLAS
+        rounding can flip a decision) with the feature stats of a real pool."""
+        pool = build_pool_from_records(
+            [run_scenario(default_scenario(seed=1, duration_us=3_000_000)).records])
+        cfg = ModelConfig(feature_dim=8, embed_size=32, n_layers=1, n_heads=2,
+                          context_window=8, dtype="float64")
+        path = tmp_path_factory.mktemp("golden") / "m.npz"
+        save_checkpoint(PolicyModel(cfg, seed=5), path, feature_stats=compute_feature_stats(pool),
+                        extra={"target_return": 1.5, "window": 8})
+        return str(path)
+
+    @pytest.mark.parametrize("every", [1, 10])
+    def test_klog_bytes(self, ckpt, every, tmp_path):
+        driver = ev.LlmEvery(ckpt, every=every)
+        world = run_scenario(default_scenario(seed=11, duration_us=6_000_000),
+                             decision_hook=driver.hook)
+        assert driver.model_decisions == len(world.records) // every > 400
+        write_klog(world.records, tmp_path / "x.klog")
+        assert hashlib.sha256((tmp_path / "x.klog").read_bytes()).hexdigest() == \
+            GOLDEN_LLM_EVERY[every]

@@ -312,6 +312,20 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("name,edit", [("W_time", lambda a: a[:5]),
+                                           ("head_W", lambda a: a.astype(np.float32))])
+    def test_parameter_unlike_the_config_rejected(self, tmp_path, name, edit):
+        """A stored parameter whose shape or dtype the config does not build
+        is named at load, not met later as an IndexError."""
+        path = tmp_path / "m.npz"
+        save_checkpoint(PolicyModel(small_config(), seed=2), path)
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays[f"param::{name}"] = edit(arrays[f"param::{name}"])
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointError, match=f"parameter {name} is"):
+            load_checkpoint(path)
+
     def test_garbage_file_raises(self, tmp_path):
         path = tmp_path / "x.npz"
         path.write_bytes(b"not a checkpoint at all")

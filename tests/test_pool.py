@@ -12,7 +12,7 @@ from aqmlab.features import STATE_DIM
 from aqmlab.pool import (
     ExperiencePool, PoolError, Step, Trajectory, augment, build_pool,
     build_pool_from_records, compute_feature_stats, compute_reward,
-    denormalize_state, normalize_state, normalize_states, returns_to_go,
+    normalize, normalize_states, returns_to_go,
 )
 from aqmlab.simulator import KLOG_FIELDS, default_scenario, run_scenario, write_klog
 
@@ -185,7 +185,7 @@ class TestPoolFormat:
             path = tmp_path / f"{seed}.klog"
             write_klog(_sim_records(seed=seed), path)
             paths.append(path)
-        pool = augment(build_pool(paths, gamma=0.9), jitter_range=4, dropout_prob=0.2, seed=1)
+        pool = augment(build_pool(paths, gamma=0.9), dropout_prob=0.2, seed=1)
         pool.trajectories.append(build_pool_from_records([_sim_records(seed=3)], 0.9).trajectories[0])
         pool.feature_stats = compute_feature_stats(pool)
         return pool
@@ -200,13 +200,13 @@ class TestPoolFormat:
         assert loaded.provenance == pool.provenance
         assert len(loaded.trajectories) == 3
         for a, b in zip(pool.trajectories, loaded.trajectories):
-            for name in ("rewards", "states", "actions", "returns", "timesteps", "masked"):
+            for name in ("rewards", "states", "actions", "returns", "masked"):
                 x, y = getattr(a, name), getattr(b, name)
                 if x is None:
                     assert y is None, name
                 else:
                     assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
-        assert loaded.trajectories[2].timesteps is None
+        assert loaded.trajectories[2].masked is None
         assert list(loaded.all_steps()) == list(pool.all_steps())
         loaded.validate()
 
@@ -223,6 +223,35 @@ class TestPoolFormat:
         path.write_text(json.dumps({"format_version": 1, "gamma": 0.95, "trajectories": []}))
         with pytest.raises(PoolError, match="aqmlab build-pool"):
             ExperiencePool.load(path)
+
+    def _resave(self, tmp_path, edit):
+        """The pool of `_pool`, saved, with its arrays or header edited."""
+        path = tmp_path / "pool.npz"
+        self._pool(tmp_path).save(path)
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        meta = json.loads(arrays["meta"].tobytes().decode("utf-8"))
+        edit(arrays, meta)
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        return path
+
+    def test_timestep_column_rejected_with_rebuild_hint(self, tmp_path):
+        """A pool built with the removed --jitter stored its shifted
+        timesteps; the step index is now the only timestep."""
+        def add_timesteps(arrays, meta):
+            arrays["t0_timesteps"] = np.arange(len(arrays["t0_rewards"])) + 7
+        with pytest.raises(PoolError, match="without --jitter"):
+            ExperiencePool.load(self._resave(tmp_path, add_timesteps))
+
+    def test_missing_array_rejected(self, tmp_path):
+        with pytest.raises(PoolError, match="t1_returns"):
+            ExperiencePool.load(self._resave(tmp_path, lambda arrays, meta: arrays.pop("t1_returns")))
+
+    def test_missing_trajectory_count_rejected(self, tmp_path):
+        with pytest.raises(PoolError, match="trajectory count"):
+            ExperiencePool.load(self._resave(tmp_path, lambda arrays, meta: meta.pop("trajectories")))
 
     def test_other_files_rejected(self, tmp_path):
         path = tmp_path / "x.klog"
@@ -268,9 +297,18 @@ class TestNormalization:
     def test_round_trip(self):
         pool = self._pool()
         stats = compute_feature_stats(pool)
-        s = pool.trajectories[0][3].state
-        back = denormalize_state(normalize_state(s, stats), stats)
-        np.testing.assert_allclose(back, s, rtol=1e-9, atol=1e-9)
+        s = pool.trajectories[0].states[3]
+        live = ~np.array(stats["zero_variance"])
+        back = normalize(s, stats) * stats["std"] + stats["mean"]
+        np.testing.assert_allclose(back[live], s[live], rtol=1e-9, atol=1e-9)
+        assert (normalize(s, stats)[~live] == 0.0).all()
+
+    def test_one_row_as_the_pool_normalizes_it(self):
+        pool = self._pool()
+        normed, stats = normalize_states(pool)
+        for i in (0, 3, len(pool.trajectories[0]) - 1):
+            row = normalize(pool.trajectories[0].states[i], stats)
+            assert row.tobytes() == normed.trajectories[0].states[i].tobytes()
 
     def test_normalized_pool_standardized(self):
         pool = self._pool()
@@ -297,7 +335,7 @@ class TestAugmentation:
 
     def test_identity_when_disabled(self):
         pool = self._pool()
-        out = augment(pool, jitter_range=0, noise_sigma=0.0, dropout_prob=0.0)
+        out = augment(pool, noise_sigma=0.0, dropout_prob=0.0)
         for a, b in zip(pool.all_steps(), out.all_steps()):
             assert a.state == b.state and a.action == b.action
             assert a.ret == b.ret and a.masked == b.masked
@@ -305,7 +343,7 @@ class TestAugmentation:
     def test_source_pool_untouched(self):
         pool = self._pool()
         before = [list(s.state) for s in pool.all_steps()]
-        augment(pool, noise_sigma=1.0, dropout_prob=0.5, jitter_range=3, seed=1)
+        augment(pool, noise_sigma=1.0, dropout_prob=0.5, seed=1)
         after = [list(s.state) for s in pool.all_steps()]
         assert before == after
 
@@ -319,7 +357,7 @@ class TestAugmentation:
 
     def test_actions_and_returns_never_touched(self):
         pool = self._pool()
-        out = augment(pool, jitter_range=5, noise_sigma=0.5, dropout_prob=0.3, seed=3)
+        out = augment(pool, noise_sigma=0.5, dropout_prob=0.3, seed=3)
         for a, b in zip(pool.all_steps(), out.all_steps()):
             assert a.action == b.action
             assert a.ret == b.ret
@@ -330,21 +368,12 @@ class TestAugmentation:
         frac = np.mean([s.masked for s in out.all_steps()])
         assert 0.3 < frac < 0.7
 
-    def test_jitter_shifts_whole_trajectory_uniformly(self):
-        pool = self._pool()
-        out = augment(pool, jitter_range=10, seed=5)
-        for traj in out.trajectories:
-            ts = [s.timestep for s in traj]
-            assert ts == list(range(ts[0], ts[0] + len(ts)))
-
     def test_boundary_validation(self):
         pool = self._pool()
         with pytest.raises(PoolError):
             augment(pool, noise_sigma=-0.1)
         with pytest.raises(PoolError):
             augment(pool, dropout_prob=1.5)
-        with pytest.raises(PoolError):
-            augment(pool, jitter_range=-1)
 
     def test_deterministic_per_seed(self):
         pool = self._pool()

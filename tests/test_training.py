@@ -90,7 +90,7 @@ class TestWindowDataset:
     def loop_batches(pool, window, batch_size, seed):
         """The per-pick loop WindowDataset.sample replaced: one scalar draw
         per window, then a copy of each window's slices into zeroed rows."""
-        trajs = [(t.returns, t.states, t.actions, t.step_timesteps(),
+        trajs = [(t.returns, t.states, t.actions, np.arange(len(t)),
                   (~t.step_masked()).astype(np.float64)) for t in pool.trajectories]
         index = [(ti, t) for ti, tr in enumerate(trajs) for t in range(len(tr[0]))]
         rng = np.random.default_rng(seed)
@@ -111,13 +111,11 @@ class TestWindowDataset:
     @pytest.mark.parametrize("batch_size,window", [(1, 4), (5, 3), (32, 8), (64, 20)])
     def test_sample_matches_the_per_pick_loop(self, seed, batch_size, window):
         """Same batches, dtypes and rng stream as the loop, with trajectories
-        of uneven length (some shorter than the window), masked steps and
-        explicit timesteps."""
+        of uneven length (some shorter than the window) and masked steps."""
         pool = make_pool(n_traj=3, steps=6, seed=seed)
         pool.trajectories.append(make_pool(n_traj=1, steps=2, seed=seed + 1).trajectories[0])
         pool.trajectories.append(make_pool(n_traj=1, steps=25, seed=seed + 2).trajectories[0])
         pool.trajectories[1].masked = np.arange(6) % 4 == 1
-        pool.trajectories[4].timesteps = np.arange(25, dtype=np.int64) * 3 + 5
         want, want_next = self.loop_batches(pool, window, batch_size, seed)
         rng = np.random.default_rng(seed)
         got = WindowDataset(pool, window).sample(batch_size, rng)
@@ -215,8 +213,9 @@ class TestTrainEpoch:
         for traj in pool.trajectories:
             traj.states[:] = 0.5
             traj.returns[:] = 1.0
-            traj.timesteps = np.zeros(len(traj), dtype=np.int64)  # no trajectory fingerprint to memorize
         m = tiny_model(window=1)
+        # the time table starts at zero; frozen, it gives no step index to memorize
+        m.params["W_time"].requires_grad = False
         cfg = TrainConfig(epochs=1, batch_size=16, lr=0.2, window=1,
                           batches_per_epoch=20)
         ds = WindowDataset(pool, window=1)
