@@ -7,9 +7,9 @@ model conditioned on the live decision history.
 
 compare() reports robust deltas (median / IQR) and a two-sample KS statistic
 between delay distributions.  diagnose() runs lyapunov_drift over the
-steady-state Classic delay trace of a finished world or of its stats
-document, and backs the `diagnose` CLI command; lipschitz_estimate is a
-library-only probe that no CLI command calls.
+steady-state Classic delay trace of a stats document, and backs the
+`diagnose` CLI command; lipschitz_estimate is a library-only probe that no
+CLI command calls.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .features import ACTION_COUNT, ACTION_MARK, STATE_DIM
 from .model import InferencePolicy, load_checkpoint
-from .pool import PoolError, klog_states, normalize
+from .pool import compute_reward, klog_states, normalize
 from .simulator import ScenarioConfig, World, applied_action, fixed_probs, run_scenario
 
 STATS_FORMAT_VERSION = 2           # 2 added the time-ordered Classic delay trace
@@ -55,11 +55,12 @@ class LlmEvery:
     """Route every n-th AQM decision through the checkpoint's policy, run as
     a `model.InferencePolicy` snapshot (`self.model`).
 
-    Keeps the last `window` decisions' klog fields and applied actions, and
-    at a model decision builds the window the pool would hold for them:
-    states through `pool.klog_states`, normalised with the checkpoint's
-    feature statistics, the decision index as the timestep, and the return
-    channel pinned to the training-time target return.  Model marks on
+    Keeps the klog fields and applied actions of the last `window`
+    decisions (the model's context window), and at a model decision builds
+    the window the pool would hold for them: states through
+    `pool.klog_states`, normalised with the checkpoint's feature
+    statistics, the decision index as the timestep, and the return channel
+    pinned to the training-time target return.  Model marks on
     not-ECN-capable packets are downgraded to drops by the simulator and
     counted here as violations.
 
@@ -87,7 +88,7 @@ class LlmEvery:
         self.feature_stats = {key: np.asarray(value) for key, value in stats.items()}
         self.model = InferencePolicy(model)
         self.target_return = float(extra.get("target_return", 1.0))
-        self.window = int(extra.get("window", self.model.config.context_window))
+        self.window = model.config.context_window
         self._fields = deque(maxlen=self.window)        # klog_states input per decision
         self._actions = deque(maxlen=self.window - 1)   # applied action of the earlier ones
         self._last_drops = {}
@@ -224,12 +225,7 @@ def collect_stats(world: World, driver) -> dict:
     packet_length, queue_delay_us, actions = (
         np.fromiter(map(operator.attrgetter(name), world.records), np.int64, len(world.records))
         for name in ("packet_length", "current_queue_delay", "dequeue_action"))
-    # compute_reward's checks and arithmetic, over the whole run at once
-    if (packet_length <= 0).any():
-        raise PoolError("packet_length must be > 0")
-    if (queue_delay_us < 0).any():
-        raise PoolError("queue_delay must be >= 0")
-    rewards = packet_length / (queue_delay_us // 1000 + 1.0)
+    rewards = compute_reward(packet_length, queue_delay_us // 1000)
     util = utilization(world.delivered, world.config.duration_us,
                        world.params.link_rate_bps, skip_us=skip)
     counts = np.bincount(actions, minlength=ACTION_COUNT).tolist()
@@ -354,18 +350,12 @@ def lipschitz_estimate(block, pairs):
     return {"constant": best, "pairs_used": used, "expansive": best >= 1.0}
 
 
-def diagnose(world_or_doc, target_ms) -> dict:
+def diagnose(doc, target_ms) -> dict:
     """Lyapunov drift of the steady-state Classic queue delay, in time order,
-    for a finished World or the stats document `collect_stats` made of it."""
-    if isinstance(world_or_doc, World):
-        skip = _steady_state_skip(world_or_doc)
-        trace = [s / 1000.0 for t, qc, s in world_or_doc.qdelay_samples
-                 if t >= skip and qc == 0]
-    elif "trace" in world_or_doc:
-        trace = world_or_doc["trace"]["delay_ms"]
-    else:
+    from the trace of a stats document that `collect_stats` made."""
+    if "trace" not in doc:
         raise EvalError("stats document has no delay trace (format_version "
-                        f"{world_or_doc.get('format_version', 1)}); re-run `aqmlab evaluate`")
-    drift = lyapunov_drift(trace, target_ms)
+                        f"{doc.get('format_version', 1)}); re-run `aqmlab evaluate`")
+    drift = lyapunov_drift(doc["trace"]["delay_ms"], target_ms)
     drift.pop("drifts")
     return {"lyapunov": drift, "target_ms": target_ms}

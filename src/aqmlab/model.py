@@ -32,8 +32,9 @@ from . import tensor as T
 from .features import ACTION_COUNT, DEFAULT_CONV_FEATURES, STATE_DIM, STATE_FEATURES
 from .tensor import Tensor
 
-CHECKPOINT_VERSION = 2   # v1 stored the encoder per feature (enc{i}_*, embed{i}_*)
+CHECKPOINT_VERSION = 3   # 3 keeps no frozen list; versions 1 and 2 are refused
 TOKENS_PER_STEP = 1 + STATE_DIM + 1   # return, 8 state features, action
+LORA_TARGETS = ("q", "v")   # the attention projections that enable_lora wraps
 
 
 class CheckpointError(RuntimeError):
@@ -42,8 +43,6 @@ class CheckpointError(RuntimeError):
 
 @dataclass
 class ModelConfig:
-    state_dim: int = STATE_DIM
-    action_count: int = ACTION_COUNT
     feature_dim: int = 8
     embed_size: int = 32
     n_layers: int = 1
@@ -52,8 +51,6 @@ class ModelConfig:
     max_timestep: int = 4096
     conv_kernel_sizes: tuple = (3, 5, 7)
     lora_rank: int = 4
-    lora_targets: tuple = ("attn_q", "attn_v")
-    residual_flag: bool = True
     conv_features: tuple = DEFAULT_CONV_FEATURES
     dtype: str = "float32"
 
@@ -62,8 +59,6 @@ class ModelConfig:
             raise ValueError("embed_size must be divisible by n_heads")
         if self.context_window < 1:
             raise ValueError("context_window must be >= 1")
-        if self.action_count != ACTION_COUNT:
-            raise ValueError("action_count must be 3")
         unknown = set(self.conv_features) - set(STATE_FEATURES)
         if unknown:
             raise ValueError(f"unknown conv features: {unknown}")
@@ -97,37 +92,6 @@ def _init(rng, shape, scale, dtype):
 
 def _zeros(shape, dtype):
     return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-
-def _stack_encoder(per_feature, config):
-    """Stacked encoder arrays from the per-feature ones of checkpoint v1.
-
-    Scalar feature j (in STATE_FEATURES order among the scalar ones) is row j
-    of enc_scalar_*; conv feature c is row c of enc_conv{k}_* and enc_proj_*,
-    with each v1 kernel [fd, 1, k] stored as [k, fd]; embed_* keeps all 8.
-    """
-    mask = config.scalar_feature_mask()
-    scalar = [i for i in range(config.state_dim) if mask[i]]
-    conv = [i for i in range(config.state_dim) if not mask[i]]
-
-    def stack(fmt, rows, view=lambda a: a):
-        # C order, as every other parameter: the transposed kernel views
-        # would otherwise stack into a Fortran-ordered array
-        return np.ascontiguousarray(np.stack([view(per_feature[fmt.format(i)]) for i in rows]))
-
-    out = {}
-    if scalar:
-        out["enc_scalar_W"] = stack("enc{}_W", scalar, lambda a: a[0])
-        out["enc_scalar_b"] = stack("enc{}_b", scalar)
-    if conv:
-        for k in config.conv_kernel_sizes:
-            out[f"enc_conv{k}_K"] = stack(f"enc{{}}_convk{k}_K", conv, lambda a: a[:, 0, :].T)
-            out[f"enc_conv{k}_b"] = stack(f"enc{{}}_convk{k}_b", conv)
-        out["enc_proj_W"] = stack("enc{}_proj_W", conv)
-        out["enc_proj_b"] = stack("enc{}_proj_b", conv)
-    out["embed_W"] = stack("embed{}_W", range(config.state_dim))
-    out["embed_b"] = stack("embed{}_b", range(config.state_dim))
-    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -186,23 +150,33 @@ class PolicyModel:
             self.params[name] = t
             return t
 
-        # drawn per feature in v1 order, so a seed gives the same initial
-        # values as the per-feature layout did
-        per_feature = {}
-        for i, name in enumerate(STATE_FEATURES):
+        ks, nk = config.conv_kernel_sizes, len(config.conv_kernel_sizes)
+        ns, nc = self._scalar_idx.size, self._conv_idx.size
+        enc = {}
+        if ns:
+            enc["enc_scalar_W"] = np.empty((ns, fd), dtype=dt)
+            enc["enc_scalar_b"] = np.zeros((ns, fd), dtype=dt)
+        if nc:
+            for k in ks:
+                enc[f"enc_conv{k}_K"] = np.empty((nc, k, fd), dtype=dt)
+                enc[f"enc_conv{k}_b"] = np.zeros((nc, fd), dtype=dt)
+            enc["enc_proj_W"] = np.empty((nc, nk * fd, fd), dtype=dt)
+            enc["enc_proj_b"] = np.zeros((nc, fd), dtype=dt)
+        enc["embed_W"] = np.empty((STATE_DIM, fd, d), dtype=dt)
+        enc["embed_b"] = np.zeros((STATE_DIM, d), dtype=dt)
+        # one feature after another in STATE_FEATURES order, its encoder and
+        # then its embedding, so a seed keeps the initial values it has
+        # always given; j is the feature's row within its group
+        group_row = np.where(scalar_mask, np.cumsum(scalar_mask), np.cumsum(~scalar_mask)) - 1
+        for i, j in enumerate(group_row):
             if scalar_mask[i]:
-                per_feature[f"enc{i}_W"] = _draw(rng, (1, fd), 0.5, dt)
-                per_feature[f"enc{i}_b"] = np.zeros(fd, dtype=dt)
+                enc["enc_scalar_W"][j] = _draw(rng, fd, 0.5, dt)
             else:
-                for k in config.conv_kernel_sizes:
-                    per_feature[f"enc{i}_convk{k}_K"] = _draw(rng, (fd, 1, k), 0.5 / math.sqrt(k), dt)
-                    per_feature[f"enc{i}_convk{k}_b"] = np.zeros(fd, dtype=dt)
-                nk = len(config.conv_kernel_sizes)
-                per_feature[f"enc{i}_proj_W"] = _draw(rng, (nk * fd, fd), 1.0 / math.sqrt(nk * fd), dt)
-                per_feature[f"enc{i}_proj_b"] = np.zeros(fd, dtype=dt)
-            per_feature[f"embed{i}_W"] = _draw(rng, (fd, d), 1.0 / math.sqrt(fd), dt)
-            per_feature[f"embed{i}_b"] = np.zeros(d, dtype=dt)
-        for name, arr in _stack_encoder(per_feature, config).items():
+                for k in ks:
+                    enc[f"enc_conv{k}_K"][j] = _draw(rng, (fd, k), 0.5 / math.sqrt(k), dt).T
+                enc["enc_proj_W"][j] = _draw(rng, (nk * fd, fd), 1.0 / math.sqrt(nk * fd), dt)
+            enc["embed_W"][i] = _draw(rng, (fd, d), 1.0 / math.sqrt(fd), dt)
+        for name, arr in enc.items():
             add(name, Tensor(arr, requires_grad=True))
 
         add("W_return", _init(rng, (1, d), 0.5, dt))
@@ -229,8 +203,8 @@ class PolicyModel:
             add(f"blk{l}_ffn_W2", _init(rng, (4 * d, d), 1.0 / math.sqrt(4 * d), dt))
             add(f"blk{l}_ffn_b2", _zeros((d,), dt))
 
-        add("head_W", _init(rng, (d, config.action_count), s, dt))
-        add("head_b", _zeros((config.action_count,), dt))
+        add("head_W", _init(rng, (d, ACTION_COUNT), s, dt))
+        add("head_b", _zeros((ACTION_COUNT,), dt))
 
     # ------------------------------------------------------------------ LoRA
 
@@ -241,8 +215,7 @@ class PolicyModel:
         out = []
         if self.lora_enabled:
             for l in range(self.config.n_layers):
-                for tgt in self.config.lora_targets:
-                    w = tgt.split("_")[1]
+                for w in LORA_TARGETS:
                     out.append(f"blk{l}_attn_{w}_W")
         return out
 
@@ -266,8 +239,7 @@ class PolicyModel:
             for name in list(self.params):
                 if name.startswith(f"blk{l}_"):
                     self.params[name].requires_grad = False
-            for tgt in cfg.lora_targets:
-                w = tgt.split("_")[1]
+            for w in LORA_TARGETS:
                 base = self.params[f"blk{l}_attn_{w}_W"]
                 d_in, d_out = base.shape
                 if rank >= min(d_in, d_out):
@@ -331,8 +303,8 @@ class PolicyModel:
         """
         cfg, p = self.config, self.params
         states = np.asarray(states, dtype=cfg.np_dtype)
-        if states.ndim != 3 or states.shape[2] != cfg.state_dim:
-            raise T.TensorError(f"encode_state expects [batch, w, {cfg.state_dim}], got {states.shape}")
+        if states.ndim != 3 or states.shape[2] != STATE_DIM:
+            raise T.TensorError(f"encode_state expects [batch, w, {STATE_DIM}], got {states.shape}")
         groups = []
         if self._scalar_idx.size:
             x = Tensor(states[:, :, self._scalar_idx, None])           # [b, w, ns, 1]
@@ -432,8 +404,7 @@ class PolicyModel:
             x = self._attention_block(x, cfg.n_layers - 1, bias, rows=positions)   # [b, w, d]
         else:
             x = T.select_positions(x, positions)
-        if cfg.residual_flag:
-            x = x + T.select_positions(raw_tokens, positions)
+        x = x + T.select_positions(raw_tokens, positions)
         return T.linear(x, self.params["head_W"], self.params["head_b"])
 
     def action_distributions(self, logits):
@@ -560,7 +531,7 @@ class InferencePolicy:
         actions = np.asarray(actions, dtype=dt)
         timesteps = np.asarray(timesteps, dtype=np.int64)
         b, w = returns.shape
-        if states.shape != (b, w, cfg.state_dim) or actions.shape != (b, w) \
+        if states.shape != (b, w, STATE_DIM) or actions.shape != (b, w) \
                 or timesteps.shape != (b, w):
             raise T.TensorError("window length mismatch across modalities")
         kmax, n = self._kmax, w * TOKENS_PER_STEP - 1    # n: up to the newest head row
@@ -581,11 +552,8 @@ class InferencePolicy:
         bias = _attention_bias(pad_mask, n, dt)
         for l, blk in enumerate(self._blocks):
             x = self._block(x, blk, bias, last=l == cfg.n_layers - 1)
-        x = x[:, -1]
-        if cfg.residual_flag:
-            x = x + raw[:, -1]
         W, c = self._head
-        logits = x @ W + c
+        logits = (x[:, -1] + raw[:, -1]) @ W + c
         probs = _softmax64(logits)
         return [ActionDistribution(logits[i], probs[i]) for i in range(b)]
 
@@ -598,10 +566,9 @@ def save_checkpoint(model: PolicyModel, path, feature_stats=None, extra=None):
         "version": CHECKPOINT_VERSION,
         "config": {**dataclasses.asdict(model.config),
                    "conv_kernel_sizes": list(model.config.conv_kernel_sizes),
-                   "lora_targets": list(model.config.lora_targets),
                    "conv_features": list(model.config.conv_features)},
+        # loading re-runs enable_lora, which freezes what it froze before saving
         "lora_enabled": model.lora_enabled,
-        "frozen": sorted(n for n, p in model.params.items() if not p.requires_grad),
         "feature_stats": feature_stats,
         "extra": extra or {},
     }
@@ -611,25 +578,32 @@ def save_checkpoint(model: PolicyModel, path, feature_stats=None, extra=None):
         np.savez(fh, **arrays)
 
 
+def _stored_config(cfg_d):
+    """The ModelConfig a checkpoint's meta describes, or CheckpointError."""
+    try:
+        return ModelConfig(**{**cfg_d,
+                              "conv_kernel_sizes": tuple(cfg_d["conv_kernel_sizes"]),
+                              "conv_features": tuple(cfg_d["conv_features"])})
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"the stored model config does not build a model: {e}") from e
+
+
 def load_checkpoint(path):
     """Returns (model, feature_stats, extra); bit-exact parameter round trip."""
     try:
         with np.load(path, allow_pickle=False) as z:
             meta = json.loads(bytes(z["__meta__"]).decode())
             version = meta.get("version")
-            if version not in (1, CHECKPOINT_VERSION):
+            if version in (1, 2):
+                raise CheckpointError(f"{path} is a version-{version} checkpoint, a layout this "
+                                      f"release no longer reads; retrain it with `aqmlab train`")
+            if version != CHECKPOINT_VERSION:
                 raise CheckpointError(f"unsupported checkpoint version {version}")
-            cfg_d = meta["config"]
-            cfg = ModelConfig(**{**cfg_d,
-                                 "conv_kernel_sizes": tuple(cfg_d["conv_kernel_sizes"]),
-                                 "lora_targets": tuple(cfg_d["lora_targets"]),
-                                 "conv_features": tuple(cfg_d["conv_features"])})
+            cfg = _stored_config(meta["config"])
             model = PolicyModel(cfg, seed=0)
             if meta["lora_enabled"]:
                 model.enable_lora(rank=cfg.lora_rank)
             saved = {key[len("param::"):]: z[key] for key in z.files if key.startswith("param::")}
-            if version == 1:
-                saved.update(_stack_encoder(saved, cfg))
             for name, param in model.params.items():
                 if name not in saved:
                     raise CheckpointError(f"missing parameter {name}")
@@ -639,11 +613,6 @@ def load_checkpoint(path):
                         f"parameter {name} is {got.dtype}{list(got.shape)}, but the stored "
                         f"config builds {want.dtype}{list(want.shape)}")
                 param.data = got
-            for name in meta["frozen"]:
-                model.params[name].requires_grad = False
-    except (OSError, ValueError, KeyError, json.JSONDecodeError,
-            io.UnsupportedOperation, zipfile.BadZipFile) as e:
-        if isinstance(e, CheckpointError):
-            raise
+    except (OSError, ValueError, KeyError, io.UnsupportedOperation, zipfile.BadZipFile) as e:
         raise CheckpointError(f"corrupt checkpoint {path}: {e}") from e
     return model, meta.get("feature_stats"), meta.get("extra", {})

@@ -37,11 +37,13 @@ class PoolError(ValueError):
     pass
 
 
-def compute_reward(packet_length: int, queue_delay_ms: float) -> float:
-    """pkt_len / (qdelay + 1): throughput up, latency down, no zero-delay pole."""
-    if packet_length <= 0:
+def compute_reward(packet_length, queue_delay_ms):
+    """pkt_len / (qdelay + 1), element-wise over arrays or scalars: throughput
+    up, latency down, no zero-delay pole."""
+    packet_length, queue_delay_ms = np.asarray(packet_length), np.asarray(queue_delay_ms)
+    if (packet_length <= 0).any():
         raise PoolError("packet_length must be > 0")
-    if queue_delay_ms < 0:
+    if (queue_delay_ms < 0).any():
         raise PoolError("queue_delay must be >= 0")
     return packet_length / (queue_delay_ms + 1.0)
 
@@ -242,10 +244,7 @@ def trajectory_from_columns(cols, gamma) -> Trajectory:
     if cols.ndim != 2 or cols.shape[1] != len(KLOG_FIELDS):
         raise PoolError(f"expected [N, {len(KLOG_FIELDS)}] klog columns, got {cols.shape}")
     c = {name: cols[:, i] for name, i in _COLUMN.items()}
-    if (c["packet_length"] <= 0).any():
-        raise PoolError("packet_length must be > 0")
-    if (c["current_queue_delay"] < 0).any():
-        raise PoolError("queue_delay must be >= 0")
+    rewards = compute_reward(c["packet_length"], c["current_queue_delay"] // 1000)
     if not np.isin(c["dequeue_action"], np.arange(ACTION_COUNT)).all():
         raise PoolError("dequeue_action must be 0/1/2")
 
@@ -254,7 +253,6 @@ def trajectory_from_columns(cols, gamma) -> Trajectory:
         idx = np.flatnonzero(c["queue_type"] == qt)
         drops_delta[idx[1:]] = np.diff(c["total_drops"][idx])
     states = klog_states(np.column_stack([c[name] for name in STATE_FEATURES]))
-    rewards = c["packet_length"] / (c["current_queue_delay"] // 1000 + 1.0)
     return Trajectory(rewards, states, c["dequeue_action"].copy(),
                       returns_to_go(rewards.tolist(), gamma))
 

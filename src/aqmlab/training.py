@@ -2,9 +2,9 @@
 
 Windows of w consecutive (return-to-go, state, action) steps are sampled
 uniformly over trajectory end-positions, short histories left-padded and
-masked.  Loss is cross-entropy over all unmasked prediction positions;
-updates go through gradient accumulation and global-norm clipping into plain
-SGD.  Train/eval split is by trajectory, never by step.
+masked.  Loss is cross-entropy over all unmasked prediction positions; each
+step is one sampled batch, its update clipped to a global norm in plain SGD.
+Train/eval split is by trajectory, never by step.
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ class TrainError(ValueError):
 class TrainConfig:
     epochs: int = 50
     batch_size: int = 32
-    accumulation_steps: int = 1
     lr: float = 0.5
     clip_norm: float = 1.0
     gamma: float = 0.95
-    window: int = 8
+    window: int = 8   # must equal the model's context_window
     seed: int = 0
     eval_split: float = 0.2
     batches_per_epoch: int = 0   # 0 = cover every end-position once per epoch
@@ -142,29 +141,22 @@ def _batch_loss(model, batch):
 
 
 def train_epoch(model: PolicyModel, dataset: WindowDataset, cfg: TrainConfig, rng):
-    """One pass of accumulate -> clip -> step updates; returns a report row."""
+    """One pass of sample -> backward -> clip -> step updates; returns a
+    report row."""
     params = list(model.params.values())
     n_batches = cfg.batches_per_epoch or max(1, len(dataset) // cfg.batch_size)
     losses, hits, total, norms = [], 0, 0, []
     t0 = time.perf_counter()
     for _ in range(n_batches):
         T.zero_grads(params)
-        micro_losses = []
-        for _ in range(cfg.accumulation_steps):
-            loss, preds, tgts = _batch_loss(model, dataset.sample(cfg.batch_size, rng))
-            if not np.isfinite(loss.data):
-                raise T.OptimizerFault("non-finite loss; epoch aborted")
-            loss.backward()
-            micro_losses.append(float(loss.data))
-            hits += int(np.sum(preds == tgts))
-            total += len(tgts)
-        if cfg.accumulation_steps > 1:
-            scale = 1.0 / cfg.accumulation_steps
-            for p in params:
-                if p.grad is not None:
-                    p.grad = p.grad * scale
+        loss, preds, tgts = _batch_loss(model, dataset.sample(cfg.batch_size, rng))
+        if not np.isfinite(loss.data):
+            raise T.OptimizerFault("non-finite loss; epoch aborted")
+        loss.backward()
+        hits += int(np.sum(preds == tgts))
+        total += len(tgts)
         norms.append(T.sgd_step(params, cfg.lr, cfg.clip_norm))
-        losses.append(float(np.mean(micro_losses)))
+        losses.append(float(loss.data))
     return {
         "mean_loss": float(np.mean(losses)),
         "mean_accuracy": hits / max(1, total),
@@ -232,19 +224,21 @@ def target_return(pool: ExperiencePool, percentile: float) -> float:
     return float(np.percentile(_all_returns(pool), percentile))
 
 
-def train(model: PolicyModel, pool: ExperiencePool, cfg: TrainConfig,
-          checkpoint_path=None, feature_stats=None, log=None):
+def train(model: PolicyModel, pool: ExperiencePool, cfg: TrainConfig, checkpoint_path=None):
     """Full training run; saves the best-eval-accuracy checkpoint.
 
     States and returns are normalized here (training-set statistics would
     leak nothing extra at this scale; stats come from the whole pool) and
     the scalers travel inside the checkpoint so closed-loop evaluation can
-    transform live inputs identically.
+    transform live inputs identically.  The window is the model's context
+    window, which the checkpoint's config carries.
     """
     if abs(pool.gamma - cfg.gamma) > 1e-12:
         raise TrainError(f"config gamma {cfg.gamma} != pool gamma {pool.gamma}")
-    pool, stats = normalize_states(pool)  # near-identity if already normalized
-    feature_stats = feature_stats or stats
+    if cfg.window != model.config.context_window:
+        raise TrainError(f"config window {cfg.window} != the model's context_window "
+                         f"{model.config.context_window}")
+    pool, feature_stats = normalize_states(pool)  # near-identity if already normalized
     rets = _all_returns(pool)
     r_mean, r_std = float(rets.mean()), float(max(rets.std(), 1e-9))
     # new arrays: normalize_states shares the returns with the caller's pool
@@ -256,8 +250,7 @@ def train(model: PolicyModel, pool: ExperiencePool, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed)
 
     report = TrainReport()
-    extra = {"target_return": target_return(pool, TARGET_RETURN_PERCENTILE),
-             "window": cfg.window, "gamma": cfg.gamma,
+    extra = {"target_return": target_return(pool, TARGET_RETURN_PERCENTILE), "gamma": cfg.gamma,
              "return_mean": r_mean, "return_std": r_std}
     for epoch in range(cfg.epochs):
         row = train_epoch(model, train_ds, cfg, rng)
@@ -268,9 +261,6 @@ def train(model: PolicyModel, pool: ExperiencePool, cfg: TrainConfig,
         # accuracy alone hides a policy that answers the majority class
         row["eval_recall"] = class_recall(confusion)
         report.rows.append(row)
-        if log:
-            log(f"epoch {epoch}: loss={row['mean_loss']:.4f} "
-                f"acc={row['mean_accuracy']:.3f} eval={row['eval_accuracy']:.3f}")
         if row["eval_accuracy"] >= report.best_eval_accuracy:
             report.best_eval_accuracy = row["eval_accuracy"]
             report.best_epoch = epoch

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from aqmlab.features import (
-    ACTION_DROP, ACTION_ENQUEUE, ACTION_MARK, FEATURE_INDEX, STATE_DIM,
+    ACTION_COUNT, ACTION_DROP, ACTION_ENQUEUE, ACTION_MARK, FEATURE_INDEX, STATE_DIM,
 )
 from aqmlab import tensor as T
 from aqmlab.tensor import Tensor, grad_check
 from aqmlab.model import (
-    InferencePolicy, ModelConfig, PolicyModel, TOKENS_PER_STEP, load_checkpoint,
+    LORA_TARGETS, InferencePolicy, ModelConfig, PolicyModel, TOKENS_PER_STEP, load_checkpoint,
 )
 from aqmlab.pool import (
     ExperiencePool, build_pool_from_records, returns_to_go,
@@ -101,7 +101,7 @@ def batch_for(model, batch=2, seed=0):
     w = cfg.context_window
     R = rng.normal(size=(batch, w))
     S = rng.normal(size=(batch, w, STATE_DIM))
-    A = rng.integers(0, cfg.action_count, size=(batch, w)).astype(float)
+    A = rng.integers(0, ACTION_COUNT, size=(batch, w)).astype(float)
     Ts = np.tile(np.arange(w), (batch, 1))
     return R, S, A, Ts
 
@@ -171,7 +171,7 @@ class TestGradientChecks:
 
         def full_loss():
             logits = model.forward(R, S, A, Ts)
-            flat = logits.reshape(4, model.config.action_count)
+            flat = logits.reshape(4, ACTION_COUNT)
             return T.cross_entropy(flat, targets.reshape(-1))
 
         params = list(model.params.values())
@@ -231,7 +231,7 @@ class TestLora:
         lora_total = sum(model.params[n].data.size
                          for n in model.lora_param_names())
         d = model.config.embed_size
-        n_adapted = model.config.n_layers * len(model.config.lora_targets)
+        n_adapted = model.config.n_layers * len(LORA_TARGETS)
         assert lora_total == n_adapted * rank * (d + d)
 
 

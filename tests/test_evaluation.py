@@ -25,7 +25,7 @@ def tiny_checkpoint(path, seed=0, window=4):
     cfg = ModelConfig(feature_dim=2, embed_size=8, n_layers=1, n_heads=2,
                       context_window=window, max_timestep=64)
     save_checkpoint(PolicyModel(cfg, seed=seed), path, feature_stats=IDENTITY_STATS,
-                    extra={"target_return": 1.0, "window": window})
+                    extra={"target_return": 1.0})
     return str(path)
 
 
@@ -197,7 +197,7 @@ class TestClosedLoopEval:
     def test_diagnose_on_converged_run(self):
         from aqmlab.simulator import run_scenario
         world = run_scenario(default_scenario(seed=2, duration_us=8_000_000))
-        out = ev.diagnose(world, target_ms=15.0)
+        out = ev.diagnose(ev.collect_stats(world, RuleBased()), target_ms=15.0)
         assert "lyapunov" in out
         assert np.isfinite(out["lyapunov"]["mean_drift"])
         assert 0.0 <= out["lyapunov"]["negative_fraction"] <= 1.0
@@ -205,7 +205,7 @@ class TestClosedLoopEval:
     def test_diagnose_on_short_run(self):
         """A run of 5 s or less keeps half its samples, as collect_stats does."""
         world = run_scenario(default_scenario(seed=1, duration_us=4_000_000))
-        out = ev.diagnose(world, target_ms=15.0)
+        out = ev.diagnose(ev.collect_stats(world, RuleBased()), target_ms=15.0)
         assert np.isfinite(out["lyapunov"]["mean_drift"])
 
 
@@ -275,7 +275,8 @@ class TestCollectStats:
 class TestDiagnoseCli:
     def test_cli_drift_equals_diagnose_of_the_run(self, tmp_path, capsys):
         """`aqmlab diagnose` reads the stats document's time-ordered Classic
-        delay trace, so it reports what diagnose(world) does for the run."""
+        delay trace, so it reports what diagnose gives for the run's own
+        stats."""
         from aqmlab import cli
         doc_path = tmp_path / "rule.json"
         assert cli.main(["evaluate", "--seed", "1", "--duration", "4", "-o", str(doc_path)]) == 0
@@ -284,12 +285,13 @@ class TestDiagnoseCli:
         t_us = doc["trace"]["t_us"]
         assert len(t_us) == len(doc["trace"]["delay_ms"]) > 2
         assert t_us == sorted(t_us) and t_us[0] >= doc["header"]["steady_state_skip_us"]
-        world = run_scenario(default_scenario(seed=1, duration_us=4_000_000))
+        run_doc = ev.collect_stats(run_scenario(default_scenario(seed=1, duration_us=4_000_000)),
+                                   RuleBased())
         for target in (0.0, 1000.0):
             capsys.readouterr()
             assert cli.main(["diagnose", str(doc_path), "--target-ms", str(target)]) == 0
             out = json.loads(capsys.readouterr().out)
-            assert out == ev.diagnose(world, target)
+            assert out == ev.diagnose(run_doc, target)
             # sorted quantiles would give 0 or 1 here, whatever the run did
             assert 0.0 < out["lyapunov"]["negative_fraction"] < 1.0
 
@@ -389,7 +391,7 @@ class TestLlmEveryGolden:
                           context_window=8, dtype="float64")
         path = tmp_path_factory.mktemp("golden") / "m.npz"
         save_checkpoint(PolicyModel(cfg, seed=5), path, feature_stats=compute_feature_stats(pool),
-                        extra={"target_return": 1.5, "window": 8})
+                        extra={"target_return": 1.5})
         return str(path)
 
     @pytest.mark.parametrize("every", [1, 10])

@@ -3,25 +3,17 @@ the fused state encoder, inference without a graph and the plain-numpy
 inference policy."""
 
 import json
-import pathlib
 
 import numpy as np
 import pytest
 
 from aqmlab import tensor as T
-from aqmlab.features import STATE_FEATURES
+from aqmlab.features import ACTION_COUNT, STATE_DIM, STATE_FEATURES
 from aqmlab.model import (
     CHECKPOINT_VERSION, TOKENS_PER_STEP, CheckpointError, InferencePolicy, ModelConfig,
     PolicyModel, load_checkpoint, save_checkpoint,
 )
 from aqmlab.tensor import Tensor
-
-# A checkpoint in the version-1 layout (one enc{i}_* / embed{i}_* set per
-# feature): PolicyModel(ModelConfig(feature_dim=4, embed_size=8, n_layers=1,
-# n_heads=2, context_window=4, max_timestep=8, dtype="float64"), seed=7),
-# untrained, saved by the v1 code.  extra["probe"] holds a fixed input and the
-# logits the v1 forward pass gave for it.
-V1_CHECKPOINT = pathlib.Path(__file__).parent / "data" / "policy_v1.npz"
 
 
 def small_config(**over):
@@ -35,8 +27,8 @@ def rand_batch(cfg, b=3, w=None, seed=0):
     w = w or cfg.context_window
     rng = np.random.default_rng(seed)
     R = rng.normal(size=(b, w))
-    S = rng.normal(size=(b, w, cfg.state_dim))
-    A = rng.integers(0, cfg.action_count, size=(b, w)).astype(float)
+    S = rng.normal(size=(b, w, STATE_DIM))
+    A = rng.integers(0, ACTION_COUNT, size=(b, w)).astype(float)
     ts = np.tile(np.arange(w), (b, 1))
     return R, S, A, ts
 
@@ -47,7 +39,7 @@ class TestShapes:
         m = PolicyModel(cfg, seed=0)
         R, S, A, ts = rand_batch(cfg)
         out = m.forward(R, S, A, ts)
-        assert out.shape == (3, cfg.context_window, cfg.action_count)
+        assert out.shape == (3, cfg.context_window, ACTION_COUNT)
 
     def test_sequence_has_ten_tokens_per_step(self):
         cfg = small_config()
@@ -77,7 +69,9 @@ class TestShapes:
         with pytest.raises(ValueError):
             small_config(embed_size=15)  # not divisible by heads
         with pytest.raises(ValueError):
-            small_config(action_count=4)
+            small_config(context_window=0)
+        with pytest.raises(ValueError):
+            small_config(conv_features=("queue_length",))
 
     def test_predict_returns_distribution(self):
         cfg = small_config()
@@ -332,6 +326,96 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_meta_holds_no_frozen_list(self, tmp_path):
+        """enable_lora freezes the backbone again at load, so the meta does
+        not list the frozen parameters a second time."""
+        m = PolicyModel(small_config(), seed=2)
+        m.enable_lora(rank=2)
+        path = tmp_path / "m.npz"
+        save_checkpoint(m, path)
+        meta = saved_meta(path)
+        assert meta["version"] == CHECKPOINT_VERSION == 3
+        assert "frozen" not in meta and "lora_targets" not in meta["config"]
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_earlier_versions_rejected_with_a_retrain_hint(self, tmp_path, version):
+        path = tmp_path / f"v{version}.npz"
+        save_checkpoint(PolicyModel(small_config(), seed=0), path)
+        rewrite_meta(path, version=version)
+        with pytest.raises(CheckpointError, match=f"version-{version} checkpoint.*`aqmlab train`"):
+            load_checkpoint(path)
+
+    def test_unknown_version_rejected(self, tmp_path):
+        path = tmp_path / "v9.npz"
+        save_checkpoint(PolicyModel(small_config(), seed=0), path)
+        rewrite_meta(path, version=9)
+        with pytest.raises(CheckpointError, match="version 9"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [{"residual_flag": True}, {"conv_kernel_sizes": 5}],
+                             ids=["unknown_key", "scalar_kernel_sizes"])
+    def test_config_that_builds_no_model_rejected(self, tmp_path, edit):
+        """A stored config ModelConfig cannot take is a CheckpointError, not a
+        raw TypeError."""
+        path = tmp_path / "m.npz"
+        save_checkpoint(PolicyModel(small_config(), seed=0), path)
+        rewrite_meta(path, config={**saved_meta(path)["config"], **edit})
+        with pytest.raises(CheckpointError, match="stored model config"):
+            load_checkpoint(path)
+
+
+def saved_meta(path):
+    with np.load(path) as z:
+        return json.loads(bytes(z["__meta__"]).decode())
+
+
+def rewrite_meta(path, **fields):
+    """Rewrite a saved checkpoint with the given meta fields replaced."""
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    meta = {**json.loads(bytes(arrays["__meta__"]).decode()), **fields}
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
+# parameter_digest() of untrained seeded models, taken before the encoder was
+# drawn straight into its stacked arrays: a seed must keep its initial values.
+GOLDEN_PARAMETER_DIGESTS = {
+    "cli_default/0": "c9a296af2491e91fff9c4cdd0f6f0ec99edfd3f24f251df1a2e39c29f0b44820",
+    "cli_default/5": "19ccd6b67866d8a037c6c515c16f0cb96ef34923af9cf5ff904f1c54a4ed5108",
+    "cli_default/7": "33adf89a35c850623421016e0a1fd7d909ea04e1ea12fe3bc70f3c2ba7017b4c",
+    "small_float64/0": "51335310ab4b7d568c86f2a6bab115b74f6c738fc1d177677a3a3a937b33bd09",
+    "small_float64/5": "468300c39452fab6bbebea5b67700f57bb68c7deace1ede7a50c2795d0beac01",
+    "small_float64/7": "23585c371dbdb6b2f401ca4a517be3a519e094d008c5399fd594d05ffe2b285e",
+    "all_scalar/0": "69c18f12fdc8bd94bebddb0e0aa7b5f9982b7f954dc03e732543a95fceadfab1",
+    "all_scalar/5": "0c5cc3614d4bd31669925cefb08ce45879210a0ff564795fb0b664eb28547a66",
+    "all_scalar/7": "965dce907c4c312b15ece310612df2b887344696d16e4ed55305f26616283b76",
+    "all_conv/0": "1750dc22782450d0b4f700e5e857153efe5c8c4651033a443ad4893601f57db1",
+    "all_conv/5": "f1e7ccbb6f62886e58aad9f1485de380180eca343599a65feab80053a67b6562",
+    "all_conv/7": "bd9e780a43129aec1afc9342f5838d1d04c52e3e6d177140f56001ff5fb99a83",
+    "kernels_2_4/0": "50b1276b93f61c0cbeae5579e5db0e11c495472a639bbc186ae6810ec67a3fa1",
+    "kernels_2_4/5": "c36a05a814b49bb58a2c73353530ce334e66d62f8a746765b176bf493d4c3ee2",
+    "kernels_2_4/7": "bb9f0a2455a8f74db46138c60d91b9f9c4476aeecf9245f075693944c8e8d935",
+}
+
+GOLDEN_CONFIGS = {
+    "cli_default": {},
+    "small_float64": dict(feature_dim=4, embed_size=16, n_layers=2, n_heads=2,
+                          context_window=6, max_timestep=64, dtype="float64"),
+    "all_scalar": dict(conv_features=()),
+    "all_conv": dict(conv_features=STATE_FEATURES),
+    "kernels_2_4": dict(conv_kernel_sizes=(2, 4)),
+}
+
+
+class TestSeededInit:
+    @pytest.mark.parametrize("key", sorted(GOLDEN_PARAMETER_DIGESTS))
+    def test_parameter_digest_golden(self, key):
+        name, seed = key.split("/")
+        m = PolicyModel(ModelConfig(**GOLDEN_CONFIGS[name]), seed=int(seed))
+        assert m.parameter_digest() == GOLDEN_PARAMETER_DIGESTS[key]
+        assert all(p.data.flags.c_contiguous for p in m.params.values())
+
 
 def bench_config(**over):
     """The CLI default model (one layer, embed 32, window 8)."""
@@ -355,7 +439,7 @@ def reference_encode_state(model, states):
 
     mask = cfg.scalar_feature_mask()
     outs, si, ci = [], 0, 0
-    for i in range(cfg.state_dim):
+    for i in range(STATE_DIM):
         col = Tensor(states[:, :, i:i + 1])
         if mask[i]:
             feat = T.linear(col, row("enc_scalar_W", si), row("enc_scalar_b", si).reshape(fd))
@@ -460,56 +544,6 @@ class TestInferenceWithoutGraph:
             np.testing.assert_array_equal(g_p[name], g_a[name], err_msg=name)
 
 
-class TestCheckpointV1:
-    def test_fixture_is_version_1(self):
-        with np.load(V1_CHECKPOINT) as z:
-            meta = json.loads(bytes(z["__meta__"]).decode())
-            assert meta["version"] == 1 and "param::enc0_W" in z.files
-        assert CHECKPOINT_VERSION == 2
-
-    def test_v1_checkpoint_reproduces_its_logits(self):
-        m, stats, extra = load_checkpoint(V1_CHECKPOINT)
-        probe = extra["probe"]
-        logits = m.forward(probe["returns"], np.array(probe["states"]), probe["actions"],
-                           np.array(probe["timesteps"]), pad_mask=np.array(probe["pad_mask"]))
-        np.testing.assert_allclose(logits.data, np.array(probe["logits"]), rtol=0, atol=1e-6)
-        assert stats is not None
-
-    def test_initial_parameters_unchanged_by_stacking(self):
-        """A seed draws its random numbers in the v1 order."""
-        loaded, _, extra = load_checkpoint(V1_CHECKPOINT)
-        fresh = PolicyModel(loaded.config, seed=extra["seed"])
-        assert list(fresh.params) == list(loaded.params)
-        for name, p in fresh.params.items():
-            assert p.data.dtype == loaded.params[name].data.dtype, name
-            assert p.data.tobytes() == loaded.params[name].data.tobytes(), name
-            assert p.data.flags.c_contiguous, name
-
-    def test_v1_resaves_as_current_version(self, tmp_path):
-        m, stats, extra = load_checkpoint(V1_CHECKPOINT)
-        path = tmp_path / "v2.npz"
-        save_checkpoint(m, path, feature_stats=stats, extra=extra)
-        with np.load(path) as z:
-            assert json.loads(bytes(z["__meta__"]).decode())["version"] == CHECKPOINT_VERSION
-            assert "param::embed_W" in z.files and "param::enc0_W" not in z.files
-        m2, _, _ = load_checkpoint(path)
-        for name, p in m.params.items():
-            np.testing.assert_array_equal(p.data, m2.params[name].data)
-
-    def test_unknown_version_rejected(self, tmp_path):
-        m = PolicyModel(small_config(), seed=0)
-        path = tmp_path / "v9.npz"
-        save_checkpoint(m, path)
-        with np.load(path) as z:
-            arrays = {k: z[k] for k in z.files}
-        meta = json.loads(bytes(arrays["__meta__"]).decode())
-        meta["version"] = 9
-        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(path, **arrays)
-        with pytest.raises(CheckpointError, match="version 9"):
-            load_checkpoint(path)
-
-
 class TestCachedMasks:
     def test_cached_bias_gives_bit_identical_logits(self, monkeypatch):
         """Cached causal bias and diagonal change nothing: with and without a
@@ -553,8 +587,7 @@ def full_rows_logits(model, R, S, A, ts, pad_mask):
     bias = np.where(np.eye(n, dtype=bool)[None, None], np.maximum(bias, -1e8), bias)
     for l in range(cfg.n_layers):
         x = model._attention_block(x, l, bias)
-    if cfg.residual_flag:
-        x = x + raw_tokens
+    x = x + raw_tokens
     sel = T.select_positions(x, np.arange(w) * TOKENS_PER_STEP + TOKENS_PER_STEP - 2)
     return T.linear(sel, p["head_W"], p["head_b"])
 
@@ -566,10 +599,9 @@ class TestHeadRowsOnly:
 
     @pytest.mark.parametrize("dtype,tol", [("float32", 1e-6), ("float64", 1e-12)])
     @pytest.mark.parametrize("lora", [False, True])
-    @pytest.mark.parametrize("residual", [True, False])
     @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
-    def test_matches_full_rows_reference(self, n_layers, residual, lora, dtype, tol):
-        cfg = bench_config(n_layers=n_layers, residual_flag=residual, dtype=dtype)
+    def test_matches_full_rows_reference(self, n_layers, lora, dtype, tol):
+        cfg = bench_config(n_layers=n_layers, dtype=dtype)
         pruned, ref = PolicyModel(cfg, seed=3), PolicyModel(cfg, seed=3)
         if lora:
             for m in (pruned, ref):
@@ -639,10 +671,9 @@ class TestInferencePolicy:
 
     @pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-12)])
     @pytest.mark.parametrize("lora", [False, True])
-    @pytest.mark.parametrize("residual", [True, False])
     @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
-    def test_matches_predict(self, n_layers, residual, lora, dtype, tol):
-        cfg = bench_config(n_layers=n_layers, residual_flag=residual, dtype=dtype)
+    def test_matches_predict(self, n_layers, lora, dtype, tol):
+        cfg = bench_config(n_layers=n_layers, dtype=dtype)
         assert_policy_matches_predict(perturbed_model(cfg, lora=lora), tol)
 
     @pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-12)])
@@ -658,18 +689,6 @@ class TestInferencePolicy:
     def test_other_kernel_sizes_and_heads(self):
         cfg = small_config(conv_kernel_sizes=(2, 4), n_heads=4, n_layers=2)
         assert_policy_matches_predict(perturbed_model(cfg), 1e-12)
-
-    def test_v1_fixture(self):
-        m, _, extra = load_checkpoint(V1_CHECKPOINT)
-        probe = extra["probe"]
-        args = (probe["returns"], np.array(probe["states"]), probe["actions"],
-                np.array(probe["timesteps"]))
-        pad = np.array(probe["pad_mask"])
-        got = InferencePolicy(m).predict(*args, pad_mask=pad)
-        want = m.predict(*args, pad_mask=pad)
-        for g, r, logged in zip(got, want, np.array(probe["logits"])):
-            np.testing.assert_allclose(g.logits, r.logits, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(g.logits, logged[-1], rtol=0, atol=1e-6)
 
     def test_builds_no_tensor(self, monkeypatch):
         cfg = bench_config()

@@ -39,6 +39,17 @@ class TestReward:
         with pytest.raises(PoolError):
             compute_reward(1000, -1)
 
+    def test_element_wise_over_arrays(self):
+        """One definition serves a whole log: each element is the scalar
+        reward, and one bad element fails the call."""
+        lengths, delays = np.array([500, 1500, 1000, 64]), np.array([0, 2, 10, 3])
+        got = compute_reward(lengths, delays)
+        assert got.tolist() == [compute_reward(n, d) for n, d in zip(lengths, delays)]
+        with pytest.raises(PoolError, match="packet_length"):
+            compute_reward(np.array([1500, 0]), np.array([1, 1]))
+        with pytest.raises(PoolError, match="queue_delay"):
+            compute_reward(np.array([1500, 1500]), np.array([1, -1]))
+
 
 class TestReturnsToGo:
     def test_worked_example(self):

@@ -5,7 +5,7 @@ import pytest
 
 from aqmlab import tensor as T
 from aqmlab.model import ModelConfig, PolicyModel
-from aqmlab.pool import ExperiencePool, Trajectory, returns_to_go
+from aqmlab.pool import ExperiencePool, Trajectory, compute_feature_stats, returns_to_go
 from aqmlab.training import (
     TrainConfig, TrainError, WindowDataset, accuracy, class_recall, evaluate_accuracy,
     split_pool, target_return, train, train_epoch,
@@ -249,33 +249,6 @@ class TestTrainEpoch:
         for n in whole:
             np.testing.assert_allclose(whole[n], halves[n], atol=1e-5)
 
-    def test_accumulation_steps_sum_leaf_grads(self):
-        """backward frees every interior gradient, but the parameters (leaves)
-        must keep summing across the micro-batches of one update."""
-        from aqmlab.training import _batch_loss
-        pool = make_pool(n_traj=2, steps=10, seed=2)
-        ds = WindowDataset(pool, window=4)
-        cfg = TrainConfig(epochs=1, batch_size=3, accumulation_steps=2, lr=0.5,
-                          clip_norm=1.0, window=4, batches_per_epoch=1)
-        m = tiny_model(seed=3, dtype="float64")
-        train_epoch(m, ds, cfg, np.random.default_rng(0))
-
-        ref = tiny_model(seed=3, dtype="float64")
-        params = list(ref.params.values())
-        rng = np.random.default_rng(0)
-        per_batch = []
-        for _ in range(2):
-            T.zero_grads(params)
-            loss, _, _ = _batch_loss(ref, ds.sample(3, rng))
-            loss.backward()
-            assert loss.grad is None
-            per_batch.append([p.grad.copy() for p in params])
-        for p, g0, g1 in zip(params, *per_batch):
-            p.grad = (g0 + g1) * 0.5
-        T.sgd_step(params, lr=0.5, clip_norm=1.0)
-        for name, p in ref.params.items():
-            np.testing.assert_allclose(m.params[name].data, p.data, rtol=0, atol=1e-12)
-
     def test_evaluate_accuracy_builds_no_graph(self):
         ds = WindowDataset(make_pool(n_traj=2, steps=6), window=4)
         m = tiny_model()
@@ -346,6 +319,13 @@ class TestTrainLoop:
         with pytest.raises(TrainError):
             train(m, pool, TrainConfig(epochs=1, gamma=0.5, window=4))
 
+    def test_window_other_than_the_models_rejected(self):
+        """The window is the model's context window, which the checkpoint
+        carries; training on another would leave the closed loop guessing."""
+        m = tiny_model(window=4)
+        with pytest.raises(TrainError, match="context_window 4"):
+            train(m, make_pool(), TrainConfig(epochs=1, window=8))
+
     def test_checkpoint_written_with_stats(self, tmp_path):
         from aqmlab.model import load_checkpoint
         pool = make_pool(n_traj=4, steps=10)
@@ -355,9 +335,10 @@ class TestTrainLoop:
                           batches_per_epoch=2)
         train(m, pool, cfg, checkpoint_path=str(path))
         _, stats, extra = load_checkpoint(path)
-        assert stats is not None and len(stats["mean"]) == 8
-        assert {"target_return", "window", "gamma",
-                "return_mean", "return_std"} <= set(extra)
+        # the statistics the training states were normalised with
+        assert stats == compute_feature_stats(pool)
+        assert {"target_return", "gamma", "return_mean", "return_std"} <= set(extra)
+        assert "window" not in extra
 
     def test_report_rows_complete(self):
         pool = make_pool()
