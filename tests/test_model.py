@@ -592,6 +592,13 @@ def full_rows_logits(model, R, S, A, ts, pad_mask):
     return T.linear(sel, p["head_W"], p["head_b"])
 
 
+def residual_case_id(n_layers):
+    """Case id of an n_layers value.  The residual read-out is the only one
+    now, but the ids keep the `residual` field (True) of the earlier
+    parametrisation over both read-outs, so the case names stay stable."""
+    return f"{n_layers}-True"
+
+
 class TestHeadRowsOnly:
     """The last block computes only the query rows the head reads; logits and
     gradients must match running it over every token.  Not bit for bit: a
@@ -599,7 +606,7 @@ class TestHeadRowsOnly:
 
     @pytest.mark.parametrize("dtype,tol", [("float32", 1e-6), ("float64", 1e-12)])
     @pytest.mark.parametrize("lora", [False, True])
-    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3], ids=residual_case_id)
     def test_matches_full_rows_reference(self, n_layers, lora, dtype, tol):
         cfg = bench_config(n_layers=n_layers, dtype=dtype)
         pruned, ref = PolicyModel(cfg, seed=3), PolicyModel(cfg, seed=3)
@@ -671,7 +678,7 @@ class TestInferencePolicy:
 
     @pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-12)])
     @pytest.mark.parametrize("lora", [False, True])
-    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3], ids=residual_case_id)
     def test_matches_predict(self, n_layers, lora, dtype, tol):
         cfg = bench_config(n_layers=n_layers, dtype=dtype)
         assert_policy_matches_predict(perturbed_model(cfg, lora=lora), tol)
