@@ -19,9 +19,9 @@ STATE_DIM = len(STATE_FEATURES)
 
 FEATURE_INDEX = {name: i for i, name in enumerate(STATE_FEATURES)}
 
-# Features fed through the multi-kernel conv path in the state encoder; the
-# rest take the per-feature linear path.  Overridable via ModelConfig.
-DEFAULT_CONV_FEATURES = ("current_queue_delay", "length_in_bytes", "total_drops_delta")
+# The temporal features: each goes through its own causal conv over the
+# window in the state encoder; the rest take the per-feature linear path.
+CONV_FEATURES = ("current_queue_delay", "length_in_bytes", "total_drops_delta")
 
 ACTION_ENQUEUE = 0
 ACTION_DROP = 1

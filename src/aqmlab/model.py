@@ -1,19 +1,20 @@
 """Return-conditioned causal transformer policy over AQM decision windows.
 
 Per timestep the token layout is [return, state_1..state_8, action] (10
-tokens); scalar features go through per-feature linear encoders, time-series
-features through a multi-kernel causal conv path; learned time embeddings are
-added to all tokens of a step.  Each feature has its own encoder weights,
-stored stacked along a feature axis so that a few contractions encode all 8
-features at once.  A causal transformer backbone feeds a 3-way action head
-read at the last state token of each step.  Attention Q/V projections can be
-LoRA-wrapped (frozen base, trainable low-rank delta).
+tokens); scalar features go through per-feature linear encoders, each temporal
+feature (CONV_FEATURES) through its own causal conv of width CONV_WIDTH over
+the window; learned time embeddings are added to all tokens of a step.  Each
+feature has its own encoder weights, stored stacked along a feature axis so
+that a few contractions encode all 8 features at once.  A causal transformer
+backbone feeds a 3-way action head read at the last state token of each step.
+Attention Q/V projections can be LoRA-wrapped (frozen base, trainable low-rank
+delta).
 
 PolicyModel is the trainable form: its forward pass builds a Tensor graph,
 and its `predict` is the reference for inference.  InferencePolicy is a
-read-only plain-numpy snapshot of a PolicyModel for closed-loop decisions: the
-linear encoder chain folds into one causal conv per token type, LoRA deltas
-are merged, and only the newest step's head row is computed.
+read-only plain-numpy snapshot of a PolicyModel for closed-loop decisions:
+each encoder and its embedding fold into one causal conv per token type, LoRA
+deltas are merged, and only the newest step's head row is computed.
 """
 
 from __future__ import annotations
@@ -29,12 +30,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .features import ACTION_COUNT, DEFAULT_CONV_FEATURES, STATE_DIM, STATE_FEATURES
+from .features import ACTION_COUNT, CONV_FEATURES, STATE_DIM, STATE_FEATURES
 from .tensor import Tensor
 
-CHECKPOINT_VERSION = 3   # 3 keeps no frozen list; versions 1 and 2 are refused
+CHECKPOINT_VERSION = 4   # 4 has one conv per temporal feature; versions 1 to 3 are refused
 TOKENS_PER_STEP = 1 + STATE_DIM + 1   # return, 8 state features, action
 LORA_TARGETS = ("q", "v")   # the attention projections that enable_lora wraps
+CONV_WIDTH = 7   # taps of each temporal feature's causal conv
+
+_is_conv = np.isin(STATE_FEATURES, CONV_FEATURES)
+_SCALAR_IDX, _CONV_IDX = np.flatnonzero(~_is_conv), np.flatnonzero(_is_conv)
+# encode_state computes the scalar group, then the conv group; this puts the
+# concatenation back into STATE_FEATURES order
+_FEATURE_ORDER = np.argsort(np.concatenate([_SCALAR_IDX, _CONV_IDX]))
 
 
 class CheckpointError(RuntimeError):
@@ -49,9 +57,7 @@ class ModelConfig:
     n_heads: int = 2
     context_window: int = 8
     max_timestep: int = 4096
-    conv_kernel_sizes: tuple = (3, 5, 7)
     lora_rank: int = 4
-    conv_features: tuple = DEFAULT_CONV_FEATURES
     dtype: str = "float32"
 
     def __post_init__(self):
@@ -59,16 +65,10 @@ class ModelConfig:
             raise ValueError("embed_size must be divisible by n_heads")
         if self.context_window < 1:
             raise ValueError("context_window must be >= 1")
-        unknown = set(self.conv_features) - set(STATE_FEATURES)
-        if unknown:
-            raise ValueError(f"unknown conv features: {unknown}")
 
     @property
     def np_dtype(self):
         return np.dtype(self.dtype)
-
-    def scalar_feature_mask(self):
-        return [name not in self.conv_features for name in STATE_FEATURES]
 
 
 @dataclass
@@ -87,7 +87,10 @@ def _draw(rng, shape, scale, dtype):
 
 
 def _init(rng, shape, scale, dtype):
-    return Tensor(_draw(rng, shape, scale, dtype), requires_grad=True)
+    """A trainable normal(0, scale) parameter; with no rng, one of unset
+    values, for a caller that replaces them."""
+    data = np.empty(shape, dtype=dtype) if rng is None else _draw(rng, shape, scale, dtype)
+    return Tensor(data, requires_grad=True)
 
 
 def _zeros(shape, dtype):
@@ -132,59 +135,42 @@ class PolicyModel:
     """Holds all parameters plus the forward pass; single-inference only."""
 
     def __init__(self, config: ModelConfig, seed=0):
+        self._build(config, np.random.default_rng(seed))
+
+    @classmethod
+    def _undrawn(cls, config: ModelConfig, lora_enabled=False):
+        """A model of config's parameter shapes that draws nothing: the values
+        a seed would draw are left unset, for a caller that replaces them."""
+        model = cls.__new__(cls)
+        model._build(config, None)
+        if lora_enabled:
+            model._enable_lora(config.lora_rank, None)
+        return model
+
+    def _build(self, config, rng):
         self.config = config
         self.params: dict[str, Tensor] = {}
         self.lora_enabled = False
         self.forward_count = 0
-        rng = np.random.default_rng(seed)
         dt = config.np_dtype
         d, fd = config.embed_size, config.feature_dim
-        scalar_mask = np.array(config.scalar_feature_mask(), dtype=bool)
-        self._scalar_idx = np.flatnonzero(scalar_mask)
-        self._conv_idx = np.flatnonzero(~scalar_mask)
-        # encode_state computes the scalar group, then the conv group; this
-        # puts the concatenation back into STATE_FEATURES order
-        self._feature_order = np.argsort(np.concatenate([self._scalar_idx, self._conv_idx]))
+        ns, nc = _SCALAR_IDX.size, _CONV_IDX.size
 
         def add(name, t):
             self.params[name] = t
             return t
 
-        ks, nk = config.conv_kernel_sizes, len(config.conv_kernel_sizes)
-        ns, nc = self._scalar_idx.size, self._conv_idx.size
-        enc = {}
-        if ns:
-            enc["enc_scalar_W"] = np.empty((ns, fd), dtype=dt)
-            enc["enc_scalar_b"] = np.zeros((ns, fd), dtype=dt)
-        if nc:
-            for k in ks:
-                enc[f"enc_conv{k}_K"] = np.empty((nc, k, fd), dtype=dt)
-                enc[f"enc_conv{k}_b"] = np.zeros((nc, fd), dtype=dt)
-            enc["enc_proj_W"] = np.empty((nc, nk * fd, fd), dtype=dt)
-            enc["enc_proj_b"] = np.zeros((nc, fd), dtype=dt)
-        enc["embed_W"] = np.empty((STATE_DIM, fd, d), dtype=dt)
-        enc["embed_b"] = np.zeros((STATE_DIM, d), dtype=dt)
-        # one feature after another in STATE_FEATURES order, its encoder and
-        # then its embedding, so a seed keeps the initial values it has
-        # always given; j is the feature's row within its group
-        group_row = np.where(scalar_mask, np.cumsum(scalar_mask), np.cumsum(~scalar_mask)) - 1
-        for i, j in enumerate(group_row):
-            if scalar_mask[i]:
-                enc["enc_scalar_W"][j] = _draw(rng, fd, 0.5, dt)
-            else:
-                for k in ks:
-                    enc[f"enc_conv{k}_K"][j] = _draw(rng, (fd, k), 0.5 / math.sqrt(k), dt).T
-                enc["enc_proj_W"][j] = _draw(rng, (nk * fd, fd), 1.0 / math.sqrt(nk * fd), dt)
-            enc["embed_W"][i] = _draw(rng, (fd, d), 1.0 / math.sqrt(fd), dt)
-        for name, arr in enc.items():
-            add(name, Tensor(arr, requires_grad=True))
-
+        add("enc_scalar_W", _init(rng, (ns, fd), 0.5, dt))
+        add("enc_scalar_b", _zeros((ns, fd), dt))
+        add("enc_conv_K", _init(rng, (nc, CONV_WIDTH, fd), 0.5 / math.sqrt(CONV_WIDTH), dt))
+        add("enc_conv_b", _zeros((nc, fd), dt))
+        add("embed_W", _init(rng, (STATE_DIM, fd, d), 1.0 / math.sqrt(fd), dt))
+        add("embed_b", _zeros((STATE_DIM, d), dt))
         add("W_return", _init(rng, (1, d), 0.5, dt))
         add("b_return", _zeros((d,), dt))
         add("W_action", _init(rng, (1, d), 0.5, dt))
         add("b_action", _zeros((d,), dt))
-        add("W_time", _zeros((config.max_timestep + 1, d), dt))
-        self.params["W_time"].data += rng.normal(0, 0.02, self.params["W_time"].shape).astype(dt)
+        add("W_time", _init(rng, (config.max_timestep + 1, d), 0.02, dt))
 
         add("pre_ln_g", Tensor(np.ones(d, dtype=dt), requires_grad=True))
         add("pre_ln_b", _zeros((d,), dt))
@@ -225,13 +211,15 @@ class PolicyModel:
         With B zero-initialized the wrapped model is exactly the base model.
         Encoders, embeddings, layer norms and the head stay trainable.
         """
+        rank = rank if rank is not None else self.config.lora_rank
+        self._enable_lora(rank, np.random.default_rng(seed))
+
+    def _enable_lora(self, rank, rng):
         if self.lora_enabled:
             raise ValueError("LoRA already enabled")
-        rank = rank if rank is not None else self.config.lora_rank
         if rank < 1:
             raise ValueError("lora rank must be >= 1")
         cfg = self.config
-        rng = np.random.default_rng(seed)
         dt = cfg.np_dtype
         self.lora_enabled = True
         self.config = dataclasses.replace(cfg, lora_rank=rank)
@@ -270,7 +258,7 @@ class PolicyModel:
 
     def merged_model(self):
         """A LoRA-free copy whose base matrices absorb the trained deltas."""
-        clone = PolicyModel(dataclasses.replace(self.config), seed=0)
+        clone = PolicyModel._undrawn(dataclasses.replace(self.config))
         merged = self.merge_lora()
         for name, p in self.params.items():
             if "_lora_" in name:
@@ -301,26 +289,18 @@ class PolicyModel:
 
         Feature i of the third axis is STATE_FEATURES[i].
         """
-        cfg, p = self.config, self.params
-        states = np.asarray(states, dtype=cfg.np_dtype)
+        p = self.params
+        states = np.asarray(states, dtype=self.config.np_dtype)
         if states.ndim != 3 or states.shape[2] != STATE_DIM:
             raise T.TensorError(f"encode_state expects [batch, w, {STATE_DIM}], got {states.shape}")
-        groups = []
-        if self._scalar_idx.size:
-            x = Tensor(states[:, :, self._scalar_idx, None])           # [b, w, ns, 1]
-            groups.append(x * p["enc_scalar_W"] + p["enc_scalar_b"])  # [b, w, ns, fd]
-        if self._conv_idx.size:
-            kmax = max(cfg.conv_kernel_sizes)
-            # causal padding: the window-axis conv must not let future steps
-            # leak into earlier positions.  One pad to the widest kernel; a
-            # kernel of size k reads the last k taps of each window.
-            xpad = np.pad(states[:, :, self._conv_idx], ((0, 0), (kmax - 1, 0), (0, 0)))
-            win = np.lib.stride_tricks.sliding_window_view(xpad, kmax, axis=1)  # [b, w, nc, kmax]
-            convs = [T.einsum("bwck,ckf->bwcf", Tensor(win[..., kmax - k:]), p[f"enc_conv{k}_K"])
-                     + p[f"enc_conv{k}_b"] for k in cfg.conv_kernel_sizes]
-            cat = T.concat(convs, axis=3)                                # [b, w, nc, nk*fd]
-            groups.append(T.einsum("bwcj,cjf->bwcf", cat, p["enc_proj_W"]) + p["enc_proj_b"])
-        feat = T.select_positions(T.concat(groups, axis=2), self._feature_order, axis=2)
+        x = Tensor(states[:, :, _SCALAR_IDX, None])                     # [b, w, ns, 1]
+        scalar = x * p["enc_scalar_W"] + p["enc_scalar_b"]              # [b, w, ns, fd]
+        # causal padding: the window-axis conv must not let future steps
+        # leak into earlier positions
+        xpad = np.pad(states[:, :, _CONV_IDX], ((0, 0), (CONV_WIDTH - 1, 0), (0, 0)))
+        win = np.lib.stride_tricks.sliding_window_view(xpad, CONV_WIDTH, axis=1)  # [b, w, nc, CONV_WIDTH]
+        conv = T.einsum("bwck,ckf->bwcf", Tensor(win), p["enc_conv_K"]) + p["enc_conv_b"]
+        feat = T.select_positions(T.concat([scalar, conv], axis=2), _FEATURE_ORDER, axis=2)
         return T.einsum("bwif,ifd->bwid", feat, p["embed_W"]) + p["embed_b"]   # [b, w, 8, d]
 
     def build_sequence(self, returns, states, actions, timesteps):
@@ -423,12 +403,12 @@ class InferencePolicy:
     numpy, for the closed loop's one-window decisions.
 
     Built once, in float64 and stored in the model dtype:
-    - the token encoders fold into one causal conv of width
-      max(conv_kernel_sizes) per token type.  The encoder chain (per-kernel
-      conv, concat, enc_proj, embed) has no nonlinearity, so a conv feature
-      becomes one kernel [kmax, d] plus a bias [d]; a scalar feature, the
-      return and the action are the width-1 case x·W + b, a kernel whose
-      only non-zero tap is the newest;
+    - the token encoders fold into one causal conv of width CONV_WIDTH per
+      token type.  A temporal feature's encoder (its conv, then its
+      embedding) has no nonlinearity, so it becomes one kernel
+      enc_conv_K @ embed_W [CONV_WIDTH, d] plus a bias [d]; a scalar
+      feature, the return and the action are the width-1 case x·W + b, a
+      kernel whose only non-zero tap is the newest;
     - LoRA deltas are merged into their base matrices (`merge_lora`);
     - each layer norm's gain and shift, and the attention scale, fold into
       the projection that reads them.
@@ -446,27 +426,19 @@ class InferencePolicy:
         dt, d, h = cfg.np_dtype, cfg.embed_size, cfg.n_heads
         p = {name: t.data.astype(np.float64) for name, t in model.params.items()}
         p.update((name, W.astype(np.float64)) for name, W in model.merge_lora().items())
-        self._kmax = kmax = max(cfg.conv_kernel_sizes)
 
         # token c of a step reads input channel c of [R, s1..s8, a]
-        K = np.zeros((TOKENS_PER_STEP, kmax, d))
+        K = np.zeros((TOKENS_PER_STEP, CONV_WIDTH, d))
         B = np.zeros((TOKENS_PER_STEP, d))
         K[0, -1], B[0] = p["W_return"][0], p["b_return"]
         K[-1, -1], B[-1] = p["W_action"][0], p["b_action"]
-        for j, i in enumerate(model._scalar_idx):
-            E = p["embed_W"][i]
-            K[1 + i, -1] = p["enc_scalar_W"][j] @ E
-            B[1 + i] = p["enc_scalar_b"][j] @ E + p["embed_b"][i]
-        fd = cfg.feature_dim
-        for c, i in enumerate(model._conv_idx):
-            E, P = p["embed_W"][i], p["enc_proj_W"][c]    # P: [nk*fd, fd], one row block per kernel
-            proj_b = p["enc_proj_b"][c]
-            for r, k in enumerate(cfg.conv_kernel_sizes):
-                Pk = P[r * fd:(r + 1) * fd]
-                # a size-k kernel reads the newest k taps of the kmax window
-                K[1 + i, kmax - k:] += p[f"enc_conv{k}_K"][c] @ Pk @ E
-                proj_b = proj_b + p[f"enc_conv{k}_b"][c] @ Pk
-            B[1 + i] = proj_b @ E + p["embed_b"][i]
+        E = p["embed_W"]
+        for j, i in enumerate(_SCALAR_IDX):
+            K[1 + i, -1] = p["enc_scalar_W"][j] @ E[i]
+            B[1 + i] = p["enc_scalar_b"][j] @ E[i] + p["embed_b"][i]
+        for c, i in enumerate(_CONV_IDX):
+            K[1 + i] = p["enc_conv_K"][c] @ E[i]
+            B[1 + i] = p["enc_conv_b"][c] @ E[i] + p["embed_b"][i]
 
         def affine_after_ln(g, b, W, c):
             # (g * xhat + b) @ W + c  ==  xhat @ (g[:, None] * W) + (b @ W + c)
@@ -490,12 +462,13 @@ class InferencePolicy:
             a.flags.writeable = False
             return a
 
-        # one product maps a step's taps [kmax, 10] to its 10 tokens [10, d]:
-        # row (tap m, channel c) holds token c's kernel tap m in column block c
-        dense = np.zeros((kmax, TOKENS_PER_STEP, TOKENS_PER_STEP, d))
+        # one product maps a step's taps [CONV_WIDTH, 10] to its 10 tokens
+        # [10, d]: row (tap m, channel c) holds token c's kernel tap m in
+        # column block c
+        dense = np.zeros((CONV_WIDTH, TOKENS_PER_STEP, TOKENS_PER_STEP, d))
         for c in range(TOKENS_PER_STEP):
             dense[:, c, c] = K[c]
-        self._token_W = frozen(dense.reshape(kmax * TOKENS_PER_STEP, TOKENS_PER_STEP * d))
+        self._token_W = frozen(dense.reshape(CONV_WIDTH * TOKENS_PER_STEP, TOKENS_PER_STEP * d))
         self._token_b = frozen(B.reshape(-1))
         self._W_time = frozen(p["W_time"])
         self._pre_ln = frozen(p["pre_ln_g"]), frozen(p["pre_ln_b"])
@@ -534,14 +507,14 @@ class InferencePolicy:
         if states.shape != (b, w, STATE_DIM) or actions.shape != (b, w) \
                 or timesteps.shape != (b, w):
             raise T.TensorError("window length mismatch across modalities")
-        kmax, n = self._kmax, w * TOKENS_PER_STEP - 1    # n: up to the newest head row
+        n, pad = w * TOKENS_PER_STEP - 1, CONV_WIDTH - 1   # n: up to the newest head row
 
         # causal padding: left zeros, so no step reads a later one
-        inputs = np.zeros((b, w + kmax - 1, TOKENS_PER_STEP), dtype=dt)
-        inputs[:, kmax - 1:, 0] = returns
-        inputs[:, kmax - 1:, 1:-1] = states
-        inputs[:, kmax - 1:, -1] = actions
-        taps = inputs[:, np.arange(w)[:, None] + np.arange(kmax)]              # [b, w, kmax, 10]
+        inputs = np.zeros((b, w + pad, TOKENS_PER_STEP), dtype=dt)
+        inputs[:, pad:, 0] = returns
+        inputs[:, pad:, 1:-1] = states
+        inputs[:, pad:, -1] = actions
+        taps = inputs[:, np.arange(w)[:, None] + np.arange(CONV_WIDTH)]        # [b, w, CONV_WIDTH, 10]
         tokens = (taps.reshape(b, w, -1) @ self._token_W + self._token_b).reshape(
             b, w, TOKENS_PER_STEP, cfg.embed_size)
         tokens += self._W_time[np.minimum(np.maximum(timesteps, 0), cfg.max_timestep)][:, :, None]
@@ -564,10 +537,8 @@ class InferencePolicy:
 def save_checkpoint(model: PolicyModel, path, feature_stats=None, extra=None):
     meta = {
         "version": CHECKPOINT_VERSION,
-        "config": {**dataclasses.asdict(model.config),
-                   "conv_kernel_sizes": list(model.config.conv_kernel_sizes),
-                   "conv_features": list(model.config.conv_features)},
-        # loading re-runs enable_lora, which freezes what it froze before saving
+        "config": dataclasses.asdict(model.config),
+        # loading wraps LoRA again, which freezes what it froze before saving
         "lora_enabled": model.lora_enabled,
         "feature_stats": feature_stats,
         "extra": extra or {},
@@ -581,9 +552,7 @@ def save_checkpoint(model: PolicyModel, path, feature_stats=None, extra=None):
 def _stored_config(cfg_d):
     """The ModelConfig a checkpoint's meta describes, or CheckpointError."""
     try:
-        return ModelConfig(**{**cfg_d,
-                              "conv_kernel_sizes": tuple(cfg_d["conv_kernel_sizes"]),
-                              "conv_features": tuple(cfg_d["conv_features"])})
+        return ModelConfig(**cfg_d)
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"the stored model config does not build a model: {e}") from e
 
@@ -593,16 +562,16 @@ def load_checkpoint(path):
     try:
         with np.load(path, allow_pickle=False) as z:
             meta = json.loads(bytes(z["__meta__"]).decode())
+            if not isinstance(meta, dict):
+                raise CheckpointError(f"corrupt checkpoint {path}: its meta is not a JSON object")
             version = meta.get("version")
-            if version in (1, 2):
+            if version in (1, 2, 3):
                 raise CheckpointError(f"{path} is a version-{version} checkpoint, a layout this "
                                       f"release no longer reads; retrain it with `aqmlab train`")
             if version != CHECKPOINT_VERSION:
                 raise CheckpointError(f"unsupported checkpoint version {version}")
             cfg = _stored_config(meta["config"])
-            model = PolicyModel(cfg, seed=0)
-            if meta["lora_enabled"]:
-                model.enable_lora(rank=cfg.lora_rank)
+            model = PolicyModel._undrawn(cfg, lora_enabled=meta["lora_enabled"])
             saved = {key[len("param::"):]: z[key] for key in z.files if key.startswith("param::")}
             for name, param in model.params.items():
                 if name not in saved:
