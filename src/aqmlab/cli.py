@@ -18,7 +18,15 @@ from .features import ACTION_NAMES
 from .model import ModelConfig, PolicyModel, load_checkpoint
 
 
-def _cmd_simulate(args):
+def _add_scenario_args(p):
+    p.add_argument("--scenario", help="scenario JSON (default: built-in)")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--duration", type=float, help="seconds")
+
+
+def _scenario(args):
+    """The scenario `_add_scenario_args` describes: `--scenario` (default:
+    built-in), with `--seed` and `--duration` applied when given."""
     if args.scenario:
         sc = simulator.ScenarioConfig.load(args.scenario)
     else:
@@ -27,7 +35,11 @@ def _cmd_simulate(args):
         sc.seed = args.seed
     if args.duration is not None:
         sc.duration_us = int(args.duration * 1_000_000)
-    world = simulator.run_scenario(sc)
+    return sc
+
+
+def _cmd_simulate(args):
+    world = simulator.run_scenario(_scenario(args))
     simulator.write_klog(world.records, args.output)
     print(f"wrote {len(world.records)} records to {args.output}")
 
@@ -77,15 +89,7 @@ def _make_driver(args):
 
 
 def _cmd_evaluate(args):
-    if args.scenario:
-        sc = simulator.ScenarioConfig.load(args.scenario)
-    else:
-        sc = simulator.default_scenario()
-    if args.seed is not None:
-        sc.seed = args.seed
-    if args.duration is not None:
-        sc.duration_us = int(args.duration * 1_000_000)
-    doc = evaluation.evaluate(sc, driver=_make_driver(args))
+    doc = evaluation.evaluate(_scenario(args), driver=_make_driver(args))
     evaluation.save_stats(doc, args.output)
     s = doc["summary"]["delay_ms"]
     print(f"median delay {s['median']:.2f} ms, IQR {s['iqr']:.2f} ms, "
@@ -145,9 +149,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a scenario, write a .klog")
-    p.add_argument("--scenario", help="scenario JSON (default: built-in)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--duration", type=float, help="seconds")
+    _add_scenario_args(p)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=_cmd_simulate)
 
@@ -180,9 +182,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("evaluate", help="closed-loop evaluation run")
-    p.add_argument("--scenario")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--duration", type=float, help="seconds")
+    _add_scenario_args(p)
     p.add_argument("--checkpoint", help="policy checkpoint (default: rule-based)")
     p.add_argument("--every", type=int, default=10,
                    help="route every n-th decision through the model")

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-import time
 from collections import deque
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .features import ACTION_COUNT, ACTION_MARK, STATE_DIM
 from .model import InferencePolicy, load_checkpoint
 from .pool import compute_reward, klog_states, normalize
-from .simulator import ScenarioConfig, World, applied_action, fixed_probs, run_scenario
+from .simulator import ScenarioConfig, World, fixed_probs, run_scenario
 
 STATS_FORMAT_VERSION = 2           # 2 added the time-ordered Classic delay trace
 STEADY_STATE_SKIP_US = 5_000_000   # discard the first 5 s of every run
@@ -55,14 +54,18 @@ class LlmEvery:
     """Route every n-th AQM decision through the checkpoint's policy, run as
     a `model.InferencePolicy` snapshot (`self.model`).
 
-    Keeps the klog fields and applied actions of the last `window`
-    decisions (the model's context window), and at a model decision builds
-    the window the pool would hold for them: states through
-    `pool.klog_states`, normalised with the checkpoint's feature
-    statistics, the decision index as the timestep, and the return channel
-    pinned to the training-time target return.  Model marks on
-    not-ECN-capable packets are downgraded to drops by the simulator and
-    counted here as violations.
+    Keeps the klog fields of the last `window` decisions (the model's
+    context window), and at a model decision builds the window the pool
+    would hold for them: states through `pool.klog_states`, normalised with
+    the checkpoint's feature statistics, the decision index as the
+    timestep, and the return channel pinned to the training-time target
+    return.  The earlier steps' actions are read from the world's log,
+    which holds what the world applied (a MARK on a not-ECN-capable packet
+    or anything but a DROP on a full buffer is applied as a DROP), and the
+    decision index is the log's length, since the world logs each decision
+    right after its hook.  So one driver runs one episode: hooked into a
+    second world it raises `EvalError`.  Model marks on not-ECN-capable
+    packets are counted here as violations.
 
     `action_matrix[rule][model]` counts the model decisions by the rule's
     action (row) and the action the model asked for (column), in
@@ -90,15 +93,17 @@ class LlmEvery:
         self.target_return = float(extra.get("target_return", 1.0))
         self.window = model.config.context_window
         self._fields = deque(maxlen=self.window)        # klog_states input per decision
-        self._actions = deque(maxlen=self.window - 1)   # applied action of the earlier ones
         self._last_drops = {}
-        self._count = 0
         self.model_decisions = 0
         self.action_matrix = [[0] * ACTION_COUNT for _ in range(ACTION_COUNT)]
         self.violations = 0      # model marked a not-ECN-capable packet
-        self.latencies = []      # seconds per model inference
 
     def hook(self, world, q, pkt, decision):
+        k = len(world.records)   # this decision's index in the episode
+        # a world's first decision finds a driver that has decided before
+        # only when the driver is reused
+        if not k and self._fields:
+            raise EvalError("an LlmEvery drives one episode; build a new one for each world")
         drops = q.total_drops
         delta = drops - self._last_drops.get(q.queue_type, drops)
         self._last_drops[q.queue_type] = drops
@@ -106,25 +111,22 @@ class LlmEvery:
         # in STATE_FEATURES order
         self._fields.append((q.queue_type, q.burst_allowance, drop_p, q.current_queue_delay,
                              acc_p, q.length_bytes, delta, pkt.size_bytes))
-        self._count += 1
         action = decision.action
-        if self._count % self.every == 0:
-            predicted = self._infer()
+        if (k + 1) % self.every == 0:
+            predicted = self._infer(world.records, k)
             self.model_decisions += 1
             self.action_matrix[decision.action][predicted] += 1
             if predicted == ACTION_MARK and not pkt.ecn_capable:
                 self.violations += 1
             if not self.shadow:
                 action = predicted
-        # the history holds what the world applies, as the .klog and the
-        # training pool do, not what was asked for
-        self._actions.append(applied_action(action, pkt))
         return action
 
-    def _infer(self):
-        """The newest decision's action for the window of the last `n`
+    def _infer(self, records, k):
+        """The action of decision `k` for the window of the last `n`
         decisions, left-padded to `window` steps as `WindowDataset.gather`
-        pads; the newest step's action slot stays 0."""
+        pads; the earlier steps' actions are the ones `records` logged, and
+        the newest step's action slot stays 0."""
         w, n = self.window, len(self._fields)
         real = slice(w - n, w)
         R = np.zeros((1, w)); S = np.zeros((1, w, STATE_DIM))
@@ -132,22 +134,16 @@ class LlmEvery:
         R[0, real] = self.target_return
         fields = np.fromiter(itertools.chain.from_iterable(self._fields), np.float64, n * STATE_DIM)
         S[0, real] = normalize(klog_states(fields.reshape(n, STATE_DIM)), self.feature_stats)
-        A[0, w - n:w - 1] = self._actions
-        T[0, real] = np.arange(self._count - n, self._count)
+        A[0, w - n:w - 1] = [rec.dequeue_action for rec in records[k - n + 1:k]]
+        T[0, real] = np.arange(k + 1 - n, k + 1)
         pad[0, real] = 1.0
-        t0 = time.perf_counter()
-        dist = self.model.predict(R, S, A, T, pad_mask=pad)[0]
-        self.latencies.append(time.perf_counter() - t0)
-        return dist.action
+        return self.model.predict(R, S, A, T, pad_mask=pad)[0].action
 
     def finish(self):
-        lat = self.latencies or [0.0]
         return {
             "model_decisions": self.model_decisions,
             "action_matrix": [row[:] for row in self.action_matrix],
             "mark_violations": self.violations,
-            "mean_latency_s": float(np.mean(lat)),
-            "p95_latency_s": float(np.percentile(lat, 95)),
         }
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import random
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -335,23 +334,23 @@ def augment(pool: ExperiencePool, noise_sigma=0.0, dropout_prob=0.0, seed=0) -> 
     """Stochastic augmentation: state noise and step dropout.
 
     Actions and returns are never touched; noise perturbs only states,
-    dropout marks steps as masked for the trainer.  The input pool is left
-    untouched.
+    dropout marks steps as masked for the trainer.  Both are drawn as whole
+    arrays, trajectory by trajectory, from one `np.random.default_rng(seed)`.
+    The input pool is left untouched, and with both disabled the output is
+    an exact copy.
     """
     if noise_sigma < 0:
         raise PoolError("noise_sigma must be >= 0")
     if not (0.0 <= dropout_prob <= 1.0):
         raise PoolError("dropout_prob must be in [0,1]")
-    rng = random.Random(seed)
+    rng = np.random.default_rng(seed)
     out = ExperiencePool(gamma=pool.gamma, feature_stats=pool.feature_stats,
                          provenance=dict(pool.provenance, augmented=True))
     for traj in pool.trajectories:
         states, masked = traj.states.copy(), traj.step_masked().copy()
-        # one pass in step order keeps the random stream of earlier versions
-        for idx in range(len(traj) if noise_sigma > 0 or dropout_prob > 0 else 0):
-            if noise_sigma > 0:
-                states[idx] += [rng.gauss(0.0, noise_sigma) for _ in range(STATE_DIM)]
-            if dropout_prob > 0 and not masked[idx] and rng.random() < dropout_prob:
-                masked[idx] = True
+        if noise_sigma > 0:
+            states += rng.normal(0.0, noise_sigma, states.shape)
+        if dropout_prob > 0:
+            masked |= rng.random(len(traj)) < dropout_prob
         out.trajectories.append(traj.replace(states=states, masked=masked))
     return out

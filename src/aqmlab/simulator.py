@@ -297,14 +297,6 @@ def aqm_decision(q: QueueState, p: Packet, params: Dualpi2Params, rng_draw: floa
     return _OK
 
 
-def applied_action(action: int, p: Packet) -> int:
-    """The action the world carries out when a decision hook asks for
-    `action`: a not-ECN-capable packet cannot be marked, so MARK becomes DROP."""
-    if action == ACTION_MARK and not p.ecn_capable:
-        return ACTION_DROP
-    return action
-
-
 # ----------------------------------------------------------------- flow model
 
 
@@ -349,7 +341,7 @@ class _Flow:
         self.mss = spec.mss
         self.rtt_us = spec.rtt_us
         self.codepoint = spec.codepoint()
-        self.queue_class = _L4S if self.codepoint == _ECT1 else _CLASSIC
+        self.queue_class = classify_packet(Packet(flow_id, spec.mss, self.codepoint))
         self.is_window_based = spec.kind in _WINDOW_KINDS
         self._cbr_gap = (max(1, round(spec.mss * 8 * 1_000_000 / spec.cbr_rate_bps))
                          if spec.kind == _CBR_UDP else None)
@@ -462,7 +454,9 @@ class World:
 
     `decision_hook(world, queue, packet, rule_decision) -> action` lets an
     external policy override the rule-based action at decision points; the
-    hook sees the same queue snapshot the log records.  The world owns its
+    hook sees the same queue snapshot the log records.  The world alone
+    decides what it carries out of a hook's answer (`_applied_action`) and
+    logs that, right after the hook returns.  The world owns its
     queue states: p' and the accumulated probability change only at
     Tupdate, which also computes the fixed-point form the log records.
     """
@@ -502,7 +496,6 @@ class World:
         # Measurement series
         self.qdelay_samples = []   # (time_us, queue_type, delay_us)
         self.delivered = []        # (time_us, bytes)
-        self.arrived_bytes = {qc: 0 for qc in QueueClass}
         self.enqueued_bytes = {qc: 0 for qc in QueueClass}
         self.dropped_bytes = {qc: 0 for qc in QueueClass}
         self.dequeued_bytes = {qc: 0 for qc in QueueClass}
@@ -560,19 +553,34 @@ class World:
     def _est_delay_us(self, q: QueueState) -> int:
         return int(q.length_bytes * 8 * 1_000_000 / self.params.link_rate_bps)
 
+    def _applied_action(self, action, q: QueueState, pkt: Packet) -> int:
+        """The action the world carries out when its decision hook answers
+        `action`, and the one place a hook's answer is checked.  An answer
+        outside 0/1/2 raises; a packet the buffer cannot hold is dropped,
+        whatever the hook asked; a not-ECN-capable packet cannot be marked,
+        so MARK becomes DROP."""
+        if action not in VALID_ACTIONS:
+            raise ValueError(f"dequeue_action must be 0/1/2, got {action}")
+        if action != ACTION_DROP and (
+                q.length_bytes + pkt.size_bytes > self.params.buffer_limit_bytes
+                or action == ACTION_MARK and not pkt.ecn_capable):
+            return ACTION_DROP
+        return action
+
     def _router_arrival(self, pkt: Packet, fl: _Flow):
-        qc = classify_packet(pkt)
-        pkt.queue_class = qc
+        # the flow's queue class, set when the flow was built: no CE packet
+        # reaches the router, so the class is fixed per flow
+        qc = pkt.queue_class
         q = self.queues[qc]
         size = pkt.size_bytes
         q.current_queue_delay = self._est_delay_us(q)
-        self.arrived_bytes[qc] += size
 
         decision = aqm_decision(q, pkt, self.params, self.rng.random())
         action = decision.action
         if self.decision_hook is not None:
-            # safety override, counted by the hook owner
-            action = applied_action(self.decision_hook(self, q, pkt, decision), pkt)
+            action = self._applied_action(self.decision_hook(self, q, pkt, decision), q, pkt)
+        # logged right after the hook: a hook reads its decision's index as
+        # len(world.records) and the earlier decisions' applied actions from them
         self._emit_record(q, pkt, action)
 
         q.total_packets += 1
@@ -650,10 +658,9 @@ class World:
     # ---------------------------------------------------------------- logging
 
     def _emit_record(self, q: QueueState, pkt: Packet, action: int):
-        if action not in VALID_ACTIONS:
-            raise ValueError(f"dequeue_action must be 0/1/2, got {action}")
         drop_p, acc_p = self._klog_probs[q.queue_type]
-        # validated above, so skip the record constructor's own check
+        # the rule's decisions and the gate's answers are valid actions, so
+        # skip the record constructor's own check
         self.records.append(tuple.__new__(KernelLogRecord, (
             *self._klog_head[q.queue_type],
             q.burst_allowance,
@@ -678,10 +685,11 @@ class World:
 
     def check_conservation(self):
         for qc in QueueClass:
-            assert self.arrived_bytes[qc] == self.enqueued_bytes[qc] + self.dropped_bytes[qc], \
+            q = self.queues[qc]
+            # total_bytes counts every arrival, dropped or enqueued
+            assert q.total_bytes == self.enqueued_bytes[qc] + self.dropped_bytes[qc], \
                 f"byte conservation violated in {qc.name} queue"
             assert self.dequeued_bytes[qc] <= self.enqueued_bytes[qc]
-            q = self.queues[qc]
             assert q.length_bytes == self.enqueued_bytes[qc] - self.dequeued_bytes[qc]
             assert 0.0 <= q.drop_probability <= 1.0
 

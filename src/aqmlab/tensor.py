@@ -105,9 +105,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
-    def detach(self):
-        return Tensor(self.data)
-
     # ------------------------------------------------------------------ graph
 
     def backward(self):

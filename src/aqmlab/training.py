@@ -55,12 +55,6 @@ class TrainReport:
     best_eval_accuracy: float = 0.0
     best_epoch: int = -1
 
-    def to_dict(self):
-        return {"rows": self.rows,
-                "final_eval_accuracy": self.final_eval_accuracy,
-                "best_eval_accuracy": self.best_eval_accuracy,
-                "best_epoch": self.best_epoch}
-
 
 class WindowDataset:
     """Every trajectory's columns concatenated, plus uniform window sampling.

@@ -117,14 +117,13 @@ def test_evaluate_with_checkpoint_runs_the_inference_policy(pipeline):
     assert doc["header"]["driver"] == "llm" and doc["header"]["seed"] == 3
     decisions = doc["actions"]["total"]
     assert doc["driver"]["model_decisions"] == decisions // 5
-    # the same run through the library gives the same document, timings aside
+    # the same run through the library gives the same document, byte for
+    # byte: no field of it depends on the machine
     driver = ev.LlmEvery(str(paths["policy.npz"]), every=5)
     again = ev.evaluate(default_scenario(seed=3, duration_us=SECONDS * 1_000_000), driver)
     assert driver.model.forward_count == driver.model_decisions == decisions // 5
-    for key in ("mean_latency_s", "p95_latency_s"):
-        doc["driver"].pop(key)
-        again["driver"].pop(key)
-    assert json.loads(json.dumps(again)) == doc
+    assert set(doc["driver"]) == {"model_decisions", "action_matrix", "mark_violations"}
+    assert json.dumps(again, indent=1) == paths["llm.json"].read_text()
     assert out["llm"].startswith("median delay")
 
 

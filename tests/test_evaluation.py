@@ -194,6 +194,24 @@ class TestClosedLoopEval:
         ev.save_stats(doc, path)
         assert ev.load_stats(path) == doc
 
+    def test_same_run_same_document_text(self, tmp_path):
+        """A stats document holds only what the run determines, so two runs
+        of one scenario and checkpoint write the same text."""
+        ckpt = tiny_checkpoint(tmp_path / "m.npz")
+        sc = default_scenario(seed=3, duration_us=2_000_000)
+        first, second = (json.dumps(ev.evaluate(sc, ev.LlmEvery(ckpt, every=3)))
+                         for _ in range(2))
+        assert first == second
+
+    def test_llm_every_drives_one_world(self, tmp_path):
+        """The driver reads its history from the world's log, so it refuses
+        a second world rather than carry one episode's steps into the next."""
+        driver = ev.LlmEvery(tiny_checkpoint(tmp_path / "m.npz"), every=3)
+        sc = default_scenario(seed=3, duration_us=500_000)
+        ev.evaluate(sc, driver)
+        with pytest.raises(EvalError, match="one episode"):
+            ev.evaluate(sc, driver)
+
     def test_diagnose_on_converged_run(self):
         from aqmlab.simulator import run_scenario
         world = run_scenario(default_scenario(seed=2, duration_us=8_000_000))

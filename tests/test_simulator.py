@@ -369,6 +369,84 @@ class TestKlogColumns:
             gc.enable()
 
 
+class TestGate:
+    """The world's one gate from a hook's answer to the applied action."""
+
+    @staticmethod
+    def _overload():
+        sc = _short_scenario()
+        sc.flows.append(FlowSpec(FlowKind.CBR_UDP, cbr_rate_bps=10_000_000))
+        return sc
+
+    def test_invalid_action_on_a_full_buffer_raises(self):
+        """The validity check comes before the buffer rule, so an invalid
+        answer is never logged as the DROP a full buffer forces."""
+        full = []
+
+        def hook(world, q, pkt, decision):
+            if q.length_bytes + pkt.size_bytes > world.params.buffer_limit_bytes:
+                full.append(len(world.records))
+                return 7
+            return decision.action
+
+        with pytest.raises(ValueError, match="dequeue_action"):
+            run_scenario(self._overload(), decision_hook=hook)
+        assert len(full) == 1
+
+    def test_enqueue_on_a_full_buffer_is_dropped(self):
+        sc = self._overload()
+        world = run_scenario(sc, decision_hook=lambda world, q, pkt, decision: ACTION_ENQUEUE)
+        limit = sc.aqm.buffer_limit_bytes
+        full = [r for r in world.records if r.length_in_bytes + r.packet_length > limit]
+        assert full and all(r.dequeue_action == ACTION_DROP for r in full)
+        assert max(r.length_in_bytes for r in world.records) <= limit
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2 ** 16),
+           flows=st.lists(st.tuples(st.sampled_from(list(FlowKind)), st.booleans(),
+                                    st.integers(1_000_000, 12_000_000)),
+                          min_size=1, max_size=4),
+           limit=st.integers(3_000, 60_000),
+           drop_share=st.floats(0.0, 0.5))
+    def test_no_hook_overruns_the_buffer(self, seed, flows, limit, drop_share):
+        """Random scenarios under a hook that answers random valid actions:
+        no record pairs a non-DROP action with a packet the buffer cannot
+        hold, and bytes are conserved."""
+        rng = np.random.default_rng(seed)
+
+        def hook(world, q, pkt, decision):
+            if rng.random() < drop_share:
+                return ACTION_DROP
+            return int(rng.choice((ACTION_ENQUEUE, ACTION_MARK)))
+
+        sc = ScenarioConfig(
+            seed=seed, duration_us=1_000_000, aqm=Dualpi2Params(buffer_limit_bytes=limit),
+            flows=[FlowSpec(kind, ecn_capable=ecn, cbr_rate_bps=rate, start_us=10_000 * i)
+                   for i, (kind, ecn, rate) in enumerate(flows)])
+        world = run_scenario(sc, decision_hook=hook)
+        assert not [r for r in world.records if r.dequeue_action != ACTION_DROP
+                    and r.length_in_bytes + r.packet_length > limit]
+        world.check_conservation()
+
+    @pytest.mark.parametrize("ecn_capable", [True, False])
+    @pytest.mark.parametrize("kind", list(FlowKind))
+    def test_flow_queue_class_is_its_packets_class(self, kind, ecn_capable):
+        """The queue class a flow fixes when it is built is the one
+        classify_packet gives each of its packets, and the queue the router
+        puts them in."""
+        seen = []
+
+        def hook(world, q, pkt, decision):
+            seen.append((world.flows[pkt.flow_id].queue_class, classify_packet(pkt),
+                         q.queue_type))
+            return decision.action
+
+        run_scenario(ScenarioConfig(seed=1, duration_us=200_000,
+                                    flows=[FlowSpec(kind, ecn_capable=ecn_capable)]),
+                     decision_hook=hook)
+        assert seen and all(a == b == c for a, b, c in seen)
+
+
 class TestScenarioConfig:
     def test_json_round_trip(self, tmp_path):
         sc = default_scenario(seed=9, duration_us=1_000_000)
