@@ -247,6 +247,8 @@ def collect_stats(world: World, driver) -> dict:
             "drop_frac": counts[1] / n,
             "mark_frac": counts[2] / n,
             "total": len(actions),
+            # hook answers the world could not carry out and applied as DROP
+            "rewritten": dict(world.rewritten),
         },
         "cdf": {"delay_ms": _cdf(all_delay)},
         # the steady-state Classic queue delay in time order, which diagnose reads

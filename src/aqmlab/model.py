@@ -14,7 +14,8 @@ PolicyModel is the trainable form: its forward pass builds a Tensor graph,
 and its `predict` is the reference for inference.  InferencePolicy is a
 read-only plain-numpy snapshot of a PolicyModel for closed-loop decisions:
 each encoder and its embedding fold into one causal conv per token type, LoRA
-deltas are merged, and only the newest step's head row is computed.
+deltas are merged, each attention head folds into its query-key and
+value-output matrices, and only the newest step's head row is computed.
 """
 
 from __future__ import annotations
@@ -411,19 +412,33 @@ class InferencePolicy:
       kernel whose only non-zero tap is the newest;
     - LoRA deltas are merged into their base matrices (`merge_lora`);
     - each layer norm's gain and shift, and the attention scale, fold into
-      the projection that reads them.
+      the projection that reads them;
+    - each attention head h folds into a query-key matrix
+      W_QK,h = W_q,h W_k,hᵀ [d, d], with bias b_q,h W_k,hᵀ, and a
+      value-output matrix W_OV,h = W_v,h W_o,h [d, d], with the output bias
+      b_v W_o + b_o (Elhage et al., "A Mathematical Framework for
+      Transformer Circuits", 2021).  This is exact: the key bias adds one
+      constant to all of a query's scores, which softmax removes, so it is
+      dropped, and a query's attention weights sum to 1, so the value bias
+      passes through them unchanged.
 
     `predict` builds no Tensor and computes only the newest step's head row,
-    the one row it returns: its attention still reads the keys and values of
-    every token up to that row.  The newest action token comes after the row
-    and so is never built.  Later changes to the model do not reach the
-    snapshot.
+    the one row it returns.  A block scores its query rows straight against
+    the normalised tokens and averages those tokens with the weights, so it
+    forms no key and no value.  The newest action token comes after the row
+    and so is never built.  The snapshot normalises in the model dtype, as
+    a product by the [d, d] centring matrix and a mean square taken through
+    a [d, 1] column.  The fold pays where a block computes one query row,
+    as the last block does: an earlier block of a deeper model computes
+    every row, and there the h·d-wide QK and OV products cost more than keys
+    and values would.  Later changes to the model do not reach the snapshot.
     """
 
     def __init__(self, model: PolicyModel):
         cfg = self.config = model.config
         self.forward_count = 0
         dt, d, h = cfg.np_dtype, cfg.embed_size, cfg.n_heads
+        dk = d // h
         p = {name: t.data.astype(np.float64) for name, t in model.params.items()}
         p.update((name, W.astype(np.float64)) for name, W in model.merge_lora().items())
 
@@ -444,18 +459,22 @@ class InferencePolicy:
             # (g * xhat + b) @ W + c  ==  xhat @ (g[:, None] * W) + (b @ W + c)
             return g[:, None] * W, b @ W + c
 
-        scale = 1.0 / math.sqrt(d // h)
+        scale = 1.0 / math.sqrt(dk)
         blocks = []
         for l in range(cfg.n_layers):
             ln1 = p[f"blk{l}_ln1_g"], p[f"blk{l}_ln1_b"]
             Wq, bq = affine_after_ln(*ln1, p[f"blk{l}_attn_q_W"] * scale, p[f"blk{l}_attn_q_b"] * scale)
-            Wkv, bkv = affine_after_ln(
-                *ln1, np.concatenate([p[f"blk{l}_attn_k_W"], p[f"blk{l}_attn_v_W"]], axis=1),
-                np.concatenate([p[f"blk{l}_attn_k_b"], p[f"blk{l}_attn_v_b"]]))
+            Wk, _ = affine_after_ln(*ln1, p[f"blk{l}_attn_k_W"], p[f"blk{l}_attn_k_b"])
+            Wv, bv = affine_after_ln(*ln1, p[f"blk{l}_attn_v_W"], p[f"blk{l}_attn_v_b"])
+            Wo, bo = p[f"blk{l}_attn_o_W"], p[f"blk{l}_attn_o_b"]
+            # head h's columns of W_q, W_k, W_v and rows of W_o are h*dk..(h+1)*dk
+            Wk = Wk.reshape(d, h, dk)
+            QK = np.einsum("ihk,jhk->ihj", Wq.reshape(d, h, dk), Wk).reshape(d, h * d)
+            bQK = np.einsum("hk,jhk->hj", bq.reshape(h, dk), Wk).reshape(h * d)
+            VO = np.einsum("ihk,hkj->hij", Wv.reshape(d, h, dk), Wo.reshape(h, dk, d)).reshape(h * d, d)
             W1, b1 = affine_after_ln(p[f"blk{l}_ln2_g"], p[f"blk{l}_ln2_b"],
                                      p[f"blk{l}_ffn_W1"], p[f"blk{l}_ffn_b1"])
-            blocks.append((Wq, bq, Wkv, bkv, p[f"blk{l}_attn_o_W"], p[f"blk{l}_attn_o_b"],
-                           W1, b1, p[f"blk{l}_ffn_W2"], p[f"blk{l}_ffn_b2"]))
+            blocks.append((QK, bQK, VO, bv @ Wo + bo, W1, b1, p[f"blk{l}_ffn_W2"], p[f"blk{l}_ffn_b2"]))
 
         def frozen(a):
             a = np.ascontiguousarray(a, dtype=dt)
@@ -474,24 +493,33 @@ class InferencePolicy:
         self._pre_ln = frozen(p["pre_ln_g"]), frozen(p["pre_ln_b"])
         self._blocks = [tuple(map(frozen, blk)) for blk in blocks]
         self._head = frozen(p["head_W"]), frozen(p["head_b"])
+        # x @ centre subtracts each row's mean; xc² @ mean_of is its variance
+        self._centre = frozen(np.eye(d) - 1.0 / d)
+        self._mean_of = frozen(np.full((d, 1), 1.0 / d))
+
+    def _normalize(self, x):
+        """Each row of x standardised over its last axis, as T.normalize's
+        first output, but computed in x's dtype."""
+        xc = x @ self._centre
+        return xc / np.sqrt(np.square(xc) @ self._mean_of + T.LN_EPS)
 
     def _block(self, x, blk, bias, last):
         """Pre-LN causal self-attention and FFN, each with its residual; with
         `last`, only the newest row is computed and returned ([b, 1, d])."""
-        Wq, bq, Wkv, bkv, Wo, bo, W1, b1, W2, b2 = blk
+        QK, bQK, VO, bVO, W1, b1, W2, b2 = blk
         b, m, d = x.shape
         h = self.config.n_heads
-        xhat = T.normalize(x)[0]
-        kv = (xhat @ Wkv + bkv).reshape(b, m, 2, h, d // h).transpose(2, 0, 3, 1, 4)  # [2, b, h, m, dk]
+        xhat = self._normalize(x)
+        xt = xhat[:, None]           # [b, 1, m, d]: every head reads the normalised tokens
         if last:
             x, xhat, bias = x[:, -1:], xhat[:, -1:], bias[..., -1:, :]
         r = x.shape[1]
-        q = (xhat @ Wq + bq).reshape(b, r, h, d // h).transpose(0, 2, 1, 3)          # [b, h, r, dk]
-        s = q @ kv[0].transpose(0, 1, 3, 2) + bias
+        s = (xhat @ QK + bQK).reshape(b, r, h, d).transpose(0, 2, 1, 3) @ xt.transpose(0, 1, 3, 2) + bias
         e = np.exp(s - s.max(axis=-1, keepdims=True))
-        att = (e / e.sum(axis=-1, keepdims=True)) @ kv[1]
-        x = x + att.transpose(0, 2, 1, 3).reshape(b, r, d) @ Wo + bo
-        return x + np.maximum(T.normalize(x)[0] @ W1 + b1, 0.0) @ W2 + b2
+        e /= e.sum(axis=-1, keepdims=True)
+        att = (e @ xt).transpose(0, 2, 1, 3).reshape(b, r, h * d)     # per head, weights · xhat
+        x = x + att @ VO + bVO
+        return x + np.maximum(self._normalize(x) @ W1 + b1, 0.0) @ W2 + b2
 
     def predict(self, returns, states, actions, timesteps, pad_mask=None):
         """ActionDistribution for the newest step of each window, as
@@ -521,7 +549,7 @@ class InferencePolicy:
         raw = tokens.reshape(b, w * TOKENS_PER_STEP, cfg.embed_size)[:, :n]
 
         g, beta = self._pre_ln
-        x = g * T.normalize(raw)[0] + beta
+        x = g * self._normalize(raw) + beta
         bias = _attention_bias(pad_mask, n, dt)
         for l, blk in enumerate(self._blocks):
             x = self._block(x, blk, bias, last=l == cfg.n_layers - 1)

@@ -499,6 +499,8 @@ class World:
         self.enqueued_bytes = {qc: 0 for qc in QueueClass}
         self.dropped_bytes = {qc: 0 for qc in QueueClass}
         self.dequeued_bytes = {qc: 0 for qc in QueueClass}
+        # hook answers _applied_action turned into a DROP, by cause
+        self.rewritten = {"buffer_full": 0, "not_ecn_capable": 0}
 
         for fl in self.flows:
             self._schedule(fl.spec.start_us, self._flow_send, fl)
@@ -558,13 +560,17 @@ class World:
         `action`, and the one place a hook's answer is checked.  An answer
         outside 0/1/2 raises; a packet the buffer cannot hold is dropped,
         whatever the hook asked; a not-ECN-capable packet cannot be marked,
-        so MARK becomes DROP."""
+        so MARK becomes DROP.  `rewritten` counts the answers changed, by
+        cause; the buffer is checked first."""
         if action not in VALID_ACTIONS:
             raise ValueError(f"dequeue_action must be 0/1/2, got {action}")
-        if action != ACTION_DROP and (
-                q.length_bytes + pkt.size_bytes > self.params.buffer_limit_bytes
-                or action == ACTION_MARK and not pkt.ecn_capable):
-            return ACTION_DROP
+        if action != ACTION_DROP:
+            if q.length_bytes + pkt.size_bytes > self.params.buffer_limit_bytes:
+                self.rewritten["buffer_full"] += 1
+                return ACTION_DROP
+            if action == ACTION_MARK and not pkt.ecn_capable:
+                self.rewritten["not_ecn_capable"] += 1
+                return ACTION_DROP
         return action
 
     def _router_arrival(self, pkt: Packet, fl: _Flow):

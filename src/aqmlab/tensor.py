@@ -24,6 +24,8 @@ import math
 
 import numpy as np
 
+LN_EPS = 1e-5   # the layer-norm epsilon: the default of normalize and layer_norm
+
 
 class TensorError(ValueError):
     pass
@@ -375,7 +377,7 @@ def softmax(x, axis=-1):
     return Tensor(out_data, _parents=(x,), _backward=bwd)
 
 
-def normalize(x, eps=1e-5):
+def normalize(x, eps=LN_EPS):
     """Array x standardized over its last axis, with the mean and variance
     reduced in float64: (x - mean) / sqrt(var + eps) and 1 / sqrt(var + eps),
     both in x's dtype, the second with a trailing axis of 1.
@@ -394,7 +396,7 @@ def normalize(x, eps=1e-5):
     return x64.astype(x.dtype).reshape(x.shape), inv.astype(x.dtype).reshape(x.shape[:-1] + (1,))
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
+def layer_norm(x, gamma, beta, eps=LN_EPS):
     """Normalize over the last axis, then affine with gamma/beta."""
     xhat, inv = normalize(x.data, eps)
     out_data = xhat * gamma.data + beta.data

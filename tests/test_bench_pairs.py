@@ -1,0 +1,111 @@
+"""tools/bench_pairs.py's summary of paired benchmark runs, on canned result
+lines of the form `perfbench/run.py` prints."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+SPEC = [{"name": "latency_p50_ms", "unit": "ms", "better": "lower", "bound": 0.2},
+        {"name": "decisions_per_s", "unit": "1/s", "better": "higher", "bound": 0.2}]
+
+
+def stdout(p50, rate, failed=0):
+    """What one run prints: log lines, then the result object."""
+    result = {"correct": not failed, "attempted": 5, "failed": failed,
+              "metrics": {"latency_p50_ms": {"value": p50, "unit": "ms"},
+                          "decisions_per_s": {"value": rate, "unit": "1/s"}}}
+    return f"setup: imports 0.2 s\nlatency_p50_ms {p50} ms\n{json.dumps(result)}\n\n"
+
+
+def pairs(base, change):
+    return [{"base": bench_pairs.parse_result(stdout(*b)),
+             "change": bench_pairs.parse_result(stdout(*c))} for b, c in zip(base, change)]
+
+
+def test_parse_result_reads_the_last_line():
+    assert bench_pairs.parse_result(stdout(0.4, 100.0, failed=1))["failed"] == 1
+    with pytest.raises(ValueError):
+        bench_pairs.parse_result("\n \n")
+
+
+def test_summary_quartiles_wins_and_rules():
+    base = [(0.40, 100.0), (0.42, 100.0), (0.44, 110.0), (0.46, 90.0), (0.41, 105.0)]
+    change = [(0.30, 120.0), (0.31, 100.0), (0.45, 130.0), (0.32, 80.0), (0.33, 125.0)]
+    out = bench_pairs.summarise(pairs(base, change), SPEC)
+    assert out["pairs"] == 5 and out["failed"] == {"base": 0, "change": 0}
+    assert out["attempted"] == {"base": 25, "change": 25}
+    p50, rate = out["metrics"]["latency_p50_ms"], out["metrics"]["decisions_per_s"]
+    assert p50["base"]["runs"] == [0.40, 0.42, 0.44, 0.46, 0.41]
+    assert (p50["base"]["q1"], p50["base"]["median"], p50["base"]["q3"]) == pytest.approx(
+        (0.41, 0.42, 0.44))
+    assert p50["change"]["median"] == pytest.approx(0.32)
+    # the change is lower in 4 of 5 pairs: better by far more than the
+    # base's IQR, but short of nine tenths of the pairs
+    assert (p50["wins"], p50["ties"]) == (4, 0)
+    assert p50["base_iqr"] == pytest.approx(0.03)
+    assert p50["median_change_pct"] == pytest.approx(100 * (0.32 - 0.42) / 0.42)
+    assert not p50["claim_holds"] and p50["within_bound"]
+    # higher is better: 3 wins, 1 tie, 1 loss
+    assert (rate["wins"], rate["ties"]) == (3, 1)
+    assert rate["within_bound"]
+
+
+def test_claim_and_bound_decisions():
+    base = [(0.40, 100.0)] * 10
+    out = bench_pairs.summarise(pairs(base, [(0.30, 79.0)] * 10), SPEC)["metrics"]
+    assert out["latency_p50_ms"]["claim_holds"] and out["latency_p50_ms"]["wins"] == 10
+    # 21% fewer decisions per second is past the 20% bound
+    assert not out["decisions_per_s"]["within_bound"]
+    assert not out["decisions_per_s"]["claim_holds"]
+    # a change 10% slower in every pair: within the bound, no claim
+    out = bench_pairs.summarise(pairs(base, [(0.44, 100.0)] * 10), SPEC)["metrics"]
+    assert out["latency_p50_ms"]["within_bound"] and not out["latency_p50_ms"]["claim_holds"]
+    assert out["decisions_per_s"]["ties"] == 10
+
+
+def test_failed_operations_are_summed_per_side():
+    out = bench_pairs.summarise(pairs([(0.4, 1.0, 2)] * 2, [(0.4, 1.0, 0)] * 2), SPEC)
+    assert out["failed"] == {"base": 4, "change": 0}
+
+
+def test_reads_the_benchmark_metric_specs():
+    """Every end-to-end metric BENCHMARK.json declares carries the fields
+    summarise reads."""
+    specs = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert specs and all({"name", "unit", "better", "bound"} <= spec.keys() for spec in specs)
+    assert {spec["better"] for spec in specs} <= {"lower", "higher"}
+
+
+def test_exports_the_commit_and_the_tracked_working_tree(tmp_path):
+    """The base is the commit; the change is the working tree's tracked
+    files as they are on disk, staged new files included, untracked ones not."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        bench_pairs.subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                                   cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / "pkg").mkdir()
+    (repo / "pkg" / "a.py").write_text("old\n")
+    git("add", ".")
+    git("commit", "-q", "-m", "base")
+    (repo / "pkg" / "a.py").write_text("edited\n")
+    (repo / "b.py").write_text("staged\n")
+    git("add", "b.py")
+    (repo / "c.py").write_text("untracked\n")
+    base, work = tmp_path / "x" / "base", tmp_path / "x" / "work"
+    bench_pairs.export_commit(str(repo), "HEAD", str(base))
+    bench_pairs.export_tree(str(repo), str(work))
+    assert sorted(p.name for p in base.rglob("*.py")) == ["a.py"]
+    assert (base / "pkg" / "a.py").read_text() == "old\n"
+    assert sorted(p.name for p in work.rglob("*.py")) == ["a.py", "b.py"]
+    assert (work / "pkg" / "a.py").read_text() == "edited\n"

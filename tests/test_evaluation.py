@@ -187,6 +187,24 @@ class TestClosedLoopEval:
         assert fr["enqueue_frac"] + fr["drop_frac"] + fr["mark_frac"] == pytest.approx(1.0)
         json.dumps(doc)  # must be serializable
 
+    def test_stats_report_the_worlds_rewrites(self):
+        """The actions section counts the hook answers the world rewrote,
+        by cause: none for the rule, both causes for an always-MARK hook
+        (the default scenario holds non-ECN flows)."""
+        rule = ev.evaluate(default_scenario(seed=2, duration_us=2_000_000))
+        assert rule["actions"]["rewritten"] == {"buffer_full": 0, "not_ecn_capable": 0}
+
+        class AlwaysMark(RuleBased):
+            def hook(self, world, q, pkt, decision):
+                return ACTION_MARK
+
+        world = run_scenario(default_scenario(seed=2, duration_us=2_000_000),
+                             decision_hook=AlwaysMark().hook)
+        doc = ev.collect_stats(world, AlwaysMark())
+        rewritten = doc["actions"]["rewritten"]
+        assert rewritten == world.rewritten and rewritten["not_ecn_capable"] > 0
+        assert sum(rewritten.values()) == round(doc["actions"]["drop_frac"] * doc["actions"]["total"])
+
     def test_stats_round_trip(self, tmp_path):
         sc = default_scenario(seed=2, duration_us=6_000_000)
         doc = ev.evaluate(sc)
@@ -257,7 +275,8 @@ def loop_collect_stats(world, driver):
                     "l4s_delay_ms": ev._summary(delay_ms[1]),
                     "utilization": ev._summary(util), "reward": ev._summary(rewards)},
         "actions": {"enqueue_frac": actions.count(0) / n, "drop_frac": actions.count(1) / n,
-                    "mark_frac": actions.count(2) / n, "total": len(actions)},
+                    "mark_frac": actions.count(2) / n, "total": len(actions),
+                    "rewritten": dict(world.rewritten)},
         "cdf": {"delay_ms": ev._cdf(all_delay)},
         "trace": {"t_us": t_us[0], "delay_ms": delay_ms[0]},
         "driver": driver.finish(),

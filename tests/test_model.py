@@ -24,13 +24,14 @@ def small_config(**over):
     return ModelConfig(**base)
 
 
-def rand_batch(cfg, b=3, w=None, seed=0):
+def rand_batch(cfg, b=3, w=None, seed=0, t0=0):
+    """A random batch of b windows of w steps at timesteps t0..t0 + w - 1."""
     w = w or cfg.context_window
     rng = np.random.default_rng(seed)
     R = rng.normal(size=(b, w))
     S = rng.normal(size=(b, w, STATE_DIM))
     A = rng.integers(0, ACTION_COUNT, size=(b, w)).astype(float)
-    ts = np.tile(np.arange(w), (b, 1))
+    ts = np.tile(np.arange(t0, t0 + w), (b, 1))
     return R, S, A, ts
 
 
@@ -656,12 +657,13 @@ def perturbed_model(cfg, seed=3, lora=True):
     return m
 
 
-def assert_policy_matches_predict(model, tol, seed=7):
+def assert_policy_matches_predict(model, tol, seed=7, t0=0):
     """InferencePolicy.predict against PolicyModel.predict at b=1 and b=3, on
-    left-padded windows, one of them with a single real step."""
+    left-padded windows, one of them with a single real step, at timesteps
+    t0..t0 + w - 1."""
     policy = InferencePolicy(model)
     w = model.config.context_window
-    R, S, A, ts = rand_batch(model.config, b=3, w=w, seed=seed)
+    R, S, A, ts = rand_batch(model.config, b=3, w=w, seed=seed, t0=t0)
     pad = np.ones((3, w))
     pad[1, :3] = 0.0
     pad[2, :-1] = 0.0   # one real step
@@ -696,6 +698,42 @@ class TestInferencePolicy:
     def test_other_kernel_sizes_and_heads(self):
         cfg = small_config(n_heads=4, n_layers=2)
         assert_policy_matches_predict(perturbed_model(cfg), 1e-12)
+
+    @DEFAULT_FEATURES_DTYPES
+    @pytest.mark.parametrize("offset", [-4, 1000], ids=["straddling", "past"])
+    def test_matches_predict_past_max_timestep(self, offset, dtype, tol):
+        """Past max_timestep the time table is clipped to its last row, the
+        closed loop's usual case after about 5 s: a window whose first steps
+        lie before that row and its last ones past it, and one wholly past."""
+        cfg = bench_config(dtype=dtype, n_layers=2)
+        assert_policy_matches_predict(perturbed_model(cfg), tol, t0=cfg.max_timestep + offset)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_every_array_read_only_in_the_model_dtype(self, dtype):
+        """Every array the snapshot holds, the folded QK/OV matrices
+        included, is frozen and in the model dtype."""
+        cfg = bench_config(dtype=dtype, n_layers=2)
+        policy = InferencePolicy(perturbed_model(cfg))
+        arrays = []
+
+        def collect(v):
+            if isinstance(v, np.ndarray):
+                arrays.append(v)
+            elif isinstance(v, (tuple, list)):
+                for item in v:
+                    collect(item)
+        for v in vars(policy).values():
+            collect(v)
+        # the token conv's W and b, the time table, the pre-LN pair, the
+        # head pair, the centring matrix and the mean column, and per block
+        # QK, bQK, VO, bVO, W1, b1, W2, b2
+        assert len(arrays) == 9 + 8 * cfg.n_layers
+        d, h = cfg.embed_size, cfg.n_heads
+        assert [a.shape for a in policy._blocks[0][:4]] == [(d, h * d), (h * d,), (h * d, d), (d,)]
+        for a in arrays:
+            assert a.dtype == cfg.np_dtype and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 0.0
 
     def test_builds_no_tensor(self, monkeypatch):
         cfg = bench_config()

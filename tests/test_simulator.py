@@ -401,6 +401,30 @@ class TestGate:
         assert full and all(r.dequeue_action == ACTION_DROP for r in full)
         assert max(r.length_in_bytes for r in world.records) <= limit
 
+    def test_always_enqueue_rewrites_count_as_buffer_full(self):
+        """Under overload an always-ENQUEUE hook is rewritten only when the
+        buffer is full, so every logged DROP is one buffer_full rewrite."""
+        world = run_scenario(self._overload(), decision_hook=lambda world, q, pkt, decision: ACTION_ENQUEUE)
+        drops = sum(r.dequeue_action == ACTION_DROP for r in world.records)
+        assert drops > 0 and world.rewritten == {"buffer_full": drops, "not_ecn_capable": 0}
+
+    def test_always_mark_rewrites_counted_by_cause(self):
+        """An always-MARK hook is rewritten for a full buffer first, else for
+        a not-ECN-capable packet; each logged DROP is one of the two."""
+        want = {"buffer_full": 0, "not_ecn_capable": 0}
+
+        def hook(world, q, pkt, decision):
+            if q.length_bytes + pkt.size_bytes > world.params.buffer_limit_bytes:
+                want["buffer_full"] += 1
+            elif not pkt.ecn_capable:
+                want["not_ecn_capable"] += 1
+            return ACTION_MARK
+
+        world = run_scenario(self._overload(), decision_hook=hook)
+        drops = sum(r.dequeue_action == ACTION_DROP for r in world.records)
+        assert world.rewritten == want and min(want.values()) > 0
+        assert sum(want.values()) == drops
+
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(0, 2 ** 16),
            flows=st.lists(st.tuples(st.sampled_from(list(FlowKind)), st.booleans(),

@@ -1,0 +1,198 @@
+"""Paired benchmark runs of a base commit against the working tree.
+
+    python3 tools/bench_pairs.py --label inference_fold --pairs 10 --seed 7 \
+        --seconds 15 --workloads closed_loop train logs_to_pool
+
+Run from anywhere inside a git checkout.  The base commit (`--base`,
+default HEAD) is exported with `git archive`, and the working tree's tracked
+files, as they are on disk, are copied beside it.  The two copies sit in one
+temporary directory under names of equal length, so nothing is registered
+in `.git`, an interrupted run leaves nothing to prune, and both sides run
+from paths of the same length: closed_loop's `peak_rss_mb` settles on
+levels up to 20 MB apart by the checkout's path alone, for the same code.
+For each workload, each pair runs `perfbench/run.py --trace 0` once in each
+copy, with the side that runs first alternating from pair to pair.  The
+runs are sequential, one process at a time.
+
+The result is `BENCH_<label>.json` in the checkout's root.  It records both
+commits, the machine, the Python and numpy versions, the arguments, every
+run's result line, and, for each end-to-end metric `BENCHMARK.json`
+declares, both sides' quartiles, the pair wins and whether the change stays
+within the metric's bound.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import shutil
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+SIDES = ("base", "change")
+
+
+def git(root, *args):
+    return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def parse_result(stdout):
+    """The result object `perfbench/run.py` prints as its last line."""
+    lines = [line for line in stdout.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("the run printed nothing")
+    return json.loads(lines[-1])
+
+
+def quartiles(values):
+    q1, median, q3 = np.percentile(np.asarray(values, dtype=float), [25, 50, 75])
+    return {"q1": float(q1), "median": float(median), "q3": float(q3)}
+
+
+def summarise(pairs, end_to_end):
+    """Per end-to-end metric, both sides' runs and quartiles and the pairs
+    the change wins.  `pairs` is a list of {"base": result, "change":
+    result} of the result objects `perfbench/run.py` prints; `end_to_end`
+    is BENCHMARK.json's list of metric specs (name, unit, better, bound).
+
+    A pair is a win when the change reads better than the base, a tie when
+    the two read the same.  `claim_holds` applies the gain rule: wins in at
+    least nine tenths of the pairs, and medians further apart than the
+    base's interquartile range.  `within_bound` holds when the change's
+    median is no worse than the base's by more than the bound (a fraction
+    of the base's median).
+    """
+    out = {"pairs": len(pairs),
+           "failed": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES},
+           "attempted": {side: sum(p[side]["attempted"] for p in pairs) for side in SIDES},
+           "metrics": {}}
+    for spec in end_to_end:
+        name, sign = spec["name"], 1.0 if spec["better"] == "lower" else -1.0
+        runs = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
+        # `gain` > 0 where the change reads better than the base
+        gain = sign * (np.asarray(runs["base"], dtype=float) - np.asarray(runs["change"], dtype=float))
+        stats = {side: {"runs": runs[side], **quartiles(runs[side])} for side in SIDES}
+        base_med, change_med = stats["base"]["median"], stats["change"]["median"]
+        worse = sign * (change_med - base_med)
+        wins = int(np.sum(gain > 0))
+        out["metrics"][name] = {
+            "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
+            **stats,
+            "wins": wins, "ties": int(np.sum(gain == 0)),
+            "median_change_pct": 100.0 * (change_med - base_med) / base_med if base_med else None,
+            "base_iqr": stats["base"]["q3"] - stats["base"]["q1"],
+            "claim_holds": bool(wins >= 0.9 * len(pairs)
+                                and -worse > stats["base"]["q3"] - stats["base"]["q1"]),
+            "within_bound": bool(worse <= spec["bound"] * abs(base_med)),
+        }
+    return out
+
+
+def machine():
+    cpu = ""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), "")
+    except OSError:
+        pass
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"platform": platform.platform(), "machine": platform.machine(),
+            "cpu_model": cpu or platform.processor(), "nproc": nproc,
+            "python": platform.python_version(), "numpy": np.__version__}
+
+
+def export_commit(root, commit, dest):
+    """The files of `commit`, extracted into the new directory `dest`."""
+    os.makedirs(dest)
+    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=root,
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+
+
+def export_tree(root, dest):
+    """The working tree's tracked files as they are on disk (uncommitted
+    edits and staged new files included), copied into the new directory
+    `dest`."""
+    for rel in git(root, "ls-files", "-z").split("\0"):
+        src = os.path.join(root, rel)
+        if rel and os.path.isfile(src):
+            os.makedirs(os.path.dirname(os.path.join(dest, rel)), exist_ok=True)
+            shutil.copy2(src, os.path.join(dest, rel))
+
+
+def run_once(checkout, workload, args):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(args.seed),
+           "--seconds", str(args.seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode:
+        raise SystemExit(f"error: {' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
+                         f"{proc.stderr[-2000:]}")
+    return parse_result(proc.stdout)
+
+
+def parse_args(argv):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--label", required=True, help="the output is BENCH_<label>.json")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seconds", type=float, default=15.0)
+    ap.add_argument("--workloads", nargs="+", default=["closed_loop"])
+    ap.add_argument("--base", default="HEAD", help="the commit to compare against (default HEAD)")
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be >= 1")
+    return args
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    root = git(os.getcwd(), "rev-parse", "--show-toplevel")
+    with open(os.path.join(root, "BENCHMARK.json")) as fh:
+        end_to_end = json.load(fh)["end_to_end"]
+    commits = {"base": git(root, "rev-parse", args.base),
+               "change": git(root, "rev-parse", "HEAD"),
+               "change_has_uncommitted_edits": bool(git(root, "status", "--porcelain",
+                                                        "--untracked-files=no"))}
+    doc = {"label": args.label, "commits": commits, "machine": machine(),
+           "arguments": dict(vars(args)), "workloads": {}}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        # names of equal length, so both sides run from paths of one length
+        checkouts = {"base": os.path.join(tmp, "base"), "change": os.path.join(tmp, "work")}
+        export_commit(root, commits["base"], checkouts["base"])
+        export_tree(root, checkouts["change"])
+        for workload in args.workloads:
+            pairs = []
+            for i in range(args.pairs):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                pair = {"first": order[0]}
+                for side in order:
+                    pair[side] = run_once(checkouts[side], workload, args)
+                    print(f"{workload} pair {i + 1}/{args.pairs} {side}: " + " ".join(
+                        f"{k}={m['value']:.4g}" for k, m in pair[side]["metrics"].items()),
+                        flush=True)
+                pairs.append(pair)
+            doc["workloads"][workload] = {"runs": pairs, "summary": summarise(pairs, end_to_end)}
+    path = os.path.join(root, f"BENCH_{args.label}.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    for workload, entry in doc["workloads"].items():
+        for name, m in entry["summary"]["metrics"].items():
+            pct = m["median_change_pct"]
+            print(f"{workload:13s} {name:16s} base {m['base']['median']:.4g} "
+                  f"change {m['change']['median']:.4g}"
+                  + (f" ({pct:+.1f}%)" if pct is not None else "")
+                  + f" wins {m['wins']}/{entry['summary']['pairs']} base IQR {m['base_iqr']:.3g}")
+    print(f"written {os.path.relpath(path)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
