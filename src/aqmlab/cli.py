@@ -58,13 +58,13 @@ def _cmd_build_pool(args):
 
 def _cmd_train(args):
     p = pool_mod.ExperiencePool.load(args.pool)
-    mcfg = ModelConfig(feature_dim=args.feature_dim, embed_size=args.embed_size,
-                       n_layers=args.layers, n_heads=args.heads,
-                       context_window=args.window)
-    model = PolicyModel(mcfg, seed=args.seed)
     if args.init_from:
         model, _, _ = load_checkpoint(args.init_from)
         model.enable_lora(rank=args.lora_rank, seed=args.seed)
+    else:
+        model = PolicyModel(ModelConfig(feature_dim=args.feature_dim, embed_size=args.embed_size,
+                                        n_layers=args.layers, n_heads=args.heads,
+                                        context_window=args.window), seed=args.seed)
     tcfg = training.TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                                 lr=args.lr, clip_norm=args.clip_norm,
                                 gamma=p.gamma, window=args.window,

@@ -24,7 +24,7 @@ import numpy as np
 from .features import ACTION_COUNT, ACTION_MARK, STATE_DIM
 from .model import InferencePolicy, load_checkpoint
 from .pool import compute_reward, klog_states, normalize
-from .simulator import ScenarioConfig, World, fixed_probs, run_scenario
+from .simulator import ScenarioConfig, World, run_scenario
 
 STATS_FORMAT_VERSION = 2           # 2 added the time-ordered Classic delay trace
 STEADY_STATE_SKIP_US = 5_000_000   # discard the first 5 s of every run
@@ -55,11 +55,12 @@ class LlmEvery:
     a `model.InferencePolicy` snapshot (`self.model`).
 
     Keeps the klog fields of the last `window` decisions (the model's
-    context window), and at a model decision builds the window the pool
-    would hold for them: states through `pool.klog_states`, normalised with
-    the checkpoint's feature statistics, the decision index as the
-    timestep, and the return channel pinned to the training-time target
-    return.  The earlier steps' actions are read from the world's log,
+    context window), with the probabilities read from the world's
+    `klog_probs`, the fixed-point pair its log records.  At a model decision
+    it builds the window the pool would hold for them: states through
+    `pool.klog_states`, normalised with the checkpoint's feature
+    statistics, the decision index as the timestep, and the return channel
+    pinned to the training-time target return.  The earlier steps' actions are read from the world's log,
     which holds what the world applied (a MARK on a not-ECN-capable packet
     or anything but a DROP on a full buffer is applied as a DROP), and the
     decision index is the log's length, since the world logs each decision
@@ -107,7 +108,7 @@ class LlmEvery:
         drops = q.total_drops
         delta = drops - self._last_drops.get(q.queue_type, drops)
         self._last_drops[q.queue_type] = drops
-        drop_p, acc_p = fixed_probs(q)
+        drop_p, acc_p = world.klog_probs
         # in STATE_FEATURES order
         self._fields.append((q.queue_type, q.burst_allowance, drop_p, q.current_queue_delay,
                              acc_p, q.length_bytes, delta, pkt.size_bytes))

@@ -83,14 +83,11 @@ class ActionDistribution:
         return int(np.argmax(self.probabilities))
 
 
-def _draw(rng, shape, scale, dtype):
-    return rng.normal(0.0, scale, size=shape).astype(dtype)
-
-
 def _init(rng, shape, scale, dtype):
     """A trainable normal(0, scale) parameter; with no rng, one of unset
     values, for a caller that replaces them."""
-    data = np.empty(shape, dtype=dtype) if rng is None else _draw(rng, shape, scale, dtype)
+    data = (np.empty(shape, dtype=dtype) if rng is None
+            else rng.normal(0.0, scale, size=shape).astype(dtype))
     return Tensor(data, requires_grad=True)
 
 
@@ -125,11 +122,13 @@ def _attention_bias(pad_mask, n, dtype):
     return np.where(diag[None, None], np.maximum(bias, -1e8), bias)
 
 
-def _softmax64(logits):
-    """Softmax over the last axis, in float64."""
+def _distributions(logits):
+    """An ActionDistribution per window from its newest step's logits
+    [batch, 3], with the probabilities a float64 softmax."""
     z = logits.astype(np.float64)
     e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    return [ActionDistribution(row, p) for row, p in zip(logits, probs)]
 
 
 class PolicyModel:
@@ -198,14 +197,6 @@ class PolicyModel:
     def lora_param_names(self):
         return [n for n in self.params if "_lora_" in n]
 
-    def wrapped_base_names(self):
-        out = []
-        if self.lora_enabled:
-            for l in range(self.config.n_layers):
-                for w in LORA_TARGETS:
-                    out.append(f"blk{l}_attn_{w}_W")
-        return out
-
     def enable_lora(self, rank=None, seed=1):
         """Freeze every backbone matrix; add trainable A (random) / B (zero).
 
@@ -249,12 +240,13 @@ class PolicyModel:
     def merge_lora(self):
         """Dense W0 + A@B for every wrapped matrix, keyed by base name."""
         merged = {}
-        for name in self.wrapped_base_names():
-            stem = name[: -len("_W")]
-            W0 = self.params[name].data
-            A = self.params[f"{stem}_lora_A"].data
-            B = self.params[f"{stem}_lora_B"].data
-            merged[name] = W0 + A @ B
+        if self.lora_enabled:
+            for l in range(self.config.n_layers):
+                for w in LORA_TARGETS:
+                    stem = f"blk{l}_attn_{w}"
+                    A = self.params[f"{stem}_lora_A"].data
+                    B = self.params[f"{stem}_lora_B"].data
+                    merged[f"{stem}_W"] = self.params[f"{stem}_W"].data + A @ B
         return merged
 
     def merged_model(self):
@@ -326,7 +318,8 @@ class PolicyModel:
         r_emb = Tensor(returns[:, :, None, None]) * p["W_return"] + p["b_return"]  # [b, w, 1, d]
         a_emb = Tensor(actions[:, :, None, None]) * p["W_action"] + p["b_action"]
         s_emb = self.encode_state(states)                                          # [b, w, 8, d]
-        t_emb = T.embedding(p["W_time"], np.clip(timesteps, 0, cfg.max_timestep)[:, :, None])
+        t_emb = T.select_positions(p["W_time"], np.clip(timesteps, 0, cfg.max_timestep)[:, :, None],
+                                   axis=0)
         tokens = T.concat([r_emb, s_emb, a_emb], axis=2) + t_emb                   # [b, w, 10, d]
         tokens = tokens.reshape(b, w * TOKENS_PER_STEP, cfg.embed_size)
         normed = T.layer_norm(tokens, self.params["pre_ln_g"], self.params["pre_ln_b"])
@@ -388,15 +381,11 @@ class PolicyModel:
         x = x + T.select_positions(raw_tokens, positions)
         return T.linear(x, self.params["head_W"], self.params["head_b"])
 
-    def action_distributions(self, logits):
-        return logits.data, _softmax64(logits.data)
-
     def predict(self, returns, states, actions, timesteps, pad_mask=None):
         """ActionDistribution for the newest step of each window (no graph kept)."""
         with T.no_grad():
             logits = self.forward(returns, states, actions, timesteps, pad_mask)
-        raw, probs = self.action_distributions(logits)
-        return [ActionDistribution(raw[i, -1], probs[i, -1]) for i in range(raw.shape[0])]
+        return _distributions(logits.data[:, -1])
 
 
 class InferencePolicy:
@@ -554,9 +543,7 @@ class InferencePolicy:
         for l, blk in enumerate(self._blocks):
             x = self._block(x, blk, bias, last=l == cfg.n_layers - 1)
         W, c = self._head
-        logits = (x[:, -1] + raw[:, -1]) @ W + c
-        probs = _softmax64(logits)
-        return [ActionDistribution(logits[i], probs[i]) for i in range(b)]
+        return _distributions((x[:, -1] + raw[:, -1]) @ W + c)
 
 
 # --------------------------------------------------------------- checkpointing

@@ -222,7 +222,7 @@ def klog_states(fields) -> np.ndarray:
     """The float64 [N, 8] states of N decisions from their klog fields.
 
     `fields` is [N, 8] integers in STATE_FEATURES order: the probabilities in
-    the log's 1e-6 fixed point (`simulator.fixed_probs`) and the drops as the
+    the log's 1e-6 fixed point (`World.klog_probs`) and the drops as the
     rise in total_drops since the previous record of the same queue.  The
     pool builder and the closed loop both call it, so the model sees online
     the states it was trained on.

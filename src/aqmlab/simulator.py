@@ -93,8 +93,11 @@ class Dualpi2Params:
             raise ValueError("alpha and beta must be >= 0")
         if self.coupling_factor_k < 1:
             raise ValueError("coupling_factor_k must be >= 1")
-        if self.qdelay_target <= 0 or self.link_rate_bps <= 0:
-            raise ValueError("qdelay_target and link_rate_bps must be > 0")
+        # tupdate is the controller's period: at 0 its event reschedules at
+        # the same instant and the event loop never advances
+        for name in ("qdelay_target", "tupdate", "link_rate_bps"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
 
 
 @dataclass
@@ -321,6 +324,15 @@ class FlowSpec:
     cbr_rate_bps: int = 4_000_000    # CBR only
     initial_cwnd_packets: int = 4
 
+    def __post_init__(self):
+        # each is a divisor of a send gap or the period of an event (a window
+        # flow's RTT tick, a congestion signal's delay): a value <= 0 would
+        # divide by zero or stall or rewind the event loop
+        for name in ("mss", "rtt_us",
+                     "cbr_rate_bps" if self.kind == _CBR_UDP else "initial_cwnd_packets"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
+
     def codepoint(self) -> Ecn:
         if self.kind == _DCTCP_LIKE or self.kind == _CBR_UDP:
             return _ECT1
@@ -444,7 +456,7 @@ def default_scenario(seed=1, duration_us=60_000_000):
 # ---------------------------------------------------------------- world/event
 
 
-def fixed_probs(q: QueueState):
+def _fixed_probs(q: QueueState):
     """p' and the accumulated probability as the log's 1e-6 fixed point."""
     return round(q.drop_probability * PROB_SCALE), round(q.accumulated_probability * PROB_SCALE)
 
@@ -458,7 +470,10 @@ class World:
     decides what it carries out of a hook's answer (`_applied_action`) and
     logs that, right after the hook returns.  The world owns its
     queue states: p' and the accumulated probability change only at
-    Tupdate, which also computes the fixed-point form the log records.
+    Tupdate, and both queues hold the same pair, since the coupled queues
+    read one base probability.  `klog_probs` is that pair in the log's 1e-6
+    fixed point, computed at start-up and at each Tupdate: every record,
+    of either queue, logs it, and a hook reads it there.
     """
 
     def __init__(self, config: ScenarioConfig,
@@ -489,8 +504,8 @@ class World:
         klog_params = (p.qdelay_target, p.tupdate, p.max_burst, p.max_ecn_threshold,
                        int(round(p.alpha * GAIN_SCALE)), int(round(p.beta * GAIN_SCALE)), 0)
         self._klog_head = {qc: (int(qc), *klog_params) for qc in QueueClass}
-        # fields 9 and 12, the probabilities in fixed point, set at Tupdate
-        self._klog_probs = {qc: fixed_probs(q) for qc, q in self.queues.items()}
+        # fields 9 and 12 of every record, set at Tupdate
+        self.klog_probs = _fixed_probs(self.queues[_CLASSIC])
         self._service_us = {}      # packet size -> link service time
 
         # Measurement series
@@ -594,13 +609,11 @@ class World:
         if action == ACTION_DROP:
             q.total_drops += 1
             self.dropped_bytes[qc] += size
-            if fl is not None:
-                self._schedule(self.now + fl.rtt_us, self._flow_signal, fl, True)
+            self._schedule(self.now + fl.rtt_us, self._flow_signal, fl, True)
             return
         if action == ACTION_MARK:
             pkt.ecn_codepoint = _CE
-            if fl is not None:
-                self._schedule(self.now + fl.rtt_us, self._flow_signal, fl, False)
+            self._schedule(self.now + fl.rtt_us, self._flow_signal, fl, False)
         q.length_bytes += size
         q.length_packets += 1
         self.enqueued_bytes[qc] += size
@@ -658,13 +671,13 @@ class World:
             q.previous_queue_delay = q.current_queue_delay
             q.accumulated_probability = min(q.accumulated_probability + base, 1e6)
             q.measurement_start_time = self.now
-            self._klog_probs[q.queue_type] = fixed_probs(q)
+        self.klog_probs = _fixed_probs(q)   # the last queue's pair, which both hold
         self._schedule(self.now + p.tupdate, self._tupdate)
 
     # ---------------------------------------------------------------- logging
 
     def _emit_record(self, q: QueueState, pkt: Packet, action: int):
-        drop_p, acc_p = self._klog_probs[q.queue_type]
+        drop_p, acc_p = self.klog_probs
         # the rule's decisions and the gate's answers are valid actions, so
         # skip the record constructor's own check
         self.records.append(tuple.__new__(KernelLogRecord, (

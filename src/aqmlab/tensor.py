@@ -293,25 +293,6 @@ def select_positions(x, positions, axis=1):
     return Tensor(out_data, _parents=(x,), _backward=bwd)
 
 
-def embedding(table, indices):
-    """Row lookup table[indices] -> (*indices.shape, d)."""
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.min() < 0 or indices.max() >= table.shape[0]:
-        raise TensorError(
-            f"embedding index out of range [0,{table.shape[0]}): "
-            f"[{indices.min()},{indices.max()}]"
-        )
-    out_data = table.data[indices]
-
-    def bwd(g):
-        if table.requires_grad:
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, indices, g)
-            table._accum(gt)
-
-    return Tensor(out_data, _parents=(table,), _backward=bwd)
-
-
 def einsum(spec, a, b):
     """Two-operand np.einsum with its backward, e.g. "bwck,ckf->bwcf".
 

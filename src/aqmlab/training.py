@@ -113,16 +113,6 @@ class WindowDataset:
             yield self.gather(self.picks(np.arange(i, min(i + batch_size, len(self)))))
 
 
-def accuracy(preds, true_actions) -> float:
-    preds = np.asarray(preds)
-    true_actions = np.asarray(true_actions)
-    if preds.shape != true_actions.shape:
-        raise TrainError(f"length mismatch: {preds.shape} vs {true_actions.shape}")
-    if preds.size == 0:
-        raise TrainError("empty prediction set")
-    return float(np.mean(preds == true_actions))
-
-
 def _batch_loss(model, batch):
     R, S, A, tgt, ts, mask = batch
     logits = model.forward(R, S, A, ts, pad_mask=(mask > 0).astype(float))

@@ -82,6 +82,22 @@ def test_train_writes_a_checkpoint_with_the_cli_config(pipeline):
     assert counts == f"parameters: {total:,} trainable of {total:,}"
 
 
+def test_train_from_a_checkpoint_builds_no_model_from_the_cli_config(
+        pipeline, tmp_path, monkeypatch):
+    """With --init-from the model comes from the checkpoint alone, so the
+    CLI's model settings build and draw nothing."""
+    paths, _ = pipeline
+
+    def built(*args, **kwargs):
+        raise AssertionError("built a model from the CLI config")
+    monkeypatch.setattr(cli, "PolicyModel", built)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([str(a) for a in (
+            "train", paths["pool.npz"], "--epochs", 1, "--batch-size", 64, "--window", 4,
+            "--init-from", paths["policy.npz"], "-o", tmp_path / "lora.npz")]) == 0
+    assert load_checkpoint(tmp_path / "lora.npz")[0].lora_enabled
+
+
 def test_parsed_defaults_are_the_config_defaults():
     """`aqmlab train` and `build-pool` write no default of their own."""
     mdef, tdef = ModelConfig(), TrainConfig()
@@ -181,6 +197,18 @@ def test_diagnose_reports_positive_drift_on_a_diverging_run(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["lyapunov"]["mean_drift"] > 0
     assert out["lyapunov"]["negative_fraction"] < 0.5
+
+
+def test_scenario_with_a_zero_tupdate_exits_1(tmp_path, capsys):
+    """A zero controller period would stall the event loop; the scenario is
+    refused when it loads."""
+    doc = default_scenario(duration_us=1_000_000).to_dict()
+    doc["aqm"]["tupdate"] = 0
+    (tmp_path / "scenario.json").write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--scenario", str(tmp_path / "scenario.json"),
+                     "-o", str(tmp_path / "x.klog")]) == 1
+    assert "tupdate must be > 0" in capsys.readouterr().err
+    assert not (tmp_path / "x.klog").exists()
 
 
 def test_missing_input_exits_1(tmp_path, capsys):

@@ -385,7 +385,8 @@ class TestCheckpoint:
 
         def no_draw(*args):
             raise AssertionError("drew initial values")
-        monkeypatch.setattr(model_mod, "_draw", no_draw)
+        # a seeded model's every draw comes from the generator it makes
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
         loaded = load_checkpoint(path)[0]
         assert loaded.parameter_digest() == m.parameter_digest()
         assert loaded.merged_model().parameter_digest() == m.merged_model().parameter_digest()

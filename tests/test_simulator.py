@@ -358,6 +358,22 @@ class TestKlogColumns:
             run_scenario(_short_scenario(duration_us=200_000),
                          decision_hook=lambda world, q, pkt, decision: 7)
 
+    def test_hook_reads_the_probabilities_its_record_logs(self):
+        """At each decision the world's `klog_probs` is the fixed-point
+        (p', accumulated probability) pair of the record it then logs, for
+        either queue, and the pair moves as the controller steps."""
+        seen = []
+
+        def hook(world, q, pkt, decision):
+            seen.append((int(q.queue_type), *world.klog_probs))
+            return decision.action
+
+        world = run_scenario(_short_scenario(), decision_hook=hook)
+        assert seen == [(r.queue_type, r.drop_probability, r.accumulated_probability)
+                        for r in world.records]
+        assert {qt for qt, _, _ in seen} == {0, 1}
+        assert len({(drop_p, acc_p) for _, drop_p, acc_p in seen}) > 100
+
     def test_finished_world_freed_without_cycle_collector(self):
         gc.disable()
         try:
@@ -484,6 +500,21 @@ class TestScenarioConfig:
             Dualpi2Params(alpha=-1.0)
         with pytest.raises(ValueError):
             Dualpi2Params(coupling_factor_k=0.5)
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda v: Dualpi2Params(tupdate=v), "tupdate"),
+        (lambda v: FlowSpec(FlowKind.CUBIC_LIKE, rtt_us=v), "rtt_us"),
+        (lambda v: FlowSpec(FlowKind.AIMD_RENO, initial_cwnd_packets=v), "initial_cwnd_packets"),
+        (lambda v: FlowSpec(FlowKind.CBR_UDP, cbr_rate_bps=v), "cbr_rate_bps"),
+        (lambda v: FlowSpec(FlowKind.DCTCP_LIKE, mss=v), "mss"),
+        (lambda v: FlowSpec(FlowKind.CBR_UDP, mss=v), "mss"),
+    ])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_values_that_stall_or_crash_the_event_loop_refused(self, build, field, value):
+        """Each would stall the event loop or divide by zero in it; only the
+        construction is tried, never a run."""
+        with pytest.raises(ValueError, match=f"^{field} must be > 0"):
+            build(value)
 
 
 def _short_scenario(seed=3, duration_us=3_000_000):

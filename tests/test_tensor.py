@@ -179,7 +179,7 @@ class TestGradChecks:
         tab = Tensor(rand(5, 4), requires_grad=True)
         idx = np.array([[0, 2, 2], [4, 0, 1]])
         w = rand(2, 3, 4, seed=1)
-        err = T.grad_check(lambda: (T.embedding(tab, idx) * Tensor(w)).sum(),
+        err = T.grad_check(lambda: (T.select_positions(tab, idx, axis=0) * Tensor(w)).sum(),
                            [tab], eps=1e-6)
         assert err < 1e-3
 
@@ -313,7 +313,7 @@ class TestConstantOperands:
         h = h @ W + c["batch"] @ W + x @ c["frozen_W"]             # 2-D weights
         h = T.linear(c["batch"], W, c["frozen_b"]) + T.linear(h, c["frozen_W"])
         h = T.layer_norm(h, c["frozen_g"], c["frozen_b"])
-        h = h + T.embedding(c["table"], np.array([[1, 2, 3, 4, 5]] * 2))
+        h = h + T.select_positions(c["table"], np.array([[1, 2, 3, 4, 5]] * 2), axis=0)
         h = h + T.conv1d(c["batch"].transpose(0, 2, 1), c["kernel"], padding="causal").transpose(0, 2, 1)
         q = h.reshape(2, 5, 2, 2).transpose(0, 2, 1, 3)
         att = T.attention(q, q, q, mask_bias=T.causal_mask_bias(5))
@@ -411,10 +411,6 @@ class TestOpSemantics:
         full = T.cross_entropy(logits, tgt, weights=w)
         sub = T.cross_entropy(Tensor(logits.data[[0, 3]]), tgt[[0, 3]])
         np.testing.assert_allclose(float(full.data), float(sub.data), rtol=1e-6)
-
-    def test_embedding_out_of_range(self):
-        with pytest.raises(T.TensorError):
-            T.embedding(Tensor(rand(4, 2)), np.array([4]))
 
 
 class TestOptimizer:

@@ -7,7 +7,7 @@ from aqmlab import tensor as T
 from aqmlab.model import ModelConfig, PolicyModel
 from aqmlab.pool import ExperiencePool, Trajectory, compute_feature_stats, returns_to_go
 from aqmlab.training import (
-    TrainConfig, TrainError, WindowDataset, accuracy, class_recall, evaluate_accuracy,
+    TrainConfig, TrainError, WindowDataset, class_recall, evaluate_accuracy,
     split_pool, target_return, train, train_epoch,
 )
 
@@ -146,19 +146,6 @@ class TestWindowDataset:
     def test_empty_pool_rejected(self):
         with pytest.raises(TrainError):
             WindowDataset(ExperiencePool(gamma=0.95), window=4)
-
-
-class TestAccuracy:
-    def test_simple(self):
-        assert accuracy([0, 1, 2, 0], [0, 1, 1, 0]) == 0.75
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(TrainError):
-            accuracy([0, 1], [0])
-
-    def test_empty(self):
-        with pytest.raises(TrainError):
-            accuracy([], [])
 
 
 class TestSplit:
