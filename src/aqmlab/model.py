@@ -3,19 +3,22 @@
 Per timestep the token layout is [return, state_1..state_8, action] (10
 tokens); scalar features go through per-feature linear encoders, each temporal
 feature (CONV_FEATURES) through its own causal conv of width CONV_WIDTH over
-the window; learned time embeddings are added to all tokens of a step.  Each
-feature has its own encoder weights, stored stacked along a feature axis so
-that a few contractions encode all 8 features at once.  A causal transformer
+the window, and each state feature then through its own embedding; learned
+time embeddings are added to all tokens of a step.  No encoder has a
+nonlinearity, so one function, `fold_token_conv`, folds the stored encoder
+tensors into a single block-diagonal causal conv over the 10 input channels,
+and both forms of the model build tokens through it.  A causal transformer
 backbone feeds a 3-way action head read at the last state token of each step.
 Attention Q/V projections can be LoRA-wrapped (frozen base, trainable low-rank
 delta).
 
-PolicyModel is the trainable form: its forward pass builds a Tensor graph,
-and its `predict` is the reference for inference.  InferencePolicy is a
-read-only plain-numpy snapshot of a PolicyModel for closed-loop decisions:
-each encoder and its embedding fold into one causal conv per token type, LoRA
-deltas are merged, each attention head folds into its query-key and
-value-output matrices, and only the newest step's head row is computed.
+PolicyModel is the trainable form: its forward pass builds a Tensor graph, in
+which the tokens and their time rows are one node (`token_sequence`) and each
+block's attention another, and its `predict` is the reference for inference.
+InferencePolicy is a read-only plain-numpy snapshot of a PolicyModel for
+closed-loop decisions: the token conv is folded once, LoRA deltas are merged,
+each attention head folds into its query-key and value-output matrices, and
+only the newest step's head row is computed.
 """
 
 from __future__ import annotations
@@ -41,9 +44,9 @@ CONV_WIDTH = 7   # taps of each temporal feature's causal conv
 
 _is_conv = np.isin(STATE_FEATURES, CONV_FEATURES)
 _SCALAR_IDX, _CONV_IDX = np.flatnonzero(~_is_conv), np.flatnonzero(_is_conv)
-# encode_state computes the scalar group, then the conv group; this puts the
-# concatenation back into STATE_FEATURES order
-_FEATURE_ORDER = np.argsort(np.concatenate([_SCALAR_IDX, _CONV_IDX]))
+# the stored tensors the token encoders read, in `token_sequence`'s order
+_TOKEN_PARAMS = ("W_return", "b_return", "enc_scalar_W", "enc_scalar_b", "enc_conv_K",
+                 "enc_conv_b", "embed_W", "embed_b", "W_action", "b_action")
 
 
 class CheckpointError(RuntimeError):
@@ -129,6 +132,125 @@ def _distributions(logits):
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     probs = e / e.sum(axis=-1, keepdims=True)
     return [ActionDistribution(row, p) for row, p in zip(logits, probs)]
+
+
+def _pre_embedding(p):
+    """[8, CONV_WIDTH + 1, feature_dim]: per state feature, in STATE_FEATURES
+    order, its encoder's taps and then its bias, before the embedding.  A
+    scalar feature is the width-1 case, its weight at the newest tap."""
+    P = np.zeros((STATE_DIM, CONV_WIDTH + 1, p["embed_W"].shape[1]), dtype=p["embed_W"].dtype)
+    P[_SCALAR_IDX, CONV_WIDTH - 1] = p["enc_scalar_W"]
+    P[_SCALAR_IDX, CONV_WIDTH] = p["enc_scalar_b"]
+    P[_CONV_IDX, :CONV_WIDTH] = p["enc_conv_K"]
+    P[_CONV_IDX, CONV_WIDTH] = p["enc_conv_b"]
+    return P
+
+
+def fold_token_conv(p):
+    """The token encoders of the stored tensors `p` (name -> array) folded
+    into one causal conv: (W [CONV_WIDTH*10, 10*d], b [10*d]), computed in
+    the arrays' dtype.
+
+    Token c of a step reads input channel c of [R, s1..s8, a].  No encoder
+    has a nonlinearity, so a temporal feature's conv and then its embedding
+    are one kernel enc_conv_K @ embed_W [CONV_WIDTH, d] plus a bias [d]; a
+    scalar feature, the return and the action are the width-1 case x*W + b,
+    a kernel whose only non-zero tap is the newest.  W is block-diagonal:
+    row (tap m, channel c) holds token c's tap m in column block c, so one
+    product maps a step's taps [CONV_WIDTH, 10] to its 10 tokens [10, d].
+    """
+    E = p["embed_W"]
+    d = E.shape[2]
+    KB = _pre_embedding(p) @ E                     # [8, CONV_WIDTH + 1, d]
+    K = np.zeros((CONV_WIDTH, TOKENS_PER_STEP, d), dtype=E.dtype)
+    B = np.empty((TOKENS_PER_STEP, d), dtype=E.dtype)
+    K[-1, 0], B[0] = p["W_return"][0], p["b_return"]
+    K[-1, -1], B[-1] = p["W_action"][0], p["b_action"]
+    K[:, 1:-1] = KB[:, :CONV_WIDTH].transpose(1, 0, 2)
+    B[1:-1] = KB[:, CONV_WIDTH] + p["embed_b"]
+    W = np.zeros((CONV_WIDTH, TOKENS_PER_STEP, TOKENS_PER_STEP, d), dtype=E.dtype)
+    c = np.arange(TOKENS_PER_STEP)
+    W[:, c, c] = K
+    return W.reshape(CONV_WIDTH * TOKENS_PER_STEP, TOKENS_PER_STEP * d), B.reshape(-1)
+
+
+def _taps(returns, states, actions):
+    """[b, w, CONV_WIDTH * 10]: each step's causal window over the channels
+    [R, s1..s8, a], tap-major, with left zeros, so no step reads a later one."""
+    b, w = returns.shape
+    inputs = np.zeros((b, w + CONV_WIDTH - 1, TOKENS_PER_STEP), dtype=states.dtype)
+    inputs[:, CONV_WIDTH - 1:, 0] = returns
+    inputs[:, CONV_WIDTH - 1:, 1:-1] = states
+    inputs[:, CONV_WIDTH - 1:, -1] = actions
+    return inputs[:, np.arange(w)[:, None] + np.arange(CONV_WIDTH)].reshape(b, w, -1)
+
+
+def _scatter_rows(index, rows, n):
+    """[n, d] zeros with rows[i] added at row index[i]: one sort, then one
+    np.add.reduceat per run of equal indices."""
+    order = np.argsort(index, kind="stable")
+    index = index[order]
+    starts = np.flatnonzero(np.r_[True, index[1:] != index[:-1]])
+    out = np.zeros((n, rows.shape[1]), dtype=rows.dtype)
+    out[index[starts]] = np.add.reduceat(rows[order], starts, axis=0)
+    return out
+
+
+def token_sequence(p, returns, states, actions, timesteps=None):
+    """Every step's 10 tokens [b, w*10, d], as one node: the taps of
+    `_taps` times the kernel `fold_token_conv` folds from the Tensors `p`
+    (name -> Tensor), plus, with `timesteps` [b, w], the time row
+    W_time[clip(t, 0, max_timestep)] on all of a step's tokens.
+
+    The backward takes each token type's kernel gradient [CONV_WIDTH, d] as
+    one batched product and maps it back to the stored encoder tensors; the
+    time-row gradient, summed over a step's tokens, is scattered by row.
+    """
+    arrays = {name: p[name].data for name in _TOKEN_PARAMS}
+    W, B = fold_token_conv(arrays)
+    taps = _taps(returns, states, actions)
+    b, w, _ = taps.shape
+    d = B.size // TOKENS_PER_STEP
+    taps = taps.reshape(b * w, -1)
+    out = taps @ W
+    out += B
+    out = out.reshape(b, w, TOKENS_PER_STEP, d)
+    parents = [p[name] for name in _TOKEN_PARAMS]
+    if timesteps is not None:
+        W_time = p["W_time"]
+        rows = np.clip(timesteps, 0, W_time.shape[0] - 1).reshape(-1)
+        out += W_time.data[rows].reshape(b, w, 1, d)
+        parents.append(W_time)
+
+    def bwd(g):
+        g = g.reshape(b * w, TOKENS_PER_STEP, d)
+        if any(t.requires_grad for t in parents[:len(_TOKEN_PARAMS)]):
+            # per token type c: taps[:, tap, c]^T @ g[:, c]
+            tap_c = np.ascontiguousarray(taps.reshape(b * w, CONV_WIDTH, TOKENS_PER_STEP).T)
+            dK = tap_c @ np.ascontiguousarray(g.transpose(1, 0, 2))   # [10, CONV_WIDTH, d]
+            dB = (np.ones(b * w, dtype=g.dtype) @ g.reshape(b * w, -1)).reshape(TOKENS_PER_STEP, d)
+            # the state tokens' taps and bias, before and through the embedding
+            dKB = np.concatenate([dK[1:-1], dB[1:-1, None]], axis=1)   # [8, CONV_WIDTH + 1, d]
+            E = arrays["embed_W"]
+            dP = dKB @ E.transpose(0, 2, 1)
+            grads = {
+                "W_return": dK[0, -1][None], "b_return": dB[0],
+                "W_action": dK[-1, -1][None], "b_action": dB[-1],
+                "embed_W": _pre_embedding(arrays).transpose(0, 2, 1) @ dKB,
+                "embed_b": dB[1:-1],
+                "enc_scalar_W": dP[_SCALAR_IDX, CONV_WIDTH - 1],
+                "enc_scalar_b": dP[_SCALAR_IDX, CONV_WIDTH],
+                "enc_conv_K": dP[_CONV_IDX, :CONV_WIDTH],
+                "enc_conv_b": dP[_CONV_IDX, CONV_WIDTH],
+            }
+            for name in _TOKEN_PARAMS:
+                if p[name].requires_grad:
+                    p[name]._accum(grads[name])
+        if timesteps is not None and p["W_time"].requires_grad:
+            per_step = np.ones(TOKENS_PER_STEP, dtype=g.dtype) @ g          # [b*w, d]
+            p["W_time"]._accum(_scatter_rows(rows, per_step, p["W_time"].shape[0]))
+
+    return Tensor(out.reshape(b, w * TOKENS_PER_STEP, d), _parents=tuple(parents), _backward=bwd)
 
 
 class PolicyModel:
@@ -278,50 +400,37 @@ class PolicyModel:
     # ---------------------------------------------------------------- forward
 
     def encode_state(self, states):
-        """states: [batch, w, 8] array -> embeddings [batch, w, 8, d].
+        """states: [batch, w, 8] array -> embeddings [batch, w, 8, d]: the
+        state tokens of `build_sequence`'s token op, without the time rows.
 
         Feature i of the third axis is STATE_FEATURES[i].
         """
-        p = self.params
         states = np.asarray(states, dtype=self.config.np_dtype)
         if states.ndim != 3 or states.shape[2] != STATE_DIM:
             raise T.TensorError(f"encode_state expects [batch, w, {STATE_DIM}], got {states.shape}")
-        x = Tensor(states[:, :, _SCALAR_IDX, None])                     # [b, w, ns, 1]
-        scalar = x * p["enc_scalar_W"] + p["enc_scalar_b"]              # [b, w, ns, fd]
-        # causal padding: the window-axis conv must not let future steps
-        # leak into earlier positions
-        xpad = np.pad(states[:, :, _CONV_IDX], ((0, 0), (CONV_WIDTH - 1, 0), (0, 0)))
-        win = np.lib.stride_tricks.sliding_window_view(xpad, CONV_WIDTH, axis=1)  # [b, w, nc, CONV_WIDTH]
-        conv = T.einsum("bwck,ckf->bwcf", Tensor(win), p["enc_conv_K"]) + p["enc_conv_b"]
-        feat = T.select_positions(T.concat([scalar, conv], axis=2), _FEATURE_ORDER, axis=2)
-        return T.einsum("bwif,ifd->bwid", feat, p["embed_W"]) + p["embed_b"]   # [b, w, 8, d]
+        b, w, _ = states.shape
+        zeros = np.zeros((b, w), dtype=states.dtype)
+        tokens = token_sequence(self.params, zeros, states, zeros)
+        return T.select_positions(tokens.reshape(b, w, TOKENS_PER_STEP, -1),
+                                  np.arange(1, 1 + STATE_DIM), axis=2)
 
     def build_sequence(self, returns, states, actions, timesteps):
         """Interleave [R, s1..s8, a] per step, add time embeddings, pre-LN.
 
         returns/actions: [batch, w]; states: [batch, w, 8]; timesteps:
         int [batch, w].  Output: [batch, 10*w, d] plus the pre-LN embedding
-        (used for the residual read-out).
+        (used for the residual read-out).  The tokens and their time rows
+        are one node, `token_sequence`.
         """
-        cfg = self.config
-        dt = cfg.np_dtype
+        dt = self.config.np_dtype
         returns = np.asarray(returns, dtype=dt)
+        states = np.asarray(states, dtype=dt)
         actions = np.asarray(actions, dtype=dt)
         timesteps = np.asarray(timesteps, dtype=np.int64)
         b, w = returns.shape
-        if w != timesteps.shape[1] or states.shape[1] != w:
+        if timesteps.shape != (b, w) or states.shape != (b, w, STATE_DIM) or actions.shape != (b, w):
             raise T.TensorError("window length mismatch across modalities")
-
-        p = self.params
-        # a 1-wide linear map is one product per output, so a broadcast
-        # multiply gives the same values
-        r_emb = Tensor(returns[:, :, None, None]) * p["W_return"] + p["b_return"]  # [b, w, 1, d]
-        a_emb = Tensor(actions[:, :, None, None]) * p["W_action"] + p["b_action"]
-        s_emb = self.encode_state(states)                                          # [b, w, 8, d]
-        t_emb = T.select_positions(p["W_time"], np.clip(timesteps, 0, cfg.max_timestep)[:, :, None],
-                                   axis=0)
-        tokens = T.concat([r_emb, s_emb, a_emb], axis=2) + t_emb                   # [b, w, 10, d]
-        tokens = tokens.reshape(b, w * TOKENS_PER_STEP, cfg.embed_size)
+        tokens = token_sequence(self.params, returns, states, actions, timesteps)
         normed = T.layer_norm(tokens, self.params["pre_ln_g"], self.params["pre_ln_b"])
         return normed, tokens
 
@@ -331,23 +440,15 @@ class PolicyModel:
         With `rows`, only those query positions are computed: keys and values
         still read every token, and the block returns [b, len(rows), d].
         """
-        cfg = self.config
-        b, n, d = x.shape
-        h, dk = cfg.n_heads, d // cfg.n_heads
-
-        def split(t):
-            return t.reshape(b, t.shape[1], h, dk).transpose(0, 2, 1, 3)   # [b, h, m, dk]
-
         ln = T.layer_norm(x, self.params[f"blk{l}_ln1_g"], self.params[f"blk{l}_ln1_b"])
-        k = split(self._proj(ln, f"blk{l}_attn_k"))
-        v = split(self._proj(ln, f"blk{l}_attn_v"))
+        k = self._proj(ln, f"blk{l}_attn_k")
+        v = self._proj(ln, f"blk{l}_attn_v")
         if rows is not None:
             # each kept query row keeps its own bias row, so masking is exact
             x, ln = T.select_positions(x, rows), T.select_positions(ln, rows)
             mask_bias = mask_bias[..., rows, :]
-        q = split(self._proj(ln, f"blk{l}_attn_q"))
-        att = T.attention(q, k, v, mask_bias=mask_bias)           # [b, h, m, dk]
-        att = att.transpose(0, 2, 1, 3).reshape(x.shape)
+        q = self._proj(ln, f"blk{l}_attn_q")
+        att = T.attention(q, k, v, mask_bias=mask_bias, heads=self.config.n_heads)   # [b, m, d]
         x = x + self._proj(att, f"blk{l}_attn_o")
 
         ln2 = T.layer_norm(x, self.params[f"blk{l}_ln2_g"], self.params[f"blk{l}_ln2_b"])
@@ -394,11 +495,8 @@ class InferencePolicy:
 
     Built once, in float64 and stored in the model dtype:
     - the token encoders fold into one causal conv of width CONV_WIDTH per
-      token type.  A temporal feature's encoder (its conv, then its
-      embedding) has no nonlinearity, so it becomes one kernel
-      enc_conv_K @ embed_W [CONV_WIDTH, d] plus a bias [d]; a scalar
-      feature, the return and the action are the width-1 case x·W + b, a
-      kernel whose only non-zero tap is the newest;
+      token type, by `fold_token_conv`, the fold the trainable model's
+      token op runs at every forward;
     - LoRA deltas are merged into their base matrices (`merge_lora`);
     - each layer norm's gain and shift, and the attention scale, fold into
       the projection that reads them;
@@ -431,19 +529,6 @@ class InferencePolicy:
         p = {name: t.data.astype(np.float64) for name, t in model.params.items()}
         p.update((name, W.astype(np.float64)) for name, W in model.merge_lora().items())
 
-        # token c of a step reads input channel c of [R, s1..s8, a]
-        K = np.zeros((TOKENS_PER_STEP, CONV_WIDTH, d))
-        B = np.zeros((TOKENS_PER_STEP, d))
-        K[0, -1], B[0] = p["W_return"][0], p["b_return"]
-        K[-1, -1], B[-1] = p["W_action"][0], p["b_action"]
-        E = p["embed_W"]
-        for j, i in enumerate(_SCALAR_IDX):
-            K[1 + i, -1] = p["enc_scalar_W"][j] @ E[i]
-            B[1 + i] = p["enc_scalar_b"][j] @ E[i] + p["embed_b"][i]
-        for c, i in enumerate(_CONV_IDX):
-            K[1 + i] = p["enc_conv_K"][c] @ E[i]
-            B[1 + i] = p["enc_conv_b"][c] @ E[i] + p["embed_b"][i]
-
         def affine_after_ln(g, b, W, c):
             # (g * xhat + b) @ W + c  ==  xhat @ (g[:, None] * W) + (b @ W + c)
             return g[:, None] * W, b @ W + c
@@ -470,14 +555,7 @@ class InferencePolicy:
             a.flags.writeable = False
             return a
 
-        # one product maps a step's taps [CONV_WIDTH, 10] to its 10 tokens
-        # [10, d]: row (tap m, channel c) holds token c's kernel tap m in
-        # column block c
-        dense = np.zeros((CONV_WIDTH, TOKENS_PER_STEP, TOKENS_PER_STEP, d))
-        for c in range(TOKENS_PER_STEP):
-            dense[:, c, c] = K[c]
-        self._token_W = frozen(dense.reshape(CONV_WIDTH * TOKENS_PER_STEP, TOKENS_PER_STEP * d))
-        self._token_b = frozen(B.reshape(-1))
+        self._token_W, self._token_b = map(frozen, fold_token_conv(p))
         self._W_time = frozen(p["W_time"])
         self._pre_ln = frozen(p["pre_ln_g"]), frozen(p["pre_ln_b"])
         self._blocks = [tuple(map(frozen, blk)) for blk in blocks]
@@ -524,15 +602,8 @@ class InferencePolicy:
         if states.shape != (b, w, STATE_DIM) or actions.shape != (b, w) \
                 or timesteps.shape != (b, w):
             raise T.TensorError("window length mismatch across modalities")
-        n, pad = w * TOKENS_PER_STEP - 1, CONV_WIDTH - 1   # n: up to the newest head row
-
-        # causal padding: left zeros, so no step reads a later one
-        inputs = np.zeros((b, w + pad, TOKENS_PER_STEP), dtype=dt)
-        inputs[:, pad:, 0] = returns
-        inputs[:, pad:, 1:-1] = states
-        inputs[:, pad:, -1] = actions
-        taps = inputs[:, np.arange(w)[:, None] + np.arange(CONV_WIDTH)]        # [b, w, CONV_WIDTH, 10]
-        tokens = (taps.reshape(b, w, -1) @ self._token_W + self._token_b).reshape(
+        n = w * TOKENS_PER_STEP - 1   # up to the newest head row
+        tokens = (_taps(returns, states, actions) @ self._token_W + self._token_b).reshape(
             b, w, TOKENS_PER_STEP, cfg.embed_size)
         tokens += self._W_time[np.minimum(np.maximum(timesteps, 0), cfg.max_timestep)][:, :, None]
         raw = tokens.reshape(b, w * TOKENS_PER_STEP, cfg.embed_size)[:, :n]

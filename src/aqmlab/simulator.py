@@ -332,6 +332,10 @@ class FlowSpec:
                      "cbr_rate_bps" if self.kind == _CBR_UDP else "initial_cwnd_packets"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
+        # the first send is scheduled at start_us: before 0 it would rewind
+        # the event loop
+        if self.start_us < 0:
+            raise ValueError("start_us must be >= 0")
 
     def codepoint(self) -> Ecn:
         if self.kind == _DCTCP_LIKE or self.kind == _CBR_UDP:
@@ -401,6 +405,11 @@ class ScenarioConfig:
     duration_us: int = 60_000_000
     aqm: Dualpi2Params = field(default_factory=Dualpi2Params)
     flows: list = field(default_factory=list)
+
+    def __post_init__(self):
+        # a run of no time simulates nothing and writes an empty log
+        if self.duration_us <= 0:
+            raise ValueError("duration_us must be > 0")
 
     def to_dict(self):
         return {

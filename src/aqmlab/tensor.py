@@ -1,19 +1,23 @@
 """Minimal dense-tensor math with reverse-mode automatic differentiation.
 
-Just enough machinery for the policy network: linear maps, a two-operand
-einsum, 1D convolution, layer normalization, softmax, masked attention
-building blocks, cross-entropy and a clipped-SGD optimizer.  Inside
-`no_grad()` ops record no graph, which is how inference runs.
+Just enough machinery for the policy network: linear maps, 1D convolution,
+layer normalization, softmax, attention, cross-entropy and a clipped-SGD
+optimizer.  Inside `no_grad()` ops record no graph, which is how inference
+runs.
 
 Arrays are numpy, stored in the model dtype (float32 by default).  The hot
 ops are shaped for BLAS: `linear` is one 2-D GEMM forward and two in its
 backward (input and weight gradients) plus one bias reduction; `@` with a 2-D
-weight folds the batch axes into that GEMM; `einsum` contracts through
-`np.einsum(..., optimize=True)` both ways.  Float64 is kept where a
-reduction needs it: the layer-norm mean and variance (matrix-vector products
-over a float64 copy), the cross-entropy log-sum-exp and the optimizer's
-global gradient norm.  A backward computes no gradient for an operand with
-requires_grad False, such as an attention mask or an input batch.
+weight folds the batch axes into that GEMM.  `attention` is one fused node with
+its own backward, as in FlashAttention (Dao et al., NeurIPS 2022) but
+untiled: at these sizes it keeps the softmax weights for the backward
+rather than recomputing them.  It reads multi-head projections through
+numpy views, so scores, softmax, the head split and the merge build no
+nodes.  Float64 is kept where a reduction needs it: the layer-norm mean
+and variance (matrix-vector products over a float64 copy), the
+cross-entropy log-sum-exp and the optimizer's global gradient norm.  A
+backward computes no gradient for an operand with requires_grad False, such
+as an attention mask or an input batch.
 """
 
 from __future__ import annotations
@@ -293,30 +297,6 @@ def select_positions(x, positions, axis=1):
     return Tensor(out_data, _parents=(x,), _backward=bwd)
 
 
-def einsum(spec, a, b):
-    """Two-operand np.einsum with its backward, e.g. "bwck,ckf->bwcf".
-
-    The output subscripts are explicit, no operand repeats an index, and
-    every index of one operand appears in the other or in the output, so
-    each gradient is again a single einsum.
-    """
-    ins, arrow, out = spec.partition("->")
-    sa, comma, sb = ins.partition(",")
-    if (not (arrow and comma) or len(sa) != a.ndim or len(sb) != b.ndim
-            or any(len(set(s)) != len(s) for s in (sa, sb, out))
-            or set(out) - set(sa + sb) or set(sa) - set(sb + out) or set(sb) - set(sa + out)):
-        raise TensorError(f"einsum spec {spec!r} unsupported for shapes {a.shape}, {b.shape}")
-    out_data = np.einsum(spec, a.data, b.data, optimize=True)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accum(np.einsum(f"{out},{sb}->{sa}", g, b.data, optimize=True))
-        if b.requires_grad:
-            b._accum(np.einsum(f"{sa},{out}->{sb}", a.data, g, optimize=True))
-
-    return Tensor(out_data, _parents=(a, b), _backward=bwd)
-
-
 def linear(x, W, b=None):
     """x:[*,in] @ W:[in,out] (+ b:[out]) as one node.
 
@@ -473,20 +453,53 @@ def cross_entropy(logits, targets, weights=None):
     return Tensor(out_data, _parents=(logits,), _backward=bwd)
 
 
-def attention(q, k, v, mask_bias=None):
-    """Scaled dot-product attention over trailing [.., n, d_k] axes.
+def attention(q, k, v, mask_bias=None, heads=None):
+    """Scaled dot-product attention as one node with its own backward.
 
-    `mask_bias` is an additive array (0 for allowed, large negative for
-    blocked) broadcastable to the score shape [.., n, n].
+    Per-head operands are [.., n, d_k], and the output is [.., m, d_k] for m
+    query rows.  With `heads`, q, k and v are instead [b, m, heads*d_k]
+    projections, read per head through numpy views, and the output is
+    merged back to [b, m, heads*d_k], so the head split and merge build no
+    nodes.  `mask_bias` is an additive array (0 for allowed, large negative
+    for blocked) broadcastable to the score shape [.., m, n].
     """
-    d_k = q.shape[-1]
+    def split(a):   # [b, m, heads*d_k] -> [b, heads, m, d_k], a view
+        if heads is None:
+            return a
+        return a.reshape(a.shape[0], a.shape[1], heads, -1).transpose(0, 2, 1, 3)
+
+    def merge(a):   # split's inverse for a gradient or an output
+        if heads is None:
+            return a
+        return a.transpose(0, 2, 1, 3).reshape(a.shape[0], a.shape[2], -1)
+
+    Q, K, V = split(q.data), split(k.data), split(v.data)
+    d_k = Q.shape[-1]
     if d_k == 0:
         raise TensorError("attention: d_k must be > 0")
-    scores = (q @ k.transpose(*range(k.ndim - 2), k.ndim - 1, k.ndim - 2)) * (1.0 / math.sqrt(d_k))
+    scale = 1.0 / math.sqrt(d_k)
+    s = Q @ np.swapaxes(K, -1, -2)
+    s *= scale
     if mask_bias is not None:
-        scores = scores + Tensor(np.asarray(mask_bias, dtype=scores.data.dtype))
-    weights = softmax(scores, axis=-1)
-    return weights @ v
+        s = s + np.asarray(mask_bias, dtype=s.dtype)
+    s -= s.max(axis=-1, keepdims=True)
+    P = np.exp(s, out=s)
+    P /= P.sum(axis=-1, keepdims=True)      # the attention weights [.., m, n]
+
+    def bwd(g):
+        G = split(g)
+        if v.requires_grad:
+            v._accum(merge(np.swapaxes(P, -1, -2) @ G))
+        if q.requires_grad or k.requires_grad:
+            dP = G @ np.swapaxes(V, -1, -2)
+            dS = P * (dP - (dP * P).sum(axis=-1, keepdims=True))
+            dS *= scale
+            if q.requires_grad:
+                q._accum(merge(dS @ K))
+            if k.requires_grad:
+                k._accum(merge(np.swapaxes(dS, -1, -2) @ Q))
+
+    return Tensor(merge(P @ V), _parents=(q, k, v), _backward=bwd)
 
 
 def causal_mask_bias(n, dtype=np.float32, neg=-1e9):

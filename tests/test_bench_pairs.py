@@ -109,3 +109,20 @@ def test_exports_the_commit_and_the_tracked_working_tree(tmp_path):
     assert (base / "pkg" / "a.py").read_text() == "old\n"
     assert sorted(p.name for p in work.rglob("*.py")) == ["a.py", "b.py"]
     assert (work / "pkg" / "a.py").read_text() == "edited\n"
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_committed_bench_file_is_stamped(path):
+    """Every committed BENCH_*.json says what it measured and where: its
+    label, both commits, the machine with its Python and numpy versions and
+    the arguments, and for each workload exactly the end-to-end metrics
+    BENCHMARK.json declares."""
+    doc = json.loads(path.read_text())
+    names = {spec["name"] for spec in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    assert doc["label"] and path.name == f"BENCH_{doc['label']}.json"
+    assert all(doc["commits"].get(side) for side in ("base", "change"))
+    assert all(doc["machine"].get(key) for key in ("platform", "cpu_model", "nproc", "python", "numpy"))
+    assert doc["arguments"]["label"] == doc["label"]
+    assert doc["workloads"] and set(doc["arguments"]["workloads"]) == set(doc["workloads"])
+    for workload, entry in doc["workloads"].items():
+        assert set(entry["summary"]["metrics"]) == names, workload

@@ -211,6 +211,18 @@ def test_scenario_with_a_zero_tupdate_exits_1(tmp_path, capsys):
     assert not (tmp_path / "x.klog").exists()
 
 
+def test_scenario_with_a_negative_start_exits_1(tmp_path, capsys):
+    """A flow that starts before 0 would schedule an event in the past; the
+    scenario is refused when it loads, naming the field."""
+    doc = default_scenario(duration_us=1_000_000).to_dict()
+    doc["flows"][0]["start_us"] = -5
+    (tmp_path / "scenario.json").write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--scenario", str(tmp_path / "scenario.json"),
+                     "-o", str(tmp_path / "x.klog")]) == 1
+    assert "start_us must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "x.klog").exists()
+
+
 def test_missing_input_exits_1(tmp_path, capsys):
     assert cli.main(["report", str(tmp_path / "absent.json"), "-o", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err.startswith("error:")

@@ -469,6 +469,22 @@ def reference_encode_state(model, states):
     return T.concat([o.reshape(b, w, 1, d) for o in outs], axis=2)
 
 
+def reference_build_sequence(model, R, S, A, ts):
+    """build_sequence composed node by node from `reference_encode_state`:
+    the return and action encoders, a concat, and the time rows gathered
+    per step."""
+    cfg, p = model.config, model.params
+    dt = cfg.np_dtype
+    b, w = np.shape(R)
+    r_emb = T.linear(Tensor(np.asarray(R, dtype=dt)[:, :, None]), p["W_return"], p["b_return"])
+    a_emb = T.linear(Tensor(np.asarray(A, dtype=dt)[:, :, None]), p["W_action"], p["b_action"])
+    tokens = T.concat([r_emb.reshape(b, w, 1, -1), reference_encode_state(model, S),
+                       a_emb.reshape(b, w, 1, -1)], axis=2)
+    t_emb = T.select_positions(p["W_time"], np.clip(ts, 0, cfg.max_timestep)[:, :, None], axis=0)
+    tokens = (tokens + t_emb).reshape(b, w * TOKENS_PER_STEP, cfg.embed_size)
+    return T.layer_norm(tokens, p["pre_ln_g"], p["pre_ln_b"]), tokens
+
+
 # Case ids of the float32 and float64 cases.  The conv features are a
 # constant now, but the ids keep the `None` (the default feature set) of the
 # earlier parametrisation over feature sets, so the case names stay stable.
@@ -492,8 +508,9 @@ class TestFusedEncoder:
     def test_matches_per_feature_reference(self, dtype, tol):
         cfg = bench_config(dtype=dtype)
         fused, ref = PolicyModel(cfg, seed=4), PolicyModel(cfg, seed=4)
-        ref.encode_state = lambda states: reference_encode_state(ref, states)
-        batch = rand_batch(cfg, b=3, seed=5)
+        ref.build_sequence = lambda *args: reference_build_sequence(ref, *args)
+        # timesteps that repeat within a window and lie past the table
+        batch = rand_batch(cfg, b=3, seed=5, t0=cfg.max_timestep - 3)
         pad = np.ones((3, cfg.context_window))
         pad[1, :3] = 0.0
         y_f, g_f = loss_and_grads(fused, batch, pad)
@@ -524,7 +541,40 @@ class TestFusedEncoder:
             init(obj, *args, **kwargs)
         monkeypatch.setattr(Tensor, "__init__", counting_init)
         m.forward(R, S, A, ts, pad_mask=np.ones((b, cfg.context_window)))
-        assert len(built) <= 53
+        assert len(built) <= 19
+
+
+class TestTokenOp:
+    """`token_sequence`, the one node that builds every step's 10 tokens and
+    their time rows: float64 central differences for each stored tensor it
+    reads, on timesteps that repeat within a window, lie below 0 and lie
+    past max_timestep."""
+
+    TIMESTEPS = np.array([[1, 1, 5, 9], [6, 7, 2, -3]])   # max_timestep 6: 7 and 9 clip to 6
+
+    def _case(self):
+        cfg = small_config(max_timestep=6)
+        m = perturbed_model(cfg, lora=False)
+        R, S, A, _ = rand_batch(cfg, b=2, w=4, seed=2)
+        w = np.random.default_rng(3).normal(size=(2, 4 * TOKENS_PER_STEP, cfg.embed_size))
+        return m, lambda: (model_mod.token_sequence(m.params, R, S, A, self.TIMESTEPS)
+                           * Tensor(w)).sum(), w
+
+    @pytest.mark.parametrize("name", model_mod._TOKEN_PARAMS + ("W_time",))
+    def test_grad_check(self, name):
+        m, loss, _ = self._case()
+        assert T.grad_check(loss, [m.params[name]], eps=1e-6, max_coords=200) < 1e-7
+
+    def test_time_rows_sum_each_steps_tokens(self):
+        """W_time's gradient is the upstream gradient summed over a step's 10
+        tokens, added at its clipped row: a row two steps share gets both."""
+        m, loss, w = self._case()
+        loss().backward()
+        want = np.zeros_like(m.params["W_time"].data)
+        per_step = w.reshape(2, 4, TOKENS_PER_STEP, -1).sum(axis=2)
+        np.add.at(want, np.clip(self.TIMESTEPS, 0, 6), per_step)
+        np.testing.assert_allclose(m.params["W_time"].grad, want, rtol=0, atol=1e-12)
+        assert np.count_nonzero(want.any(axis=1)) == 5   # rows 0, 1, 2, 5 and 6
 
 
 class TestInferenceWithoutGraph:
@@ -735,6 +785,17 @@ class TestInferencePolicy:
             assert a.dtype == cfg.np_dtype and not a.flags.writeable
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 0.0
+
+    def test_token_conv_is_the_shared_fold(self):
+        """The snapshot's token conv is `fold_token_conv` of the model's
+        stored tensors, bit for bit in float64: training and the closed loop
+        encode tokens with one fold."""
+        m = perturbed_model(bench_config(dtype="float64"))
+        policy = InferencePolicy(m)
+        W, b = model_mod.fold_token_conv({n: p.data for n, p in m.params.items()})
+        assert policy._token_W.dtype == W.dtype == np.float64
+        assert policy._token_W.tobytes() == W.tobytes()
+        assert policy._token_b.tobytes() == b.tobytes()
 
     def test_builds_no_tensor(self, monkeypatch):
         cfg = bench_config()

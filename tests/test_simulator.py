@@ -508,12 +508,16 @@ class TestScenarioConfig:
         (lambda v: FlowSpec(FlowKind.CBR_UDP, cbr_rate_bps=v), "cbr_rate_bps"),
         (lambda v: FlowSpec(FlowKind.DCTCP_LIKE, mss=v), "mss"),
         (lambda v: FlowSpec(FlowKind.CBR_UDP, mss=v), "mss"),
+        (lambda v: ScenarioConfig(duration_us=v), "duration_us"),
+        # a start of 0 is valid, so the cases are -1 and -2
+        (lambda v: FlowSpec(FlowKind.CUBIC_LIKE, start_us=v - 1), "start_us"),
     ])
     @pytest.mark.parametrize("value", [0, -1])
     def test_values_that_stall_or_crash_the_event_loop_refused(self, build, field, value):
-        """Each would stall the event loop or divide by zero in it; only the
-        construction is tried, never a run."""
-        with pytest.raises(ValueError, match=f"^{field} must be > 0"):
+        """Each would stall, rewind or skip the event loop, or divide by zero
+        in it; only the construction is tried, never a run."""
+        bound = ">= 0" if field == "start_us" else "> 0"
+        with pytest.raises(ValueError, match=f"^{field} must be {bound}"):
             build(value)
 
 

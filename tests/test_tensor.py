@@ -6,7 +6,9 @@ import weakref
 import numpy as np
 import pytest
 
+from aqmlab import model as model_mod
 from aqmlab import tensor as T
+from aqmlab.model import ModelConfig, PolicyModel
 from aqmlab.tensor import Tensor
 
 
@@ -169,6 +171,28 @@ class TestGradChecks:
             [q, k, v], eps=1e-6)
         assert err < 1e-3
 
+    def test_attention_heads(self):
+        """The one-node attention on [b, m, heads*d_k] projections, 2 heads:
+        a left-pad bias that blocks the first two keys of one window, and a
+        query subset (rows 3, 5, 6) of the 7 keys."""
+        rows = np.array([3, 5, 6])
+        q = Tensor(rand(2, 3, 8), requires_grad=True)
+        k = Tensor(rand(2, 7, 8, seed=1), requires_grad=True)
+        v = Tensor(rand(2, 7, 8, seed=2), requires_grad=True)
+        w = rand(2, 3, 8, seed=3)
+        bias = np.broadcast_to(T.causal_mask_bias(7, dtype=np.float64), (2, 1, 7, 7)).copy()
+        bias[1, :, :, :2] -= 1e9
+        bias = bias[..., rows, :]
+        err = T.grad_check(lambda: (T.attention(q, k, v, mask_bias=bias, heads=2) * Tensor(w)).sum(),
+                           [q, k, v], eps=1e-6)
+        assert err < 1e-6
+        # per head, the same values as the per-head form of the op
+        def split(t):
+            return Tensor(t.data.reshape(2, -1, 2, 4).transpose(0, 2, 1, 3))
+        per_head = T.attention(split(q), split(k), split(v), mask_bias=bias).data
+        np.testing.assert_allclose(T.attention(q, k, v, mask_bias=bias, heads=2).data,
+                                   per_head.transpose(0, 2, 1, 3).reshape(2, 3, 8), rtol=0, atol=1e-15)
+
     def test_cross_entropy(self):
         x = Tensor(rand(6, 3), requires_grad=True)
         tgt = np.array([0, 1, 2, 0, 1, 2])
@@ -202,23 +226,6 @@ class TestGradChecks:
             want = np.zeros_like(x.data)
             np.add.at(want, (slice(None), positions), w)
             np.testing.assert_array_equal(x.grad, want, err_msg=str(positions))
-
-
-    @pytest.mark.parametrize("spec,shape_a,shape_b", [
-        ("bwck,ckf->bwcf", (2, 3, 4, 5), (4, 5, 6)),
-        ("bwcj,cjf->bwcf", (2, 3, 4, 6), (4, 6, 5)),
-        ("bwif,ifd->bwid", (2, 3, 4, 5), (4, 5, 7)),
-        ("i,j->ij", (3,), (4,)),
-    ])
-    def test_einsum(self, spec, shape_a, shape_b):
-        a = Tensor(rand(*shape_a), requires_grad=True)
-        b = Tensor(rand(*shape_b, seed=1), requires_grad=True)
-        out = T.einsum(spec, a, b)
-        np.testing.assert_allclose(out.data, np.einsum(spec, a.data, b.data), rtol=1e-12)
-        w = rand(*out.shape, seed=2)
-        err = T.grad_check(lambda: (T.einsum(spec, a, b) * Tensor(w)).sum(),
-                           [a, b], eps=1e-6)
-        assert err < 1e-3
 
 
 class TestFloat32Paths:
@@ -262,27 +269,6 @@ class TestFloat32Paths:
         np.testing.assert_allclose(inv, 1.0 / np.sqrt(var + 1e-5), rtol=1e-6)
         assert xhat.dtype == inv.dtype == np.float32 and inv.shape == (5, 1)
 
-    def test_encode_state_einsum_specs(self):
-        """Every einsum encode_state runs, with its strided window operand, in
-        float32: values and both gradients against float64 np.einsum."""
-        rng = np.random.default_rng(0)
-        xpad = rng.normal(size=(4, 12, 3))
-        win = np.lib.stride_tricks.sliding_window_view(xpad, 7, axis=1)[..., 2:]   # [b, w, c, 5]
-        cases = [("bwck,ckf->bwcf", win, rng.normal(size=(3, 5, 6))),
-                 ("bwcj,cjf->bwcf", rng.normal(size=(4, 6, 3, 9)), rng.normal(size=(3, 9, 6))),
-                 ("bwif,ifd->bwid", rng.normal(size=(4, 6, 8, 6)), rng.normal(size=(8, 6, 16)))]
-        for spec, a64, b64 in cases:
-            a = Tensor(a64.astype(np.float32), requires_grad=True)
-            b = Tensor(b64.astype(np.float32), requires_grad=True)
-            out = T.einsum(spec, a, b)
-            np.testing.assert_allclose(out.data, np.einsum(spec, a64, b64), rtol=1e-4, atol=1e-5)
-            g = rng.normal(size=out.shape)
-            (out * Tensor(g.astype(np.float32))).sum().backward()
-            ins, _, o = spec.partition("->")
-            sa, _, sb = ins.partition(",")
-            np.testing.assert_allclose(a.grad, np.einsum(f"{o},{sb}->{sa}", g, b64), rtol=1e-4, atol=1e-4)
-            np.testing.assert_allclose(b.grad, np.einsum(f"{sa},{o}->{sb}", a64, g), rtol=1e-4, atol=1e-4)
-
 
 class TestConstantOperands:
     def test_no_gradient_is_built_for_a_constant(self, monkeypatch):
@@ -315,16 +301,24 @@ class TestConstantOperands:
         h = T.layer_norm(h, c["frozen_g"], c["frozen_b"])
         h = h + T.select_positions(c["table"], np.array([[1, 2, 3, 4, 5]] * 2), axis=0)
         h = h + T.conv1d(c["batch"].transpose(0, 2, 1), c["kernel"], padding="causal").transpose(0, 2, 1)
-        q = h.reshape(2, 5, 2, 2).transpose(0, 2, 1, 3)
-        att = T.attention(q, q, q, mask_bias=T.causal_mask_bias(5))
-        h = h + att.transpose(0, 2, 1, 3).reshape(2, 5, 4)
-        h = h + T.einsum("bnd,de->bne", c["batch"], W) + T.einsum("bnd,de->bne", h, c["frozen_W"])
+        # the one-node attention at 2 heads, its keys a constant
+        h = h + T.attention(h, c["batch"], h, mask_bias=T.causal_mask_bias(5), heads=2)
+        # the token op on frozen encoder weights; only the time table trains
+        enc = PolicyModel(ModelConfig(feature_dim=2, embed_size=4, max_timestep=6,
+                                      dtype="float64"), seed=7).params
+        consts.update((name, enc[name]) for name in model_mod._TOKEN_PARAMS)
+        for name in model_mod._TOKEN_PARAMS:
+            enc[name].requires_grad = False
+        steps = np.zeros((2, 1))
+        tokens = model_mod.token_sequence(enc, steps, rand(2, 1, 8, seed=8), steps,
+                                          np.array([[3], [9]]))
+        h = h + T.select_positions(tokens, np.arange(5))
         h = h + T.concat([T.select_positions(h, np.arange(2), axis=2),
                           T.select_positions(c["batch"], np.arange(2), axis=2)], axis=2)
         h.sum().backward()
         touched = {id(t) for t in accumulated}
         assert not [name for name, t in consts.items() if id(t) in touched]
-        assert x.grad is not None and W.grad is not None
+        assert x.grad is not None and W.grad is not None and enc["W_time"].grad is not None
         assert all(t.grad is None for t in consts.values())
 
 
@@ -350,15 +344,6 @@ class TestNoGrad:
 
 
 class TestOpSemantics:
-    def test_einsum_rejects_unsupported_specs(self):
-        a, b = Tensor(rand(3, 3)), Tensor(rand(3, 4))
-        for spec in ("ii,ij->j",     # repeated index
-                     "ij,jk",        # implicit output
-                     "ij,jk->k",     # i appears in a alone
-                     "ijk,jk->ik"):  # subscripts do not match a.ndim
-            with pytest.raises(T.TensorError):
-                T.einsum(spec, a, b)
-
     def test_softmax_rows_sum_to_one(self):
         p = T.softmax(Tensor(rand(4, 9) * 10)).data
         np.testing.assert_allclose(p.sum(axis=-1), np.ones(4), atol=1e-6)
