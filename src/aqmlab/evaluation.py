@@ -57,16 +57,18 @@ class LlmEvery:
     Keeps the klog fields of the last `window` decisions (the model's
     context window), with the probabilities read from the world's
     `klog_probs`, the fixed-point pair its log records.  At a model decision
-    it builds the window the pool would hold for them: states through
+    it passes `InferencePolicy.logits` the real steps of the window the pool
+    would hold for them, with no padding: states through
     `pool.klog_states`, normalised with the checkpoint's feature
-    statistics, the decision index as the timestep, and the return channel
-    pinned to the training-time target return.  The earlier steps' actions are read from the world's log,
-    which holds what the world applied (a MARK on a not-ECN-capable packet
-    or anything but a DROP on a full buffer is applied as a DROP), and the
-    decision index is the log's length, since the world logs each decision
-    right after its hook.  So one driver runs one episode: hooked into a
-    second world it raises `EvalError`.  Model marks on not-ECN-capable
-    packets are counted here as violations.
+    statistics, the first step's decision index as its timestep, and the
+    return channel pinned to the training-time target return; the action is
+    the argmax of the newest logits.  The earlier steps' actions are read
+    from the world's log, which holds what the world applied (a MARK on a
+    not-ECN-capable packet or anything but a DROP on a full buffer is
+    applied as a DROP), and the decision index is the log's length, since
+    the world logs each decision right after its hook.  So one driver runs
+    one episode: hooked into a second world it raises `EvalError`.  Model
+    marks on not-ECN-capable packets are counted here as violations.
 
     `action_matrix[rule][model]` counts the model decisions by the rule's
     action (row) and the action the model asked for (column), in
@@ -124,21 +126,16 @@ class LlmEvery:
         return action
 
     def _infer(self, records, k):
-        """The action of decision `k` for the window of the last `n`
-        decisions, left-padded to `window` steps as `WindowDataset.gather`
-        pads; the earlier steps' actions are the ones `records` logged, and
-        the newest step's action slot stays 0."""
-        w, n = self.window, len(self._fields)
-        real = slice(w - n, w)
-        R = np.zeros((1, w)); S = np.zeros((1, w, STATE_DIM))
-        A = np.zeros((1, w)); T = np.zeros((1, w), dtype=np.int64); pad = np.zeros((1, w))
-        R[0, real] = self.target_return
+        """The action of decision `k` for the window of the last n decisions,
+        passed to the snapshot as its real steps alone: the states, the
+        earlier steps' actions as `records` logged them and the first
+        step's decision index.  `WindowDataset.gather` left-pads such a
+        window, which changes none of its newest logits."""
+        n = len(self._fields)
         fields = np.fromiter(itertools.chain.from_iterable(self._fields), np.float64, n * STATE_DIM)
-        S[0, real] = normalize(klog_states(fields.reshape(n, STATE_DIM)), self.feature_stats)
-        A[0, w - n:w - 1] = [rec.dequeue_action for rec in records[k - n + 1:k]]
-        T[0, real] = np.arange(k + 1 - n, k + 1)
-        pad[0, real] = 1.0
-        return self.model.predict(R, S, A, T, pad_mask=pad)[0].action
+        states = normalize(klog_states(fields.reshape(n, STATE_DIM)), self.feature_stats)
+        actions = [rec.dequeue_action for rec in records[k - n + 1:k]]
+        return int(self.model.logits(self.target_return, states, actions, k + 1 - n).argmax())
 
     def finish(self):
         return {

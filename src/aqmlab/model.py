@@ -17,8 +17,9 @@ which the tokens and their time rows are one node (`token_sequence`) and each
 block's attention another, and its `predict` is the reference for inference.
 InferencePolicy is a read-only plain-numpy snapshot of a PolicyModel for
 closed-loop decisions: the token conv is folded once, LoRA deltas are merged,
-each attention head folds into its query-key and value-output matrices, and
-only the newest step's head row is computed.
+and each attention head folds into its query-key and value-output matrices.
+Its one entry, `logits`, takes a single window as its real steps alone, with
+no padding and no mask, and computes only the newest step's head row.
 """
 
 from __future__ import annotations
@@ -108,30 +109,26 @@ def _mask_arrays(n, dtype):
     return bias, diag
 
 
-def _attention_bias(pad_mask, n, dtype):
-    """Additive attention bias for the first n tokens of a window: causal
-    [n, n] alone, or [batch, 1, n, n] that also blocks the keys of the steps
+def _attention_bias(pad_mask, n, dtype, rows=None):
+    """Additive attention bias of the query `rows` (default: all n) over the
+    first n tokens of a window: the cached causal rows [len(rows), n] alone,
+    or [batch, 1, len(rows), n] that also blocks the keys of the steps
     `pad_mask` ([batch, w], 0 for padding) marks as padding."""
     bias, diag = _mask_arrays(n, dtype)
+    if rows is not None:
+        bias = bias[rows]
     if pad_mask is None:
         return bias
     pad_mask = np.asarray(pad_mask)
     if (pad_mask > 0).all():
         return bias
+    if rows is not None:
+        diag = diag[rows]
     token_keep = np.repeat(pad_mask, TOKENS_PER_STEP, axis=1)[:, :n]  # [b, n]
     key_block = np.where(token_keep[:, None, :] > 0, 0.0, -1e9).astype(dtype)
     bias = bias[None, None, :, :] + key_block[:, None, :, :]
     # keep self-attention open on padded rows so softmax stays defined
-    return np.where(diag[None, None], np.maximum(bias, -1e8), bias)
-
-
-def _distributions(logits):
-    """An ActionDistribution per window from its newest step's logits
-    [batch, 3], with the probabilities a float64 softmax."""
-    z = logits.astype(np.float64)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
-    return [ActionDistribution(row, p) for row, p in zip(logits, probs)]
+    return np.maximum(bias, -1e8, out=bias, where=diag)
 
 
 def _pre_embedding(p):
@@ -174,6 +171,16 @@ def fold_token_conv(p):
     return W.reshape(CONV_WIDTH * TOKENS_PER_STEP, TOKENS_PER_STEP * d), B.reshape(-1)
 
 
+@functools.lru_cache(maxsize=None)
+def _tap_index(w):
+    """[w, CONV_WIDTH]: the rows step i's taps read, i..i + CONV_WIDTH - 1,
+    of an input with CONV_WIDTH - 1 leading zero rows; built once per w and
+    read-only."""
+    index = np.arange(w)[:, None] + np.arange(CONV_WIDTH)
+    index.flags.writeable = False
+    return index
+
+
 def _taps(returns, states, actions):
     """[b, w, CONV_WIDTH * 10]: each step's causal window over the channels
     [R, s1..s8, a], tap-major, with left zeros, so no step reads a later one."""
@@ -182,7 +189,7 @@ def _taps(returns, states, actions):
     inputs[:, CONV_WIDTH - 1:, 0] = returns
     inputs[:, CONV_WIDTH - 1:, 1:-1] = states
     inputs[:, CONV_WIDTH - 1:, -1] = actions
-    return inputs[:, np.arange(w)[:, None] + np.arange(CONV_WIDTH)].reshape(b, w, -1)
+    return inputs[:, _tap_index(w)].reshape(b, w, -1)
 
 
 def _scatter_rows(index, rows, n):
@@ -437,16 +444,15 @@ class PolicyModel:
     def _attention_block(self, x, l, mask_bias, rows=None):
         """Pre-LN causal self-attention and FFN, each with its residual.
 
-        With `rows`, only those query positions are computed: keys and values
-        still read every token, and the block returns [b, len(rows), d].
+        With `rows`, only those query positions are computed, and `mask_bias`
+        holds only their bias rows: keys and values still read every token,
+        and the block returns [b, len(rows), d].
         """
         ln = T.layer_norm(x, self.params[f"blk{l}_ln1_g"], self.params[f"blk{l}_ln1_b"])
         k = self._proj(ln, f"blk{l}_attn_k")
         v = self._proj(ln, f"blk{l}_attn_v")
         if rows is not None:
-            # each kept query row keeps its own bias row, so masking is exact
             x, ln = T.select_positions(x, rows), T.select_positions(ln, rows)
-            mask_bias = mask_bias[..., rows, :]
         q = self._proj(ln, f"blk{l}_attn_q")
         att = T.attention(q, k, v, mask_bias=mask_bias, heads=self.config.n_heads)   # [b, m, d]
         x = x + self._proj(att, f"blk{l}_attn_o")
@@ -461,7 +467,8 @@ class PolicyModel:
         pad_mask: [batch, w] with 1 for real steps, 0 for left padding;
         padded tokens are blocked from attention and excluded by the trainer.
         The head reads one token per step, so the last block computes only
-        those rows.
+        those rows, and only their bias rows are built; the full bias is
+        built only for the earlier blocks of a deeper model.
         """
         cfg = self.config
         self.forward_count += 1
@@ -470,28 +477,35 @@ class PolicyModel:
         n = w * TOKENS_PER_STEP
 
         x, raw_tokens = self.build_sequence(returns, states, actions, timesteps)
-        bias = _attention_bias(pad_mask, n, cfg.np_dtype)
         # last state token of step t precedes the action token by one position
         positions = np.arange(w) * TOKENS_PER_STEP + (TOKENS_PER_STEP - 2)
-        for l in range(cfg.n_layers - 1):
-            x = self._attention_block(x, l, bias)
+        if cfg.n_layers > 1:
+            bias = _attention_bias(pad_mask, n, cfg.np_dtype)
+            for l in range(cfg.n_layers - 1):
+                x = self._attention_block(x, l, bias)
         if cfg.n_layers:
-            x = self._attention_block(x, cfg.n_layers - 1, bias, rows=positions)   # [b, w, d]
+            x = self._attention_block(x, cfg.n_layers - 1,
+                                      _attention_bias(pad_mask, n, cfg.np_dtype, rows=positions),
+                                      rows=positions)   # [b, w, d]
         else:
             x = T.select_positions(x, positions)
         x = x + T.select_positions(raw_tokens, positions)
         return T.linear(x, self.params["head_W"], self.params["head_b"])
 
     def predict(self, returns, states, actions, timesteps, pad_mask=None):
-        """ActionDistribution for the newest step of each window (no graph kept)."""
+        """ActionDistribution for the newest step of each window (no graph
+        kept), with the probabilities a float64 softmax of its logits."""
         with T.no_grad():
-            logits = self.forward(returns, states, actions, timesteps, pad_mask)
-        return _distributions(logits.data[:, -1])
+            logits = self.forward(returns, states, actions, timesteps, pad_mask).data[:, -1]
+        z = logits.astype(np.float64)
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        probs = e / e.sum(axis=-1, keepdims=True)
+        return [ActionDistribution(row, p) for row, p in zip(logits, probs)]
 
 
 class InferencePolicy:
-    """A read-only snapshot of a PolicyModel that computes `predict` in plain
-    numpy, for the closed loop's one-window decisions.
+    """A read-only snapshot of a PolicyModel that computes, in plain numpy,
+    the newest step's logits of one window, for the closed loop's decisions.
 
     Built once, in float64 and stored in the model dtype:
     - the token encoders fold into one causal conv of width CONV_WIDTH per
@@ -509,16 +523,23 @@ class InferencePolicy:
       dropped, and a query's attention weights sum to 1, so the value bias
       passes through them unchanged.
 
-    `predict` builds no Tensor and computes only the newest step's head row,
-    the one row it returns.  A block scores its query rows straight against
-    the normalised tokens and averages those tokens with the weights, so it
-    forms no key and no value.  The newest action token comes after the row
-    and so is never built.  The snapshot normalises in the model dtype, as
-    a product by the [d, d] centring matrix and a mean square taken through
-    a [d, 1] column.  The fold pays where a block computes one query row,
-    as the last block does: an earlier block of a deeper model computes
-    every row, and there the h·d-wide QK and OV products cost more than keys
-    and values would.  Later changes to the model do not reach the snapshot.
+    `logits` takes one window as its real steps alone, n <= context_window
+    of them, and returns the newest step's head row.  Left padding is
+    dropped rather than masked: a padded step is a zero input whose keys
+    are blocked, so a left-padded window's newest logits are those of its
+    real steps alone.  The pass builds no Tensor and runs on 2-D arrays: the
+    taps are read from one zero-padded [n + CONV_WIDTH - 1, 10] input
+    through a cached index, and the newest action token comes after the
+    head row and so is never used.  A block scores its query rows straight
+    against the normalised tokens and averages those tokens with the
+    weights, so it forms no key and no value.  The last block computes one
+    query row per head, which sees every token, so it needs no mask; only
+    the earlier blocks of a deeper model compute every row, under the
+    cached causal bias, and there the h·d-wide QK and OV products cost more
+    than keys and values would.  The snapshot normalises in the model
+    dtype, as a product by the [d, d] centring matrix and a mean square
+    taken through a [d, 1] column.  Later changes to the model do not reach
+    the snapshot.
     """
 
     def __init__(self, model: PolicyModel):
@@ -556,7 +577,11 @@ class InferencePolicy:
             return a
 
         self._token_W, self._token_b = map(frozen, fold_token_conv(p))
-        self._W_time = frozen(p["W_time"])
+        # the time table with its last row repeated context_window - 1 more
+        # times, so a window's clipped rows min(t, max_timestep) are one slice
+        W_time = p["W_time"]
+        self._W_time = frozen(np.concatenate(
+            [W_time, np.repeat(W_time[-1:], cfg.context_window - 1, axis=0)]))
         self._pre_ln = frozen(p["pre_ln_g"]), frozen(p["pre_ln_b"])
         self._blocks = [tuple(map(frozen, blk)) for blk in blocks]
         self._head = frozen(p["head_W"]), frozen(p["head_b"])
@@ -570,51 +595,65 @@ class InferencePolicy:
         xc = x @ self._centre
         return xc / np.sqrt(np.square(xc) @ self._mean_of + T.LN_EPS)
 
-    def _block(self, x, blk, bias, last):
-        """Pre-LN causal self-attention and FFN, each with its residual; with
-        `last`, only the newest row is computed and returned ([b, 1, d])."""
+    def _block(self, x, blk, last):
+        """Pre-LN causal self-attention and FFN, each with its residual, over
+        the tokens x [m, d]; with `last`, only the newest row is computed and
+        returned ([1, d])."""
         QK, bQK, VO, bVO, W1, b1, W2, b2 = blk
-        b, m, d = x.shape
+        m, d = x.shape
         h = self.config.n_heads
         xhat = self._normalize(x)
-        xt = xhat[:, None]           # [b, 1, m, d]: every head reads the normalised tokens
+        q = xhat
         if last:
-            x, xhat, bias = x[:, -1:], xhat[:, -1:], bias[..., -1:, :]
-        r = x.shape[1]
-        s = (xhat @ QK + bQK).reshape(b, r, h, d).transpose(0, 2, 1, 3) @ xt.transpose(0, 1, 3, 2) + bias
+            x, q = x[-1:], xhat[-1:]
+        r = x.shape[0]
+        s = (q @ QK + bQK).reshape(r, h, d).transpose(1, 0, 2) @ xhat.T   # [h, r, m]
+        if not last:
+            s += _mask_arrays(m, x.dtype)[0]
         e = np.exp(s - s.max(axis=-1, keepdims=True))
         e /= e.sum(axis=-1, keepdims=True)
-        att = (e @ xt).transpose(0, 2, 1, 3).reshape(b, r, h * d)     # per head, weights · xhat
+        att = (e @ xhat).transpose(1, 0, 2).reshape(r, h * d)     # per head, weights · xhat
         x = x + att @ VO + bVO
         return x + np.maximum(self._normalize(x) @ W1 + b1, 0.0) @ W2 + b2
 
-    def predict(self, returns, states, actions, timesteps, pad_mask=None):
-        """ActionDistribution for the newest step of each window, as
-        `PolicyModel.predict` gives it."""
+    def logits(self, returns, states, actions, first_timestep):
+        """The newest step's logits [3], in the model dtype, of a window of
+        n <= context_window real steps at timesteps first_timestep >= 0 ..
+        first_timestep + n - 1, as `PolicyModel.predict` gives them for the
+        window left-padded to any length.
+
+        returns: the return channel, a scalar or [n]; states: [n, 8];
+        actions: the n - 1 earlier steps' actions (the newest step's action
+        token comes after the head row, so it has none).
+        """
         cfg = self.config
-        dt = cfg.np_dtype
+        d = cfg.embed_size
         self.forward_count += 1
-        returns = np.asarray(returns, dtype=dt)
-        states = np.asarray(states, dtype=dt)
-        actions = np.asarray(actions, dtype=dt)
-        timesteps = np.asarray(timesteps, dtype=np.int64)
-        b, w = returns.shape
-        if states.shape != (b, w, STATE_DIM) or actions.shape != (b, w) \
-                or timesteps.shape != (b, w):
-            raise T.TensorError("window length mismatch across modalities")
-        n = w * TOKENS_PER_STEP - 1   # up to the newest head row
-        tokens = (_taps(returns, states, actions) @ self._token_W + self._token_b).reshape(
-            b, w, TOKENS_PER_STEP, cfg.embed_size)
-        tokens += self._W_time[np.minimum(np.maximum(timesteps, 0), cfg.max_timestep)][:, :, None]
-        raw = tokens.reshape(b, w * TOKENS_PER_STEP, cfg.embed_size)[:, :n]
+        states = np.asarray(states)
+        actions = np.asarray(actions, dtype=cfg.np_dtype)
+        n = len(states) if states.ndim == 2 else 0
+        if states.shape != (n, STATE_DIM) or not 1 <= n <= cfg.context_window \
+                or actions.shape != (n - 1,) or np.ndim(returns) and np.shape(returns) != (n,):
+            raise T.TensorError(f"a window of 1..{cfg.context_window} steps takes returns [n] or "
+                                f"a scalar, states [n, {STATE_DIM}] and n - 1 actions")
+        if first_timestep < 0:
+            raise T.TensorError(f"first_timestep must be >= 0, got {first_timestep}")
+        inputs = np.zeros((n + CONV_WIDTH - 1, TOKENS_PER_STEP), dtype=cfg.np_dtype)
+        inputs[CONV_WIDTH - 1:, 0] = returns
+        inputs[CONV_WIDTH - 1:, 1:-1] = states
+        inputs[CONV_WIDTH - 1:-1, -1] = actions
+        tokens = (inputs[_tap_index(n)].reshape(n, -1) @ self._token_W + self._token_b).reshape(
+            n, TOKENS_PER_STEP, d)
+        first = min(first_timestep, cfg.max_timestep)
+        tokens += self._W_time[first:first + n, None]
+        raw = tokens.reshape(n * TOKENS_PER_STEP, d)[:-1]   # up to the newest head row
 
         g, beta = self._pre_ln
         x = g * self._normalize(raw) + beta
-        bias = _attention_bias(pad_mask, n, dt)
         for l, blk in enumerate(self._blocks):
-            x = self._block(x, blk, bias, last=l == cfg.n_layers - 1)
+            x = self._block(x, blk, last=l == cfg.n_layers - 1)
         W, c = self._head
-        return _distributions((x[:, -1] + raw[:, -1]) @ W + c)
+        return (x[-1] + raw[-1]) @ W + c
 
 
 # --------------------------------------------------------------- checkpointing

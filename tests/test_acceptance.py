@@ -351,20 +351,21 @@ class TestCloneFidelity:
 
 
     def test_inference_policy_decides_as_the_tensor_model(self, clone_run):
-        """The closed loop runs a model.InferencePolicy snapshot; replayed in
-        batches through the Tensor PolicyModel, every window of the episode
-        gets the same action, with logits within 1e-5."""
+        """The closed loop runs a model.InferencePolicy snapshot on each
+        window's real steps; replayed left-padded, in batches, through the
+        Tensor PolicyModel, every window of the episode gets the same action,
+        with logits within 1e-5."""
         driver = ev.LlmEvery(clone_run["ckpt"], every=1)
         assert isinstance(driver.model, InferencePolicy)
-        windows = []   # (R, S, A, T, pad, logits) per decision
-        predict = driver.model.predict
+        windows = []   # (returns, states, actions, first timestep, logits) per decision
+        logits = driver.model.logits
 
-        def recording_predict(R, S, A, Ts, pad_mask=None):
-            dists = predict(R, S, A, Ts, pad_mask=pad_mask)
-            windows.append((R, S, A, Ts, pad_mask, dists[0].logits[None]))
-            return dists
+        def recording_logits(returns, states, actions, first_timestep):
+            out = logits(returns, states, actions, first_timestep)
+            windows.append((returns, states, actions, first_timestep, out))
+            return out
 
-        driver.model.predict = recording_predict
+        driver.model.logits = recording_logits
         world = run_scenario(default_scenario(seed=3, duration_us=3_000_000),
                              decision_hook=driver.hook)
         assert len(world.records) > 1000
@@ -372,13 +373,20 @@ class TestCloneFidelity:
             == len(windows)
 
         tensor_model = load_checkpoint(clone_run["ckpt"])[0]
-        R, S, A, Ts, pad, logits = (np.concatenate(column) for column in zip(*windows))
+        w = tensor_model.config.context_window
+        R, A, pad = (np.zeros((len(windows), w)) for _ in range(3))
+        S, Ts = np.zeros((len(windows), w, STATE_DIM)), np.zeros((len(windows), w), dtype=np.int64)
+        for i, (returns, states, actions, first, _) in enumerate(windows):
+            n = len(states)
+            R[i, w - n:], S[i, w - n:], A[i, w - n:w - 1] = returns, states, actions
+            Ts[i, w - n:], pad[i, w - n:] = np.arange(first, first + n), 1.0
+        got = np.stack([out for *_, out in windows])
         for lo in range(0, len(R), 512):
             rows = slice(lo, lo + 512)
             dists = tensor_model.predict(R[rows], S[rows], A[rows], Ts[rows], pad_mask=pad[rows])
-            np.testing.assert_allclose(np.stack([d.logits for d in dists]), logits[rows],
+            np.testing.assert_allclose(np.stack([d.logits for d in dists]), got[rows],
                                        rtol=0, atol=1e-5)
-            assert [d.action for d in dists] == np.argmax(logits[rows], axis=1).tolist()
+            assert [d.action for d in dists] == np.argmax(got[rows], axis=1).tolist()
 
 
 # ------------------------------------------ 8. simulator invariants

@@ -70,6 +70,17 @@ def test_claim_and_bound_decisions():
     assert out["decisions_per_s"]["ties"] == 10
 
 
+def test_console_summary_shows_wins_and_both_gates():
+    base = [(0.40, 100.0)] * 10
+    summary = bench_pairs.summarise(pairs(base, [(0.30, 79.0)] * 10), SPEC)
+    p50, rate = bench_pairs.summary_lines("closed_loop", summary)
+    assert p50.startswith("closed_loop") and "latency_p50_ms" in p50
+    assert "(-25.0%) wins 10/10" in p50
+    assert p50.endswith("claim_holds True within_bound True")
+    assert "decisions_per_s" in rate and "wins 0/10" in rate
+    assert rate.endswith("claim_holds False within_bound False")
+
+
 def test_failed_operations_are_summed_per_side():
     out = bench_pairs.summarise(pairs([(0.4, 1.0, 2)] * 2, [(0.4, 1.0, 0)] * 2), SPEC)
     assert out["failed"] == {"base": 4, "change": 0}

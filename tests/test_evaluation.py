@@ -11,9 +11,11 @@ from aqmlab.evaluation import (
     EvalError, RuleBased, compare, ks_statistic, lipschitz_estimate,
     lyapunov_drift, utilization,
 )
-from aqmlab.features import ACTION_DROP, ACTION_MARK
-from aqmlab.model import ActionDistribution, ModelConfig, PolicyModel, save_checkpoint
-from aqmlab.pool import PoolError, build_pool_from_records, compute_feature_stats, compute_reward
+from aqmlab.features import ACTION_DROP, ACTION_MARK, STATE_DIM
+from aqmlab.model import ModelConfig, PolicyModel, save_checkpoint
+from aqmlab.pool import (
+    PoolError, build_pool_from_records, compute_feature_stats, compute_reward, normalize,
+)
 from aqmlab.simulator import default_scenario, run_scenario, write_klog
 from aqmlab.training import WindowDataset
 
@@ -27,6 +29,40 @@ def tiny_checkpoint(path, seed=0, window=4):
     save_checkpoint(PolicyModel(cfg, seed=seed), path, feature_stats=IDENTITY_STATS,
                     extra={"target_return": 1.0})
     return str(path)
+
+
+def record_windows(driver, forced=None):
+    """Make `driver.model.logits` record each window it is passed, with the
+    logits it returns; with `forced`, it returns logits whose argmax is that
+    action.  Returns the list the windows go to."""
+    windows = []
+    logits = driver.model.logits
+
+    def recording_logits(returns, states, actions, first_timestep):
+        out = logits(returns, states, actions, first_timestep) if forced is None \
+            else np.eye(3)[forced]
+        windows.append((returns, states.copy(), np.asarray(actions, dtype=np.float64),
+                        first_timestep, out))
+        return out
+
+    driver.model.logits = recording_logits
+    return windows
+
+
+def left_padded(windows, w):
+    """The recorded windows as `WindowDataset.gather` builds them: [N, w]
+    returns, [N, w, 8] states, [N, w] actions (the newest slot 0), int64
+    [N, w] timesteps and [N, w] pad mask, each window's n real steps last
+    and its first w - n steps zero."""
+    N = len(windows)
+    R, A, pad = np.zeros((N, w)), np.zeros((N, w)), np.zeros((N, w))
+    S, Ts = np.zeros((N, w, STATE_DIM)), np.zeros((N, w), dtype=np.int64)
+    for i, (returns, states, actions, first, _) in enumerate(windows):
+        n = len(states)
+        R[i, w - n:], S[i, w - n:], A[i, w - n:w - 1] = returns, states, actions
+        Ts[i, w - n:] = np.arange(first, first + n)
+        pad[i, w - n:] = 1.0
+    return R, S, A, Ts, pad
 
 
 class TestLyapunov:
@@ -372,39 +408,68 @@ class TestOnlineWindowParity:
     def test_windows_equal_the_pool_windows(self, tmp_path, window, forced, shadow, seconds):
         """Every window LlmEvery(every=1) passes to the model is, bit for bit,
         the one WindowDataset.gather builds at that step of the episode's own
-        log: the states (under identity stats), timesteps, pad mask and the
-        earlier steps' actions; the newest action slot is 0.  With a model
-        forced to MARK, a not-ECN-capable packet's MARK is applied as a DROP,
-        and the later windows hold the DROP, as the log does.  In shadow mode
-        the rule drives a longer episode."""
+        log: the real steps' states (under identity stats), their number, the
+        first step's timestep and the earlier steps' actions, against the
+        real rows, timesteps, pad mask and actions of the gathered window.
+        With a model forced to MARK, a not-ECN-capable packet's MARK is
+        applied as a DROP, and the later windows hold the DROP, as the log
+        does.  In shadow mode the rule drives a longer episode."""
         driver = ev.LlmEvery(tiny_checkpoint(tmp_path / "m.npz", window=window), every=1,
                              shadow=shadow)
-        windows = []
-        predict = driver.model.predict
-
-        def recording_predict(R, S, A, Ts, pad_mask=None):
-            windows.append((R.copy(), S.copy(), A.copy(), Ts.copy(), pad_mask.copy()))
-            if forced is None:
-                return predict(R, S, A, Ts, pad_mask=pad_mask)
-            return [ActionDistribution(np.zeros(3), np.eye(3)[forced])]
-
-        driver.model.predict = recording_predict
+        windows = record_windows(driver, forced)
         world = run_scenario(default_scenario(seed=3, duration_us=seconds * 1_000_000),
                              decision_hook=driver.hook)
         assert len(windows) == len(world.records) == driver.model_decisions > 400 * seconds
-        R, S, A, Ts, pad = (np.concatenate(column) for column in zip(*windows))
+        R, S, A, Ts, pad = left_padded(windows, window)
         pool = build_pool_from_records([world.records])
         want_R, want_S, want_A, _, want_ts, want_mask = WindowDataset(pool, window).gather(
             [(0, i) for i in range(len(windows))])
         assert S.tobytes() == want_S.tobytes()
         assert Ts.dtype == want_ts.dtype and Ts.tobytes() == want_ts.tobytes()
         assert pad.tobytes() == want_mask.tobytes()
-        assert A[:, :-1].tobytes() == want_A[:, :-1].tobytes() and not A[:, -1].any()
-        assert (R == driver.target_return * pad).all()
+        assert A[:, :-1].tobytes() == want_A[:, :-1].tobytes()
+        assert all(returns == driver.target_return for returns, *_ in windows)
         if forced is not None:
             applied = pool.trajectories[0].actions
             assert set(applied.tolist()) == {ACTION_MARK, ACTION_DROP}
             assert driver.violations == int((applied == ACTION_DROP).sum())
+
+
+class TestSnapshotInTheLoop:
+    def test_every_decision_matches_the_tensor_model(self, tmp_path):
+        """In an every=1 episode of a two-layer float64 model, each decision's
+        snapshot logits equal PolicyModel.predict's on the window
+        WindowDataset.gather builds from the episode's log, within 1e-12,
+        and give the same action: the padded first decisions and the earlier
+        block's causal path run inside the loop."""
+        cfg = ModelConfig(feature_dim=4, embed_size=16, n_layers=2, n_heads=2,
+                          context_window=8, max_timestep=512, dtype="float64")
+        model = PolicyModel(cfg, seed=2)
+        rng = np.random.default_rng(3)
+        for p in model.params.values():
+            p.data = p.data + rng.normal(0.0, 0.05, p.shape)
+        stats = compute_feature_stats(build_pool_from_records(
+            [run_scenario(default_scenario(seed=1, duration_us=2_000_000)).records]))
+        save_checkpoint(model, tmp_path / "m.npz", feature_stats=stats,
+                        extra={"target_return": 1.5})
+        driver = ev.LlmEvery(str(tmp_path / "m.npz"), every=1)
+        windows = record_windows(driver)
+        world = run_scenario(default_scenario(seed=4, duration_us=2_000_000),
+                             decision_hook=driver.hook)
+        assert len(windows) == len(world.records) > 800
+        got = np.stack([out for *_, out in windows])
+        _, S, A, _, ts, mask = WindowDataset(build_pool_from_records([world.records]),
+                                             cfg.context_window).gather(
+            [(0, i) for i in range(len(windows))])
+        real = mask > 0
+        R = np.where(real, driver.target_return, 0.0)
+        S = np.where(real[:, :, None], normalize(S, driver.feature_stats), 0.0)
+        want = [d for lo in range(0, len(R), 512) for d in model.predict(
+            R[lo:lo + 512], S[lo:lo + 512], A[lo:lo + 512], ts[lo:lo + 512],
+            pad_mask=mask[lo:lo + 512])]
+        np.testing.assert_allclose(got, [d.logits for d in want], rtol=0, atol=1e-12)
+        assert got.argmax(axis=1).tolist() == [d.action for d in want]
+        assert len(set(got.argmax(axis=1).tolist())) > 1
 
 
 # sha256 of the .klog of 6 s seed-11 episodes driven by LlmEvery with the

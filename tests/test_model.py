@@ -708,26 +708,45 @@ def perturbed_model(cfg, seed=3, lora=True):
     return m
 
 
-def assert_policy_matches_predict(model, tol, seed=7, t0=0):
-    """InferencePolicy.predict against PolicyModel.predict at b=1 and b=3, on
-    left-padded windows, one of them with a single real step, at timesteps
-    t0..t0 + w - 1."""
-    policy = InferencePolicy(model)
-    w = model.config.context_window
-    R, S, A, ts = rand_batch(model.config, b=3, w=w, seed=seed, t0=t0)
-    pad = np.ones((3, w))
+def padded_batch(cfg, seed=7, t0=0):
+    """A b=3 batch at timesteps t0..t0 + w - 1, left-padded as
+    `WindowDataset.gather` pads: the full window, one with 3 padded steps and
+    one with a single real step; a padded step is a zero input with mask 0."""
+    R, S, A, ts = rand_batch(cfg, b=3, seed=seed, t0=t0)
+    pad = np.ones((3, cfg.context_window))
     pad[1, :3] = 0.0
     pad[2, :-1] = 0.0   # one real step
-    for rows in (slice(0, 3), slice(1, 2), slice(2, 3), slice(0, 1)):
-        args = (R[rows], S[rows], A[rows], ts[rows])
-        for pm in (pad[rows], None):
-            want = model.predict(*args, pad_mask=pm)
-            got = policy.predict(*args, pad_mask=pm)
-            assert len(got) == len(want)
-            for g, r in zip(got, want):
-                assert g.logits.dtype == r.logits.dtype and g.logits.shape == (3,)
-                np.testing.assert_allclose(g.logits, r.logits, rtol=0, atol=tol)
-                np.testing.assert_allclose(g.probabilities, r.probabilities, rtol=0, atol=tol)
+    return R * pad, S * pad[:, :, None], A * pad, ts, pad
+
+
+class TestLeftPadding:
+    """Padded steps are zero inputs whose keys are blocked, so a padded
+    window's newest logits are those of its real steps alone: the closed
+    loop's snapshot rests on this."""
+
+    @pytest.mark.parametrize("dtype,tol", [("float32", 1e-5), ("float64", 1e-12)])
+    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+    def test_newest_logits_are_the_real_steps_alone(self, n_layers, dtype, tol):
+        model = perturbed_model(bench_config(n_layers=n_layers, dtype=dtype))
+        R, S, A, ts, pad = padded_batch(model.config)
+        padded = model.predict(R, S, A, ts, pad_mask=pad)
+        for i, want in enumerate(padded):
+            real = pad[i] > 0
+            alone = model.predict(R[i:i + 1, real], S[i:i + 1, real], A[i:i + 1, real],
+                                  ts[i:i + 1, real])[0]
+            np.testing.assert_allclose(alone.logits, want.logits, rtol=0, atol=tol)
+
+
+def assert_policy_matches_predict(model, tol, seed=7, t0=0):
+    """InferencePolicy.logits of each window of `padded_batch`, passed its
+    real steps alone, against PolicyModel.predict of the padded batch."""
+    policy = InferencePolicy(model)
+    R, S, A, ts, pad = padded_batch(model.config, seed=seed, t0=t0)
+    for i, want in enumerate(model.predict(R, S, A, ts, pad_mask=pad)):
+        real = pad[i] > 0
+        got = policy.logits(R[i, real], S[i, real], A[i, real][:-1], ts[i, real][0])
+        assert got.dtype == want.logits.dtype and got.shape == (3,)
+        np.testing.assert_allclose(got, want.logits, rtol=0, atol=tol)
 
 
 class TestInferencePolicy:
@@ -808,10 +827,8 @@ class TestInferencePolicy:
             init(obj, *args, **kwargs)
         monkeypatch.setattr(Tensor, "__init__", counting_init)
         R, S, A, ts = rand_batch(cfg, b=1)
-        pad = np.ones((1, cfg.context_window))
-        pad[0, :5] = 0.0
-        policy.predict(R, S, A, ts, pad_mask=pad)
-        policy.predict(R, S, A, ts)
+        policy.logits(R[0, 5:], S[0, 5:], A[0, 5:-1], ts[0, 5])   # 3 real steps
+        policy.logits(R[0], S[0], A[0, :-1], ts[0, 0])
         assert built == []
 
     def test_snapshot_leaves_model_untouched(self):
@@ -827,11 +844,13 @@ class TestInferencePolicy:
         for d, b in zip(m.predict(*batch), before):
             assert d.logits.tobytes() == b.tobytes()
         # a read-only snapshot: later training does not reach it
-        got = [d.logits.copy() for d in policy.predict(*batch)]
+        R, S, A, ts = batch
+        windows = [(R[i], S[i], A[i, :-1], ts[i, 0]) for i in range(2)]
+        got = [policy.logits(*window) for window in windows]
         for p in m.params.values():
             p.data = p.data + 1.0
-        for d, g in zip(policy.predict(*batch), got):
-            assert d.logits.tobytes() == g.tobytes()
+        for window, g in zip(windows, got):
+            assert policy.logits(*window).tobytes() == g.tobytes()
         with pytest.raises(ValueError):
             policy._head[0][0, 0] = 0.0
 
@@ -840,11 +859,20 @@ class TestInferencePolicy:
         m = PolicyModel(cfg, seed=0)
         policy = InferencePolicy(m)
         assert policy.config == m.config and policy.forward_count == 0
-        R, S, A, ts = rand_batch(cfg, b=2)
-        out = policy.predict(R, S, A, ts)
-        policy.predict(R[:1], S[:1], A[:1], ts[:1])
+        R, S, A, ts = rand_batch(cfg, b=1)
+        R, S, A, w = R[0], S[0], A[0], cfg.context_window
+        out = policy.logits(R, S, A[:-1], 3)
+        policy.logits(R[-2:], S[-2:], A[-2:-1], 0)
         assert policy.forward_count == 2 and m.forward_count == 0
-        assert all(isinstance(d.action, int) for d in out)
-        np.testing.assert_allclose([d.probabilities.sum() for d in out], 1.0)
-        with pytest.raises(T.TensorError):
-            policy.predict(R, S[:, :-1], A, ts)
+        assert out.shape == (3,) and out.dtype == cfg.np_dtype
+        # a scalar return is that return at every step
+        assert policy.logits(0.5, S, A[:-1], 3).tobytes() == \
+            policy.logits(np.full(w, 0.5), S, A[:-1], 3).tobytes()
+        for bad in [(R, S[:, :-1], A[:-1], 3),    # states not [n, 8]
+                    (R, S, A, 3),                 # n actions, not n - 1
+                    (R[1:], S, A[:-1], 3),        # returns not [n]
+                    (R[:0], S[:0], A[:0], 3),     # no step
+                    (np.zeros(w + 1), np.zeros((w + 1, STATE_DIM)), np.zeros(w), 3),
+                    (R, S, A[:-1], -1)]:          # a timestep before the first
+            with pytest.raises(T.TensorError):
+                policy.logits(*bad)

@@ -18,7 +18,8 @@ The result is `BENCH_<label>.json` in the checkout's root.  It records both
 commits, the machine, the Python and numpy versions, the arguments, every
 run's result line, and, for each end-to-end metric `BENCHMARK.json`
 declares, both sides' quartiles, the pair wins and whether the change stays
-within the metric's bound.
+within the metric's bound.  The console summary prints, per metric, the
+medians, the wins and both gates, `claim_holds` and `within_bound`.
 """
 
 from __future__ import annotations
@@ -92,6 +93,21 @@ def summarise(pairs, end_to_end):
             "within_bound": bool(worse <= spec["bound"] * abs(base_med)),
         }
     return out
+
+
+def summary_lines(workload, summary):
+    """One console line per metric of a workload's `summarise` output: both
+    medians, the change in percent, the pair wins, the base's IQR and the
+    two gates, `claim_holds` and `within_bound`."""
+    lines = []
+    for name, m in summary["metrics"].items():
+        pct = m["median_change_pct"]
+        lines.append(f"{workload:13s} {name:16s} base {m['base']['median']:.4g} "
+                     f"change {m['change']['median']:.4g}"
+                     + (f" ({pct:+.1f}%)" if pct is not None else "")
+                     + f" wins {m['wins']}/{summary['pairs']} base IQR {m['base_iqr']:.3g}"
+                     f" claim_holds {m['claim_holds']} within_bound {m['within_bound']}")
+    return lines
 
 
 def machine():
@@ -184,12 +200,8 @@ def main(argv=None):
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     for workload, entry in doc["workloads"].items():
-        for name, m in entry["summary"]["metrics"].items():
-            pct = m["median_change_pct"]
-            print(f"{workload:13s} {name:16s} base {m['base']['median']:.4g} "
-                  f"change {m['change']['median']:.4g}"
-                  + (f" ({pct:+.1f}%)" if pct is not None else "")
-                  + f" wins {m['wins']}/{entry['summary']['pairs']} base IQR {m['base_iqr']:.3g}")
+        for line in summary_lines(workload, entry["summary"]):
+            print(line)
     print(f"written {os.path.relpath(path)}")
     return 0
 
