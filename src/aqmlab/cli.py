@@ -67,7 +67,7 @@ def _cmd_train(args):
                                         context_window=args.window), seed=args.seed)
     tcfg = training.TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                                 lr=args.lr, clip_norm=args.clip_norm,
-                                gamma=p.gamma, window=args.window,
+                                gamma=p.gamma, window=model.config.context_window,
                                 seed=args.seed)
     total = sum(t.data.size for t in model.params.values())
     print(f"parameters: {model.trainable_count():,} trainable of {total:,}")
@@ -170,7 +170,8 @@ def build_parser():
     p.add_argument("--lr", type=float, default=tdef.lr)
     p.add_argument("--clip-norm", type=float, default=tdef.clip_norm)
     p.add_argument("--window", type=int, default=tdef.window,
-                   help="context window of the model and of training")
+                   help="context window of a fresh model; a fine-tune trains at its "
+                        "checkpoint's window")
     p.add_argument("--feature-dim", type=int, default=mdef.feature_dim)
     p.add_argument("--embed-size", type=int, default=mdef.embed_size)
     p.add_argument("--layers", type=int, default=mdef.n_layers)

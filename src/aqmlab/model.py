@@ -12,14 +12,20 @@ backbone feeds a 3-way action head read at the last state token of each step.
 Attention Q/V projections can be LoRA-wrapped (frozen base, trainable low-rank
 delta).
 
+Each head of a block's attention folds, with the block's first layer norm,
+into a query-key and a value-output matrix, by one function,
+`fold_attention`, so a block scores its query rows straight against the
+normalised tokens and forms no key or value; both forms of the model attend
+through it.
+
 PolicyModel is the trainable form: its forward pass builds a Tensor graph, in
 which the tokens and their time rows are one node (`token_sequence`) and each
-block's attention another, and its `predict` is the reference for inference.
-InferencePolicy is a read-only plain-numpy snapshot of a PolicyModel for
-closed-loop decisions: the token conv is folded once, LoRA deltas are merged,
-and each attention head folds into its query-key and value-output matrices.
-Its one entry, `logits`, takes a single window as its real steps alone, with
-no padding and no mask, and computes only the newest step's head row.
+block's attention and its residual another (`folded_attention`), and its
+`predict` is the reference for inference.  InferencePolicy is a read-only
+plain-numpy snapshot of a PolicyModel for closed-loop decisions: both folds
+are computed once, in float64, with LoRA deltas merged.  Its one entry,
+`logits`, takes a single window as its real steps alone, with no padding and
+no mask, and computes only the newest step's head row.
 """
 
 from __future__ import annotations
@@ -260,6 +266,183 @@ def token_sequence(p, returns, states, actions, timesteps=None):
     return Tensor(out.reshape(b, w * TOKENS_PER_STEP, d), _parents=tuple(parents), _backward=bwd)
 
 
+# the stored tensors of block l's attention that `folded_attention` reads;
+# the key bias is not one of them (see `fold_attention`)
+_ATTENTION_PARAMS = ("ln1_g", "ln1_b", "attn_q_W", "attn_q_b", "attn_k_W",
+                     "attn_v_W", "attn_v_b", "attn_o_W", "attn_o_b")
+
+
+def _head_maps(p, l, n_heads):
+    """Block l's attention maps per head h, from the stored arrays `p` (name
+    -> array, LoRA deltas merged): the query map Aq = g·W_q,h/√dk [h, d, dk]
+    and its bias cq = (β W_q + b_q)_h/√dk [h, 1, dk], the key map
+    Ak = g·W_k,h and the value map Av = g·W_v,h [h, d, dk], the value bias
+    cv = β W_v + b_v [d] and W_o's rows [h, dk, d].  g and β are the
+    block's ln1 gain and shift, folded into the projections that read the
+    normalised tokens."""
+    g, beta = p[f"blk{l}_ln1_g"], p[f"blk{l}_ln1_b"]
+    Wq, Wk, Wv, Wo = (p[f"blk{l}_attn_{w}_W"] for w in ("q", "k", "v", "o"))
+    d = g.size
+    dk = d // n_heads
+    scale = 1.0 / math.sqrt(dk)
+
+    def heads(W):   # [d, h*dk] -> [h, d, dk]: head h's columns
+        return W.reshape(d, n_heads, dk).transpose(1, 0, 2)
+
+    cq = (beta @ Wq + p[f"blk{l}_attn_q_b"]) * scale
+    return (heads(g[:, None] * Wq * scale), cq.reshape(n_heads, 1, dk), heads(g[:, None] * Wk),
+            heads(g[:, None] * Wv), beta @ Wv + p[f"blk{l}_attn_v_b"], Wo.reshape(n_heads, dk, d))
+
+
+def _fold_heads(maps, b_o):
+    """`fold_attention`'s (QK, bQK, OV, bVO) from the head maps of
+    `_head_maps` and W_o's bias b_o."""
+    Aq, cq, Ak, Av, cv, Wo = maps
+    d = Aq.shape[1]
+    KT = Ak.transpose(0, 2, 1)
+    return ((Aq @ KT).transpose(1, 0, 2).reshape(d, -1), (cq @ KT).reshape(-1),
+            (Av @ Wo).reshape(-1, d), cv @ Wo.reshape(-1, d) + b_o)
+
+
+def fold_attention(p, l, n_heads):
+    """Block l's attention of the stored arrays `p` (name -> array, LoRA
+    deltas merged into their base matrices) folded per head h into a
+    query-key and a value-output matrix (Elhage et al., "A Mathematical
+    Framework for Transformer Circuits", 2021), computed in the arrays'
+    dtype: (QK [d, h·d], bQK [h·d], OV [h·d, d], bVO [d]).
+
+    With xhat the normalised tokens, head h scores query row i against
+    token j as (xhat_i QK_h + bQK_h) · xhat_j, where
+    QK_h = Aq_h Ak_hᵀ and bQK_h = cq_h Ak_hᵀ (`_head_maps`), and adds
+    (its weights · xhat) OV_h, OV_h = Av_h W_o,h, plus bVO = cv W_o + b_o
+    to the residual.  This is exact: the key bias and ln1's shift through
+    the keys add one constant to all of a query's scores, which softmax
+    removes, so they are dropped, and a query's weights sum to 1, so the
+    value bias passes through them unchanged.  Head h's block is columns
+    h·d..(h+1)·d of QK and rows h·d..(h+1)·d of OV.
+    """
+    return _fold_heads(_head_maps(p, l, n_heads), p[f"blk{l}_attn_o_b"])
+
+
+def folded_attention(x, p, l, n_heads, mask_bias, rows=None):
+    """Block l's pre-LN causal self-attention and its residual, as one node
+    through `fold_attention`: [b, m, d] for the m query `rows` of the block
+    input x [b, n, d] (default: all n), under the additive `mask_bias`,
+    [m, n] or [b, 1, m, n].  `p` is name -> Tensor; with LoRA on, each
+    wrapped matrix is read as W + A @ B.
+
+    x is normalised over every token, each query row is scored per head
+    against the normalised tokens, and the tokens are averaged with the
+    weights, so no key or value is formed.  A (row, head) pair is one row
+    of the batched products, so the head split and merge are reshapes.
+    The backward maps the gradients of QK, bQK, OV and bVO back to ln1's
+    gain and shift, the q, v and o weights and biases, W_k and the LoRA
+    factors, and through the normalisation to x.  The key bias gets no
+    gradient: its true gradient is 0.
+    """
+    names = [f"blk{l}_{name}" for name in _ATTENTION_PARAMS]
+    arrays = {name: p[name].data for name in names}
+    lora = {}
+    for w in LORA_TARGETS:
+        stem = f"blk{l}_attn_{w}"
+        if f"{stem}_lora_A" in p:
+            lora[stem] = p[f"{stem}_lora_A"], p[f"{stem}_lora_B"]
+            arrays[f"{stem}_W"] = arrays[f"{stem}_W"] + lora[stem][0].data @ lora[stem][1].data
+    maps = _head_maps(arrays, l, n_heads)
+    QK, bQK, OV, bVO = _fold_heads(maps, arrays[f"blk{l}_attn_o_b"])
+
+    xhat, inv = T.normalize(x.data)
+    b, n, d = xhat.shape
+    xq, res = (xhat, x.data) if rows is None else (xhat[:, rows], x.data[:, rows])
+    m, h = xq.shape[1], n_heads
+    xq = xq.reshape(b * m, d)
+    xT = xhat.transpose(0, 2, 1)
+    q = (xq @ QK + bQK).reshape(b, m * h, d)      # row (i, head) of window b
+    s = (q @ xT).reshape(b, m, h, n)
+    bias = np.asarray(mask_bias, dtype=s.dtype)
+    s += (bias[:, 0] if bias.ndim == 4 else bias)[..., None, :]
+    s -= s.max(axis=-1, keepdims=True)
+    P = np.exp(s, out=s)
+    P /= P.sum(axis=-1, keepdims=True)
+    P = P.reshape(b, m * h, n)                    # the attention weights
+    z = (P @ xhat).reshape(b * m, h * d)          # per head, weights · xhat
+    out = z @ OV
+    out += bVO
+    out += res.reshape(b * m, d)
+    parents = [x] + [p[name] for name in names] + [t for pair in lora.values() for t in pair]
+
+    def bwd(g):
+        g2 = g.reshape(b * m, d)
+        dz = (g2 @ OV.T).reshape(b, m * h, d)
+        dS = dz @ xT
+        dS -= (dS * P).sum(axis=-1, keepdims=True)
+        dS *= P                                   # the score gradient [b, m*h, n]
+        dq = (dS @ xhat).reshape(b * m, h * d)
+        if x.requires_grad:
+            dxhat = P.transpose(0, 2, 1) @ dz + dS.transpose(0, 2, 1) @ q   # [b, n, d]
+            dxq = (dq @ QK.T).reshape(b, m, d)
+            if rows is None:
+                dxhat += dxq
+            else:
+                dxhat[:, rows] += dxq
+            # through the normalisation: the row means of dxhat and dxhat*xhat
+            dx2, xh2 = dxhat.reshape(-1, d), xhat.reshape(-1, d)
+            mean_of = np.full(d, 1.0 / d, dtype=dx2.dtype)
+            dx = (dx2 - (dx2 @ mean_of)[:, None] - xh2 * ((dx2 * xh2) @ mean_of)[:, None])
+            dx = (dx * inv.reshape(-1, 1)).reshape(b, n, d)
+            if rows is None:
+                dx += g
+            else:
+                dx[:, rows] += g
+            x._accum(dx)
+        if any(t.requires_grad for t in parents[1:]):
+            ones = np.ones(b * m, dtype=g2.dtype)
+            grads = _unfold_attention_grads(arrays, l, maps, xq.T @ dq, ones @ dq,
+                                            z.T @ g2, ones @ g2)
+            for stem, (A, B) in lora.items():
+                dW = grads[f"{stem}_W"]
+                A._accum(dW @ B.data.T)
+                B._accum(A.data.T @ dW)
+            for name in names:
+                p[name]._accum(grads[name])
+
+    return Tensor(out.reshape(b, m, d), _parents=tuple(parents), _backward=bwd)
+
+
+def _unfold_attention_grads(p, l, maps, dQK, dbQK, dOV, dbVO):
+    """The gradients of block l's stored attention tensors (name -> array,
+    the wrapped matrices' as those of W + A @ B) from those of the folds
+    QK, bQK, OV and bVO, through the head maps `maps` of `_head_maps(p)`."""
+    Aq, cq, Ak, Av, cv, Wo = maps
+    h, d, dk = Aq.shape
+    g, beta = p[f"blk{l}_ln1_g"], p[f"blk{l}_ln1_b"]
+    Wq, Wk, Wv = (p[f"blk{l}_attn_{w}_W"] for w in ("q", "k", "v"))
+    scale = 1.0 / math.sqrt(dk)
+    dQK = dQK.reshape(d, h, d).transpose(1, 0, 2)   # [h, d, d]
+    dbQK = dbQK.reshape(h, 1, d)
+    dOV = dOV.reshape(h, d, d)
+
+    def merged(a):   # [h, d, dk] -> [d, h*dk], `_head_maps`' heads undone
+        return a.transpose(1, 0, 2).reshape(d, h * dk)
+
+    dAq = merged(dQK @ Ak) * scale                  # per unit of g·W_q
+    dcq = (dbQK @ Ak).reshape(-1) * scale           # per unit of β W_q + b_q
+    dAk = merged(dQK.transpose(0, 2, 1) @ Aq + dbQK.transpose(0, 2, 1) @ cq)
+    dAv = merged(dOV @ Wo.transpose(0, 2, 1))
+    dcv = Wo.reshape(-1, d) @ dbVO
+    return {
+        f"blk{l}_ln1_g": (dAq * Wq).sum(axis=1) + (dAk * Wk).sum(axis=1) + (dAv * Wv).sum(axis=1),
+        f"blk{l}_ln1_b": Wq @ dcq + Wv @ dcv,
+        f"blk{l}_attn_q_W": g[:, None] * dAq + np.outer(beta, dcq),
+        f"blk{l}_attn_q_b": dcq,
+        f"blk{l}_attn_k_W": g[:, None] * dAk,
+        f"blk{l}_attn_v_W": g[:, None] * dAv + np.outer(beta, dcv),
+        f"blk{l}_attn_v_b": dcv,
+        f"blk{l}_attn_o_W": (Av.transpose(0, 2, 1) @ dOV).reshape(h * dk, d) + np.outer(cv, dbVO),
+        f"blk{l}_attn_o_b": dbVO,
+    }
+
+
 class PolicyModel:
     """Holds all parameters plus the forward pass; single-inference only."""
 
@@ -357,15 +540,6 @@ class PolicyModel:
                 self.params[f"blk{l}_attn_{w}_lora_A"] = _init(rng, (d_in, rank), 0.01, dt)
                 self.params[f"blk{l}_attn_{w}_lora_B"] = _zeros((rank, d_out), dt)
 
-    def _proj(self, x, name):
-        """Linear through `name`_W/`name`_b, with LoRA delta when wrapped."""
-        W, b = self.params[f"{name}_W"], self.params[f"{name}_b"]
-        out = T.linear(x, W, b)
-        a_name = f"{name}_lora_A"
-        if a_name in self.params:
-            out = out + (x @ self.params[a_name]) @ self.params[f"{name}_lora_B"]
-        return out
-
     def merge_lora(self):
         """Dense W0 + A@B for every wrapped matrix, keyed by base name."""
         merged = {}
@@ -442,21 +616,14 @@ class PolicyModel:
         return normed, tokens
 
     def _attention_block(self, x, l, mask_bias, rows=None):
-        """Pre-LN causal self-attention and FFN, each with its residual.
+        """Pre-LN causal self-attention and FFN, each with its residual; the
+        attention and its residual are one node, `folded_attention`.
 
         With `rows`, only those query positions are computed, and `mask_bias`
-        holds only their bias rows: keys and values still read every token,
-        and the block returns [b, len(rows), d].
+        holds only their bias rows: they still score every token, and the
+        block returns [b, len(rows), d].
         """
-        ln = T.layer_norm(x, self.params[f"blk{l}_ln1_g"], self.params[f"blk{l}_ln1_b"])
-        k = self._proj(ln, f"blk{l}_attn_k")
-        v = self._proj(ln, f"blk{l}_attn_v")
-        if rows is not None:
-            x, ln = T.select_positions(x, rows), T.select_positions(ln, rows)
-        q = self._proj(ln, f"blk{l}_attn_q")
-        att = T.attention(q, k, v, mask_bias=mask_bias, heads=self.config.n_heads)   # [b, m, d]
-        x = x + self._proj(att, f"blk{l}_attn_o")
-
+        x = folded_attention(x, self.params, l, self.config.n_heads, mask_bias, rows)
         ln2 = T.layer_norm(x, self.params[f"blk{l}_ln2_g"], self.params[f"blk{l}_ln2_b"])
         hdn = T.linear(ln2, self.params[f"blk{l}_ffn_W1"], self.params[f"blk{l}_ffn_b1"]).relu()
         return x + T.linear(hdn, self.params[f"blk{l}_ffn_W2"], self.params[f"blk{l}_ffn_b2"])
@@ -512,16 +679,11 @@ class InferencePolicy:
       token type, by `fold_token_conv`, the fold the trainable model's
       token op runs at every forward;
     - LoRA deltas are merged into their base matrices (`merge_lora`);
-    - each layer norm's gain and shift, and the attention scale, fold into
-      the projection that reads them;
-    - each attention head h folds into a query-key matrix
-      W_QK,h = W_q,h W_k,hᵀ [d, d], with bias b_q,h W_k,hᵀ, and a
-      value-output matrix W_OV,h = W_v,h W_o,h [d, d], with the output bias
-      b_v W_o + b_o (Elhage et al., "A Mathematical Framework for
-      Transformer Circuits", 2021).  This is exact: the key bias adds one
-      constant to all of a query's scores, which softmax removes, so it is
-      dropped, and a query's attention weights sum to 1, so the value bias
-      passes through them unchanged.
+    - each attention head folds, with ln1's gain and shift and the
+      attention scale, into a query-key and a value-output matrix, by
+      `fold_attention`, the fold the trainable model's attention node runs
+      at every forward;
+    - ln2's gain and shift fold into the FFN's first projection.
 
     `logits` takes one window as its real steps alone, n <= context_window
     of them, and returns the newest step's head row.  Left padding is
@@ -545,31 +707,15 @@ class InferencePolicy:
     def __init__(self, model: PolicyModel):
         cfg = self.config = model.config
         self.forward_count = 0
-        dt, d, h = cfg.np_dtype, cfg.embed_size, cfg.n_heads
-        dk = d // h
+        dt, d = cfg.np_dtype, cfg.embed_size
         p = {name: t.data.astype(np.float64) for name, t in model.params.items()}
         p.update((name, W.astype(np.float64)) for name, W in model.merge_lora().items())
-
-        def affine_after_ln(g, b, W, c):
-            # (g * xhat + b) @ W + c  ==  xhat @ (g[:, None] * W) + (b @ W + c)
-            return g[:, None] * W, b @ W + c
-
-        scale = 1.0 / math.sqrt(dk)
         blocks = []
         for l in range(cfg.n_layers):
-            ln1 = p[f"blk{l}_ln1_g"], p[f"blk{l}_ln1_b"]
-            Wq, bq = affine_after_ln(*ln1, p[f"blk{l}_attn_q_W"] * scale, p[f"blk{l}_attn_q_b"] * scale)
-            Wk, _ = affine_after_ln(*ln1, p[f"blk{l}_attn_k_W"], p[f"blk{l}_attn_k_b"])
-            Wv, bv = affine_after_ln(*ln1, p[f"blk{l}_attn_v_W"], p[f"blk{l}_attn_v_b"])
-            Wo, bo = p[f"blk{l}_attn_o_W"], p[f"blk{l}_attn_o_b"]
-            # head h's columns of W_q, W_k, W_v and rows of W_o are h*dk..(h+1)*dk
-            Wk = Wk.reshape(d, h, dk)
-            QK = np.einsum("ihk,jhk->ihj", Wq.reshape(d, h, dk), Wk).reshape(d, h * d)
-            bQK = np.einsum("hk,jhk->hj", bq.reshape(h, dk), Wk).reshape(h * d)
-            VO = np.einsum("ihk,hkj->hij", Wv.reshape(d, h, dk), Wo.reshape(h, dk, d)).reshape(h * d, d)
-            W1, b1 = affine_after_ln(p[f"blk{l}_ln2_g"], p[f"blk{l}_ln2_b"],
-                                     p[f"blk{l}_ffn_W1"], p[f"blk{l}_ffn_b1"])
-            blocks.append((QK, bQK, VO, bv @ Wo + bo, W1, b1, p[f"blk{l}_ffn_W2"], p[f"blk{l}_ffn_b2"]))
+            # (g * xhat + b) @ W1 + b1  ==  xhat @ (g[:, None] * W1) + (b @ W1 + b1)
+            g, beta, W1 = p[f"blk{l}_ln2_g"], p[f"blk{l}_ln2_b"], p[f"blk{l}_ffn_W1"]
+            blocks.append((*fold_attention(p, l, cfg.n_heads), g[:, None] * W1,
+                           beta @ W1 + p[f"blk{l}_ffn_b1"], p[f"blk{l}_ffn_W2"], p[f"blk{l}_ffn_b2"]))
 
         def frozen(a):
             a = np.ascontiguousarray(a, dtype=dt)
@@ -599,7 +745,7 @@ class InferencePolicy:
         """Pre-LN causal self-attention and FFN, each with its residual, over
         the tokens x [m, d]; with `last`, only the newest row is computed and
         returned ([1, d])."""
-        QK, bQK, VO, bVO, W1, b1, W2, b2 = blk
+        QK, bQK, OV, bVO, W1, b1, W2, b2 = blk
         m, d = x.shape
         h = self.config.n_heads
         xhat = self._normalize(x)
@@ -613,7 +759,7 @@ class InferencePolicy:
         e = np.exp(s - s.max(axis=-1, keepdims=True))
         e /= e.sum(axis=-1, keepdims=True)
         att = (e @ xhat).transpose(1, 0, 2).reshape(r, h * d)     # per head, weights · xhat
-        x = x + att @ VO + bVO
+        x = x + att @ OV + bVO
         return x + np.maximum(self._normalize(x) @ W1 + b1, 0.0) @ W2 + b2
 
     def logits(self, returns, states, actions, first_timestep):

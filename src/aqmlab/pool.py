@@ -131,10 +131,6 @@ class ExperiencePool:
     def num_steps(self):
         return sum(len(t) for t in self.trajectories)
 
-    def all_steps(self):
-        for traj in self.trajectories:
-            yield from traj
-
     def validate(self, tol=1e-9):
         if not (0.0 < self.gamma <= 1.0):
             raise PoolError(f"gamma must be in (0,1], got {self.gamma}")

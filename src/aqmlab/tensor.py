@@ -13,7 +13,9 @@ its own backward, as in FlashAttention (Dao et al., NeurIPS 2022) but
 untiled: at these sizes it keeps the softmax weights for the backward
 rather than recomputing them.  It reads multi-head projections through
 numpy views, so scores, softmax, the head split and the merge build no
-nodes.  Float64 is kept where a reduction needs it: the layer-norm mean
+nodes.  The model trains through its own folded attention node
+(`model.folded_attention`), so `attention` serves as the reference its
+tests compare that node with.  Float64 is kept where a reduction needs it: the layer-norm mean
 and variance (matrix-vector products over a float64 copy), the
 cross-entropy log-sum-exp and the optimizer's global gradient norm.  A
 backward computes no gradient for an operand with requires_grad False, such

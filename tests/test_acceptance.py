@@ -28,6 +28,7 @@ from aqmlab.simulator import (
     default_scenario, emit_log, run_scenario,
 )
 from aqmlab import evaluation as ev
+from helpers import all_steps
 
 
 DELAY_IDX = FEATURE_INDEX["current_queue_delay"]
@@ -48,7 +49,7 @@ def threshold_run(tmp_path_factory):
         world = run_scenario(default_scenario(seed=seed, duration_us=6_000_000))
         record_lists.append(world.records[::4][:150])
     pool = build_pool_from_records(record_lists, gamma=0.95)
-    median = np.median([s.state[DELAY_IDX] for s in pool.all_steps()])
+    median = np.median([s.state[DELAY_IDX] for s in all_steps(pool)])
     for traj in pool.trajectories:
         traj.actions[:] = np.where(traj.states[:, DELAY_IDX] > median, ACTION_MARK, ACTION_ENQUEUE)
     pool.validate()

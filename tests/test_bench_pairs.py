@@ -94,6 +94,16 @@ def test_reads_the_benchmark_metric_specs():
     assert {spec["better"] for spec in specs} <= {"lower", "higher"}
 
 
+def test_workloads_default_to_every_benchmark_workload():
+    """With no --workloads a run covers every workload BENCHMARK.json names,
+    so a claim file also shows the ones the change did not target."""
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert bench_pairs.parse_args(["--label", "x", "--seed", "1"]).workloads is None
+    assert bench_pairs.workload_names(benchmark) == ["logs_to_pool", "train", "closed_loop"]
+    assert bench_pairs.parse_args(["--label", "x", "--seed", "1", "--workloads", "train"]
+                                  ).workloads == ["train"]
+
+
 def test_exports_the_commit_and_the_tracked_working_tree(tmp_path):
     """The base is the commit; the change is the working tree's tracked
     files as they are on disk, staged new files included, untracked ones not."""

@@ -98,6 +98,18 @@ def test_train_from_a_checkpoint_builds_no_model_from_the_cli_config(
     assert load_checkpoint(tmp_path / "lora.npz")[0].lora_enabled
 
 
+def test_fine_tune_trains_at_the_checkpoints_window(pipeline, tmp_path):
+    """--window, like --layers, shapes only a fresh model: a fine-tune of
+    the window-4 checkpoint, given no --window, trains at window 4."""
+    paths, _ = pipeline
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([str(a) for a in (
+            "train", paths["pool.npz"], "--epochs", 1, "--batch-size", 64,
+            "--init-from", paths["policy.npz"], "-o", tmp_path / "lora.npz")]) == 0
+    model = load_checkpoint(tmp_path / "lora.npz")[0]
+    assert model.lora_enabled and model.config.context_window == 4
+
+
 def test_parsed_defaults_are_the_config_defaults():
     """`aqmlab train` and `build-pool` write no default of their own."""
     mdef, tdef = ModelConfig(), TrainConfig()

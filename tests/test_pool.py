@@ -15,6 +15,7 @@ from aqmlab.pool import (
     normalize, normalize_states, returns_to_go,
 )
 from aqmlab.simulator import KLOG_FIELDS, default_scenario, run_scenario, write_klog
+from helpers import all_steps
 
 
 def forward_sum_returns(rewards, gamma):
@@ -112,14 +113,14 @@ class TestPoolConstruction:
     def test_probabilities_rescaled_to_unit(self):
         recs = _sim_records()
         pool = build_pool_from_records([recs], gamma=0.95)
-        for s in pool.all_steps():
+        for s in all_steps(pool):
             assert 0.0 <= s.state[2] <= 1.0
             assert s.state[4] >= 0.0  # accumulated: running sum, not bounded by 1
 
     def test_drops_delta_nonnegative_and_incremental(self):
         recs = _sim_records(seed=11, duration_us=4_000_000)
         pool = build_pool_from_records([recs], gamma=0.95)
-        deltas = [s.state[6] for s in pool.all_steps()]
+        deltas = [s.state[6] for s in all_steps(pool)]
         assert all(d >= 0 for d in deltas)
         total_delta = sum(deltas)
         finals = {}
@@ -218,7 +219,7 @@ class TestPoolFormat:
                 else:
                     assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
         assert loaded.trajectories[2].masked is None
-        assert list(loaded.all_steps()) == list(pool.all_steps())
+        assert list(all_steps(loaded)) == list(all_steps(pool))
         loaded.validate()
 
     def test_writes_exactly_the_given_path(self, tmp_path):
@@ -324,7 +325,7 @@ class TestNormalization:
     def test_normalized_pool_standardized(self):
         pool = self._pool()
         normed, stats = normalize_states(pool)
-        X = np.array([s.state for s in normed.all_steps()])
+        X = np.array([s.state for s in all_steps(normed)])
         live = ~np.array(stats["zero_variance"])
         np.testing.assert_allclose(X[:, live].mean(axis=0), 0, atol=1e-8)
         np.testing.assert_allclose(X[:, live].std(axis=0), 1, atol=1e-6)
@@ -337,7 +338,7 @@ class TestNormalization:
             returns_to_go(rewards, 0.95)))
         normed, stats = normalize_states(pool)
         assert stats["zero_variance"][0] is True or stats["zero_variance"][0] == 1
-        assert all(s.state[0] == 0.0 for s in normed.all_steps())
+        assert all(s.state[0] == 0.0 for s in all_steps(normed))
 
 
 class TestAugmentation:
@@ -347,36 +348,36 @@ class TestAugmentation:
     def test_identity_when_disabled(self):
         pool = self._pool()
         out = augment(pool, noise_sigma=0.0, dropout_prob=0.0)
-        for a, b in zip(pool.all_steps(), out.all_steps()):
+        for a, b in zip(all_steps(pool), all_steps(out)):
             assert a.state == b.state and a.action == b.action
             assert a.ret == b.ret and a.masked == b.masked
 
     def test_source_pool_untouched(self):
         pool = self._pool()
-        before = [list(s.state) for s in pool.all_steps()]
+        before = [list(s.state) for s in all_steps(pool)]
         augment(pool, noise_sigma=1.0, dropout_prob=0.5, seed=1)
-        after = [list(s.state) for s in pool.all_steps()]
+        after = [list(s.state) for s in all_steps(pool)]
         assert before == after
 
     def test_noise_scale_close_to_sigma(self):
         """Applied perturbations should have std within 20% of sigma=0.01."""
         pool = self._pool()
         out = augment(pool, noise_sigma=0.01, seed=2)
-        diffs = (np.array([s.state for s in out.all_steps()])
-                 - np.array([s.state for s in pool.all_steps()])).ravel()
+        diffs = (np.array([s.state for s in all_steps(out)])
+                 - np.array([s.state for s in all_steps(pool)])).ravel()
         assert abs(diffs.std() - 0.01) < 0.002
 
     def test_actions_and_returns_never_touched(self):
         pool = self._pool()
         out = augment(pool, noise_sigma=0.5, dropout_prob=0.3, seed=3)
-        for a, b in zip(pool.all_steps(), out.all_steps()):
+        for a, b in zip(all_steps(pool), all_steps(out)):
             assert a.action == b.action
             assert a.ret == b.ret
 
     def test_dropout_marks_some_steps(self):
         pool = self._pool()
         out = augment(pool, dropout_prob=0.5, seed=4)
-        frac = np.mean([s.masked for s in out.all_steps()])
+        frac = np.mean([s.masked for s in all_steps(out)])
         assert 0.3 < frac < 0.7
 
     def test_boundary_validation(self):
@@ -390,4 +391,4 @@ class TestAugmentation:
         pool = self._pool()
         a = augment(pool, noise_sigma=0.2, seed=9)
         b = augment(pool, noise_sigma=0.2, seed=9)
-        assert [s.state for s in a.all_steps()] == [s.state for s in b.all_steps()]
+        assert [s.state for s in all_steps(a)] == [s.state for s in all_steps(b)]

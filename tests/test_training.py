@@ -10,6 +10,7 @@ from aqmlab.training import (
     TrainConfig, TrainError, WindowDataset, class_recall, evaluate_accuracy,
     split_pool, target_return, train, train_epoch,
 )
+from helpers import all_steps
 
 
 def make_pool(n_traj=4, steps=12, seed=0, rule=None):
@@ -177,7 +178,7 @@ class TestSplit:
 class TestTargetReturn:
     def test_percentile(self):
         pool = make_pool(n_traj=3, steps=10)
-        rets = [s.ret for s in pool.all_steps()]
+        rets = [s.ret for s in all_steps(pool)]
         assert target_return(pool, 90) == pytest.approx(np.percentile(rets, 90))
 
 

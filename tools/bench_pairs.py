@@ -10,7 +10,9 @@ temporary directory under names of equal length, so nothing is registered
 in `.git`, an interrupted run leaves nothing to prune, and both sides run
 from paths of the same length: closed_loop's `peak_rss_mb` settles on
 levels up to 20 MB apart by the checkout's path alone, for the same code.
-For each workload, each pair runs `perfbench/run.py --trace 0` once in each
+`--workloads` defaults to every workload `BENCHMARK.json` names, so a
+claim file also shows the workloads a change did not target.  For each
+workload, each pair runs `perfbench/run.py --trace 0` once in each
 copy, with the side that runs first alternating from pair to pair.  The
 runs are sequential, one process at a time.
 
@@ -124,6 +126,12 @@ def machine():
             "python": platform.python_version(), "numpy": np.__version__}
 
 
+def workload_names(benchmark):
+    """The names of the workloads a parsed BENCHMARK.json declares, in its
+    order."""
+    return [w["name"] for w in benchmark["workloads"]]
+
+
 def export_commit(root, commit, dest):
     """The files of `commit`, extracted into the new directory `dest`."""
     os.makedirs(dest)
@@ -159,7 +167,8 @@ def parse_args(argv):
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, default=15.0)
-    ap.add_argument("--workloads", nargs="+", default=["closed_loop"])
+    ap.add_argument("--workloads", nargs="+",
+                    help="the workloads to run (default: every one BENCHMARK.json names)")
     ap.add_argument("--base", default="HEAD", help="the commit to compare against (default HEAD)")
     args = ap.parse_args(argv)
     if args.pairs < 1:
@@ -171,7 +180,9 @@ def main(argv=None):
     args = parse_args(argv)
     root = git(os.getcwd(), "rev-parse", "--show-toplevel")
     with open(os.path.join(root, "BENCHMARK.json")) as fh:
-        end_to_end = json.load(fh)["end_to_end"]
+        benchmark = json.load(fh)
+    end_to_end = benchmark["end_to_end"]
+    args.workloads = args.workloads or workload_names(benchmark)
     commits = {"base": git(root, "rev-parse", args.base),
                "change": git(root, "rev-parse", "HEAD"),
                "change_has_uncommitted_edits": bool(git(root, "status", "--porcelain",
