@@ -15,7 +15,7 @@ import sys
 
 from . import evaluation, pool as pool_mod, simulator, training
 from .features import ACTION_NAMES
-from .model import ModelConfig, PolicyModel, load_checkpoint
+from .model import LORA_RANK, ModelConfig, PolicyModel, load_checkpoint
 
 
 def _add_scenario_args(p):
@@ -46,7 +46,7 @@ def _cmd_simulate(args):
 
 def _cmd_build_pool(args):
     p = pool_mod.build_pool(args.logs, gamma=args.gamma)
-    if args.augment:
+    if args.noise or args.dropout:
         p = pool_mod.augment(p, noise_sigma=args.noise, dropout_prob=args.dropout,
                              seed=args.seed)
     p.feature_stats = pool_mod.compute_feature_stats(p)
@@ -156,9 +156,9 @@ def build_parser():
     p = sub.add_parser("build-pool", help="logs -> experience pool")
     p.add_argument("logs", nargs="+")
     p.add_argument("--gamma", type=float, default=tdef.gamma)
-    p.add_argument("--augment", action="store_true")
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--dropout", type=float, default=0.0)
+    p.add_argument("--noise", type=float, default=0.0, help="state noise sigma (augments)")
+    p.add_argument("--dropout", type=float, default=0.0,
+                   help="step dropout probability (augments)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=_cmd_build_pool)
@@ -178,7 +178,7 @@ def build_parser():
     p.add_argument("--heads", type=int, default=mdef.n_heads)
     p.add_argument("--seed", type=int, default=tdef.seed)
     p.add_argument("--init-from", help="fine-tune this checkpoint with LoRA")
-    p.add_argument("--lora-rank", type=int, default=mdef.lora_rank)
+    p.add_argument("--lora-rank", type=int, default=LORA_RANK)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=_cmd_train)
 

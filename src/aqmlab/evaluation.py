@@ -74,19 +74,14 @@ class LlmEvery:
     action (row) and the action the model asked for (column), in
     `ACTION_NAMES` order, so a policy that answers one class to everything
     shows as one full column.
-
-    shadow=True runs (and counts) inference on schedule but always applies
-    the rule action, so runs with different `every` traverse identical
-    traces — useful for inference-cost measurements.
     """
 
     name = "llm"
 
-    def __init__(self, checkpoint_path, every=10, shadow=False):
+    def __init__(self, checkpoint_path, every=10):
         if every < 1:
             raise EvalError(f"every must be >= 1, got {every}")
         self.every = every
-        self.shadow = shadow
         model, stats, extra = load_checkpoint(checkpoint_path)
         if stats is None:
             raise EvalError("checkpoint has no feature statistics")
@@ -114,16 +109,14 @@ class LlmEvery:
         # in STATE_FEATURES order
         self._fields.append((q.queue_type, q.burst_allowance, drop_p, q.current_queue_delay,
                              acc_p, q.length_bytes, delta, pkt.size_bytes))
-        action = decision.action
-        if (k + 1) % self.every == 0:
-            predicted = self._infer(world.records, k)
-            self.model_decisions += 1
-            self.action_matrix[decision.action][predicted] += 1
-            if predicted == ACTION_MARK and not pkt.ecn_capable:
-                self.violations += 1
-            if not self.shadow:
-                action = predicted
-        return action
+        if (k + 1) % self.every:
+            return decision.action
+        predicted = self._infer(world.records, k)
+        self.model_decisions += 1
+        self.action_matrix[decision.action][predicted] += 1
+        if predicted == ACTION_MARK and not pkt.ecn_capable:
+            self.violations += 1
+        return predicted
 
     def _infer(self, records, k):
         """The action of decision `k` for the window of the last n decisions,

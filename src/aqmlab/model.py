@@ -9,14 +9,15 @@ nonlinearity, so one function, `fold_token_conv`, folds the stored encoder
 tensors into a single block-diagonal causal conv over the 10 input channels,
 and both forms of the model build tokens through it.  A causal transformer
 backbone feeds a 3-way action head read at the last state token of each step.
-Attention Q/V projections can be LoRA-wrapped (frozen base, trainable low-rank
-delta).
+`enable_lora` wraps the attention Q/V projections (frozen base, trainable
+low-rank delta); the model keeps the adapters' rank, `PolicyModel.lora_rank`
+(None when unwrapped), and a checkpoint stores it in its meta.
 
 Each head of a block's attention folds, with the block's first layer norm,
 into a query-key and a value-output matrix, by one function,
 `fold_attention`, so a block scores its query rows straight against the
 normalised tokens and forms no key or value; both forms of the model attend
-through it.
+through it.  A block has no key bias, since softmax would cancel it.
 
 PolicyModel is the trainable form: its forward pass builds a Tensor graph, in
 which the tokens and their time rows are one node (`token_sequence`) and each
@@ -44,9 +45,10 @@ from . import tensor as T
 from .features import ACTION_COUNT, CONV_FEATURES, STATE_DIM, STATE_FEATURES
 from .tensor import Tensor
 
-CHECKPOINT_VERSION = 4   # 4 has one conv per temporal feature; versions 1 to 3 are refused
+CHECKPOINT_VERSION = 5   # 5 has no key bias and stores LoRA's rank; versions 1 to 4 are refused
 TOKENS_PER_STEP = 1 + STATE_DIM + 1   # return, 8 state features, action
 LORA_TARGETS = ("q", "v")   # the attention projections that enable_lora wraps
+LORA_RANK = 4   # the rank enable_lora and `aqmlab train --lora-rank` default to
 CONV_WIDTH = 7   # taps of each temporal feature's causal conv
 
 _is_conv = np.isin(STATE_FEATURES, CONV_FEATURES)
@@ -68,7 +70,6 @@ class ModelConfig:
     n_heads: int = 2
     context_window: int = 8
     max_timestep: int = 4096
-    lora_rank: int = 4
     dtype: str = "float32"
 
     def __post_init__(self):
@@ -266,8 +267,7 @@ def token_sequence(p, returns, states, actions, timesteps=None):
     return Tensor(out.reshape(b, w * TOKENS_PER_STEP, d), _parents=tuple(parents), _backward=bwd)
 
 
-# the stored tensors of block l's attention that `folded_attention` reads;
-# the key bias is not one of them (see `fold_attention`)
+# the stored tensors of block l's attention, which `folded_attention` reads
 _ATTENTION_PARAMS = ("ln1_g", "ln1_b", "attn_q_W", "attn_q_b", "attn_k_W",
                      "attn_v_W", "attn_v_b", "attn_o_W", "attn_o_b")
 
@@ -315,11 +315,12 @@ def fold_attention(p, l, n_heads):
     token j as (xhat_i QK_h + bQK_h) · xhat_j, where
     QK_h = Aq_h Ak_hᵀ and bQK_h = cq_h Ak_hᵀ (`_head_maps`), and adds
     (its weights · xhat) OV_h, OV_h = Av_h W_o,h, plus bVO = cv W_o + b_o
-    to the residual.  This is exact: the key bias and ln1's shift through
-    the keys add one constant to all of a query's scores, which softmax
-    removes, so they are dropped, and a query's weights sum to 1, so the
-    value bias passes through them unchanged.  Head h's block is columns
-    h·d..(h+1)·d of QK and rows h·d..(h+1)·d of OV.
+    to the residual.  This is exact: ln1's shift through the keys adds one
+    constant to all of a query's scores, which softmax removes, so it is
+    dropped (as a key bias would be, so a block has none), and a query's
+    weights sum to 1, so the value bias passes through them unchanged.
+    Head h's block is columns h·d..(h+1)·d of QK and rows h·d..(h+1)·d of
+    OV.
     """
     return _fold_heads(_head_maps(p, l, n_heads), p[f"blk{l}_attn_o_b"])
 
@@ -337,8 +338,7 @@ def folded_attention(x, p, l, n_heads, mask_bias, rows=None):
     of the batched products, so the head split and merge are reshapes.
     The backward maps the gradients of QK, bQK, OV and bVO back to ln1's
     gain and shift, the q, v and o weights and biases, W_k and the LoRA
-    factors, and through the normalisation to x.  The key bias gets no
-    gradient: its true gradient is 0.
+    factors, and through the normalisation to x.
     """
     names = [f"blk{l}_{name}" for name in _ATTENTION_PARAMS]
     arrays = {name: p[name].data for name in names}
@@ -450,19 +450,20 @@ class PolicyModel:
         self._build(config, np.random.default_rng(seed))
 
     @classmethod
-    def _undrawn(cls, config: ModelConfig, lora_enabled=False):
-        """A model of config's parameter shapes that draws nothing: the values
-        a seed would draw are left unset, for a caller that replaces them."""
+    def _undrawn(cls, config: ModelConfig, lora_rank=None):
+        """A model of config's parameter shapes, LoRA-wrapped at `lora_rank`
+        unless it is None, that draws nothing: the values a seed would draw
+        are left unset, for a caller that replaces them."""
         model = cls.__new__(cls)
         model._build(config, None)
-        if lora_enabled:
-            model._enable_lora(config.lora_rank, None)
+        if lora_rank is not None:
+            model._enable_lora(lora_rank, None)
         return model
 
     def _build(self, config, rng):
         self.config = config
         self.params: dict[str, Tensor] = {}
-        self.lora_enabled = False
+        self.lora_rank = None   # the adapters' rank once enable_lora wraps the model
         self.forward_count = 0
         dt = config.np_dtype
         d, fd = config.embed_size, config.feature_dim
@@ -493,7 +494,8 @@ class PolicyModel:
             add(f"blk{l}_ln1_b", _zeros((d,), dt))
             for w in ("q", "k", "v", "o"):
                 add(f"blk{l}_attn_{w}_W", _init(rng, (d, d), s, dt))
-                add(f"blk{l}_attn_{w}_b", _zeros((d,), dt))
+                if w != "k":   # softmax would cancel a key bias (`fold_attention`)
+                    add(f"blk{l}_attn_{w}_b", _zeros((d,), dt))
             add(f"blk{l}_ln2_g", Tensor(np.ones(d, dtype=dt), requires_grad=True))
             add(f"blk{l}_ln2_b", _zeros((d,), dt))
             add(f"blk{l}_ffn_W1", _init(rng, (d, 4 * d), s, dt))
@@ -509,24 +511,25 @@ class PolicyModel:
     def lora_param_names(self):
         return [n for n in self.params if "_lora_" in n]
 
-    def enable_lora(self, rank=None, seed=1):
-        """Freeze every backbone matrix; add trainable A (random) / B (zero).
+    def enable_lora(self, rank=LORA_RANK, seed=1):
+        """Wrap each LORA_TARGETS matrix with trainable A (random) / B
+        (zero) factors of `rank`, and freeze every block tensor, its layer
+        norms included.
 
         With B zero-initialized the wrapped model is exactly the base model.
-        Encoders, embeddings, layer norms and the head stay trainable.
+        Besides the adapters, only the encoders, the embeddings, the pre-LN
+        and the head train.
         """
-        rank = rank if rank is not None else self.config.lora_rank
         self._enable_lora(rank, np.random.default_rng(seed))
 
     def _enable_lora(self, rank, rng):
-        if self.lora_enabled:
+        if self.lora_rank is not None:
             raise ValueError("LoRA already enabled")
         if rank < 1:
             raise ValueError("lora rank must be >= 1")
         cfg = self.config
         dt = cfg.np_dtype
-        self.lora_enabled = True
-        self.config = dataclasses.replace(cfg, lora_rank=rank)
+        self.lora_rank = rank
         for l in range(cfg.n_layers):
             for name in list(self.params):
                 if name.startswith(f"blk{l}_"):
@@ -543,7 +546,7 @@ class PolicyModel:
     def merge_lora(self):
         """Dense W0 + A@B for every wrapped matrix, keyed by base name."""
         merged = {}
-        if self.lora_enabled:
+        if self.lora_rank is not None:
             for l in range(self.config.n_layers):
                 for w in LORA_TARGETS:
                     stem = f"blk{l}_attn_{w}"
@@ -554,7 +557,7 @@ class PolicyModel:
 
     def merged_model(self):
         """A LoRA-free copy whose base matrices absorb the trained deltas."""
-        clone = PolicyModel._undrawn(dataclasses.replace(self.config))
+        clone = PolicyModel._undrawn(self.config)
         merged = self.merge_lora()
         for name, p in self.params.items():
             if "_lora_" in name:
@@ -810,7 +813,7 @@ def save_checkpoint(model: PolicyModel, path, feature_stats=None, extra=None):
         "version": CHECKPOINT_VERSION,
         "config": dataclasses.asdict(model.config),
         # loading wraps LoRA again, which freezes what it froze before saving
-        "lora_enabled": model.lora_enabled,
+        "lora_rank": model.lora_rank,
         "feature_stats": feature_stats,
         "extra": extra or {},
     }
@@ -836,14 +839,21 @@ def load_checkpoint(path):
             if not isinstance(meta, dict):
                 raise CheckpointError(f"corrupt checkpoint {path}: its meta is not a JSON object")
             version = meta.get("version")
-            if version in (1, 2, 3):
+            if version in (1, 2, 3, 4):
                 raise CheckpointError(f"{path} is a version-{version} checkpoint, a layout this "
                                       f"release no longer reads; retrain it with `aqmlab train`")
             if version != CHECKPOINT_VERSION:
                 raise CheckpointError(f"unsupported checkpoint version {version}")
             cfg = _stored_config(meta["config"])
-            model = PolicyModel._undrawn(cfg, lora_enabled=meta["lora_enabled"])
+            rank = meta["lora_rank"]
+            if rank is not None and (type(rank) is not int or rank < 1):
+                raise CheckpointError(f"the stored LoRA rank {rank!r} is not a positive integer")
+            model = PolicyModel._undrawn(cfg, lora_rank=rank)
             saved = {key[len("param::"):]: z[key] for key in z.files if key.startswith("param::")}
+            unbuilt = sorted(saved.keys() - model.params.keys())
+            if unbuilt:
+                raise CheckpointError(f"{path} stores {', '.join(unbuilt)}, which its meta "
+                                      f"does not build")
             for name, param in model.params.items():
                 if name not in saved:
                     raise CheckpointError(f"missing parameter {name}")

@@ -23,6 +23,7 @@ from .features import ACTION_COUNT, STATE_DIM, STATE_FEATURES
 from .simulator import KLOG_FIELDS, PROB_SCALE, read_klog, read_klog_columns  # noqa: F401
 
 POOL_FORMAT_VERSION = 2
+RETURN_TOL = 1e-9   # `validate`'s relative tolerance on a stored return-to-go
 _REQUIRED_ARRAYS = ("rewards", "states", "actions", "returns")
 _TRAJECTORY_ARRAYS = _REQUIRED_ARRAYS + ("masked",)   # masked None: nothing masked
 _COLUMN = {name: i for i, name in enumerate(KLOG_FIELDS)}
@@ -78,8 +79,8 @@ class Trajectory:
     returns [n]; masked [n] (None: no step masked).  The last step is the
     terminal one.
 
-    `len`, indexing and iteration give `Step` views, built on demand; edit
-    the arrays to change the trajectory.
+    `len` counts the steps and iteration gives `Step` views, built on
+    demand; read or edit the arrays for anything else.
     """
 
     __slots__ = _TRAJECTORY_ARRAYS
@@ -102,17 +103,6 @@ class Trajectory:
     def __len__(self):
         return len(self.rewards)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        n = len(self)
-        i = index + n if index < 0 else index
-        if not 0 <= i < n:
-            raise IndexError(f"step {index} out of range for {n} steps")
-        return Step(float(self.rewards[i]), self.states[i].tolist(), int(self.actions[i]),
-                    int(i == n - 1), float(self.returns[i]),
-                    False if self.masked is None else bool(self.masked[i]))
-
     def __iter__(self):
         n = len(self)
         for i, (r, s, a, ret, m) in enumerate(zip(
@@ -131,7 +121,7 @@ class ExperiencePool:
     def num_steps(self):
         return sum(len(t) for t in self.trajectories)
 
-    def validate(self, tol=1e-9):
+    def validate(self):
         if not (0.0 < self.gamma <= 1.0):
             raise PoolError(f"gamma must be in (0,1], got {self.gamma}")
         for ti, traj in enumerate(self.trajectories):
@@ -150,7 +140,7 @@ class ExperiencePool:
                 raise PoolError(f"trajectory {ti} step {int(np.argmax(bad))}: non-finite state")
             want = np.array(returns_to_go(traj.rewards.tolist(), self.gamma))
             # NaN-safe: a NaN return counts as a mismatch
-            bad = ~(np.abs(traj.returns - want) <= tol * np.maximum(1.0, np.abs(want)))
+            bad = ~(np.abs(traj.returns - want) <= RETURN_TOL * np.maximum(1.0, np.abs(want)))
             if bad.any():
                 si = int(np.flatnonzero(bad)[-1])
                 raise PoolError(f"trajectory {ti} step {si}: stored return "

@@ -73,7 +73,9 @@ def test_claim_and_bound_decisions():
 def test_console_summary_shows_wins_and_both_gates():
     base = [(0.40, 100.0)] * 10
     summary = bench_pairs.summarise(pairs(base, [(0.30, 79.0)] * 10), SPEC)
-    p50, rate = bench_pairs.summary_lines("closed_loop", summary)
+    failures, p50, rate = bench_pairs.summary_lines("closed_loop", summary)
+    assert failures.startswith("closed_loop")
+    assert failures.endswith("failed base 0/50 change 0/50 failed_share_holds True")
     assert p50.startswith("closed_loop") and "latency_p50_ms" in p50
     assert "(-25.0%) wins 10/10" in p50
     assert p50.endswith("claim_holds True within_bound True")
@@ -84,6 +86,19 @@ def test_console_summary_shows_wins_and_both_gates():
 def test_failed_operations_are_summed_per_side():
     out = bench_pairs.summarise(pairs([(0.4, 1.0, 2)] * 2, [(0.4, 1.0, 0)] * 2), SPEC)
     assert out["failed"] == {"base": 4, "change": 0}
+
+
+@pytest.mark.parametrize("base_failed,change_failed,holds", [
+    (0, 0, True), (2, 0, True), (1, 1, True), (0, 1, False), (1, 2, False)])
+def test_failed_share_gate(base_failed, change_failed, holds):
+    """The change's share of failed operations may not rise above the base's;
+    the console shows both sides' failed/attempted counts."""
+    summary = bench_pairs.summarise(pairs([(0.4, 1.0, base_failed)] * 2,
+                                          [(0.4, 1.0, change_failed)] * 2), SPEC)
+    assert summary["failed_share_holds"] is holds
+    assert bench_pairs.summary_lines("train", summary)[0] == (
+        f"train         failed base {2 * base_failed}/10 change {2 * change_failed}/10 "
+        f"failed_share_holds {holds}")
 
 
 def test_reads_the_benchmark_metric_specs():

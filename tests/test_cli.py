@@ -5,6 +5,7 @@ report the two runs."""
 
 import contextlib
 import csv
+import inspect
 import io
 import json
 
@@ -12,8 +13,8 @@ import pytest
 
 from aqmlab import cli
 from aqmlab import evaluation as ev
-from aqmlab.model import ModelConfig, load_checkpoint
-from aqmlab.pool import ExperiencePool
+from aqmlab.model import LORA_RANK, ModelConfig, PolicyModel, load_checkpoint
+from aqmlab.pool import ExperiencePool, augment, build_pool
 from aqmlab.training import TrainConfig
 from aqmlab.simulator import (
     Dualpi2Params, FlowKind, FlowSpec, ScenarioConfig, default_scenario, run_scenario, write_klog,
@@ -67,6 +68,25 @@ def test_build_pool_holds_one_trajectory_per_log(pipeline):
     assert p.feature_stats is not None and p.gamma == 0.95
     assert p.provenance["source_logs"] == ["1.klog", "2.klog"]
     assert f"{sum(lines)} steps" in out["pool"]
+    # no --noise and no --dropout: the pool is not augmented
+    assert all(t.masked is None for t in p.trajectories) and "augmented" not in p.provenance
+
+
+def test_noise_and_dropout_augment_the_pool(pipeline, tmp_path):
+    """`build-pool` augments exactly when --noise or --dropout is non-zero:
+    the states carry augment's noise and the pool a masked column."""
+    paths, _ = pipeline
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([str(a) for a in (
+            "build-pool", paths["1.klog"], "--noise", 0.5, "--dropout", 0.3,
+            "-o", tmp_path / "aug.npz")]) == 0
+    got = ExperiencePool.load(tmp_path / "aug.npz")
+    plain = build_pool([paths["1.klog"]])
+    want = augment(plain, noise_sigma=0.5, dropout_prob=0.3, seed=0).trajectories[0]
+    traj = got.trajectories[0]
+    assert traj.states.tobytes() == want.states.tobytes() != plain.trajectories[0].states.tobytes()
+    assert traj.masked is not None and traj.masked.tobytes() == want.masked.tobytes()
+    assert 0 < traj.masked.mean() < 1 and got.provenance["augmented"]
 
 
 def test_train_writes_a_checkpoint_with_the_cli_config(pipeline):
@@ -95,7 +115,7 @@ def test_train_from_a_checkpoint_builds_no_model_from_the_cli_config(
         assert cli.main([str(a) for a in (
             "train", paths["pool.npz"], "--epochs", 1, "--batch-size", 64, "--window", 4,
             "--init-from", paths["policy.npz"], "-o", tmp_path / "lora.npz")]) == 0
-    assert load_checkpoint(tmp_path / "lora.npz")[0].lora_enabled
+    assert load_checkpoint(tmp_path / "lora.npz")[0].lora_rank == LORA_RANK
 
 
 def test_fine_tune_trains_at_the_checkpoints_window(pipeline, tmp_path):
@@ -107,21 +127,23 @@ def test_fine_tune_trains_at_the_checkpoints_window(pipeline, tmp_path):
             "train", paths["pool.npz"], "--epochs", 1, "--batch-size", 64,
             "--init-from", paths["policy.npz"], "-o", tmp_path / "lora.npz")]) == 0
     model = load_checkpoint(tmp_path / "lora.npz")[0]
-    assert model.lora_enabled and model.config.context_window == 4
+    assert model.lora_rank == LORA_RANK and model.config.context_window == 4
 
 
 def test_parsed_defaults_are_the_config_defaults():
-    """`aqmlab train` and `build-pool` write no default of their own."""
+    """`aqmlab train` and `build-pool` write no default of their own: the
+    LoRA rank's is the one `enable_lora` reads too."""
     mdef, tdef = ModelConfig(), TrainConfig()
     args = cli.build_parser().parse_args(["train", "pool.npz", "-o", "m.npz"])
-    assert (args.feature_dim, args.embed_size, args.layers, args.heads, args.window,
-            args.lora_rank) == (mdef.feature_dim, mdef.embed_size, mdef.n_layers,
-                                mdef.n_heads, mdef.context_window, mdef.lora_rank)
+    assert (args.feature_dim, args.embed_size, args.layers, args.heads, args.window) == (
+        mdef.feature_dim, mdef.embed_size, mdef.n_layers, mdef.n_heads, mdef.context_window)
+    assert args.lora_rank == LORA_RANK == inspect.signature(
+        PolicyModel.enable_lora).parameters["rank"].default
     assert (args.epochs, args.batch_size, args.lr, args.clip_norm, args.window, args.seed) == (
         tdef.epochs, tdef.batch_size, tdef.lr, tdef.clip_norm, tdef.window, tdef.seed)
     args = cli.build_parser().parse_args(["build-pool", "x.klog", "-o", "pool.npz"])
-    assert args.gamma == tdef.gamma
-    assert not hasattr(args, "jitter")
+    assert args.gamma == tdef.gamma and (args.noise, args.dropout) == (0.0, 0.0)
+    assert not hasattr(args, "jitter") and not hasattr(args, "augment")
 
 
 def test_train_with_lora_prints_the_trainable_share(pipeline, tmp_path):
@@ -135,7 +157,7 @@ def test_train_with_lora_prints_the_trainable_share(pipeline, tmp_path):
     model, _, _ = load_checkpoint(tmp_path / "lora.npz")
     total = sum(p.data.size for p in model.params.values())
     trainable = model.trainable_count()
-    assert model.lora_enabled and trainable < total
+    assert model.lora_rank == 2 and trainable < total
     assert buf.getvalue().splitlines()[0] == f"parameters: {trainable:,} trainable of {total:,}"
 
 

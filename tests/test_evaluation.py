@@ -403,9 +403,9 @@ class TestActionMatrix:
 
 
 class TestOnlineWindowParity:
-    @pytest.mark.parametrize("window,forced,shadow,seconds", [
-        (4, None, False, 1), (1, None, False, 1), (4, ACTION_MARK, False, 1), (8, None, True, 6)])
-    def test_windows_equal_the_pool_windows(self, tmp_path, window, forced, shadow, seconds):
+    @pytest.mark.parametrize("window,forced,seconds", [
+        (4, None, 1), (1, None, 1), (4, ACTION_MARK, 1), (8, None, 6)])
+    def test_windows_equal_the_pool_windows(self, tmp_path, window, forced, seconds):
         """Every window LlmEvery(every=1) passes to the model is, bit for bit,
         the one WindowDataset.gather builds at that step of the episode's own
         log: the real steps' states (under identity stats), their number, the
@@ -413,9 +413,8 @@ class TestOnlineWindowParity:
         real rows, timesteps, pad mask and actions of the gathered window.
         With a model forced to MARK, a not-ECN-capable packet's MARK is
         applied as a DROP, and the later windows hold the DROP, as the log
-        does.  In shadow mode the rule drives a longer episode."""
-        driver = ev.LlmEvery(tiny_checkpoint(tmp_path / "m.npz", window=window), every=1,
-                             shadow=shadow)
+        does."""
+        driver = ev.LlmEvery(tiny_checkpoint(tmp_path / "m.npz", window=window), every=1)
         windows = record_windows(driver, forced)
         world = run_scenario(default_scenario(seed=3, duration_us=seconds * 1_000_000),
                              decision_hook=driver.hook)

@@ -46,7 +46,7 @@ class TestWindowDataset:
         ds = WindowDataset(pool, window=3)
         R, S, A, tgt, ts, mask = ds.gather([(0, 4)])  # steps 2,3,4
         traj = pool.trajectories[0]
-        np.testing.assert_allclose(R[0], [traj[2].ret, traj[3].ret, traj[4].ret])
+        np.testing.assert_allclose(R[0], traj.returns[2:5])
         np.testing.assert_array_equal(ts[0], [2, 3, 4])
         np.testing.assert_array_equal(mask[0], [1, 1, 1])
 
@@ -56,7 +56,7 @@ class TestWindowDataset:
         R, S, A, tgt, ts, mask = ds.gather([(0, 1)])  # only steps 0,1 exist
         np.testing.assert_array_equal(mask[0], [0, 0, 1, 1])
         np.testing.assert_array_equal(R[0, :2], [0, 0])
-        assert R[0, 2] == pool.trajectories[0][0].ret
+        assert R[0, 2] == pool.trajectories[0].returns[0]
 
     def test_window_sizes_exhaustive(self):
         """A 5-step trajectory yields windows of real length min(t+1, w):

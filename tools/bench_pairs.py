@@ -20,7 +20,10 @@ The result is `BENCH_<label>.json` in the checkout's root.  It records both
 commits, the machine, the Python and numpy versions, the arguments, every
 run's result line, and, for each end-to-end metric `BENCHMARK.json`
 declares, both sides' quartiles, the pair wins and whether the change stays
-within the metric's bound.  The console summary prints, per metric, the
+within the metric's bound, and, per workload, both sides' failed and
+attempted operations and whether the change's failed share stays at or
+below the base's.  The console summary prints, per workload, both sides'
+failed/attempted counts and `failed_share_holds`, then, per metric, the
 medians, the wins and both gates, `claim_holds` and `within_bound`.
 """
 
@@ -64,6 +67,10 @@ def summarise(pairs, end_to_end):
     result} of the result objects `perfbench/run.py` prints; `end_to_end`
     is BENCHMARK.json's list of metric specs (name, unit, better, bound).
 
+    `failed` and `attempted` sum each side's operations over the pairs, and
+    `failed_share_holds` holds when the change's share of failed operations
+    is no larger than the base's.
+
     A pair is a win when the change reads better than the base, a tie when
     the two read the same.  `claim_holds` applies the gain rule: wins in at
     least nine tenths of the pairs, and medians further apart than the
@@ -71,10 +78,11 @@ def summarise(pairs, end_to_end):
     median is no worse than the base's by more than the bound (a fraction
     of the base's median).
     """
-    out = {"pairs": len(pairs),
-           "failed": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES},
-           "attempted": {side: sum(p[side]["attempted"] for p in pairs) for side in SIDES},
-           "metrics": {}}
+    failed = {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}
+    attempted = {side: sum(p[side]["attempted"] for p in pairs) for side in SIDES}
+    share = {side: failed[side] / attempted[side] if attempted[side] else 0.0 for side in SIDES}
+    out = {"pairs": len(pairs), "failed": failed, "attempted": attempted,
+           "failed_share_holds": share["change"] <= share["base"], "metrics": {}}
     for spec in end_to_end:
         name, sign = spec["name"], 1.0 if spec["better"] == "lower" else -1.0
         runs = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
@@ -98,10 +106,14 @@ def summarise(pairs, end_to_end):
 
 
 def summary_lines(workload, summary):
-    """One console line per metric of a workload's `summarise` output: both
-    medians, the change in percent, the pair wins, the base's IQR and the
-    two gates, `claim_holds` and `within_bound`."""
-    lines = []
+    """The console lines of a workload's `summarise` output: first both
+    sides' failed/attempted operations and `failed_share_holds`, then one
+    line per metric with both medians, the change in percent, the pair wins,
+    the base's IQR and the two gates, `claim_holds` and `within_bound`."""
+    failed, attempted = summary["failed"], summary["attempted"]
+    lines = [f"{workload:13s} failed base {failed['base']}/{attempted['base']} "
+             f"change {failed['change']}/{attempted['change']} "
+             f"failed_share_holds {summary['failed_share_holds']}"]
     for name, m in summary["metrics"].items():
         pct = m["median_change_pct"]
         lines.append(f"{workload:13s} {name:16s} base {m['base']['median']:.4g} "
