@@ -156,7 +156,8 @@ def build_parser():
     p = sub.add_parser("build-pool", help="logs -> experience pool")
     p.add_argument("logs", nargs="+")
     p.add_argument("--gamma", type=float, default=tdef.gamma)
-    p.add_argument("--noise", type=float, default=0.0, help="state noise sigma (augments)")
+    p.add_argument("--noise", type=float, default=0.0,
+                   help="state noise sigma, in units of each feature's std (augments)")
     p.add_argument("--dropout", type=float, default=0.0,
                    help="step dropout probability (augments)")
     p.add_argument("--seed", type=int, default=0)

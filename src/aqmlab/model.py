@@ -6,8 +6,9 @@ feature (CONV_FEATURES) through its own causal conv of width CONV_WIDTH over
 the window, and each state feature then through its own embedding; learned
 time embeddings are added to all tokens of a step.  No encoder has a
 nonlinearity, so one function, `fold_token_conv`, folds the stored encoder
-tensors into a single block-diagonal causal conv over the 10 input channels,
-and both forms of the model build tokens through it.  A causal transformer
+tensors into one causal conv kernel per token type, [10, CONV_WIDTH, d], and
+both forms of the model build tokens through it, as one batched product of
+each input channel's taps by its kernel.  A causal transformer
 backbone feeds a 3-way action head read at the last state token of each step.
 `enable_lora` wraps the attention Q/V projections (frozen base, trainable
 low-rank delta); the model keeps the adapters' rank, `PolicyModel.lora_rank`
@@ -152,51 +153,56 @@ def _pre_embedding(p):
 
 def fold_token_conv(p):
     """The token encoders of the stored tensors `p` (name -> array) folded
-    into one causal conv: (W [CONV_WIDTH*10, 10*d], b [10*d]), computed in
-    the arrays' dtype.
+    into one causal conv per token type: (K [10, CONV_WIDTH, d], b [10, d]),
+    computed in the arrays' dtype.
 
     Token c of a step reads input channel c of [R, s1..s8, a].  No encoder
     has a nonlinearity, so a temporal feature's conv and then its embedding
     are one kernel enc_conv_K @ embed_W [CONV_WIDTH, d] plus a bias [d]; a
     scalar feature, the return and the action are the width-1 case x*W + b,
-    a kernel whose only non-zero tap is the newest.  W is block-diagonal:
-    row (tap m, channel c) holds token c's tap m in column block c, so one
-    product maps a step's taps [CONV_WIDTH, 10] to its 10 tokens [10, d].
+    a kernel whose only non-zero tap is the newest.  Token c of a step is
+    its channel-c taps [CONV_WIDTH] times K[c], plus b[c].
     """
     E = p["embed_W"]
     d = E.shape[2]
     KB = _pre_embedding(p) @ E                     # [8, CONV_WIDTH + 1, d]
-    K = np.zeros((CONV_WIDTH, TOKENS_PER_STEP, d), dtype=E.dtype)
+    K = np.zeros((TOKENS_PER_STEP, CONV_WIDTH, d), dtype=E.dtype)
     B = np.empty((TOKENS_PER_STEP, d), dtype=E.dtype)
-    K[-1, 0], B[0] = p["W_return"][0], p["b_return"]
+    K[0, -1], B[0] = p["W_return"][0], p["b_return"]
     K[-1, -1], B[-1] = p["W_action"][0], p["b_action"]
-    K[:, 1:-1] = KB[:, :CONV_WIDTH].transpose(1, 0, 2)
+    K[1:-1] = KB[:, :CONV_WIDTH]
     B[1:-1] = KB[:, CONV_WIDTH] + p["embed_b"]
-    W = np.zeros((CONV_WIDTH, TOKENS_PER_STEP, TOKENS_PER_STEP, d), dtype=E.dtype)
-    c = np.arange(TOKENS_PER_STEP)
-    W[:, c, c] = K
-    return W.reshape(CONV_WIDTH * TOKENS_PER_STEP, TOKENS_PER_STEP * d), B.reshape(-1)
+    return K, B
 
 
-@functools.lru_cache(maxsize=None)
-def _tap_index(w):
-    """[w, CONV_WIDTH]: the rows step i's taps read, i..i + CONV_WIDTH - 1,
-    of an input with CONV_WIDTH - 1 leading zero rows; built once per w and
-    read-only."""
-    index = np.arange(w)[:, None] + np.arange(CONV_WIDTH)
+@functools.lru_cache(maxsize=16)   # one entry per batch size seen, each 560·b·w bytes
+def _tap_index(b, w):
+    """[10, b*w, CONV_WIDTH]: the flat positions in a [10, b, w + CONV_WIDTH
+    - 1] input, with CONV_WIDTH - 1 leading zeros, of each step's taps of
+    each channel: step i reads i..i + CONV_WIDTH - 1; cached, read-only."""
+    rows = np.arange(TOKENS_PER_STEP * b)[:, None, None] * (w + CONV_WIDTH - 1)
+    index = (rows + np.arange(w)[:, None] + np.arange(CONV_WIDTH)).reshape(
+        TOKENS_PER_STEP, b * w, CONV_WIDTH)
     index.flags.writeable = False
     return index
 
 
-def _taps(returns, states, actions):
-    """[b, w, CONV_WIDTH * 10]: each step's causal window over the channels
-    [R, s1..s8, a], tap-major, with left zeros, so no step reads a later one."""
-    b, w = returns.shape
-    inputs = np.zeros((b, w + CONV_WIDTH - 1, TOKENS_PER_STEP), dtype=states.dtype)
-    inputs[:, CONV_WIDTH - 1:, 0] = returns
-    inputs[:, CONV_WIDTH - 1:, 1:-1] = states
-    inputs[:, CONV_WIDTH - 1:, -1] = actions
-    return inputs[:, _tap_index(w)].reshape(b, w, -1)
+def _tokens(K, B, returns, states, actions):
+    """The tokens [b*w, 10, d] of `fold_token_conv`'s K and B, one batched
+    product, and the channel-major taps [10, b*w, CONV_WIDTH] they read:
+    each step's causal window over each channel of [R, s1..s8, a] (returns
+    broadcast to [b, w], states [b, w, 8], actions to [b, w] or to the
+    first w - 1 steps, the newest then 0), with left zeros."""
+    b, w = states.shape[:2]
+    inputs = np.zeros((TOKENS_PER_STEP, b, w + CONV_WIDTH - 1), dtype=K.dtype)
+    inputs[0, :, CONV_WIDTH - 1:] = returns
+    inputs[1:-1, :, CONV_WIDTH - 1:] = states.transpose(2, 0, 1)
+    inputs[-1, :, CONV_WIDTH - 1:CONV_WIDTH - 1 + np.shape(actions)[-1]] = actions
+    taps = inputs.ravel()[_tap_index(b, w)]
+    out = np.empty((b * w,) + B.shape, dtype=K.dtype)
+    np.matmul(taps, K, out=out.transpose(1, 0, 2))
+    out += B
+    return out, taps
 
 
 def _scatter_rows(index, rows, n):
@@ -211,23 +217,21 @@ def _scatter_rows(index, rows, n):
 
 
 def token_sequence(p, returns, states, actions, timesteps=None):
-    """Every step's 10 tokens [b, w*10, d], as one node: the taps of
-    `_taps` times the kernel `fold_token_conv` folds from the Tensors `p`
-    (name -> Tensor), plus, with `timesteps` [b, w], the time row
+    """Every step's 10 tokens [b, w*10, d], as one node: the tokens of
+    `_tokens` through the kernels `fold_token_conv` folds from the Tensors
+    `p` (name -> Tensor), plus, with `timesteps` [b, w], the time row
     W_time[clip(t, 0, max_timestep)] on all of a step's tokens.
 
-    The backward takes each token type's kernel gradient [CONV_WIDTH, d] as
-    one batched product and maps it back to the stored encoder tensors; the
-    time-row gradient, summed over a step's tokens, is scattered by row.
+    The backward takes each token type's kernel gradient from the forward's
+    taps as one batched product and maps it back to the stored encoder
+    tensors; the time-row gradient, summed over a step's tokens, is
+    scattered by row.
     """
     arrays = {name: p[name].data for name in _TOKEN_PARAMS}
-    W, B = fold_token_conv(arrays)
-    taps = _taps(returns, states, actions)
-    b, w, _ = taps.shape
-    d = B.size // TOKENS_PER_STEP
-    taps = taps.reshape(b * w, -1)
-    out = taps @ W
-    out += B
+    K, B = fold_token_conv(arrays)
+    b, w = returns.shape
+    d = B.shape[1]
+    out, taps = _tokens(K, B, returns, states, actions)
     out = out.reshape(b, w, TOKENS_PER_STEP, d)
     parents = [p[name] for name in _TOKEN_PARAMS]
     if timesteps is not None:
@@ -239,9 +243,8 @@ def token_sequence(p, returns, states, actions, timesteps=None):
     def bwd(g):
         g = g.reshape(b * w, TOKENS_PER_STEP, d)
         if any(t.requires_grad for t in parents[:len(_TOKEN_PARAMS)]):
-            # per token type c: taps[:, tap, c]^T @ g[:, c]
-            tap_c = np.ascontiguousarray(taps.reshape(b * w, CONV_WIDTH, TOKENS_PER_STEP).T)
-            dK = tap_c @ np.ascontiguousarray(g.transpose(1, 0, 2))   # [10, CONV_WIDTH, d]
+            # per token type c: taps[c]^T @ g[:, c]
+            dK = taps.transpose(0, 2, 1) @ g.transpose(1, 0, 2)   # [10, CONV_WIDTH, d]
             dB = (np.ones(b * w, dtype=g.dtype) @ g.reshape(b * w, -1)).reshape(TOKENS_PER_STEP, d)
             # the state tokens' taps and bias, before and through the embedding
             dKB = np.concatenate([dK[1:-1], dB[1:-1, None]], axis=1)   # [8, CONV_WIDTH + 1, d]
@@ -353,10 +356,11 @@ def folded_attention(x, p, l, n_heads, mask_bias, rows=None):
 
     xhat, inv = T.normalize(x.data)
     b, n, d = xhat.shape
-    xq, res = (xhat, x.data) if rows is None else (xhat[:, rows], x.data[:, rows])
+    sel = slice(None) if rows is None else rows
+    xq, res = xhat[:, sel], x.data[:, sel]
     m, h = xq.shape[1], n_heads
     xq = xq.reshape(b * m, d)
-    xT = xhat.transpose(0, 2, 1)
+    xT = np.ascontiguousarray(xhat.transpose(0, 2, 1))   # both score products read it
     q = (xq @ QK + bQK).reshape(b, m * h, d)      # row (i, head) of window b
     s = (q @ xT).reshape(b, m, h, n)
     bias = np.asarray(mask_bias, dtype=s.dtype)
@@ -380,20 +384,9 @@ def folded_attention(x, p, l, n_heads, mask_bias, rows=None):
         dq = (dS @ xhat).reshape(b * m, h * d)
         if x.requires_grad:
             dxhat = P.transpose(0, 2, 1) @ dz + dS.transpose(0, 2, 1) @ q   # [b, n, d]
-            dxq = (dq @ QK.T).reshape(b, m, d)
-            if rows is None:
-                dxhat += dxq
-            else:
-                dxhat[:, rows] += dxq
-            # through the normalisation: the row means of dxhat and dxhat*xhat
-            dx2, xh2 = dxhat.reshape(-1, d), xhat.reshape(-1, d)
-            mean_of = np.full(d, 1.0 / d, dtype=dx2.dtype)
-            dx = (dx2 - (dx2 @ mean_of)[:, None] - xh2 * ((dx2 * xh2) @ mean_of)[:, None])
-            dx = (dx * inv.reshape(-1, 1)).reshape(b, n, d)
-            if rows is None:
-                dx += g
-            else:
-                dx[:, rows] += g
+            dxhat[:, sel] += (dq @ QK.T).reshape(b, m, d)
+            dx = T.normalize_grad(dxhat, xhat, inv)   # in place: dxhat is spent
+            dx[:, sel] += g
             x._accum(dx)
         if any(t.requires_grad for t in parents[1:]):
             ones = np.ones(b * m, dtype=g2.dtype)
@@ -678,9 +671,9 @@ class InferencePolicy:
     the newest step's logits of one window, for the closed loop's decisions.
 
     Built once, in float64 and stored in the model dtype:
-    - the token encoders fold into one causal conv of width CONV_WIDTH per
-      token type, by `fold_token_conv`, the fold the trainable model's
-      token op runs at every forward;
+    - the token encoders fold into one causal conv kernel
+      [CONV_WIDTH, d] per token type, by `fold_token_conv`, the fold the
+      trainable model's token op runs at every forward;
     - LoRA deltas are merged into their base matrices (`merge_lora`);
     - each attention head folds, with ln1's gain and shift and the
       attention scale, into a query-key and a value-output matrix, by
@@ -692,10 +685,12 @@ class InferencePolicy:
     of them, and returns the newest step's head row.  Left padding is
     dropped rather than masked: a padded step is a zero input whose keys
     are blocked, so a left-padded window's newest logits are those of its
-    real steps alone.  The pass builds no Tensor and runs on 2-D arrays: the
-    taps are read from one zero-padded [n + CONV_WIDTH - 1, 10] input
-    through a cached index, and the newest action token comes after the
-    head row and so is never used.  A block scores its query rows straight
+    real steps alone.  The pass builds no Tensor.  The channel-major taps
+    [10, n, CONV_WIDTH] are read from one zero-padded
+    [10, n + CONV_WIDTH - 1] input through a cached index and run through
+    the token kernels as one batched product, as in training; the newest
+    action token comes after the head row and so is never used.  The
+    blocks run on 2-D arrays.  A block scores its query rows straight
     against the normalised tokens and averages those tokens with the
     weights, so it forms no key and no value.  The last block computes one
     query row per head, which sees every token, so it needs no mask; only
@@ -725,7 +720,7 @@ class InferencePolicy:
             a.flags.writeable = False
             return a
 
-        self._token_W, self._token_b = map(frozen, fold_token_conv(p))
+        self._token_K, self._token_b = map(frozen, fold_token_conv(p))
         # the time table with its last row repeated context_window - 1 more
         # times, so a window's clipped rows min(t, max_timestep) are one slice
         W_time = p["W_time"]
@@ -740,7 +735,7 @@ class InferencePolicy:
 
     def _normalize(self, x):
         """Each row of x standardised over its last axis, as T.normalize's
-        first output, but computed in x's dtype."""
+        first output, through the centring matrix: fewer calls on few rows."""
         xc = x @ self._centre
         return xc / np.sqrt(np.square(xc) @ self._mean_of + T.LN_EPS)
 
@@ -787,12 +782,8 @@ class InferencePolicy:
                                 f"a scalar, states [n, {STATE_DIM}] and n - 1 actions")
         if first_timestep < 0:
             raise T.TensorError(f"first_timestep must be >= 0, got {first_timestep}")
-        inputs = np.zeros((n + CONV_WIDTH - 1, TOKENS_PER_STEP), dtype=cfg.np_dtype)
-        inputs[CONV_WIDTH - 1:, 0] = returns
-        inputs[CONV_WIDTH - 1:, 1:-1] = states
-        inputs[CONV_WIDTH - 1:-1, -1] = actions
-        tokens = (inputs[_tap_index(n)].reshape(n, -1) @ self._token_W + self._token_b).reshape(
-            n, TOKENS_PER_STEP, d)
+        # the newest step's action, left 0, feeds only its action token, which is dropped
+        tokens, _ = _tokens(self._token_K, self._token_b, returns, states[None], actions)
         first = min(first_timestep, cfg.max_timestep)
         tokens += self._W_time[first:first + n, None]
         raw = tokens.reshape(n * TOKENS_PER_STEP, d)[:-1]   # up to the newest head row

@@ -320,22 +320,26 @@ def augment(pool: ExperiencePool, noise_sigma=0.0, dropout_prob=0.0, seed=0) -> 
     """Stochastic augmentation: state noise and step dropout.
 
     Actions and returns are never touched; noise perturbs only states,
-    dropout marks steps as masked for the trainer.  Both are drawn as whole
-    arrays, trajectory by trajectory, from one `np.random.default_rng(seed)`.
-    The input pool is left untouched, and with both disabled the output is
-    an exact copy.
+    dropout marks steps as masked for the trainer.  A feature's noise std is
+    `noise_sigma` times its std over the input pool, whatever its units (0
+    if that is 0).  Both are drawn as whole arrays, trajectory by trajectory,
+    from one `np.random.default_rng(seed)`.  The input pool is left
+    untouched, and with both disabled the output is an exact copy.
     """
     if noise_sigma < 0:
         raise PoolError("noise_sigma must be >= 0")
     if not (0.0 <= dropout_prob <= 1.0):
         raise PoolError("dropout_prob must be in [0,1]")
+    if noise_sigma > 0:
+        stats = compute_feature_stats(pool)
+        scale = noise_sigma * np.where(stats["zero_variance"], 0.0, stats["std"])
     rng = np.random.default_rng(seed)
     out = ExperiencePool(gamma=pool.gamma, feature_stats=pool.feature_stats,
                          provenance=dict(pool.provenance, augmented=True))
     for traj in pool.trajectories:
         states, masked = traj.states.copy(), traj.step_masked().copy()
         if noise_sigma > 0:
-            states += rng.normal(0.0, noise_sigma, states.shape)
+            states += rng.normal(0.0, scale, states.shape)
         if dropout_prob > 0:
             masked |= rng.random(len(traj)) < dropout_prob
         out.trajectories.append(traj.replace(states=states, masked=masked))

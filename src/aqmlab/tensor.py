@@ -15,11 +15,11 @@ rather than recomputing them.  It reads multi-head projections through
 numpy views, so scores, softmax, the head split and the merge build no
 nodes.  The model trains through its own folded attention node
 (`model.folded_attention`), so `attention` serves as the reference its
-tests compare that node with.  Float64 is kept where a reduction needs it: the layer-norm mean
-and variance (matrix-vector products over a float64 copy), the
-cross-entropy log-sum-exp and the optimizer's global gradient norm.  A
-backward computes no gradient for an operand with requires_grad False, such
-as an attention mask or an input batch.
+tests compare that node with.  Layer normalization runs in the model
+dtype (`normalize`); float64 is kept only where a reduction needs it:
+`Tensor.sum`, the cross-entropy log-sum-exp and the optimizer's global
+gradient norm.  A backward computes no gradient for an operand with
+requires_grad False, such as an attention mask or an input batch.
 """
 
 from __future__ import annotations
@@ -341,41 +341,52 @@ def softmax(x, axis=-1):
 
 
 def normalize(x, eps=LN_EPS):
-    """Array x standardized over its last axis, with the mean and variance
-    reduced in float64: (x - mean) / sqrt(var + eps) and 1 / sqrt(var + eps),
-    both in x's dtype, the second with a trailing axis of 1.
-
-    The rows are centred and scaled in place in one float64 copy; the mean
-    and the variance are products with a [d, 1] column of 1/d.
+    """Array x standardized over its last axis in x's dtype: (x - mean) /
+    sqrt(var + eps) and 1 / sqrt(var + eps), the second with a trailing axis
+    of 1.  The mean is the corrected two-pass one (Chan, Golub & LeVeque,
+    1983): centring on the residual's own mean removes the first mean's
+    rounding error, so a mean far above the spread costs no accuracy.
     """
     if eps <= 0:
         raise TensorError("layer_norm eps must be > 0")
     d = x.shape[-1]
-    x64 = x.reshape(-1, d).astype(np.float64)
-    mean_of = np.full((d, 1), 1.0 / d)
-    x64 -= x64 @ mean_of
-    inv = 1.0 / np.sqrt(np.square(x64) @ mean_of + eps)      # [rows, 1]
-    x64 *= inv
-    return x64.astype(x.dtype).reshape(x.shape), inv.astype(x.dtype).reshape(x.shape[:-1] + (1,))
+    mean_of = np.full((d, 1), 1.0 / d, dtype=x.dtype)   # x @ mean_of: the row means
+    x2 = x.reshape(-1, d)
+    xc = x2 - x2 @ mean_of
+    xc -= xc @ mean_of
+    inv = 1.0 / np.sqrt(np.square(xc) @ mean_of + eps)      # [rows, 1]
+    xc *= inv
+    return xc.reshape(x.shape), inv.reshape(x.shape[:-1] + (1,))
+
+
+def normalize_grad(dxhat, xhat, inv):
+    """The gradient of `normalize`'s input from dxhat, that of its output
+    xhat, and its inv: (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) *
+    inv over the last axis, computed in place in dxhat where its layout
+    allows and returned."""
+    d = dxhat.shape[-1]
+    g2, xh = dxhat.reshape(-1, d), xhat.reshape(-1, d)
+    mean_of = np.full((d, 1), 1.0 / d, dtype=dxhat.dtype)
+    prod = g2 * xh
+    np.multiply(xh, prod @ mean_of, out=prod)   # xhat * mean(dxhat * xhat)
+    g2 -= g2 @ mean_of
+    g2 -= prod
+    g2 *= inv.reshape(-1, 1)
+    return g2.reshape(dxhat.shape)
 
 
 def layer_norm(x, gamma, beta, eps=LN_EPS):
     """Normalize over the last axis, then affine with gamma/beta."""
     xhat, inv = normalize(x.data, eps)
-    out_data = xhat * gamma.data + beta.data
+    out_data = xhat * gamma.data
+    out_data += beta.data
 
     def bwd(g):
-        d = g.shape[-1]
-        g2, xh = g.reshape(-1, d), xhat.reshape(-1, d)
-        gx = g2 * xh                      # feeds the gamma gradient and m2
+        g2, xh = g.reshape(-1, g.shape[-1]), xhat.reshape(-1, g.shape[-1])
         if x.requires_grad:
-            # the row means of g*gamma and g*gamma*xhat, as matrix-vector products
-            w = gamma.data / d
-            m1, m2 = g2 @ w, gx @ w
-            gin = (g2 * gamma.data - m1[:, None] - xh * m2[:, None]) * inv.reshape(-1, 1)
-            x._accum(gin.reshape(x.shape))
+            x._accum(normalize_grad(g * gamma.data, xhat, inv))
         if gamma.requires_grad:
-            gamma._accum(_sum_rows(gx))
+            gamma._accum(_sum_rows(g2 * xh))
         if beta.requires_grad:
             beta._accum(_sum_rows(g2))
 

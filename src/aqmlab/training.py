@@ -208,6 +208,19 @@ def target_return(pool: ExperiencePool, percentile: float) -> float:
     return float(np.percentile(_all_returns(pool), percentile))
 
 
+def normalize_pool(pool: ExperiencePool):
+    """The pool `train` trains on, its states normalized by `normalize_states`
+    and its returns standardized; with the feature stats and the returns'
+    mean and std."""
+    pool, feature_stats = normalize_states(pool)  # near-identity if already normalized
+    rets = _all_returns(pool)
+    r_mean, r_std = float(rets.mean()), float(max(rets.std(), 1e-9))
+    # new arrays: normalize_states shares the returns with the caller's pool
+    pool.trajectories = [t.replace(returns=(t.returns - r_mean) / r_std)
+                         for t in pool.trajectories]
+    return pool, feature_stats, r_mean, r_std
+
+
 def train(model: PolicyModel, pool: ExperiencePool, cfg: TrainConfig, checkpoint_path=None):
     """Full training run; saves the best-eval-accuracy checkpoint.
 
@@ -222,12 +235,7 @@ def train(model: PolicyModel, pool: ExperiencePool, cfg: TrainConfig, checkpoint
     if cfg.window != model.config.context_window:
         raise TrainError(f"config window {cfg.window} != the model's context_window "
                          f"{model.config.context_window}")
-    pool, feature_stats = normalize_states(pool)  # near-identity if already normalized
-    rets = _all_returns(pool)
-    r_mean, r_std = float(rets.mean()), float(max(rets.std(), 1e-9))
-    # new arrays: normalize_states shares the returns with the caller's pool
-    pool.trajectories = [t.replace(returns=(t.returns - r_mean) / r_std)
-                         for t in pool.trajectories]
+    pool, feature_stats, r_mean, r_std = normalize_pool(pool)
     train_pool, eval_pool = split_pool(pool, cfg.eval_split, cfg.seed)
     train_ds = WindowDataset(train_pool, cfg.window)
     eval_ds = WindowDataset(eval_pool, cfg.window)

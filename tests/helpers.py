@@ -1,8 +1,53 @@
 """Helpers that several test modules share."""
 
+import numpy as np
+
+from aqmlab.features import CONV_FEATURES, STATE_FEATURES
+from aqmlab.model import CONV_WIDTH, TOKENS_PER_STEP
+
 
 def all_steps(pool):
     """Every step of an ExperiencePool, trajectory by trajectory, as the
     `Step` views its trajectories yield."""
     for traj in pool.trajectories:
         yield from traj
+
+
+def block_diagonal_tokens(p, returns, states, actions):
+    """Every step's 10 tokens [b, w, 10, d] from the stored encoder tensors
+    `p` (name -> array), without time rows, computed in their dtype as one
+    product: each step's tap-major causal window over the channels
+    [R, s1..s8, a] ([CONV_WIDTH * 10], left zeros) times a block-diagonal
+    [CONV_WIDTH * 10, 10 * d] matrix whose block c is token c's kernel.
+
+    The kernels are built per feature from the encoders: a temporal
+    feature's conv times its embedding, and the width-1 maps of the scalar
+    features, the return and the action at the newest tap."""
+    E = p["embed_W"]
+    d = E.shape[2]
+    kernels = np.zeros((TOKENS_PER_STEP, CONV_WIDTH, d), dtype=E.dtype)
+    biases = np.zeros((TOKENS_PER_STEP, d), dtype=E.dtype)
+    kernels[0, -1], biases[0] = p["W_return"][0], p["b_return"]
+    kernels[-1, -1], biases[-1] = p["W_action"][0], p["b_action"]
+    conv = [name for name in STATE_FEATURES if name in CONV_FEATURES]
+    scalar = [name for name in STATE_FEATURES if name not in CONV_FEATURES]
+    for i, name in enumerate(STATE_FEATURES):
+        if name in CONV_FEATURES:
+            j = conv.index(name)
+            kernels[1 + i] = p["enc_conv_K"][j] @ E[i]
+            biases[1 + i] = p["enc_conv_b"][j] @ E[i] + p["embed_b"][i]
+        else:
+            j = scalar.index(name)
+            kernels[1 + i, -1] = p["enc_scalar_W"][j] @ E[i]
+            biases[1 + i] = p["enc_scalar_b"][j] @ E[i] + p["embed_b"][i]
+    W = np.zeros((CONV_WIDTH, TOKENS_PER_STEP, TOKENS_PER_STEP, d), dtype=E.dtype)
+    for c in range(TOKENS_PER_STEP):
+        W[:, c, c] = kernels[c]
+    b, w = np.shape(returns)
+    inputs = np.zeros((b, w + CONV_WIDTH - 1, TOKENS_PER_STEP), dtype=E.dtype)
+    inputs[:, CONV_WIDTH - 1:, 0] = returns
+    inputs[:, CONV_WIDTH - 1:, 1:-1] = states
+    inputs[:, CONV_WIDTH - 1:, -1] = actions
+    taps = np.stack([inputs[:, m:m + w] for m in range(CONV_WIDTH)], axis=2)   # [b, w, taps, 10]
+    out = taps.reshape(b * w, -1) @ W.reshape(CONV_WIDTH * TOKENS_PER_STEP, -1) + biases.reshape(-1)
+    return out.reshape(b, w, TOKENS_PER_STEP, d)

@@ -1,9 +1,12 @@
 """tools/bench_pairs.py's summary of paired benchmark runs, on canned result
-lines of the form `perfbench/run.py` prints."""
+lines of the form `perfbench/run.py` prints, and a smallest run of
+tools/step_pairs.py."""
 
 import importlib.util
 import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -162,3 +165,26 @@ def test_committed_bench_file_is_stamped(path):
     assert doc["workloads"] and set(doc["arguments"]["workloads"]) == set(doc["workloads"])
     for workload, entry in doc["workloads"].items():
         assert set(entry["summary"]["metrics"]) == names, workload
+
+
+def test_step_pairs_runs_at_its_smallest_size_against_head():
+    """tools/step_pairs.py imports HEAD's and the working tree's packages
+    into one process, times their train steps block by block and writes
+    nothing into the checkout."""
+    def status():
+        return subprocess.run(["git", "status", "--porcelain", "--untracked-files=all"], cwd=ROOT,
+                              check=True, capture_output=True, text=True).stdout
+
+    before = status()
+    proc = subprocess.run(
+        [sys.executable, "tools/step_pairs.py", "--blocks", "2", "--steps", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("base ") and "1 layer(s), 2 head(s), 2 blocks of 1 steps" in lines[0]
+    assert [line.split(" first ")[0] for line in lines[1:3]] == ["block 1/2", "block 2/2"]
+    assert "first base" in lines[1] and "first change" in lines[2]
+    assert all(" ratio " in line for line in lines[1:3])
+    assert lines[3].startswith("change faster in ") and lines[3].endswith(" of 2 blocks")
+    assert float(lines[4].rsplit(" ", 1)[1]) > 0
+    assert status() == before

@@ -15,6 +15,7 @@ from aqmlab.model import (
     ModelConfig, PolicyModel, load_checkpoint, save_checkpoint,
 )
 from aqmlab.tensor import Tensor
+from helpers import block_diagonal_tokens
 
 
 def small_config(**over):
@@ -602,6 +603,36 @@ class TestTokenOp:
         assert np.count_nonzero(want.any(axis=1)) == 5   # rows 0, 1, 2, 5 and 6
 
 
+class TestTokenKernel:
+    """`fold_token_conv`'s per-token-type kernels, run as one batched
+    product over channel-major taps, give the tokens of the block-diagonal
+    product of `helpers.block_diagonal_tokens`."""
+
+    @pytest.mark.parametrize("dtype,tol", [("float64", 1e-12), ("float32", 1e-5)])
+    def test_matches_the_block_diagonal_product(self, dtype, tol):
+        cfg = bench_config(dtype=dtype)
+        m = perturbed_model(cfg, lora=False)
+        R, S, A, _ = rand_batch(cfg, b=4, seed=6)
+        # left-padded windows, as the trainer builds them: zero inputs first
+        for row, pad in enumerate((0, 1, 3, cfg.context_window - 1)):
+            R[row, :pad], S[row, :pad], A[row, :pad] = 0.0, 0.0, 0.0
+        dt = cfg.np_dtype
+        R, S, A = (np.asarray(a, dtype=dt) for a in (R, S, A))
+        got = model_mod.token_sequence(m.params, R, S, A).data
+        want = block_diagonal_tokens({n: p.data for n, p in m.params.items()}, R, S, A)
+        assert got.dtype == dt and got.shape == (4, cfg.context_window * TOKENS_PER_STEP,
+                                                 cfg.embed_size)
+        np.testing.assert_allclose(got, want.reshape(got.shape), rtol=0, atol=tol)
+
+    def test_kernel_shapes(self):
+        cfg = bench_config()
+        K, b = model_mod.fold_token_conv({n: p.data for n, p in PolicyModel(cfg).params.items()})
+        assert K.shape == (TOKENS_PER_STEP, CONV_WIDTH, cfg.embed_size)
+        assert b.shape == (TOKENS_PER_STEP, cfg.embed_size)
+        # the return and the action are width-1 maps: only the newest tap is set
+        assert not K[[0, -1], :-1].any() and K[[0, -1], -1].all()
+
+
 class TestInferenceWithoutGraph:
     def test_predict_leaves_no_graph(self):
         cfg = bench_config()
@@ -936,9 +967,9 @@ class TestInferencePolicy:
         encode tokens with one fold."""
         m = perturbed_model(bench_config(dtype="float64"))
         policy = InferencePolicy(m)
-        W, b = model_mod.fold_token_conv({n: p.data for n, p in m.params.items()})
-        assert policy._token_W.dtype == W.dtype == np.float64
-        assert policy._token_W.tobytes() == W.tobytes()
+        K, b = model_mod.fold_token_conv({n: p.data for n, p in m.params.items()})
+        assert policy._token_K.dtype == K.dtype == np.float64
+        assert policy._token_K.tobytes() == K.tobytes()
         assert policy._token_b.tobytes() == b.tobytes()
 
     def test_builds_no_tensor(self, monkeypatch):

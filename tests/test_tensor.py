@@ -269,6 +269,31 @@ class TestFloat32Paths:
         np.testing.assert_allclose(inv, 1.0 / np.sqrt(var + 1e-5), rtol=1e-6)
         assert xhat.dtype == inv.dtype == np.float32 and inv.shape == (5, 1)
 
+    def test_normalize_keeps_a_mean_a_million_times_the_spread(self):
+        """float32 rows with a mean 1e6 times their spread: the corrected
+        two-pass mean loses nothing to the first mean's rounding, so x̂ and
+        1/sqrt(var + eps) match float64 on the same float32 input."""
+        x = (1e6 + rand(6, 32)).astype(np.float32)
+        ref = x.astype(np.float64)
+        mu, var = ref.mean(axis=-1, keepdims=True), ref.var(axis=-1, keepdims=True)
+        assert (mu / np.sqrt(var) > 5e5).all()
+        xhat, inv = T.normalize(x)
+        assert xhat.dtype == inv.dtype == np.float32
+        np.testing.assert_allclose(xhat, (ref - mu) / np.sqrt(var + 1e-5), rtol=0, atol=1e-5)
+        np.testing.assert_allclose(inv, 1.0 / np.sqrt(var + 1e-5), rtol=1e-5)
+
+    def test_normalize_grad_returns_the_gradient_for_a_strided_dxhat(self):
+        """A dxhat whose reshape must copy (a transposed view) gets the same
+        gradient as a contiguous one."""
+        xhat, inv = T.normalize(rand(4, 6, 8))
+        dxhat = rand(4, 6, 8, seed=1)
+        want = T.normalize_grad(dxhat.copy(), xhat, inv)
+        strided = np.ascontiguousarray(dxhat.transpose(1, 0, 2)).transpose(1, 0, 2)
+        assert not strided.flags.c_contiguous
+        np.testing.assert_allclose(T.normalize_grad(strided, xhat, inv), want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(want, (dxhat - dxhat.mean(-1, keepdims=True) - xhat * (
+            dxhat * xhat).mean(-1, keepdims=True)) * inv, rtol=0, atol=1e-12)
+
 
 class TestConstantOperands:
     def test_no_gradient_is_built_for_a_constant(self, monkeypatch):
