@@ -50,7 +50,6 @@ def _cmd_build_pool(args):
         p = pool_mod.augment(p, noise_sigma=args.noise, dropout_prob=args.dropout,
                              seed=args.seed)
     p.feature_stats = pool_mod.compute_feature_stats(p)
-    p.validate()
     p.save(args.output)
     print(f"wrote pool: {len(p.trajectories)} trajectories, "
           f"{p.num_steps()} steps -> {args.output}")

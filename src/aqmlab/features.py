@@ -1,7 +1,9 @@
 """Canonical 8-feature state vector shared by the pool builder and the model.
 
-The order is fixed; both sides index by name through this module so they can
-never drift apart.
+The order is fixed.  The pool builder takes each feature's klog column by
+name in STATE_FEATURES order, but the closed loop (`evaluation.LlmEvery.hook`)
+builds its tuple in that order by hand; `TestOnlineWindowParity` in
+tests/test_evaluation.py holds the two equal, bit for bit.
 """
 
 STATE_FEATURES = (

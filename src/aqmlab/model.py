@@ -84,17 +84,6 @@ class ModelConfig:
         return np.dtype(self.dtype)
 
 
-@dataclass
-class ActionDistribution:
-    logits: np.ndarray
-    probabilities: np.ndarray
-
-    @property
-    def action(self) -> int:
-        # ties break toward the lowest action index (argmax does exactly that)
-        return int(np.argmax(self.probabilities))
-
-
 def _init(rng, shape, scale, dtype):
     """A trainable normal(0, scale) parameter; with no rng, one of unset
     values, for a caller that replaces them."""
@@ -656,14 +645,11 @@ class PolicyModel:
         return T.linear(x, self.params["head_W"], self.params["head_b"])
 
     def predict(self, returns, states, actions, timesteps, pad_mask=None):
-        """ActionDistribution for the newest step of each window (no graph
-        kept), with the probabilities a float64 softmax of its logits."""
+        """The newest step's logits [batch, 3] of each window, in the model
+        dtype, with no graph kept: for one window, what
+        `InferencePolicy.logits` returns."""
         with T.no_grad():
-            logits = self.forward(returns, states, actions, timesteps, pad_mask).data[:, -1]
-        z = logits.astype(np.float64)
-        e = np.exp(z - z.max(axis=-1, keepdims=True))
-        probs = e / e.sum(axis=-1, keepdims=True)
-        return [ActionDistribution(row, p) for row, p in zip(logits, probs)]
+            return self.forward(returns, states, actions, timesteps, pad_mask).data[:, -1]
 
 
 class InferencePolicy:

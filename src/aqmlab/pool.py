@@ -166,6 +166,9 @@ class ExperiencePool:
 
     @classmethod
     def load(cls, path):
+        """The pool saved at `path`, validated: a file whose stored returns
+        no longer match its rewards, or with a non-finite state or a
+        mis-shaped column, raises PoolError."""
         with open(path, "rb") as fh:
             head = fh.read(4)
             fh.seek(0)
@@ -196,9 +199,11 @@ class ExperiencePool:
                     Trajectory(**{name: z[f"t{ti}_{name}"] for name in _TRAJECTORY_ARRAYS
                                   if f"t{ti}_{name}" in stored})
                     for ti in range(count)]
-        return cls(trajectories=trajectories, gamma=meta["gamma"],
+        pool = cls(trajectories=trajectories, gamma=meta["gamma"],
                    feature_stats=meta.get("feature_stats"),
                    provenance=meta.get("provenance", {}))
+        pool.validate()
+        return pool
 
 
 # ------------------------------------------------------------------ building
@@ -260,7 +265,6 @@ def build_pool(log_files, gamma=0.95) -> ExperiencePool:
     # base names, so that the pool does not depend on where the logs sit
     pool.provenance = {"source_logs": [os.path.basename(f) for f in log_files],
                        "content_sha256": digest.hexdigest()}
-    pool.validate()
     return pool
 
 
@@ -269,7 +273,6 @@ def build_pool_from_records(record_lists, gamma=0.95) -> ExperiencePool:
     for records in record_lists:
         pool.trajectories.append(
             trajectory_from_columns(np.array(records, dtype=np.int64), gamma))
-    pool.validate()
     return pool
 
 

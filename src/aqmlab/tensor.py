@@ -8,15 +8,13 @@ runs.
 Arrays are numpy, stored in the model dtype (float32 by default).  The hot
 ops are shaped for BLAS: `linear` is one 2-D GEMM forward and two in its
 backward (input and weight gradients) plus one bias reduction; `@` with a 2-D
-weight folds the batch axes into that GEMM.  `attention` is one fused node with
-its own backward, as in FlashAttention (Dao et al., NeurIPS 2022) but
-untiled: at these sizes it keeps the softmax weights for the backward
-rather than recomputing them.  It reads multi-head projections through
-numpy views, so scores, softmax, the head split and the merge build no
-nodes.  The model trains through its own folded attention node
-(`model.folded_attention`), so `attention` serves as the reference its
-tests compare that node with.  Layer normalization runs in the model
-dtype (`normalize`); float64 is kept only where a reduction needs it:
+weight folds the batch axes into that GEMM.  The fused nodes with a
+backward of their own are the ones the train step runs: `linear`,
+`layer_norm` and `cross_entropy` here, and the model's `token_sequence`
+and `folded_attention`.  `conv1d` and `attention` are compositions of the
+grad-checked primitives, the references the model's tests compare its
+nodes with.  Layer normalization runs in the model dtype (`normalize`);
+float64 is kept only where a reduction needs it:
 `Tensor.sum`, the cross-entropy log-sum-exp and the optimizer's global
 gradient norm.  A backward computes no gradient for an operand with
 requires_grad False, such as an attention mask or an input batch.
@@ -394,40 +392,30 @@ def layer_norm(x, gamma, beta, eps=LN_EPS):
 
 
 def conv1d(x, K, b=None, padding="same"):
-    """Length-preserving 1D convolution.
+    """Length-preserving 1D convolution, composed of `concat`,
+    `select_positions` and `linear`.
 
     x: [batch, in_ch, length], K: [out_ch, in_ch, k], b: [out_ch].
     padding="same" centers the kernel; "causal" left-pads k-1 so output
-    position t depends only on inputs <= t.
+    position t depends only on inputs <= t.  The zero-padded input's k taps
+    of each position are gathered as [batch, in_ch, length, k], so the
+    overlapping taps sum their gradients through the gather's backward.
     """
     if x.ndim != 3 or K.ndim != 3 or x.shape[1] != K.shape[1]:
         raise TensorError(f"conv1d shape mismatch: x {x.shape} vs K {K.shape}")
-    k = K.shape[2]
+    n, c, length = x.shape
+    out_ch, _, k = K.shape
     if padding == "same":
         pad_l, pad_r = (k - 1) // 2, k // 2
     elif padding == "causal":
         pad_l, pad_r = k - 1, 0
     else:
         raise TensorError(f"unknown padding mode {padding!r}")
-    xpad = np.pad(x.data, ((0, 0), (0, 0), (pad_l, pad_r)))
-    win = np.lib.stride_tricks.sliding_window_view(xpad, k, axis=2)  # [B,C,L,k]
-    out_data = np.einsum("bclk,ock->bol", win, K.data).astype(x.data.dtype)
-    if b is not None:
-        out_data = out_data + b.data[None, :, None]
-
-    def bwd(g):
-        if K.requires_grad:
-            K._accum(np.einsum("bclk,bol->ock", win, g))
-        if x.requires_grad:
-            gxpad = np.zeros_like(xpad)
-            for t in range(k):
-                gxpad[:, :, t : t + x.shape[2]] += np.einsum("bol,oc->bcl", g, K.data[:, :, t])
-            x._accum(gxpad[:, :, pad_l : pad_l + x.shape[2]])
-        if b is not None and b.requires_grad:
-            b._accum(g.sum(axis=(0, 2)))
-
-    parents = (x, K) if b is None else (x, K, b)
-    return Tensor(out_data, _parents=parents, _backward=bwd)
+    xpad = concat([Tensor(np.zeros((n, c, pad_l), dtype=x.data.dtype)), x,
+                   Tensor(np.zeros((n, c, pad_r), dtype=x.data.dtype))], axis=2)
+    taps = select_positions(xpad, np.arange(length)[:, None] + np.arange(k), axis=2)
+    rows = taps.transpose(0, 2, 1, 3).reshape(n, length, c * k)
+    return linear(rows, K.reshape(out_ch, c * k).transpose(1, 0), b).transpose(0, 2, 1)
 
 
 def cross_entropy(logits, targets, weights=None):
@@ -467,52 +455,32 @@ def cross_entropy(logits, targets, weights=None):
 
 
 def attention(q, k, v, mask_bias=None, heads=None):
-    """Scaled dot-product attention as one node with its own backward.
+    """Scaled dot-product attention, softmax(q kᵀ / sqrt(d_k) + mask_bias) v,
+    composed of `@`, `softmax` and the elementwise ops.
 
     Per-head operands are [.., n, d_k], and the output is [.., m, d_k] for m
     query rows.  With `heads`, q, k and v are instead [b, m, heads*d_k]
-    projections, read per head through numpy views, and the output is
-    merged back to [b, m, heads*d_k], so the head split and merge build no
-    nodes.  `mask_bias` is an additive array (0 for allowed, large negative
-    for blocked) broadcastable to the score shape [.., m, n].
+    projections, split into heads by a reshape and a transpose, and the
+    output is merged back to [b, m, heads*d_k].  `mask_bias` is an additive
+    array (0 for allowed, large negative for blocked) broadcastable to the
+    score shape [.., m, n].
     """
-    def split(a):   # [b, m, heads*d_k] -> [b, heads, m, d_k], a view
+    def split(t):   # [b, m, heads*d_k] -> [b, heads, m, d_k]
         if heads is None:
-            return a
-        return a.reshape(a.shape[0], a.shape[1], heads, -1).transpose(0, 2, 1, 3)
+            return t
+        return t.reshape(t.shape[0], t.shape[1], heads, -1).transpose(0, 2, 1, 3)
 
-    def merge(a):   # split's inverse for a gradient or an output
-        if heads is None:
-            return a
-        return a.transpose(0, 2, 1, 3).reshape(a.shape[0], a.shape[2], -1)
-
-    Q, K, V = split(q.data), split(k.data), split(v.data)
+    Q, K, V = split(q), split(k), split(v)
     d_k = Q.shape[-1]
     if d_k == 0:
         raise TensorError("attention: d_k must be > 0")
-    scale = 1.0 / math.sqrt(d_k)
-    s = Q @ np.swapaxes(K, -1, -2)
-    s *= scale
+    s = (Q @ K.transpose(*range(K.ndim - 2), K.ndim - 1, K.ndim - 2)) * (1.0 / math.sqrt(d_k))
     if mask_bias is not None:
-        s = s + np.asarray(mask_bias, dtype=s.dtype)
-    s -= s.max(axis=-1, keepdims=True)
-    P = np.exp(s, out=s)
-    P /= P.sum(axis=-1, keepdims=True)      # the attention weights [.., m, n]
-
-    def bwd(g):
-        G = split(g)
-        if v.requires_grad:
-            v._accum(merge(np.swapaxes(P, -1, -2) @ G))
-        if q.requires_grad or k.requires_grad:
-            dP = G @ np.swapaxes(V, -1, -2)
-            dS = P * (dP - (dP * P).sum(axis=-1, keepdims=True))
-            dS *= scale
-            if q.requires_grad:
-                q._accum(merge(dS @ K))
-            if k.requires_grad:
-                k._accum(merge(np.swapaxes(dS, -1, -2) @ Q))
-
-    return Tensor(merge(P @ V), _parents=(q, k, v), _backward=bwd)
+        s = s + mask_bias
+    out = softmax(s) @ V
+    if heads is None:
+        return out
+    return out.transpose(0, 2, 1, 3).reshape(out.shape[0], out.shape[2], -1)
 
 
 def causal_mask_bias(n, dtype=np.float32, neg=-1e9):

@@ -51,7 +51,6 @@ class TrainConfig:
 @dataclass
 class TrainReport:
     rows: list = field(default_factory=list)
-    final_eval_accuracy: float = 0.0
     best_eval_accuracy: float = 0.0
     best_epoch: int = -1
 
@@ -259,5 +258,4 @@ def train(model: PolicyModel, pool: ExperiencePool, cfg: TrainConfig, checkpoint
             if checkpoint_path:
                 save_checkpoint(model, checkpoint_path, feature_stats=feature_stats,
                                 extra=extra)
-        report.final_eval_accuracy = row["eval_accuracy"]
     return report

@@ -51,3 +51,22 @@ def block_diagonal_tokens(p, returns, states, actions):
     taps = np.stack([inputs[:, m:m + w] for m in range(CONV_WIDTH)], axis=2)   # [b, w, taps, 10]
     out = taps.reshape(b * w, -1) @ W.reshape(CONV_WIDTH * TOKENS_PER_STEP, -1) + biases.reshape(-1)
     return out.reshape(b, w, TOKENS_PER_STEP, d)
+
+
+# A saved pool's array edits that `ExperiencePool.load` must refuse: the
+# array's name, the entry, its new value from the old, and the PoolError's text.
+CORRUPT_POOL_EDITS = [
+    ("t1_returns", 5, lambda v: v + 1.0, "trajectory 1 step 5: stored return"),
+    ("t0_states", (3, 2), lambda v: np.nan, "trajectory 0 step 3: non-finite state"),
+]
+
+
+def corrupt_pool_file(src, dst, name, index, edit):
+    """Copy the pool file `src` to `dst` with one entry of array `name`
+    replaced by edit(old value)."""
+    with np.load(src) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays[name][index] = edit(arrays[name][index])
+    with open(dst, "wb") as fh:
+        np.savez(fh, **arrays)
+    return dst

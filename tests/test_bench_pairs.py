@@ -4,7 +4,9 @@ tools/step_pairs.py."""
 
 import importlib.util
 import json
+import os
 import pathlib
+import signal
 import subprocess
 import sys
 
@@ -188,3 +190,21 @@ def test_step_pairs_runs_at_its_smallest_size_against_head():
     assert lines[3].startswith("change faster in ") and lines[3].endswith(" of 2 blocks")
     assert float(lines[4].rsplit(" ", 1)[1]) > 0
     assert status() == before
+
+
+def test_step_pairs_removes_its_checkouts_on_sigterm(tmp_path):
+    """A run ended by SIGTERM still removes its temporary directory."""
+    proc = subprocess.Popen(
+        [sys.executable, "tools/step_pairs.py", "--blocks", "100000", "--steps", "1"],
+        cwd=ROOT, env=dict(os.environ, TMPDIR=str(tmp_path)), stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, text=True)
+    try:
+        assert proc.stdout.readline().startswith("base ")
+        assert len(list(tmp_path.glob("step-pairs-*"))) == 1
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    assert not list(tmp_path.glob("step-pairs-*"))

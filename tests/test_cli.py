@@ -19,6 +19,7 @@ from aqmlab.training import TrainConfig
 from aqmlab.simulator import (
     Dualpi2Params, FlowKind, FlowSpec, ScenarioConfig, default_scenario, run_scenario, write_klog,
 )
+from helpers import CORRUPT_POOL_EDITS, corrupt_pool_file
 
 SECONDS = 2
 
@@ -255,6 +256,16 @@ def test_scenario_with_a_negative_start_exits_1(tmp_path, capsys):
                      "-o", str(tmp_path / "x.klog")]) == 1
     assert "start_us must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "x.klog").exists()
+
+
+@pytest.mark.parametrize("name,index,edit,message", CORRUPT_POOL_EDITS,
+                         ids=["edited-return", "nan-state"])
+def test_train_on_a_corrupt_pool_exits_1(pipeline, tmp_path, capsys, name, index, edit, message):
+    paths, _ = pipeline
+    bad = corrupt_pool_file(paths["pool.npz"], tmp_path / "bad.npz", name, index, edit)
+    assert cli.main(["train", str(bad), "-o", str(tmp_path / "m.npz")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m.npz").exists()
 
 
 def test_missing_input_exits_1(tmp_path, capsys):

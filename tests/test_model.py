@@ -74,15 +74,15 @@ class TestShapes:
         with pytest.raises(ValueError):
             small_config(context_window=0)
 
-    def test_predict_returns_distribution(self):
+    def test_predict_returns_the_newest_logits(self):
+        """predict is the forward pass's newest step, bit for bit."""
         cfg = small_config()
         m = PolicyModel(cfg, seed=0)
         R, S, A, ts = rand_batch(cfg)
-        dists = m.predict(R, S, A, ts)
-        assert len(dists) == 3
-        for d in dists:
-            assert d.action in (0, 1, 2)
-            np.testing.assert_allclose(d.probabilities.sum(), 1.0, atol=1e-8)
+        logits = m.predict(R, S, A, ts)
+        want = m.forward(R, S, A, ts).data[:, -1]
+        assert logits.shape == (3, 3) and logits.dtype == want.dtype
+        assert logits.tobytes() == want.tobytes()
 
 
 class TestTimeEmbedding:
@@ -890,7 +890,7 @@ class TestLeftPadding:
             real = pad[i] > 0
             alone = model.predict(R[i:i + 1, real], S[i:i + 1, real], A[i:i + 1, real],
                                   ts[i:i + 1, real])[0]
-            np.testing.assert_allclose(alone.logits, want.logits, rtol=0, atol=tol)
+            np.testing.assert_allclose(alone, want, rtol=0, atol=tol)
 
 
 def assert_policy_matches_predict(model, tol, seed=7, t0=0):
@@ -901,8 +901,8 @@ def assert_policy_matches_predict(model, tol, seed=7, t0=0):
     for i, want in enumerate(model.predict(R, S, A, ts, pad_mask=pad)):
         real = pad[i] > 0
         got = policy.logits(R[i, real], S[i, real], A[i, real][:-1], ts[i, real][0])
-        assert got.dtype == want.logits.dtype and got.shape == (3,)
-        np.testing.assert_allclose(got, want.logits, rtol=0, atol=tol)
+        assert got.dtype == want.dtype and got.shape == (3,)
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
 
 
 class TestInferencePolicy:
@@ -993,12 +993,12 @@ class TestInferencePolicy:
         digest = m.parameter_digest()
         trainable = {n: p.requires_grad for n, p in m.params.items()}
         batch = rand_batch(cfg, b=2)
-        before = [d.logits.copy() for d in m.predict(*batch)]
+        before = m.predict(*batch).copy()
         policy = InferencePolicy(m)
         assert m.parameter_digest() == digest
         assert {n: p.requires_grad for n, p in m.params.items()} == trainable
         for d, b in zip(m.predict(*batch), before):
-            assert d.logits.tobytes() == b.tobytes()
+            assert d.tobytes() == b.tobytes()
         # a read-only snapshot: later training does not reach it
         R, S, A, ts = batch
         windows = [(R[i], S[i], A[i, :-1], ts[i, 0]) for i in range(2)]

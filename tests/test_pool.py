@@ -15,7 +15,7 @@ from aqmlab.pool import (
     normalize, normalize_states, returns_to_go,
 )
 from aqmlab.simulator import KLOG_FIELDS, default_scenario, run_scenario, write_klog
-from helpers import all_steps
+from helpers import CORRUPT_POOL_EDITS, all_steps, corrupt_pool_file
 
 
 def forward_sum_returns(rewards, gamma):
@@ -265,6 +265,16 @@ class TestPoolFormat:
     def test_missing_trajectory_count_rejected(self, tmp_path):
         with pytest.raises(PoolError, match="trajectory count"):
             ExperiencePool.load(self._resave(tmp_path, lambda arrays, meta: meta.pop("trajectories")))
+
+    @pytest.mark.parametrize("name,index,edit,message", CORRUPT_POOL_EDITS,
+                             ids=["edited-return", "nan-state"])
+    def test_corrupt_values_rejected(self, tmp_path, name, index, edit, message):
+        """`load` validates what it read, not only the file's structure."""
+        path = tmp_path / "pool.npz"
+        self._pool(tmp_path).save(path)
+        bad = corrupt_pool_file(path, tmp_path / "bad.npz", name, index, edit)
+        with pytest.raises(PoolError, match=message):
+            ExperiencePool.load(bad)
 
     def test_other_files_rejected(self, tmp_path):
         path = tmp_path / "x.klog"

@@ -385,6 +385,52 @@ class TestOpSemantics:
         np.testing.assert_allclose(y.mean(axis=-1), 0, atol=1e-5)
         np.testing.assert_allclose(y.std(axis=-1), 1, atol=1e-3)
 
+    @pytest.mark.parametrize("bias", [False, True], ids=["no-bias", "bias"])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    @pytest.mark.parametrize("padding", ["same", "causal"])
+    def test_conv1d_values(self, padding, width, bias):
+        """Against an einsum over the zero-padded sliding windows: "same"
+        pads (width - 1) // 2 on the left, "causal" width - 1."""
+        x, K = rand(2, 3, 9), rand(4, 3, width, seed=1)
+        b = rand(4, seed=2) if bias else None
+        left = width - 1 if padding == "causal" else (width - 1) // 2
+        xpad = np.pad(x, ((0, 0), (0, 0), (left, width - 1 - left)))
+        win = np.lib.stride_tricks.sliding_window_view(xpad, width, axis=2)   # [b, c, len, k]
+        want = np.einsum("bclk,ock->bol", win, K) + (0.0 if b is None else b[:, None])
+        got = T.conv1d(Tensor(x), Tensor(K), None if b is None else Tensor(b), padding=padding)
+        np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("heads", [None, 2], ids=["per-head", "heads=2"])
+    def test_attention_values(self, heads):
+        """Against softmax(Q Kᵀ / sqrt(d_k) + bias) V per head, under a
+        [b, 1, m, n] bias that blocks two keys of one window; with `heads`,
+        on the heads' [b, m, heads*d_k] merge."""
+        q, k, v = rand(2, 2, 3, 4), rand(2, 2, 5, 4, seed=1), rand(2, 2, 5, 4, seed=2)
+        bias = rand(2, 1, 3, 5, seed=3)
+        bias[1, :, :, :2] -= 1e9
+        s = q @ k.swapaxes(-1, -2) / np.sqrt(4) + bias
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True) @ v
+
+        def merge(a):   # [b, heads, m, d_k] -> [b, m, heads*d_k]
+            return a.transpose(0, 2, 1, 3).reshape(2, a.shape[2], 8)
+        if heads is None:
+            got = T.attention(Tensor(q), Tensor(k), Tensor(v), mask_bias=bias).data
+        else:
+            got = T.attention(Tensor(merge(q)), Tensor(merge(k)), Tensor(merge(v)),
+                              mask_bias=bias, heads=heads).data
+            want = merge(want)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_conv1d_and_attention_refuse_bad_operands(self):
+        with pytest.raises(T.TensorError, match="conv1d shape mismatch"):
+            T.conv1d(Tensor(rand(1, 2, 5)), Tensor(rand(3, 4, 3)))
+        with pytest.raises(T.TensorError, match="unknown padding mode"):
+            T.conv1d(Tensor(rand(1, 2, 5)), Tensor(rand(3, 2, 3)), padding="valid")
+        empty = Tensor(np.zeros((1, 3, 0)))
+        with pytest.raises(T.TensorError, match="d_k must be > 0"):
+            T.attention(empty, empty, empty)
+
     def test_conv1d_same_length_preserved(self):
         x = Tensor(rand(1, 2, 11))
         K = Tensor(rand(5, 2, 3, seed=1))

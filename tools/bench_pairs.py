@@ -34,6 +34,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -46,6 +47,16 @@ SIDES = ("base", "change")
 def git(root, *args):
     return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def exit_on_sigterm():
+    """Make SIGTERM raise SystemExit, so that a `with` block removes its
+    temporary checkouts and `subprocess.run` kills its child: the default
+    action ends the process without running any Python."""
+    def handler(signum, frame):
+        raise SystemExit(128 + signum)
+
+    signal.signal(signal.SIGTERM, handler)
 
 
 def parse_result(stdout):
@@ -190,6 +201,7 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(argv)
+    exit_on_sigterm()
     root = git(os.getcwd(), "rev-parse", "--show-toplevel")
     with open(os.path.join(root, "BENCHMARK.json")) as fh:
         benchmark = json.load(fh)

@@ -106,6 +106,7 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(argv)
+    bench_pairs.exit_on_sigterm()
     root = bench_pairs.git(os.getcwd(), "rev-parse", "--show-toplevel")
     base = bench_pairs.git(root, "rev-parse", args.base)
     sys.dont_write_bytecode = True
