@@ -6,10 +6,10 @@ decision; LlmEvery(n) routes every n-th decision through a trained policy
 model conditioned on the live decision history.
 
 compare() reports robust deltas (median / IQR) and a two-sample KS statistic
-between delay distributions.  diagnose() runs lyapunov_drift over the
-steady-state Classic delay trace of a stats document, and backs the
-`diagnose` CLI command; lipschitz_estimate is a library-only probe that no
-CLI command calls.
+between the two runs' delay quantile grids, and refuses a run with no delay
+samples.  diagnose() runs lyapunov_drift over the steady-state Classic delay
+trace of a stats document, and backs the `diagnose` CLI command;
+lipschitz_estimate is a library-only probe that no CLI command calls.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ class LlmEvery:
     would hold for them, with no padding: states through
     `pool.klog_states`, normalised with the checkpoint's feature
     statistics, the first step's decision index as its timestep, and the
-    return channel pinned to the training-time target return; the action is
+    return channel pinned to the training-time target return, which the
+    checkpoint must store as it must store the statistics; the action is
     the argmax of the newest logits.  The earlier steps' actions are read
     from the world's log, which holds what the world applied (a MARK on a
     not-ECN-capable packet or anything but a DROP on a full buffer is
@@ -88,7 +89,10 @@ class LlmEvery:
         # arrays once, not at every model decision
         self.feature_stats = {key: np.asarray(value) for key, value in stats.items()}
         self.model = InferencePolicy(model)
-        self.target_return = float(extra.get("target_return", 1.0))
+        if "target_return" not in extra:
+            raise EvalError("checkpoint has no target return to condition on; "
+                            "retrain it with `aqmlab train`")
+        self.target_return = float(extra["target_return"])
         self.window = model.config.context_window
         self._fields = deque(maxlen=self.window)        # klog_states input per decision
         self._last_drops = {}
@@ -275,22 +279,31 @@ def ks_statistic(a, b) -> float:
 
 
 def compare(baseline: dict, candidate: dict) -> dict:
-    """Robust deltas between two stats documents (candidate minus baseline)."""
+    """Robust deltas between two stats documents (candidate minus baseline).
+
+    Per summary key, the change of the median and of the IQR, and the
+    median's change relative to the baseline's median, None where that
+    median is 0.  `ks_delay` is the KS statistic between the two documents'
+    101-point quantile grids of the delay (`cdf.delay_ms.x`), not between
+    the raw samples.  A document with no delay samples gives no evidence,
+    so it raises EvalError rather than read as "no difference".
+    """
+    for role, doc in (("baseline", baseline), ("candidate", candidate)):
+        if not doc["cdf"]["delay_ms"]["x"]:
+            raise EvalError(f"the {role} stats document has no delay samples to compare")
     out = {"baseline": baseline["header"], "candidate": candidate["header"],
            "deltas": {}}
     for key in ("delay_ms", "classic_delay_ms", "l4s_delay_ms",
                 "utilization", "reward"):
         b = baseline["summary"][key]
         c = candidate["summary"][key]
-        rel = ((c["median"] - b["median"]) / b["median"]
-               if b["median"] != 0 else 0.0)
         out["deltas"][key] = {
             "median": c["median"] - b["median"],
-            "median_rel": rel,
+            "median_rel": (c["median"] - b["median"]) / b["median"] if b["median"] else None,
             "iqr": c["iqr"] - b["iqr"],
         }
-    bx, cx = baseline["cdf"]["delay_ms"]["x"], candidate["cdf"]["delay_ms"]["x"]
-    out["ks_delay"] = ks_statistic(bx, cx) if bx and cx else 0.0
+    out["ks_delay"] = ks_statistic(baseline["cdf"]["delay_ms"]["x"],
+                                   candidate["cdf"]["delay_ms"]["x"])
     return out
 
 

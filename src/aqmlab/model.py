@@ -25,9 +25,12 @@ which the tokens and their time rows are one node (`token_sequence`) and each
 block's attention and its residual another (`folded_attention`), and its
 `predict` is the reference for inference.  InferencePolicy is a read-only
 plain-numpy snapshot of a PolicyModel for closed-loop decisions: both folds
-are computed once, in float64, with LoRA deltas merged.  Its one entry,
-`logits`, takes a single window as its real steps alone, with no padding and
-no mask, and computes only the newest step's head row.
+are computed once, in float64, with LoRA deltas merged, and the token fold is
+further composed with the layer-norm centring and the pre-LN gain, so its
+token kernels emit each row's centred token and the first block's centred
+ln1 input direction, and no centring product runs over the token rows.  Its
+one entry, `logits`, takes a single window as its real steps alone, with no
+padding and no mask, and computes only the newest step's head row.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .tensor import Tensor
 
 CHECKPOINT_VERSION = 5   # 5 has no key bias and stores LoRA's rank; versions 1 to 4 are refused
 TOKENS_PER_STEP = 1 + STATE_DIM + 1   # return, 8 state features, action
+_HEAD_CHANNEL = TOKENS_PER_STEP - 2   # the last state token of a step, the row the head reads
 LORA_TARGETS = ("q", "v")   # the attention projections that enable_lora wraps
 LORA_RANK = 4   # the rank enable_lora and `aqmlab train --lora-rank` default to
 CONV_WIDTH = 7   # taps of each temporal feature's causal conv
@@ -660,6 +664,11 @@ class InferencePolicy:
     - the token encoders fold into one causal conv kernel
       [CONV_WIDTH, d] per token type, by `fold_token_conv`, the fold the
       trainable model's token op runs at every forward;
+    - the centring C = I - 11ᵀ/d and the pre-LN gain g fold into those
+      kernels, their biases and the time table: each emits a token row's
+      centred token r = raw·C and the first block's centred ln1 direction
+      u = r·diag(g)·C side by side, [10, CONV_WIDTH, 2d], [10, 2d] and
+      [T, 2d];
     - LoRA deltas are merged into their base matrices (`merge_lora`);
     - each attention head folds, with ln1's gain and shift and the
       attention scale, into a query-key and a value-output matrix, by
@@ -674,18 +683,29 @@ class InferencePolicy:
     real steps alone.  The pass builds no Tensor.  The channel-major taps
     [10, n, CONV_WIDTH] are read from one zero-padded
     [10, n + CONV_WIDTH - 1] input through a cached index and run through
-    the token kernels as one batched product, as in training; the newest
-    action token comes after the head row and so is never used.  The
-    blocks run on 2-D arrays.  A block scores its query rows straight
-    against the normalised tokens and averages those tokens with the
-    weights, so it forms no key and no value.  The last block computes one
-    query row per head, which sees every token, so it needs no mask; only
-    the earlier blocks of a deeper model compute every row, under the
-    cached causal bias, and there the h·d-wide QK and OV products cost more
-    than keys and values would.  The snapshot normalises in the model
-    dtype, as a product by the [d, d] centring matrix and a mean square
-    taken through a [d, 1] column.  Later changes to the model do not reach
-    the snapshot.
+    the composed kernels as one batched product, as in training; the
+    newest action token comes after the head row and so is never used.
+    Past max_timestep every time row is the table's last, so one
+    precomputed bias, the kernels' bias plus that row, replaces the two
+    adds.
+
+    Both layer norms ahead of the first block are then a scale per row:
+    the pre-LN's inv0 = 1/√(mean(r²)+ε), and the first block's normalised
+    tokens are y/√(mean(y²)+ε) with y = u·inv0 + β·C, the pre-LN output
+    centred; no centring product and no pre-LN affine runs over the rows.
+    The residual stream g⊙(r·inv0) + β is formed only for the rows a block
+    returns.  The read-out's raw token is the head row's r plus its row
+    mean: the head row's channel taps times the mean of that channel's
+    `fold_token_conv` kernel over d, plus a stored row mean of its bias
+    and time row.
+    A block scores its query rows straight against the normalised tokens
+    and averages those tokens with the weights, so it forms no key and no
+    value.  The last block computes one query row per head, which sees
+    every token, so it needs no mask, and it runs its ln2, FFN and the head
+    on that row as vectors; only the earlier blocks of a deeper model
+    compute every row, under the cached causal bias, and normalise the
+    rows of a later block's input through the [d, d] centring matrix.
+    Later changes to the model do not reach the snapshot.
     """
 
     def __init__(self, model: PolicyModel):
@@ -706,45 +726,71 @@ class InferencePolicy:
             a.flags.writeable = False
             return a
 
-        self._token_K, self._token_b = map(frozen, fold_token_conv(p))
-        # the time table with its last row repeated context_window - 1 more
-        # times, so a window's clipped rows min(t, max_timestep) are one slice
+        K, b = fold_token_conv(p)
+        g, beta = p["pre_ln_g"], p["pre_ln_b"]
+        centre = np.eye(d) - 1.0 / d
+        # raw -> [r | u]: r = raw·C, u = r·diag(g)·C
+        fold = np.concatenate([centre, centre @ (g[:, None] * centre)], axis=1)   # [d, 2d]
+        self._token_K, self._token_b = frozen(K @ fold), frozen(b @ fold)
         W_time = p["W_time"]
-        self._W_time = frozen(np.concatenate(
-            [W_time, np.repeat(W_time[-1:], cfg.context_window - 1, axis=0)]))
-        self._pre_ln = frozen(p["pre_ln_g"]), frozen(p["pre_ln_b"])
+        self._steady_b = frozen(b @ fold + W_time[-1] @ fold)
+        # the time rows through the fold, written straight into the model
+        # dtype and extended by the last row repeated context_window - 1 more
+        # times, so a window's clipped rows min(t, max_timestep) are one slice
+        T0, extra = len(W_time), cfg.context_window - 1
+        self._W_time = np.empty((T0 + extra, 2 * d), dtype=dt)
+        np.matmul(W_time, fold, out=self._W_time[:T0])
+        self._W_time[T0:] = self._W_time[T0 - 1]
+        self._W_time.flags.writeable = False
+        # the head row's raw token is its r plus its row mean: the mean of its
+        # channel's kernel taps, and the row means of its bias plus each time
+        # row, extended as the time table is
+        time_mean = (W_time + b[_HEAD_CHANNEL]).mean(axis=1)
+        self._readout = frozen(K[_HEAD_CHANNEL].mean(axis=1)), frozen(
+            np.concatenate([time_mean, np.repeat(time_mean[-1:], extra)]))
+        self._pre_ln = frozen(g), frozen(beta), frozen(beta @ centre)
         self._blocks = [tuple(map(frozen, blk)) for blk in blocks]
         self._head = frozen(p["head_W"]), frozen(p["head_b"])
-        # x @ centre subtracts each row's mean; xc² @ mean_of is its variance
-        self._centre = frozen(np.eye(d) - 1.0 / d)
+        # x @ centre subtracts each row's mean; xc² @ mean_of is its variance,
+        # and tokens² @ mean_r the mean square of a token row's r half
+        self._centre = frozen(centre)
         self._mean_of = frozen(np.full((d, 1), 1.0 / d))
+        self._mean_r = frozen(np.concatenate([np.full((d, 1), 1.0 / d), np.zeros((d, 1))]))
+
+    def _rms(self, xc):
+        """√(mean(xc²)+ε) of each row of the centred rows xc, [m, 1]."""
+        return np.sqrt(np.square(xc) @ self._mean_of + T.LN_EPS)
 
     def _normalize(self, x):
         """Each row of x standardised over its last axis, as T.normalize's
         first output, through the centring matrix: fewer calls on few rows."""
         xc = x @ self._centre
-        return xc / np.sqrt(np.square(xc) @ self._mean_of + T.LN_EPS)
+        return xc / self._rms(xc)
 
-    def _block(self, x, blk, last):
-        """Pre-LN causal self-attention and FFN, each with its residual, over
-        the tokens x [m, d]; with `last`, only the newest row is computed and
-        returned ([1, d])."""
+    def _block(self, x, xhat, blk, last):
+        """Pre-LN causal self-attention and FFN, each with its residual, of
+        the block input x [m, d] whose normalised tokens are xhat [m, d];
+        with `last`, x is its newest row alone [d], the one query row, and
+        the block returns that row ([d])."""
         QK, bQK, OV, bVO, W1, b1, W2, b2 = blk
-        m, d = x.shape
+        m, d = xhat.shape
         h = self.config.n_heads
-        xhat = self._normalize(x)
-        q = xhat
         if last:
-            x, q = x[-1:], xhat[-1:]
-        r = x.shape[0]
-        s = (q @ QK + bQK).reshape(r, h, d).transpose(1, 0, 2) @ xhat.T   # [h, r, m]
-        if not last:
+            s = (xhat[-1] @ QK + bQK).reshape(h, d) @ xhat.T              # [h, m]
+        else:
+            s = (xhat @ QK + bQK).reshape(m, h, d).transpose(1, 0, 2) @ xhat.T   # [h, m, m]
             s += _mask_arrays(m, x.dtype)[0]
-        e = np.exp(s - s.max(axis=-1, keepdims=True))
-        e /= e.sum(axis=-1, keepdims=True)
-        att = (e @ xhat).transpose(1, 0, 2).reshape(r, h * d)     # per head, weights · xhat
-        x = x + att @ OV + bVO
-        return x + np.maximum(self._normalize(x) @ W1 + b1, 0.0) @ W2 + b2
+        s -= np.maximum.reduce(s, axis=-1, keepdims=True)
+        e = np.exp(s, out=s)
+        att = (e @ xhat) / np.add.reduce(e, axis=-1, keepdims=True)   # per head, weights · xhat
+        if last:
+            x = x + att.reshape(h * d) @ OV + bVO
+            xc = x - x @ self._mean_of
+            xhat = xc / math.sqrt(xc @ xc / d + T.LN_EPS)
+        else:
+            x = x + att.transpose(1, 0, 2).reshape(m, h * d) @ OV + bVO
+            xhat = self._normalize(x)
+        return x + np.maximum(xhat @ W1 + b1, 0.0) @ W2 + b2
 
     def logits(self, returns, states, actions, first_timestep):
         """The newest step's logits [3], in the model dtype, of a window of
@@ -768,18 +814,38 @@ class InferencePolicy:
                                 f"a scalar, states [n, {STATE_DIM}] and n - 1 actions")
         if first_timestep < 0:
             raise T.TensorError(f"first_timestep must be >= 0, got {first_timestep}")
-        # the newest step's action, left 0, feeds only its action token, which is dropped
-        tokens, _ = _tokens(self._token_K, self._token_b, returns, states[None], actions)
         first = min(first_timestep, cfg.max_timestep)
-        tokens += self._W_time[first:first + n, None]
-        raw = tokens.reshape(n * TOKENS_PER_STEP, d)[:-1]   # up to the newest head row
+        steady = first == cfg.max_timestep   # every time row is the table's last
+        # the newest step's action, left 0, feeds only its action token, which is dropped
+        tokens, taps = _tokens(self._token_K, self._steady_b if steady else self._token_b,
+                               returns, states[None], actions)
+        if not steady:
+            tokens += self._W_time[first:first + n, None]
+        tokens = tokens.reshape(n * TOKENS_PER_STEP, 2 * d)[:-1]   # up to the newest head row
+        r, u = tokens[:, :d], tokens[:, d:]
+        k_mean, time_mean = self._readout
+        raw = r[-1] + (taps[_HEAD_CHANNEL, -1] @ k_mean + time_mean[first + n - 1])
 
-        g, beta = self._pre_ln
-        x = g * self._normalize(raw) + beta
+        g, beta, beta_c = self._pre_ln
+        # the pre-LN's scale, its mean square taken over r's half of the
+        # contiguous rows: squaring r's strided half alone is slower
+        inv0 = 1.0 / np.sqrt(np.square(tokens) @ self._mean_r + T.LN_EPS)
+        # the residual stream of the rows the first block returns (or the head reads)
+        sel = slice(None) if len(self._blocks) > 1 else -1
+        x = g * (r[sel] * inv0[sel]) + beta
+        if self._blocks:
+            y = u * inv0                          # the pre-LN output, centred
+            y += beta_c
+            xhat = y / self._rms(y)
         for l, blk in enumerate(self._blocks):
-            x = self._block(x, blk, last=l == cfg.n_layers - 1)
+            last = l == cfg.n_layers - 1
+            if l:
+                xhat = self._normalize(x)
+                if last:
+                    x = x[-1]
+            x = self._block(x, xhat, blk, last)
         W, c = self._head
-        return (x[-1] + raw[-1]) @ W + c
+        return (x + raw) @ W + c
 
 
 # --------------------------------------------------------------- checkpointing

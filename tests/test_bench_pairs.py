@@ -1,6 +1,6 @@
 """tools/bench_pairs.py's summary of paired benchmark runs, on canned result
-lines of the form `perfbench/run.py` prints, and a smallest run of
-tools/step_pairs.py."""
+lines of the form `perfbench/run.py` prints, and smallest runs of
+tools/step_pairs.py and tools/decision_pairs.py."""
 
 import importlib.util
 import json
@@ -192,19 +192,48 @@ def test_step_pairs_runs_at_its_smallest_size_against_head():
     assert status() == before
 
 
-def test_step_pairs_removes_its_checkouts_on_sigterm(tmp_path):
+def test_decision_pairs_runs_at_its_smallest_size_against_head():
+    """tools/decision_pairs.py imports HEAD's and the working tree's
+    packages into one process, checks that their logits agree on the
+    recorded windows, times their decisions block by block and writes
+    nothing into the checkout."""
+    def status():
+        return subprocess.run(["git", "status", "--porcelain", "--untracked-files=all"], cwd=ROOT,
+                              check=True, capture_output=True, text=True).stdout
+
+    before = status()
+    proc = subprocess.run(
+        [sys.executable, "tools/decision_pairs.py", "--blocks", "2", "--seconds", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("base ") and "of a 1 s held-out episode, 1 layer(s), 2 head(s), " \
+        "2 blocks; largest logits difference " in lines[0]
+    assert float(lines[0].rsplit(" ", 1)[1]) <= 1e-5
+    assert [line.split(" first ")[0] for line in lines[1:3]] == ["block 1/2", "block 2/2"]
+    assert "first base" in lines[1] and "first change" in lines[2]
+    assert all(" ratio " in line for line in lines[1:3])
+    assert lines[3].startswith("change faster in ") and lines[3].endswith(" of 2 blocks")
+    assert float(lines[4].rsplit(" ", 1)[1]) > 0
+    assert status() == before
+
+
+@pytest.mark.parametrize("tool, size, prefix", [
+    ("step_pairs.py", ["--steps", "1"], "step-pairs-"),
+    ("decision_pairs.py", ["--seconds", "1"], "decision-pairs-")], ids=["step_pairs", "decision_pairs"])
+def test_pairs_tool_removes_its_checkouts_on_sigterm(tmp_path, tool, size, prefix):
     """A run ended by SIGTERM still removes its temporary directory."""
     proc = subprocess.Popen(
-        [sys.executable, "tools/step_pairs.py", "--blocks", "100000", "--steps", "1"],
+        [sys.executable, f"tools/{tool}", "--blocks", "100000", *size],
         cwd=ROOT, env=dict(os.environ, TMPDIR=str(tmp_path)), stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL, text=True)
     try:
         assert proc.stdout.readline().startswith("base ")
-        assert len(list(tmp_path.glob("step-pairs-*"))) == 1
+        assert len(list(tmp_path.glob(f"{prefix}*"))) == 1
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=60) == 128 + signal.SIGTERM
     finally:
         proc.kill()
         proc.wait()
         proc.stdout.close()
-    assert not list(tmp_path.glob("step-pairs-*"))
+    assert not list(tmp_path.glob(f"{prefix}*"))

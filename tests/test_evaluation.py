@@ -11,12 +11,14 @@ from aqmlab.evaluation import (
     EvalError, RuleBased, compare, ks_statistic, lipschitz_estimate,
     lyapunov_drift, utilization,
 )
-from aqmlab.features import ACTION_DROP, ACTION_MARK, STATE_DIM
+from aqmlab.features import ACTION_DROP, ACTION_MARK, STATE_DIM, STATE_FEATURES
 from aqmlab.model import ModelConfig, PolicyModel, save_checkpoint
 from aqmlab.pool import (
     PoolError, build_pool_from_records, compute_feature_stats, compute_reward, normalize,
 )
-from aqmlab.simulator import default_scenario, run_scenario, write_klog
+from aqmlab.simulator import (
+    FlowKind, FlowSpec, ScenarioConfig, default_scenario, run_scenario, write_klog,
+)
 from aqmlab.training import WindowDataset
 
 IDENTITY_STATS = {"mean": [0.0] * 8, "std": [1.0] * 8, "zero_variance": [False] * 8}
@@ -211,6 +213,39 @@ class TestCompare:
         assert out["deltas"]["delay_ms"]["median_rel"] == pytest.approx(0.3)
         assert out["ks_delay"] > 0
 
+    def test_ks_is_taken_between_the_quantile_grids(self):
+        a = _stats_doc(10.0, 2.0, 0.9, np.linspace(0, 20, 101))
+        b = _stats_doc(13.0, 2.5, 0.8, np.linspace(5, 25, 101))
+        assert compare(a, b)["ks_delay"] == ks_statistic(np.linspace(0, 20, 101),
+                                                         np.linspace(5, 25, 101))
+
+    def test_zero_baseline_median_has_no_relative_change(self):
+        """A relative change from 0 is undefined: null, not 0.0 (no change)."""
+        a = _stats_doc(0.0, 2.0, 0.9, np.linspace(0, 20, 101))
+        b = _stats_doc(2.4, 2.0, 0.9, np.linspace(0, 20, 101))
+        delta = compare(a, b)["deltas"]["delay_ms"]
+        assert delta["median"] == pytest.approx(2.4) and delta["median_rel"] is None
+        assert json.loads(json.dumps(compare(a, b)))["deltas"]["delay_ms"]["median_rel"] is None
+        assert compare(b, a)["deltas"]["delay_ms"]["median_rel"] == pytest.approx(-1.0)
+
+    def test_a_run_without_delay_samples_is_refused(self, tmp_path, capsys):
+        """A run with no flows has no delay samples: comparing it with a
+        real run, either way round, raises rather than report a KS of 0 or a
+        relative change of 0, and `aqmlab compare` exits 1."""
+        from aqmlab import cli
+        empty = ev.evaluate(ScenarioConfig(name="empty", duration_us=2_000_000, flows=[]))
+        busy = ev.evaluate(default_scenario(seed=1, duration_us=2_000_000))
+        assert empty["summary"]["delay_ms"]["count"] == 0 < busy["summary"]["delay_ms"]["count"]
+        for baseline, candidate, role in ((empty, busy, "baseline"), (busy, empty, "candidate")):
+            with pytest.raises(EvalError, match=f"the {role} .* no delay samples"):
+                compare(baseline, candidate)
+        paths = [tmp_path / "empty.json", tmp_path / "busy.json"]
+        for doc, path in zip((empty, busy), paths):
+            ev.save_stats(doc, path)
+        capsys.readouterr()
+        assert cli.main(["compare", str(paths[1]), str(paths[0])]) == 1
+        assert "no delay samples" in capsys.readouterr().err
+
 
 class TestClosedLoopEval:
     def test_rule_based_stats_document(self):
@@ -265,6 +300,22 @@ class TestClosedLoopEval:
         ev.evaluate(sc, driver)
         with pytest.raises(EvalError, match="one episode"):
             ev.evaluate(sc, driver)
+
+    def test_checkpoint_without_a_target_return_refused(self, tmp_path, capsys):
+        """The return channel is pinned to the checkpoint's target return, so
+        a checkpoint without one is refused rather than conditioned on 1.0,
+        and `aqmlab evaluate --checkpoint` exits 1."""
+        from aqmlab import cli
+        cfg = ModelConfig(feature_dim=2, embed_size=8, n_layers=1, n_heads=2, context_window=4)
+        path = tmp_path / "m.npz"
+        save_checkpoint(PolicyModel(cfg, seed=0), path, feature_stats=IDENTITY_STATS)
+        with pytest.raises(EvalError, match="no target return"):
+            ev.LlmEvery(str(path))
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--checkpoint", str(path), "--duration", "1",
+                         "-o", str(tmp_path / "s.json")]) == 1
+        assert "no target return" in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
 
     def test_diagnose_on_converged_run(self):
         from aqmlab.simulator import run_scenario
@@ -432,6 +483,38 @@ class TestOnlineWindowParity:
             applied = pool.trajectories[0].actions
             assert set(applied.tolist()) == {ACTION_MARK, ACTION_DROP}
             assert driver.violations == int((applied == ACTION_DROP).sum())
+
+
+    def test_windows_under_real_stats_with_a_zero_variance_feature(self, tmp_path):
+        """On an L4S-only scenario every packet is in the L queue, so
+        queue_type has zero variance in the pool's statistics (as have the
+        drops, none, and the packet length, one MSS).  Under those statistics
+        each window's states equal, bit for bit, `pool.normalize` of the
+        window WindowDataset.gather builds, and each zero-variance column,
+        queue_type's among them, is 0."""
+        def l4s_only(seed):
+            return ScenarioConfig(name="l4s", seed=seed, duration_us=2_000_000, flows=[
+                FlowSpec(FlowKind.DCTCP_LIKE), FlowSpec(FlowKind.DCTCP_LIKE, start_us=100_000)])
+
+        stats = compute_feature_stats(build_pool_from_records(
+            [run_scenario(l4s_only(1)).records]))
+        zero = np.array(stats["zero_variance"])
+        assert zero[STATE_FEATURES.index("queue_type")] and not zero.all()
+        cfg = ModelConfig(feature_dim=2, embed_size=8, n_layers=1, n_heads=2,
+                          context_window=4, max_timestep=64)
+        save_checkpoint(PolicyModel(cfg, seed=0), tmp_path / "m.npz", feature_stats=stats,
+                        extra={"target_return": 1.0})
+        driver = ev.LlmEvery(str(tmp_path / "m.npz"), every=1)
+        windows = record_windows(driver)
+        world = run_scenario(l4s_only(2), decision_hook=driver.hook)
+        assert len(windows) == len(world.records) > 400
+        _, S, _, _, pad = left_padded(windows, cfg.context_window)
+        _, want_S, _, _, _, mask = WindowDataset(build_pool_from_records([world.records]),
+                                                 cfg.context_window).gather(
+            [(0, i) for i in range(len(windows))])
+        want_S = np.where(mask[:, :, None] > 0, normalize(want_S, stats), 0.0)
+        assert S.tobytes() == want_S.tobytes()
+        assert not S[:, :, zero].any() and S[pad > 0][:, ~zero].std(axis=0).min() > 0
 
 
 class TestSnapshotInTheLoop:

@@ -950,10 +950,11 @@ class TestInferencePolicy:
                     collect(item)
         for v in vars(policy).values():
             collect(v)
-        # the token conv's W and b, the time table, the pre-LN pair, the
-        # head pair, the centring matrix and the mean column, and per block
-        # QK, bQK, VO, bVO, W1, b1, W2, b2
-        assert len(arrays) == 9 + 8 * cfg.n_layers
+        # the composed token kernels, their bias, time table and steady-state
+        # bias, the read-out's kernel and time-row means, the pre-LN's gain,
+        # shift and centred shift, the head pair, the centring matrix and the
+        # two mean columns, and per block QK, bQK, VO, bVO, W1, b1, W2, b2
+        assert len(arrays) == 14 + 8 * cfg.n_layers
         d, h = cfg.embed_size, cfg.n_heads
         assert [a.shape for a in policy._blocks[0][:4]] == [(d, h * d), (h * d,), (h * d, d), (d,)]
         for a in arrays:
@@ -962,15 +963,53 @@ class TestInferencePolicy:
                 a[(0,) * a.ndim] = 0.0
 
     def test_token_conv_is_the_shared_fold(self):
-        """The snapshot's token conv is `fold_token_conv` of the model's
-        stored tensors, bit for bit in float64: training and the closed loop
-        encode tokens with one fold."""
-        m = perturbed_model(bench_config(dtype="float64"))
+        """The snapshot's token kernels, their bias, time table and
+        steady-state bias are `fold_token_conv`'s K and b and the time table
+        composed with the centring C and with diag(g)·C (g the pre-LN gain),
+        and its read-out reads the head row's K and b + time rows as row
+        means, bit for bit in float64: training and the closed loop encode
+        tokens with one fold."""
+        cfg = bench_config(dtype="float64")
+        m = perturbed_model(cfg)
         policy = InferencePolicy(m)
-        K, b = model_mod.fold_token_conv({n: p.data for n, p in m.params.items()})
-        assert policy._token_K.dtype == K.dtype == np.float64
-        assert policy._token_K.tobytes() == K.tobytes()
-        assert policy._token_b.tobytes() == b.tobytes()
+        p = {n: t.data for n, t in m.params.items()}
+        K, b = model_mod.fold_token_conv(p)
+        d, head_row, W_time = cfg.embed_size, TOKENS_PER_STEP - 2, p["W_time"]
+
+        def extended(rows):   # the last row repeated context_window - 1 more times
+            return np.concatenate([rows] + [rows[-1:]] * (cfg.context_window - 1))
+        C = np.eye(d) - 1.0 / d
+        fold = np.concatenate([C, C @ (p["pre_ln_g"][:, None] * C)], axis=1)   # raw -> [r | u]
+        want = {"_token_K": K @ fold, "_token_b": b @ fold, "_W_time": extended(W_time @ fold),
+                "_steady_b": b @ fold + W_time[-1] @ fold}
+        for name, array in want.items():
+            got = getattr(policy, name)
+            assert got.dtype == array.dtype == np.float64 and got.shape == array.shape
+            assert got.tobytes() == np.ascontiguousarray(array).tobytes(), name
+        assert policy._token_K.shape == (TOKENS_PER_STEP, CONV_WIDTH, 2 * d)
+        k_mean, time_mean = policy._readout
+        assert k_mean.tobytes() == K[head_row].mean(axis=1).tobytes()
+        assert time_mean.tobytes() == extended((b[head_row] + W_time).mean(axis=1)).tobytes()
+
+    def test_one_layer_decision_normalises_no_rows(self, monkeypatch):
+        """The fold leaves a one-layer decision no centring product: it calls
+        `_normalize` zero times, where a deeper model normalises its earlier
+        blocks' outputs twice each, for their ln2 and the next block's ln1."""
+        calls = []
+        normalize = InferencePolicy._normalize
+
+        def counting(self, x):
+            calls.append(x.shape)
+            return normalize(self, x)
+        monkeypatch.setattr(InferencePolicy, "_normalize", counting)
+        for n_layers in (0, 1, 2, 3):
+            cfg = bench_config(n_layers=n_layers)
+            policy = InferencePolicy(perturbed_model(cfg))
+            R, S, A, ts = rand_batch(cfg, b=1)
+            for t0 in (0, cfg.max_timestep + 5):
+                calls.clear()
+                policy.logits(R[0], S[0], A[0, :-1], t0)
+                assert len(calls) == 2 * max(n_layers - 1, 0), n_layers
 
     def test_builds_no_tensor(self, monkeypatch):
         cfg = bench_config()

@@ -30,6 +30,7 @@ ratios, below 1 when the change is faster.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import importlib
 import importlib.util
@@ -50,24 +51,70 @@ POOL_SEEDS, POOL_SECONDS, WARMUP = 2, 10.0, 2
 
 def import_tree(checkout, name):
     """The `aqmlab` package of `checkout`'s src/, imported as `name`, with
-    its `pool`, `simulator` and `training` modules loaded."""
+    its `evaluation`, `model`, `pool`, `simulator` and `training` modules
+    loaded."""
     src = os.path.join(checkout, "src", "aqmlab")
     spec = importlib.util.spec_from_file_location(
         name, os.path.join(src, "__init__.py"), submodule_search_locations=[src])
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    for module in ("pool", "simulator", "training"):
+    for module in ("evaluation", "model", "pool", "simulator", "training"):
         importlib.import_module(f"{name}.{module}")
     return package
+
+
+@contextlib.contextmanager
+def side_trees(rev, prefix):
+    """Export the commit `rev` names and the working tree's tracked files
+    into one temporary directory named with `prefix`, and import each
+    side's package as aqmlab_base and aqmlab_change.  Yields the base
+    commit, the directory and {side: package}; SIGTERM ends the run through
+    SystemExit, so the directory is removed then too."""
+    bench_pairs.exit_on_sigterm()
+    root = bench_pairs.git(os.getcwd(), "rev-parse", "--show-toplevel")
+    base = bench_pairs.git(root, "rev-parse", rev)
+    sys.dont_write_bytecode = True
+    with tempfile.TemporaryDirectory(prefix=prefix) as tmp:
+        checkouts = {"base": os.path.join(tmp, "base"), "change": os.path.join(tmp, "work")}
+        bench_pairs.export_commit(root, base, checkouts["base"])
+        bench_pairs.export_tree(root, checkouts["change"])
+        yield base, tmp, {side: import_tree(checkouts[side], f"aqmlab_{side}") for side in SIDES}
+
+
+def interleave(timed, blocks, rounds, unit="ms"):
+    """Time `blocks` blocks of `rounds` rounds: round k calls each side's
+    `timed[side](k)`, which returns its seconds, and the side that goes
+    first alternates from block to block.  Prints each block's medians and
+    their ratio change/base, then the blocks the change won and the median
+    of the block ratios, below 1 when the change is faster."""
+    scale = {"ms": 1e3, "us": 1e6}[unit]
+    ratios = []
+    for i in range(blocks):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        times = {side: [] for side in SIDES}
+        for k in range(rounds):
+            for side in order:
+                times[side].append(timed[side](k))
+        medians = {side: float(np.median(times[side])) for side in SIDES}
+        ratios.append(medians["change"] / medians["base"])
+        print(f"block {i + 1}/{blocks} first {order[0]:6s} base {scale * medians['base']:.3f} {unit} "
+              f"change {scale * medians['change']:.3f} {unit} ratio {ratios[-1]:.3f}", flush=True)
+    print(f"change faster in {sum(r < 1.0 for r in ratios)} of {blocks} blocks")
+    print(f"median ratio change/base {float(np.median(ratios)):.3f}")
+
+
+def scenario_records(aqmlab, seeds, seconds):
+    """The decision records of default scenarios on seeds 1..seeds, `seconds` each."""
+    sim = aqmlab.simulator
+    return [sim.run_scenario(sim.default_scenario(seed=seed, duration_us=int(seconds * 1e6))).records
+            for seed in range(1, seeds + 1)]
 
 
 def make_pool(aqmlab):
     """A pool of default scenarios on seeds 1..POOL_SEEDS, POOL_SECONDS each,
     normalised by `training.normalize_pool`, as `training.train` normalises."""
-    sim = aqmlab.simulator
-    records = [sim.run_scenario(sim.default_scenario(seed=seed, duration_us=int(POOL_SECONDS * 1e6))
-                                ).records for seed in range(1, POOL_SEEDS + 1)]
+    records = scenario_records(aqmlab, POOL_SEEDS, POOL_SECONDS)
     return aqmlab.training.normalize_pool(aqmlab.pool.build_pool_from_records(records))[0]
 
 
@@ -106,15 +153,7 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(argv)
-    bench_pairs.exit_on_sigterm()
-    root = bench_pairs.git(os.getcwd(), "rev-parse", "--show-toplevel")
-    base = bench_pairs.git(root, "rev-parse", args.base)
-    sys.dont_write_bytecode = True
-    with tempfile.TemporaryDirectory(prefix="step-pairs-") as tmp:
-        checkouts = {"base": os.path.join(tmp, "base"), "change": os.path.join(tmp, "work")}
-        bench_pairs.export_commit(root, base, checkouts["base"])
-        bench_pairs.export_tree(root, checkouts["change"])
-        trees = {side: import_tree(checkouts[side], f"aqmlab_{side}") for side in SIDES}
+    with side_trees(args.base, "step-pairs-") as (base, _, trees):
         defaults = trees["change"].model.ModelConfig()
         args.layers = defaults.n_layers if args.layers is None else args.layers
         args.heads = defaults.n_heads if args.heads is None else args.heads
@@ -126,20 +165,8 @@ def main(argv=None):
         for _ in range(WARMUP):
             for side in SIDES:
                 sides[side].step()
-        ratios = []
-        for i in range(args.blocks):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            times = {side: [] for side in SIDES}
-            for _ in range(args.steps):
-                for side in order:
-                    times[side].append(sides[side].step())
-            medians = {side: float(np.median(times[side])) for side in SIDES}
-            ratios.append(medians["change"] / medians["base"])
-            print(f"block {i + 1}/{args.blocks} first {order[0]:6s} base {1e3 * medians['base']:.3f} ms "
-                  f"change {1e3 * medians['change']:.3f} ms ratio {ratios[-1]:.3f}", flush=True)
-        wins = sum(r < 1.0 for r in ratios)
-        print(f"change faster in {wins} of {args.blocks} blocks")
-        print(f"median ratio change/base {float(np.median(ratios)):.3f}")
+        interleave({side: lambda k, side=sides[side]: side.step() for side in SIDES},
+                   args.blocks, args.steps)
     return 0
 
 
