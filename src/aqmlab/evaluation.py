@@ -283,10 +283,13 @@ def compare(baseline: dict, candidate: dict) -> dict:
 
     Per summary key, the change of the median and of the IQR, and the
     median's change relative to the baseline's median, None where that
-    median is 0.  `ks_delay` is the KS statistic between the two documents'
-    101-point quantile grids of the delay (`cdf.delay_ms.x`), not between
-    the raw samples.  A document with no delay samples gives no evidence,
-    so it raises EvalError rather than read as "no difference".
+    median is 0.  A key either document has no samples of (a traffic class
+    the scenario does not carry) has no median, so all three are None
+    there, not a change from or to 0.  `ks_delay` is the KS statistic
+    between the two documents' 101-point quantile grids of the delay
+    (`cdf.delay_ms.x`), not between the raw samples.  A document with no
+    delay samples gives no evidence, so it raises EvalError rather than
+    read as "no difference".
     """
     for role, doc in (("baseline", baseline), ("candidate", candidate)):
         if not doc["cdf"]["delay_ms"]["x"]:
@@ -297,6 +300,9 @@ def compare(baseline: dict, candidate: dict) -> dict:
                 "utilization", "reward"):
         b = baseline["summary"][key]
         c = candidate["summary"][key]
+        if not (b["count"] and c["count"]):
+            out["deltas"][key] = {"median": None, "median_rel": None, "iqr": None}
+            continue
         out["deltas"][key] = {
             "median": c["median"] - b["median"],
             "median_rel": (c["median"] - b["median"]) / b["median"] if b["median"] else None,

@@ -14,11 +14,22 @@ backbone feeds a 3-way action head read at the last state token of each step.
 low-rank delta); the model keeps the adapters' rank, `PolicyModel.lora_rank`
 (None when unwrapped), and a checkpoint stores it in its meta.
 
-Each head of a block's attention folds, with the block's first layer norm,
-into a query-key and a value-output matrix, by one function,
-`fold_attention`, so a block scores its query rows straight against the
-normalised tokens and forms no key or value; both forms of the model attend
-through it.  A block has no key bias, since softmax would cancel it.
+Each head of a block's attention folds into a query-key and a value-output
+matrix, by one function, `fold_attention`, so a block scores its query rows
+straight against the normalised tokens and forms no key or value; both
+forms of the model attend through it.
+
+The model stores no tensor that another one absorbs exactly (Elhage et al.,
+"A Mathematical Framework for Transformer Circuits", 2021).  A block's two
+layer norms have no gain or shift: ln1's normalised tokens reach only
+W_q, W_k and W_v, whose rows a gain would rescale; its shift would add
+to the query bias, to every key (a constant per query row, which softmax
+cancels, as it cancels a key bias) and, through the values, to the output
+bias.  A query's weights sum to 1, so a value bias would reach the output
+bias unchanged, and ln2's gain and shift fold into the FFN's first
+projection.  So a block stores 10 tensors, and only q and o have a bias.
+An encoder bias would only add to its state token's `embed_b`.  The
+pre-LN keeps its gain and shift: ln1 renormalises the stream they shape.
 
 PolicyModel is the trainable form: its forward pass builds a Tensor graph, in
 which the tokens and their time rows are one node (`token_sequence`) and each
@@ -49,7 +60,7 @@ from . import tensor as T
 from .features import ACTION_COUNT, CONV_FEATURES, STATE_DIM, STATE_FEATURES
 from .tensor import Tensor
 
-CHECKPOINT_VERSION = 5   # 5 has no key bias and stores LoRA's rank; versions 1 to 4 are refused
+CHECKPOINT_VERSION = 6   # 6 stores no absorbed tensor (module docstring); earlier ones are refused
 TOKENS_PER_STEP = 1 + STATE_DIM + 1   # return, 8 state features, action
 _HEAD_CHANNEL = TOKENS_PER_STEP - 2   # the last state token of a step, the row the head reads
 LORA_TARGETS = ("q", "v")   # the attention projections that enable_lora wraps
@@ -59,8 +70,8 @@ CONV_WIDTH = 7   # taps of each temporal feature's causal conv
 _is_conv = np.isin(STATE_FEATURES, CONV_FEATURES)
 _SCALAR_IDX, _CONV_IDX = np.flatnonzero(~_is_conv), np.flatnonzero(_is_conv)
 # the stored tensors the token encoders read, in `token_sequence`'s order
-_TOKEN_PARAMS = ("W_return", "b_return", "enc_scalar_W", "enc_scalar_b", "enc_conv_K",
-                 "enc_conv_b", "embed_W", "embed_b", "W_action", "b_action")
+_TOKEN_PARAMS = ("W_return", "b_return", "enc_scalar_W", "enc_conv_K", "embed_W", "embed_b",
+                 "W_action", "b_action")
 
 
 class CheckpointError(RuntimeError):
@@ -133,14 +144,12 @@ def _attention_bias(pad_mask, n, dtype, rows=None):
 
 
 def _pre_embedding(p):
-    """[8, CONV_WIDTH + 1, feature_dim]: per state feature, in STATE_FEATURES
-    order, its encoder's taps and then its bias, before the embedding.  A
-    scalar feature is the width-1 case, its weight at the newest tap."""
-    P = np.zeros((STATE_DIM, CONV_WIDTH + 1, p["embed_W"].shape[1]), dtype=p["embed_W"].dtype)
-    P[_SCALAR_IDX, CONV_WIDTH - 1] = p["enc_scalar_W"]
-    P[_SCALAR_IDX, CONV_WIDTH] = p["enc_scalar_b"]
-    P[_CONV_IDX, :CONV_WIDTH] = p["enc_conv_K"]
-    P[_CONV_IDX, CONV_WIDTH] = p["enc_conv_b"]
+    """[8, CONV_WIDTH, feature_dim]: per state feature, in STATE_FEATURES
+    order, its encoder's taps before the embedding.  A scalar feature is the
+    width-1 case, its weight at the newest tap."""
+    P = np.zeros((STATE_DIM, CONV_WIDTH, p["embed_W"].shape[1]), dtype=p["embed_W"].dtype)
+    P[_SCALAR_IDX, -1] = p["enc_scalar_W"]
+    P[_CONV_IDX] = p["enc_conv_K"]
     return P
 
 
@@ -150,21 +159,20 @@ def fold_token_conv(p):
     computed in the arrays' dtype.
 
     Token c of a step reads input channel c of [R, s1..s8, a].  No encoder
-    has a nonlinearity, so a temporal feature's conv and then its embedding
-    are one kernel enc_conv_K @ embed_W [CONV_WIDTH, d] plus a bias [d]; a
-    scalar feature, the return and the action are the width-1 case x*W + b,
-    a kernel whose only non-zero tap is the newest.  Token c of a step is
-    its channel-c taps [CONV_WIDTH] times K[c], plus b[c].
+    has a nonlinearity or a bias, so a state feature's taps and then its
+    embedding are one kernel, `_pre_embedding` @ embed_W [CONV_WIDTH, d],
+    and its bias is embed_b; the return and the action are the width-1
+    case x*W + b, a kernel whose only non-zero tap is the newest.  Token c
+    of a step is its channel-c taps [CONV_WIDTH] times K[c], plus b[c].
     """
     E = p["embed_W"]
     d = E.shape[2]
-    KB = _pre_embedding(p) @ E                     # [8, CONV_WIDTH + 1, d]
     K = np.zeros((TOKENS_PER_STEP, CONV_WIDTH, d), dtype=E.dtype)
     B = np.empty((TOKENS_PER_STEP, d), dtype=E.dtype)
     K[0, -1], B[0] = p["W_return"][0], p["b_return"]
     K[-1, -1], B[-1] = p["W_action"][0], p["b_action"]
-    K[1:-1] = KB[:, :CONV_WIDTH]
-    B[1:-1] = KB[:, CONV_WIDTH] + p["embed_b"]
+    K[1:-1] = _pre_embedding(p) @ E
+    B[1:-1] = p["embed_b"]
     return K, B
 
 
@@ -239,19 +247,15 @@ def token_sequence(p, returns, states, actions, timesteps=None):
             # per token type c: taps[c]^T @ g[:, c]
             dK = taps.transpose(0, 2, 1) @ g.transpose(1, 0, 2)   # [10, CONV_WIDTH, d]
             dB = (np.ones(b * w, dtype=g.dtype) @ g.reshape(b * w, -1)).reshape(TOKENS_PER_STEP, d)
-            # the state tokens' taps and bias, before and through the embedding
-            dKB = np.concatenate([dK[1:-1], dB[1:-1, None]], axis=1)   # [8, CONV_WIDTH + 1, d]
-            E = arrays["embed_W"]
-            dP = dKB @ E.transpose(0, 2, 1)
+            # the state kernels' gradient, before and through the embedding
+            dP = dK[1:-1] @ arrays["embed_W"].transpose(0, 2, 1)   # [8, CONV_WIDTH, fd]
             grads = {
                 "W_return": dK[0, -1][None], "b_return": dB[0],
                 "W_action": dK[-1, -1][None], "b_action": dB[-1],
-                "embed_W": _pre_embedding(arrays).transpose(0, 2, 1) @ dKB,
+                "embed_W": _pre_embedding(arrays).transpose(0, 2, 1) @ dK[1:-1],
                 "embed_b": dB[1:-1],
-                "enc_scalar_W": dP[_SCALAR_IDX, CONV_WIDTH - 1],
-                "enc_scalar_b": dP[_SCALAR_IDX, CONV_WIDTH],
-                "enc_conv_K": dP[_CONV_IDX, :CONV_WIDTH],
-                "enc_conv_b": dP[_CONV_IDX, CONV_WIDTH],
+                "enc_scalar_W": dP[_SCALAR_IDX, -1],
+                "enc_conv_K": dP[_CONV_IDX],
             }
             for name in _TOKEN_PARAMS:
                 if p[name].requires_grad:
@@ -264,40 +268,33 @@ def token_sequence(p, returns, states, actions, timesteps=None):
 
 
 # the stored tensors of block l's attention, which `folded_attention` reads
-_ATTENTION_PARAMS = ("ln1_g", "ln1_b", "attn_q_W", "attn_q_b", "attn_k_W",
-                     "attn_v_W", "attn_v_b", "attn_o_W", "attn_o_b")
+_ATTENTION_PARAMS = ("attn_q_W", "attn_q_b", "attn_k_W", "attn_v_W", "attn_o_W", "attn_o_b")
 
 
 def _head_maps(p, l, n_heads):
     """Block l's attention maps per head h, from the stored arrays `p` (name
-    -> array, LoRA deltas merged): the query map Aq = g·W_q,h/√dk [h, d, dk]
-    and its bias cq = (β W_q + b_q)_h/√dk [h, 1, dk], the key map
-    Ak = g·W_k,h and the value map Av = g·W_v,h [h, d, dk], the value bias
-    cv = β W_v + b_v [d] and W_o's rows [h, dk, d].  g and β are the
-    block's ln1 gain and shift, folded into the projections that read the
-    normalised tokens."""
-    g, beta = p[f"blk{l}_ln1_g"], p[f"blk{l}_ln1_b"]
+    -> array, LoRA deltas merged): the query map Aq = W_q,h/√dk [h, d, dk]
+    and its bias cq = b_q,h/√dk [h, 1, dk], the key map Ak = W_k,h and the
+    value map Av = W_v,h [h, d, dk], and W_o's rows [h, dk, d]."""
     Wq, Wk, Wv, Wo = (p[f"blk{l}_attn_{w}_W"] for w in ("q", "k", "v", "o"))
-    d = g.size
+    d = Wq.shape[0]
     dk = d // n_heads
     scale = 1.0 / math.sqrt(dk)
 
     def heads(W):   # [d, h*dk] -> [h, d, dk]: head h's columns
         return W.reshape(d, n_heads, dk).transpose(1, 0, 2)
 
-    cq = (beta @ Wq + p[f"blk{l}_attn_q_b"]) * scale
-    return (heads(g[:, None] * Wq * scale), cq.reshape(n_heads, 1, dk), heads(g[:, None] * Wk),
-            heads(g[:, None] * Wv), beta @ Wv + p[f"blk{l}_attn_v_b"], Wo.reshape(n_heads, dk, d))
+    return (heads(Wq * scale), (p[f"blk{l}_attn_q_b"] * scale).reshape(n_heads, 1, dk),
+            heads(Wk), heads(Wv), Wo.reshape(n_heads, dk, d))
 
 
-def _fold_heads(maps, b_o):
-    """`fold_attention`'s (QK, bQK, OV, bVO) from the head maps of
-    `_head_maps` and W_o's bias b_o."""
-    Aq, cq, Ak, Av, cv, Wo = maps
+def _fold_heads(maps):
+    """`fold_attention`'s QK, bQK and OV from the head maps of `_head_maps`."""
+    Aq, cq, Ak, Av, Wo = maps
     d = Aq.shape[1]
     KT = Ak.transpose(0, 2, 1)
     return ((Aq @ KT).transpose(1, 0, 2).reshape(d, -1), (cq @ KT).reshape(-1),
-            (Av @ Wo).reshape(-1, d), cv @ Wo.reshape(-1, d) + b_o)
+            (Av @ Wo).reshape(-1, d))
 
 
 def fold_attention(p, l, n_heads):
@@ -310,15 +307,14 @@ def fold_attention(p, l, n_heads):
     With xhat the normalised tokens, head h scores query row i against
     token j as (xhat_i QK_h + bQK_h) · xhat_j, where
     QK_h = Aq_h Ak_hᵀ and bQK_h = cq_h Ak_hᵀ (`_head_maps`), and adds
-    (its weights · xhat) OV_h, OV_h = Av_h W_o,h, plus bVO = cv W_o + b_o
-    to the residual.  This is exact: ln1's shift through the keys adds one
-    constant to all of a query's scores, which softmax removes, so it is
-    dropped (as a key bias would be, so a block has none), and a query's
-    weights sum to 1, so the value bias passes through them unchanged.
-    Head h's block is columns h·d..(h+1)·d of QK and rows h·d..(h+1)·d of
-    OV.
+    (its weights · xhat) OV_h, OV_h = Av_h W_o,h, plus bVO = b_o to the
+    residual.  No key or value bias is lost: a key bias would add one
+    constant to all of a query's scores, which softmax removes, and a
+    query's weights sum to 1, so a value bias would reach the residual as
+    a constant, which b_o spans.  Head h's block is columns h·d..(h+1)·d of
+    QK and rows h·d..(h+1)·d of OV.
     """
-    return _fold_heads(_head_maps(p, l, n_heads), p[f"blk{l}_attn_o_b"])
+    return (*_fold_heads(_head_maps(p, l, n_heads)), p[f"blk{l}_attn_o_b"])
 
 
 def folded_attention(x, p, l, n_heads, mask_bias, rows=None):
@@ -332,9 +328,9 @@ def folded_attention(x, p, l, n_heads, mask_bias, rows=None):
     against the normalised tokens, and the tokens are averaged with the
     weights, so no key or value is formed.  A (row, head) pair is one row
     of the batched products, so the head split and merge are reshapes.
-    The backward maps the gradients of QK, bQK, OV and bVO back to ln1's
-    gain and shift, the q, v and o weights and biases, W_k and the LoRA
-    factors, and through the normalisation to x.
+    The backward maps the gradients of QK, bQK, OV and bVO back to the q
+    and o weights and biases, W_k, W_v and the LoRA factors, and through
+    the normalisation to x.
     """
     names = [f"blk{l}_{name}" for name in _ATTENTION_PARAMS]
     arrays = {name: p[name].data for name in names}
@@ -345,7 +341,7 @@ def folded_attention(x, p, l, n_heads, mask_bias, rows=None):
             lora[stem] = p[f"{stem}_lora_A"], p[f"{stem}_lora_B"]
             arrays[f"{stem}_W"] = arrays[f"{stem}_W"] + lora[stem][0].data @ lora[stem][1].data
     maps = _head_maps(arrays, l, n_heads)
-    QK, bQK, OV, bVO = _fold_heads(maps, arrays[f"blk{l}_attn_o_b"])
+    QK, bQK, OV = _fold_heads(maps)
 
     xhat, inv = T.normalize(x.data)
     b, n, d = xhat.shape
@@ -364,7 +360,7 @@ def folded_attention(x, p, l, n_heads, mask_bias, rows=None):
     P = P.reshape(b, m * h, n)                    # the attention weights
     z = (P @ xhat).reshape(b * m, h * d)          # per head, weights · xhat
     out = z @ OV
-    out += bVO
+    out += arrays[f"blk{l}_attn_o_b"]
     out += res.reshape(b * m, d)
     parents = [x] + [p[name] for name in names] + [t for pair in lora.values() for t in pair]
 
@@ -383,8 +379,7 @@ def folded_attention(x, p, l, n_heads, mask_bias, rows=None):
             x._accum(dx)
         if any(t.requires_grad for t in parents[1:]):
             ones = np.ones(b * m, dtype=g2.dtype)
-            grads = _unfold_attention_grads(arrays, l, maps, xq.T @ dq, ones @ dq,
-                                            z.T @ g2, ones @ g2)
+            grads = _unfold_attention_grads(l, maps, xq.T @ dq, ones @ dq, z.T @ g2, ones @ g2)
             for stem, (A, B) in lora.items():
                 dW = grads[f"{stem}_W"]
                 A._accum(dW @ B.data.T)
@@ -395,14 +390,12 @@ def folded_attention(x, p, l, n_heads, mask_bias, rows=None):
     return Tensor(out.reshape(b, m, d), _parents=tuple(parents), _backward=bwd)
 
 
-def _unfold_attention_grads(p, l, maps, dQK, dbQK, dOV, dbVO):
+def _unfold_attention_grads(l, maps, dQK, dbQK, dOV, dbVO):
     """The gradients of block l's stored attention tensors (name -> array,
     the wrapped matrices' as those of W + A @ B) from those of the folds
-    QK, bQK, OV and bVO, through the head maps `maps` of `_head_maps(p)`."""
-    Aq, cq, Ak, Av, cv, Wo = maps
+    QK, bQK, OV and bVO, through the head maps `maps` of `_head_maps`."""
+    Aq, cq, Ak, Av, Wo = maps
     h, d, dk = Aq.shape
-    g, beta = p[f"blk{l}_ln1_g"], p[f"blk{l}_ln1_b"]
-    Wq, Wk, Wv = (p[f"blk{l}_attn_{w}_W"] for w in ("q", "k", "v"))
     scale = 1.0 / math.sqrt(dk)
     dQK = dQK.reshape(d, h, d).transpose(1, 0, 2)   # [h, d, d]
     dbQK = dbQK.reshape(h, 1, d)
@@ -411,20 +404,12 @@ def _unfold_attention_grads(p, l, maps, dQK, dbQK, dOV, dbVO):
     def merged(a):   # [h, d, dk] -> [d, h*dk], `_head_maps`' heads undone
         return a.transpose(1, 0, 2).reshape(d, h * dk)
 
-    dAq = merged(dQK @ Ak) * scale                  # per unit of g·W_q
-    dcq = (dbQK @ Ak).reshape(-1) * scale           # per unit of β W_q + b_q
-    dAk = merged(dQK.transpose(0, 2, 1) @ Aq + dbQK.transpose(0, 2, 1) @ cq)
-    dAv = merged(dOV @ Wo.transpose(0, 2, 1))
-    dcv = Wo.reshape(-1, d) @ dbVO
     return {
-        f"blk{l}_ln1_g": (dAq * Wq).sum(axis=1) + (dAk * Wk).sum(axis=1) + (dAv * Wv).sum(axis=1),
-        f"blk{l}_ln1_b": Wq @ dcq + Wv @ dcv,
-        f"blk{l}_attn_q_W": g[:, None] * dAq + np.outer(beta, dcq),
-        f"blk{l}_attn_q_b": dcq,
-        f"blk{l}_attn_k_W": g[:, None] * dAk,
-        f"blk{l}_attn_v_W": g[:, None] * dAv + np.outer(beta, dcv),
-        f"blk{l}_attn_v_b": dcv,
-        f"blk{l}_attn_o_W": (Av.transpose(0, 2, 1) @ dOV).reshape(h * dk, d) + np.outer(cv, dbVO),
+        f"blk{l}_attn_q_W": merged(dQK @ Ak) * scale,
+        f"blk{l}_attn_q_b": (dbQK @ Ak).reshape(-1) * scale,
+        f"blk{l}_attn_k_W": merged(dQK.transpose(0, 2, 1) @ Aq + dbQK.transpose(0, 2, 1) @ cq),
+        f"blk{l}_attn_v_W": merged(dOV @ Wo.transpose(0, 2, 1)),
+        f"blk{l}_attn_o_W": (Av.transpose(0, 2, 1) @ dOV).reshape(h * dk, d),
         f"blk{l}_attn_o_b": dbVO,
     }
 
@@ -460,9 +445,7 @@ class PolicyModel:
             return t
 
         add("enc_scalar_W", _init(rng, (ns, fd), 0.5, dt))
-        add("enc_scalar_b", _zeros((ns, fd), dt))
         add("enc_conv_K", _init(rng, (nc, CONV_WIDTH, fd), 0.5 / math.sqrt(CONV_WIDTH), dt))
-        add("enc_conv_b", _zeros((nc, fd), dt))
         add("embed_W", _init(rng, (STATE_DIM, fd, d), 1.0 / math.sqrt(fd), dt))
         add("embed_b", _zeros((STATE_DIM, d), dt))
         add("W_return", _init(rng, (1, d), 0.5, dt))
@@ -475,15 +458,11 @@ class PolicyModel:
         add("pre_ln_b", _zeros((d,), dt))
 
         s = 1.0 / math.sqrt(d)
-        for l in range(config.n_layers):
-            add(f"blk{l}_ln1_g", Tensor(np.ones(d, dtype=dt), requires_grad=True))
-            add(f"blk{l}_ln1_b", _zeros((d,), dt))
+        for l in range(config.n_layers):   # no layer-norm tensor, no k or v bias (module doc)
             for w in ("q", "k", "v", "o"):
                 add(f"blk{l}_attn_{w}_W", _init(rng, (d, d), s, dt))
-                if w != "k":   # softmax would cancel a key bias (`fold_attention`)
+                if w in ("q", "o"):
                     add(f"blk{l}_attn_{w}_b", _zeros((d,), dt))
-            add(f"blk{l}_ln2_g", Tensor(np.ones(d, dtype=dt), requires_grad=True))
-            add(f"blk{l}_ln2_b", _zeros((d,), dt))
             add(f"blk{l}_ffn_W1", _init(rng, (d, 4 * d), s, dt))
             add(f"blk{l}_ffn_b1", _zeros((4 * d,), dt))
             add(f"blk{l}_ffn_W2", _init(rng, (4 * d, d), 1.0 / math.sqrt(4 * d), dt))
@@ -499,8 +478,7 @@ class PolicyModel:
 
     def enable_lora(self, rank=LORA_RANK, seed=1):
         """Wrap each LORA_TARGETS matrix with trainable A (random) / B
-        (zero) factors of `rank`, and freeze every block tensor, its layer
-        norms included.
+        (zero) factors of `rank`, and freeze every block tensor.
 
         With B zero-initialized the wrapped model is exactly the base model.
         Besides the adapters, only the encoders, the embeddings, the pre-LN
@@ -613,7 +591,7 @@ class PolicyModel:
         block returns [b, len(rows), d].
         """
         x = folded_attention(x, self.params, l, self.config.n_heads, mask_bias, rows)
-        ln2 = T.layer_norm(x, self.params[f"blk{l}_ln2_g"], self.params[f"blk{l}_ln2_b"])
+        ln2 = T.layer_norm(x)
         hdn = T.linear(ln2, self.params[f"blk{l}_ffn_W1"], self.params[f"blk{l}_ffn_b1"]).relu()
         return x + T.linear(hdn, self.params[f"blk{l}_ffn_W2"], self.params[f"blk{l}_ffn_b2"])
 
@@ -670,11 +648,9 @@ class InferencePolicy:
       u = r·diag(g)·C side by side, [10, CONV_WIDTH, 2d], [10, 2d] and
       [T, 2d];
     - LoRA deltas are merged into their base matrices (`merge_lora`);
-    - each attention head folds, with ln1's gain and shift and the
-      attention scale, into a query-key and a value-output matrix, by
-      `fold_attention`, the fold the trainable model's attention node runs
-      at every forward;
-    - ln2's gain and shift fold into the FFN's first projection.
+    - each attention head folds, with the attention scale, into a
+      query-key and a value-output matrix, by `fold_attention`, the fold
+      the trainable model's attention node runs at every forward.
 
     `logits` takes one window as its real steps alone, n <= context_window
     of them, and returns the newest step's head row.  Left padding is
@@ -714,12 +690,9 @@ class InferencePolicy:
         dt, d = cfg.np_dtype, cfg.embed_size
         p = {name: t.data.astype(np.float64) for name, t in model.params.items()}
         p.update((name, W.astype(np.float64)) for name, W in model.merge_lora().items())
-        blocks = []
-        for l in range(cfg.n_layers):
-            # (g * xhat + b) @ W1 + b1  ==  xhat @ (g[:, None] * W1) + (b @ W1 + b1)
-            g, beta, W1 = p[f"blk{l}_ln2_g"], p[f"blk{l}_ln2_b"], p[f"blk{l}_ffn_W1"]
-            blocks.append((*fold_attention(p, l, cfg.n_heads), g[:, None] * W1,
-                           beta @ W1 + p[f"blk{l}_ffn_b1"], p[f"blk{l}_ffn_W2"], p[f"blk{l}_ffn_b2"]))
+        blocks = [(*fold_attention(p, l, cfg.n_heads),
+                   *(p[f"blk{l}_ffn_{name}"] for name in ("W1", "b1", "W2", "b2")))
+                  for l in range(cfg.n_layers)]
 
         def frozen(a):
             a = np.ascontiguousarray(a, dtype=dt)
@@ -882,7 +855,7 @@ def load_checkpoint(path):
             if not isinstance(meta, dict):
                 raise CheckpointError(f"corrupt checkpoint {path}: its meta is not a JSON object")
             version = meta.get("version")
-            if version in (1, 2, 3, 4):
+            if type(version) is int and version < CHECKPOINT_VERSION:
                 raise CheckpointError(f"{path} is a version-{version} checkpoint, a layout this "
                                       f"release no longer reads; retrain it with `aqmlab train`")
             if version != CHECKPOINT_VERSION:

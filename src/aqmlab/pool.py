@@ -167,8 +167,8 @@ class ExperiencePool:
     @classmethod
     def load(cls, path):
         """The pool saved at `path`, validated: a file whose stored returns
-        no longer match its rewards, or with a non-finite state or a
-        mis-shaped column, raises PoolError."""
+        no longer match its rewards, or with a non-finite state, a
+        mis-shaped column or no numeric gamma, raises PoolError."""
         with open(path, "rb") as fh:
             head = fh.read(4)
             fh.seek(0)
@@ -184,6 +184,9 @@ class ExperiencePool:
                 meta = json.loads(z["meta"].tobytes().decode("utf-8"))
                 if meta.get("format_version") != POOL_FORMAT_VERSION:
                     raise PoolError(f"unsupported pool format version {meta.get('format_version')}")
+                gamma = meta.get("gamma")
+                if type(gamma) not in (int, float):   # JSON's numbers; a bool is no gamma
+                    raise PoolError(f"{path} has no numeric gamma in its meta, but {gamma!r}")
                 if any(key.endswith("_timesteps") for key in stored):
                     raise PoolError(f"{path} stores timestep columns, which came from --jitter; "
                                     f"a step's timestep is its index, so rebuild the pool "
@@ -199,7 +202,7 @@ class ExperiencePool:
                     Trajectory(**{name: z[f"t{ti}_{name}"] for name in _TRAJECTORY_ARRAYS
                                   if f"t{ti}_{name}" in stored})
                     for ti in range(count)]
-        pool = cls(trajectories=trajectories, gamma=meta["gamma"],
+        pool = cls(trajectories=trajectories, gamma=gamma,
                    feature_stats=meta.get("feature_stats"),
                    provenance=meta.get("provenance", {}))
         pool.validate()

@@ -373,22 +373,27 @@ def normalize_grad(dxhat, xhat, inv):
     return g2.reshape(dxhat.shape)
 
 
-def layer_norm(x, gamma, beta, eps=LN_EPS):
-    """Normalize over the last axis, then affine with gamma/beta."""
+def layer_norm(x, gamma=None, beta=None, eps=LN_EPS):
+    """Normalize over the last axis, then scale by gamma and shift by beta,
+    each optional: without either the output is the normalised x."""
     xhat, inv = normalize(x.data, eps)
-    out_data = xhat * gamma.data
-    out_data += beta.data
+    out_data = xhat if gamma is None else xhat * gamma.data
+    if beta is not None:
+        out_data = out_data + beta.data
 
     def bwd(g):
         g2, xh = g.reshape(-1, g.shape[-1]), xhat.reshape(-1, g.shape[-1])
         if x.requires_grad:
-            x._accum(normalize_grad(g * gamma.data, xhat, inv))
-        if gamma.requires_grad:
+            # normalize_grad writes into its first argument, and g may be
+            # another node's gradient too
+            x._accum(normalize_grad(g.copy() if gamma is None else g * gamma.data, xhat, inv))
+        if gamma is not None and gamma.requires_grad:
             gamma._accum(_sum_rows(g2 * xh))
-        if beta.requires_grad:
+        if beta is not None and beta.requires_grad:
             beta._accum(_sum_rows(g2))
 
-    return Tensor(out_data, _parents=(x, gamma, beta), _backward=bwd)
+    parents = tuple(t for t in (x, gamma, beta) if t is not None)
+    return Tensor(out_data, _parents=parents, _backward=bwd)
 
 
 def conv1d(x, K, b=None, padding="same"):

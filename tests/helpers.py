@@ -1,5 +1,7 @@
 """Helpers that several test modules share."""
 
+import json
+
 import numpy as np
 
 from aqmlab.features import CONV_FEATURES, STATE_FEATURES
@@ -35,11 +37,10 @@ def block_diagonal_tokens(p, returns, states, actions):
         if name in CONV_FEATURES:
             j = conv.index(name)
             kernels[1 + i] = p["enc_conv_K"][j] @ E[i]
-            biases[1 + i] = p["enc_conv_b"][j] @ E[i] + p["embed_b"][i]
         else:
             j = scalar.index(name)
             kernels[1 + i, -1] = p["enc_scalar_W"][j] @ E[i]
-            biases[1 + i] = p["enc_scalar_b"][j] @ E[i] + p["embed_b"][i]
+        biases[1 + i] = p["embed_b"][i]
     W = np.zeros((CONV_WIDTH, TOKENS_PER_STEP, TOKENS_PER_STEP, d), dtype=E.dtype)
     for c in range(TOKENS_PER_STEP):
         W[:, c, c] = kernels[c]
@@ -53,20 +54,30 @@ def block_diagonal_tokens(p, returns, states, actions):
     return out.reshape(b, w, TOKENS_PER_STEP, d)
 
 
-# A saved pool's array edits that `ExperiencePool.load` must refuse: the
-# array's name, the entry, its new value from the old, and the PoolError's text.
+# A saved pool's edits that `ExperiencePool.load` must refuse: the array's
+# name, the entry, its new value from the old, and the PoolError's text; an
+# edit of "meta" maps the decoded JSON header to a new one.
 CORRUPT_POOL_EDITS = [
     ("t1_returns", 5, lambda v: v + 1.0, "trajectory 1 step 5: stored return"),
     ("t0_states", (3, 2), lambda v: np.nan, "trajectory 0 step 3: non-finite state"),
+    ("meta", None, lambda m: {k: v for k, v in m.items() if k != "gamma"},
+     "has no numeric gamma in its meta, but None"),
+    ("meta", None, lambda m: {**m, "gamma": str(m["gamma"])},
+     "has no numeric gamma in its meta, but '0."),
 ]
+CORRUPT_POOL_IDS = ["edited-return", "nan-state", "no-gamma", "string-gamma"]
 
 
 def corrupt_pool_file(src, dst, name, index, edit):
     """Copy the pool file `src` to `dst` with one entry of array `name`
-    replaced by edit(old value)."""
+    replaced by edit(old value), or its meta by edit(old meta)."""
     with np.load(src) as z:
         arrays = {k: z[k] for k in z.files}
-    arrays[name][index] = edit(arrays[name][index])
+    if name == "meta":
+        meta = edit(json.loads(arrays["meta"].tobytes()))
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    else:
+        arrays[name][index] = edit(arrays[name][index])
     with open(dst, "wb") as fh:
         np.savez(fh, **arrays)
     return dst

@@ -2,6 +2,7 @@
 lines of the form `perfbench/run.py` prints, and smallest runs of
 tools/step_pairs.py and tools/decision_pairs.py."""
 
+import contextlib
 import importlib.util
 import json
 import os
@@ -9,6 +10,7 @@ import pathlib
 import signal
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -192,19 +194,35 @@ def test_step_pairs_runs_at_its_smallest_size_against_head():
     assert status() == before
 
 
-def test_decision_pairs_runs_at_its_smallest_size_against_head():
+def committed_copy(dest):
+    """A git repository at `dest` whose HEAD commit holds the working tree's
+    tracked files as they are on disk.  decision_pairs compares only
+    commits of one checkpoint format, so its runs below take this HEAD as
+    their base: the checkout's own HEAD may be of an earlier format while
+    a change to the format is not yet committed."""
+    bench_pairs.export_tree(str(ROOT), str(dest))
+    for args in (["init", "-q"], ["add", "-A"],
+                 ["-c", "user.name=tests", "-c", "user.email=tests@localhost", "-c", "commit.gpgsign=false",
+                  "commit", "-q", "--no-verify", "-m", "working tree"]):
+        subprocess.run(["git", *args], cwd=dest, check=True, capture_output=True)
+    return dest
+
+
+def test_decision_pairs_runs_at_its_smallest_size_against_head(tmp_path):
     """tools/decision_pairs.py imports HEAD's and the working tree's
     packages into one process, checks that their logits agree on the
     recorded windows, times their decisions block by block and writes
     nothing into the checkout."""
+    checkout = committed_copy(tmp_path / "checkout")
+
     def status():
-        return subprocess.run(["git", "status", "--porcelain", "--untracked-files=all"], cwd=ROOT,
+        return subprocess.run(["git", "status", "--porcelain", "--untracked-files=all"], cwd=checkout,
                               check=True, capture_output=True, text=True).stdout
 
     before = status()
     proc = subprocess.run(
         [sys.executable, "tools/decision_pairs.py", "--blocks", "2", "--seconds", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=120)
+        cwd=checkout, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("base ") and "of a 1 s held-out episode, 1 layer(s), 2 head(s), " \
@@ -218,22 +236,58 @@ def test_decision_pairs_runs_at_its_smallest_size_against_head():
     assert status() == before
 
 
+def test_decision_pairs_exits_2_when_the_base_cannot_read_the_checkpoint(tmp_path, monkeypatch,
+                                                                         capsys):
+    """A base of an earlier checkpoint format refuses the working tree's
+    checkpoint: the tool says that it compares only commits of one format,
+    names the tool that covers the rest, and exits 2 without a traceback."""
+    import aqmlab.model
+    monkeypatch.setattr(sys, "path", [*sys.path])   # the tool puts tools/ on it
+    spec = importlib.util.spec_from_file_location("decision_pairs", ROOT / "tools" / "decision_pairs.py")
+    decision_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(decision_pairs)
+
+    class BaseCheckpointError(RuntimeError):
+        pass
+
+    def refuse(path):
+        raise BaseCheckpointError("unsupported checkpoint version 6")
+
+    @contextlib.contextmanager
+    def side_trees(rev, prefix):
+        base = types.SimpleNamespace(model=types.SimpleNamespace(
+            CheckpointError=BaseCheckpointError, load_checkpoint=refuse))
+        yield "0" * 40, str(tmp_path), {"base": base, "change": aqmlab}
+
+    model = aqmlab.model
+    monkeypatch.setattr(decision_pairs.step_pairs, "side_trees", side_trees)
+    monkeypatch.setattr(decision_pairs, "write_checkpoint", lambda package, path: model.save_checkpoint(
+        model.PolicyModel(model.ModelConfig()), path))
+    assert decision_pairs.main(["--blocks", "1", "--seconds", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: base 000000000000 cannot read the working tree's checkpoint "
+                          "(unsupported checkpoint version 6); decision_pairs compares only "
+                          "commits of one checkpoint format, and tools/bench_pairs.py covers")
+
+
 @pytest.mark.parametrize("tool, size, prefix", [
     ("step_pairs.py", ["--steps", "1"], "step-pairs-"),
     ("decision_pairs.py", ["--seconds", "1"], "decision-pairs-")], ids=["step_pairs", "decision_pairs"])
 def test_pairs_tool_removes_its_checkouts_on_sigterm(tmp_path, tool, size, prefix):
     """A run ended by SIGTERM still removes its temporary directory."""
+    checkout, tmp = committed_copy(tmp_path / "checkout"), tmp_path / "tmp"
+    tmp.mkdir()
     proc = subprocess.Popen(
         [sys.executable, f"tools/{tool}", "--blocks", "100000", *size],
-        cwd=ROOT, env=dict(os.environ, TMPDIR=str(tmp_path)), stdout=subprocess.PIPE,
+        cwd=checkout, env=dict(os.environ, TMPDIR=str(tmp)), stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL, text=True)
     try:
         assert proc.stdout.readline().startswith("base ")
-        assert len(list(tmp_path.glob(f"{prefix}*"))) == 1
+        assert len(list(tmp.glob(f"{prefix}*"))) == 1
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=60) == 128 + signal.SIGTERM
     finally:
         proc.kill()
         proc.wait()
         proc.stdout.close()
-    assert not list(tmp_path.glob(f"{prefix}*"))
+    assert not list(tmp.glob(f"{prefix}*"))

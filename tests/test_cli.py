@@ -19,7 +19,7 @@ from aqmlab.training import TrainConfig
 from aqmlab.simulator import (
     Dualpi2Params, FlowKind, FlowSpec, ScenarioConfig, default_scenario, run_scenario, write_klog,
 )
-from helpers import CORRUPT_POOL_EDITS, corrupt_pool_file
+from helpers import CORRUPT_POOL_EDITS, CORRUPT_POOL_IDS, corrupt_pool_file
 
 SECONDS = 2
 
@@ -259,7 +259,7 @@ def test_scenario_with_a_negative_start_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name,index,edit,message", CORRUPT_POOL_EDITS,
-                         ids=["edited-return", "nan-state"])
+                         ids=CORRUPT_POOL_IDS)
 def test_train_on_a_corrupt_pool_exits_1(pipeline, tmp_path, capsys, name, index, edit, message):
     paths, _ = pipeline
     bad = corrupt_pool_file(paths["pool.npz"], tmp_path / "bad.npz", name, index, edit)

@@ -228,6 +228,22 @@ class TestCompare:
         assert json.loads(json.dumps(compare(a, b)))["deltas"]["delay_ms"]["median_rel"] is None
         assert compare(b, a)["deltas"]["delay_ms"]["median_rel"] == pytest.approx(-1.0)
 
+    def test_a_class_without_samples_has_no_delta(self):
+        """A run without the L4S flow has no L4S delay to compare: either
+        way round, that class's deltas are null, not a change from or to a
+        measured 0 ms, and the classes both runs carry stay numbers."""
+        full = default_scenario(seed=1, duration_us=2_000_000)
+        no_l4s = ScenarioConfig(seed=1, duration_us=full.duration_us, flows=[
+            f for f in full.flows if f.kind is not FlowKind.DCTCP_LIKE])
+        docs = ev.evaluate(full), ev.evaluate(no_l4s)
+        assert docs[0]["summary"]["l4s_delay_ms"]["count"] > 0
+        assert docs[1]["summary"]["l4s_delay_ms"]["count"] == 0
+        for baseline, candidate in (docs, docs[::-1]):
+            deltas = json.loads(json.dumps(compare(baseline, candidate)))["deltas"]
+            assert deltas["l4s_delay_ms"] == {"median": None, "median_rel": None, "iqr": None}
+            for key in ("delay_ms", "classic_delay_ms"):
+                assert all(isinstance(v, float) for v in deltas[key].values()), key
+
     def test_a_run_without_delay_samples_is_refused(self, tmp_path, capsys):
         """A run with no flows has no delay samples: comparing it with a
         real run, either way round, raises rather than report a KS of 0 or a

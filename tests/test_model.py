@@ -336,7 +336,7 @@ class TestCheckpoint:
         path = tmp_path / "m.npz"
         save_checkpoint(m, path)
         meta = saved_meta(path)
-        assert meta["version"] == CHECKPOINT_VERSION == 5
+        assert meta["version"] == CHECKPOINT_VERSION == 6
         assert meta["lora_rank"] == 2 and "lora_enabled" not in meta
         assert "frozen" not in meta and not {"lora_targets", "lora_rank"} & meta["config"].keys()
 
@@ -359,7 +359,7 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="stored LoRA rank"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_earlier_versions_rejected_with_a_retrain_hint(self, tmp_path, version):
         path = tmp_path / f"v{version}.npz"
         save_checkpoint(PolicyModel(small_config(), seed=0), path)
@@ -431,15 +431,16 @@ def rewrite_meta(path, **fields):
 
 
 # parameter_digest() of untrained seeded models: a seed must keep its initial
-# values.  Checkpoint v5 dropped the key bias; every other tensor kept the
-# digest it had at v4.
+# values.  Checkpoint v6 dropped the seven tensor kinds another tensor
+# absorbs, all constants that drew nothing; every remaining tensor is byte
+# for byte the v5 tensor of its name.
 GOLDEN_PARAMETER_DIGESTS = {
-    "cli_default/0": "5f1b10e22a48b1d458d13b571cf8728b04a070297f01a397234d738dc47831ef",
-    "cli_default/5": "f45332a62c81a03bcc53d9ac4437a9522ab73106c4019974d42aa8388237d85d",
-    "cli_default/7": "89d35da30ae9065f981889a4202c8b608e26ef64196682cdfff8b2570e139a47",
-    "small_float64/0": "68c97b1de118c0e29702c6cf9a95eccf9fa8f383673198921f8da9e630c1da4e",
-    "small_float64/5": "b849a773bd2d6afa0a80a539553cc4ec3019ad2a81b3a5ad0369696aa32ffca3",
-    "small_float64/7": "d3275ca6b28699e8fe493035ddad17094cf22d4c1b3bb2aae6444228f5bcf7cd",
+    "cli_default/0": "d23fd7a28feaa53e177142853a8237e146509d863f1f82f5f5575205486ad4e8",
+    "cli_default/5": "85b6a1db7d677bb17bc0c7bac1f2c125cf80794571df4c36413c70ba87229deb",
+    "cli_default/7": "7e85e93cf74720cb22de3acf7dff6d5fb6cdd8b6db87d7221bd2556778d947e2",
+    "small_float64/0": "139e0bca367e09ed71de83d630eefda455d040ded7e66e012ef225c5627199ac",
+    "small_float64/5": "bc2d447a0edd50eefab62e04a3839c8723544d851687d99c3096ad08a04febc4",
+    "small_float64/7": "d07ebf3cfa0686ad7b4f4c5a1bcc4428303aa84ee29a91b05497185adfde27c7",
 }
 
 GOLDEN_CONFIGS = {
@@ -465,11 +466,14 @@ def bench_config(**over):
     return ModelConfig(**base)
 
 
-def reference_encode_state(model, states):
+def reference_encode_state(model, states, absorbed=None):
     """The per-feature encoder the fused one replaced, built from the stacked
     parameters: a linear map per scalar feature, one causal T.conv1d of width
-    CONV_WIDTH per temporal feature, then a linear embedding per feature."""
+    CONV_WIDTH per temporal feature, then a linear embedding per feature.
+    The encoders have a bias where `absorbed` (name -> Tensor) holds one,
+    enc_scalar_b or enc_conv_b (`absorbed_tensors`)."""
     cfg, p = model.config, model.params
+    absorbed = absorbed or {}
     states = np.asarray(states, dtype=cfg.np_dtype)
     b, w, _ = states.shape
     fd, d = cfg.feature_dim, cfg.embed_size
@@ -477,31 +481,35 @@ def reference_encode_state(model, states):
     def row(name, r):
         return T.select_positions(p[name], [r], axis=0)
 
+    def bias(name, r):
+        if name in absorbed:
+            return T.select_positions(absorbed[name], [r], axis=0).reshape(fd)
+
     outs, si, ci = [], 0, 0
     for i, name in enumerate(STATE_FEATURES):
         col = Tensor(states[:, :, i:i + 1])
         if name in CONV_FEATURES:
             kernel = row("enc_conv_K", ci).transpose(2, 0, 1)            # [fd, 1, CONV_WIDTH]
-            feat = T.conv1d(col.reshape(b, 1, w), kernel, row("enc_conv_b", ci).reshape(fd),
+            feat = T.conv1d(col.reshape(b, 1, w), kernel, bias("enc_conv_b", ci),
                             padding="causal").transpose(0, 2, 1)
             ci += 1
         else:
-            feat = T.linear(col, row("enc_scalar_W", si), row("enc_scalar_b", si).reshape(fd))
+            feat = T.linear(col, row("enc_scalar_W", si), bias("enc_scalar_b", si))
             si += 1
         outs.append(T.linear(feat, row("embed_W", i).reshape(fd, d), row("embed_b", i).reshape(d)))
     return T.concat([o.reshape(b, w, 1, d) for o in outs], axis=2)
 
 
-def reference_build_sequence(model, R, S, A, ts):
-    """build_sequence composed node by node from `reference_encode_state`:
-    the return and action encoders, a concat, and the time rows gathered
-    per step."""
+def reference_build_sequence(model, R, S, A, ts, absorbed=None):
+    """build_sequence composed node by node from `reference_encode_state`
+    (given `absorbed`): the return and action encoders, a concat, and the
+    time rows gathered per step."""
     cfg, p = model.config, model.params
     dt = cfg.np_dtype
     b, w = np.shape(R)
     r_emb = T.linear(Tensor(np.asarray(R, dtype=dt)[:, :, None]), p["W_return"], p["b_return"])
     a_emb = T.linear(Tensor(np.asarray(A, dtype=dt)[:, :, None]), p["W_action"], p["b_action"])
-    tokens = T.concat([r_emb.reshape(b, w, 1, -1), reference_encode_state(model, S),
+    tokens = T.concat([r_emb.reshape(b, w, 1, -1), reference_encode_state(model, S, absorbed),
                        a_emb.reshape(b, w, 1, -1)], axis=2)
     t_emb = T.select_positions(p["W_time"], np.clip(ts, 0, cfg.max_timestep)[:, :, None], axis=0)
     tokens = (tokens + t_emb).reshape(b, w * TOKENS_PER_STEP, cfg.embed_size)
@@ -550,8 +558,7 @@ class TestFusedEncoder:
         m = PolicyModel(cfg, seed=0)
         fd, d, nc = cfg.feature_dim, cfg.embed_size, len(CONV_FEATURES)
         shapes = {n: p.shape for n, p in m.params.items() if n.startswith(("enc", "embed"))}
-        assert shapes == {"enc_scalar_W": (8 - nc, fd), "enc_scalar_b": (8 - nc, fd),
-                          "enc_conv_K": (nc, CONV_WIDTH, fd), "enc_conv_b": (nc, fd),
+        assert shapes == {"enc_scalar_W": (8 - nc, fd), "enc_conv_K": (nc, CONV_WIDTH, fd),
                           "embed_W": (8, fd, d), "embed_b": (8, d)}
 
     @pytest.mark.parametrize("b", [1, 32])
@@ -747,12 +754,14 @@ class TestHeadRowsOnly:
             assert np.abs(g_p[name] - g).max() <= grad_tol * np.abs(g).max(), name
 
 
-def reference_attention_block(model, x, l, mask_bias, rows=None):
+def reference_attention_block(model, x, l, mask_bias, rows=None, absorbed=None):
     """The block composed op by op, the reference for `folded_attention`:
     T.layer_norm, a T.linear per projection (plus x @ A @ B where LoRA wraps
     it), keys and values of every token, T.attention over the query `rows`,
-    then LN2 and the FFN."""
-    p = model.params
+    then LN2 and the FFN.  The layer norms have a gain and a shift, and the
+    value a bias, where `absorbed` (name -> Tensor) holds them
+    (`absorbed_tensors`)."""
+    p = {**model.params, **(absorbed or {})}
 
     def proj(t, name):
         out = T.linear(t, p[f"{name}_W"], p.get(f"{name}_b"))   # a key has no bias
@@ -760,14 +769,14 @@ def reference_attention_block(model, x, l, mask_bias, rows=None):
             out = out + (t @ p[f"{name}_lora_A"]) @ p[f"{name}_lora_B"]
         return out
 
-    ln = T.layer_norm(x, p[f"blk{l}_ln1_g"], p[f"blk{l}_ln1_b"])
+    ln = T.layer_norm(x, p.get(f"blk{l}_ln1_g"), p.get(f"blk{l}_ln1_b"))
     k, v = proj(ln, f"blk{l}_attn_k"), proj(ln, f"blk{l}_attn_v")
     if rows is not None:
         x, ln = T.select_positions(x, rows), T.select_positions(ln, rows)
     att = T.attention(proj(ln, f"blk{l}_attn_q"), k, v, mask_bias=mask_bias,
                       heads=model.config.n_heads)
     x = x + proj(att, f"blk{l}_attn_o")
-    ln2 = T.layer_norm(x, p[f"blk{l}_ln2_g"], p[f"blk{l}_ln2_b"])
+    ln2 = T.layer_norm(x, p.get(f"blk{l}_ln2_g"), p.get(f"blk{l}_ln2_b"))
     hdn = T.linear(ln2, p[f"blk{l}_ffn_W1"], p[f"blk{l}_ffn_b1"]).relu()
     return x + T.linear(hdn, p[f"blk{l}_ffn_W2"], p[f"blk{l}_ffn_b2"])
 
@@ -827,13 +836,13 @@ class TestFoldedAttention:
         assert T.grad_check(loss, [target], eps=1e-6, max_coords=96) < 1e-7
 
     def test_a_block_stores_no_key_bias(self):
-        """Softmax would cancel a key bias, so a block stores its 15 tensors
+        """Softmax would cancel a key bias, so a block stores its 10 tensors
         without one, and the node reads every attention tensor it stores."""
         m = PolicyModel(bench_config(n_layers=2), seed=0)
         for l in range(2):
             names = {n[len(f"blk{l}_"):] for n in m.params if n.startswith(f"blk{l}_")}
-            assert len(names) == 15 and "attn_k_b" not in names
-            assert {n for n in names if n.startswith(("ln1", "attn"))} == set(
+            assert len(names) == 10 and "attn_k_b" not in names
+            assert {n for n in names if n.startswith("attn")} == set(
                 model_mod._ATTENTION_PARAMS)
 
     def test_snapshot_runs_the_shared_fold(self):
@@ -891,6 +900,99 @@ class TestLeftPadding:
             alone = model.predict(R[i:i + 1, real], S[i:i + 1, real], A[i:i + 1, real],
                                   ts[i:i + 1, real])[0]
             np.testing.assert_allclose(alone, want, rtol=0, atol=tol)
+
+
+# the tensors of a block that a checkpoint-v6 model absorbs
+ABSORBED_BLOCK_TENSORS = ("ln1_g", "ln1_b", "attn_v_b", "ln2_g", "ln2_b")
+
+
+def absorbed_tensors(cfg, seed=11):
+    """Random values, as Tensors, of the seven tensor kinds a checkpoint-v6
+    model stores none of: the scalar and conv encoders' biases, and per
+    block ln1's and ln2's gain (near 1) and shift and the value bias."""
+    rng = np.random.default_rng(seed)
+    d, fd = cfg.embed_size, cfg.feature_dim
+    shapes = {"enc_scalar_b": (model_mod._SCALAR_IDX.size, fd),
+              "enc_conv_b": (model_mod._CONV_IDX.size, fd)}
+    for l in range(cfg.n_layers):
+        shapes.update({f"blk{l}_{name}": (d,) for name in ABSORBED_BLOCK_TENSORS})
+    return {name: Tensor(float(name.endswith("_g")) + rng.normal(0.0, 0.3, shape))
+            for name, shape in shapes.items()}
+
+
+# each term by which a stored tensor absorbs one of `absorbed_tensors`
+ABSORPTIONS = ("embed_b<-enc_scalar_b", "embed_b<-enc_conv_b", "W_q<-ln1_g", "W_k<-ln1_g",
+               "W_v<-ln1_g", "b_q<-ln1_b", "b_o<-ln1_b", "b_o<-attn_v_b", "W1<-ln2_g", "b1<-ln2_b")
+
+
+def absorb(model, absorbed, skip=()):
+    """Fold the tensors `absorbed` into the stored tensors of `model` by
+    every term of ABSORPTIONS but those in `skip`, so that it computes what
+    the op-by-op references compute with them:
+    - an encoder bias b of state feature i adds b·embed_W[i] to embed_b[i];
+    - ln1's gain g scales the rows of W_q, W_k and W_v (LoRA's A too);
+    - ln1's shift β adds β·W_q to b_q and β·W_v·W_o to b_o (β·W_k would
+      add a constant to a query's scores, which softmax cancels);
+    - the value bias b_v adds b_v·W_o to b_o, as a query's weights sum to 1;
+    - ln2's gain scales W1's rows and its shift adds β·W1 to b1.
+    The wrapped matrices read as W + A @ B."""
+    p = model.params
+    a = {name: t.data for name, t in absorbed.items()}
+
+    def fold(term, name, delta):
+        if term not in skip:
+            p[name].data = p[name].data + delta
+
+    E = p["embed_W"].data
+    for kind, idx in (("scalar", model_mod._SCALAR_IDX), ("conv", model_mod._CONV_IDX)):
+        delta = np.zeros_like(p["embed_b"].data)
+        delta[idx] = np.einsum("jf,jfd->jd", a[f"enc_{kind}_b"], E[idx])
+        fold(f"embed_b<-enc_{kind}_b", "embed_b", delta)
+    merged = {**{n: t.data for n, t in p.items()}, **model.merge_lora()}
+    for l in range(model.config.n_layers):
+        g1, beta1, b_v, g2, beta2 = (a[f"blk{l}_{name}"] for name in ABSORBED_BLOCK_TENSORS)
+        Wv, Wo, W1 = (merged[f"blk{l}_{name}"] for name in ("attn_v_W", "attn_o_W", "ffn_W1"))
+        fold("b_q<-ln1_b", f"blk{l}_attn_q_b", beta1 @ merged[f"blk{l}_attn_q_W"])
+        fold("b_o<-ln1_b", f"blk{l}_attn_o_b", beta1 @ Wv @ Wo)
+        fold("b_o<-attn_v_b", f"blk{l}_attn_o_b", b_v @ Wo)
+        fold("b1<-ln2_b", f"blk{l}_ffn_b1", beta2 @ W1)
+        fold("W1<-ln2_g", f"blk{l}_ffn_W1", (g2[:, None] - 1.0) * W1)
+        for w in ("q", "k", "v"):
+            for name in (f"blk{l}_attn_{w}_W", f"blk{l}_attn_{w}_lora_A"):
+                if name in p:
+                    fold(f"W_{w}<-ln1_g", name, (g1[:, None] - 1.0) * p[name].data)
+
+
+class TestAbsorbedTensors:
+    """A checkpoint-v6 model stores no layer-norm tensor in its blocks and
+    no value or encoder bias: folding random values of them into the
+    tensors it stores gives the logits of the op-by-op references that
+    apply them, and dropping any one term of the fold does not."""
+
+    @staticmethod
+    def _logits(n_layers, lora, skip=()):
+        cfg = bench_config(n_layers=n_layers, dtype="float64")
+        ref, folded = perturbed_model(cfg, lora=lora), perturbed_model(cfg, lora=lora)
+        absorbed = absorbed_tensors(cfg)
+        absorb(folded, absorbed, skip)
+        ref.build_sequence = lambda R, S, A, ts: reference_build_sequence(ref, R, S, A, ts, absorbed)
+        ref._attention_block = lambda x, l, bias, rows=None: reference_attention_block(
+            ref, x, l, bias, rows, absorbed)
+        R, S, A, ts, pad = padded_batch(cfg)
+        with T.no_grad():
+            return (folded.forward(R, S, A, ts, pad_mask=pad).data,
+                    ref.forward(R, S, A, ts, pad_mask=pad).data)
+
+    @pytest.mark.parametrize("lora", [False, True])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_folded_model_matches_the_references(self, n_layers, lora):
+        got, want = self._logits(n_layers, lora)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("term", ABSORPTIONS)
+    def test_every_term_is_needed(self, term):
+        got, want = self._logits(2, True, skip=(term,))
+        assert np.abs(got - want).max() > 1e-6
 
 
 def assert_policy_matches_predict(model, tol, seed=7, t0=0):

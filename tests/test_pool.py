@@ -15,7 +15,7 @@ from aqmlab.pool import (
     normalize, normalize_states, returns_to_go,
 )
 from aqmlab.simulator import KLOG_FIELDS, default_scenario, run_scenario, write_klog
-from helpers import CORRUPT_POOL_EDITS, all_steps, corrupt_pool_file
+from helpers import CORRUPT_POOL_EDITS, CORRUPT_POOL_IDS, all_steps, corrupt_pool_file
 
 
 def forward_sum_returns(rewards, gamma):
@@ -267,7 +267,7 @@ class TestPoolFormat:
             ExperiencePool.load(self._resave(tmp_path, lambda arrays, meta: meta.pop("trajectories")))
 
     @pytest.mark.parametrize("name,index,edit,message", CORRUPT_POOL_EDITS,
-                             ids=["edited-return", "nan-state"])
+                             ids=CORRUPT_POOL_IDS)
     def test_corrupt_values_rejected(self, tmp_path, name, index, edit, message):
         """`load` validates what it read, not only the file's structure."""
         path = tmp_path / "pool.npz"

@@ -149,6 +149,18 @@ class TestGradChecks:
                            [x, g, b], eps=1e-6)
         assert err < 1e-3
 
+    def test_layer_norm_without_gain_or_shift(self):
+        """Without gamma and beta the output is `normalize`'s, the node's
+        only parent is x, and its backward leaves the upstream gradient
+        intact: here `+ x` hands x the same array the layer norm gets."""
+        x = Tensor(rand(3, 8), requires_grad=True)
+        w = rand(3, 8, seed=3)
+        out = T.layer_norm(x)
+        assert out._parents == (x,)
+        np.testing.assert_array_equal(out.data, T.normalize(x.data)[0])
+        err = T.grad_check(lambda: ((T.layer_norm(x) + x) * Tensor(w)).sum(), [x], eps=1e-6)
+        assert err < 1e-7
+
     @pytest.mark.parametrize("padding", ["same", "causal"])
     def test_conv1d(self, padding):
         x = Tensor(rand(2, 3, 9), requires_grad=True)     # [b, in_ch, len]

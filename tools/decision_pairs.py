@@ -17,8 +17,11 @@ POOL_SECONDS each, so it carries the pool's feature stats and target
 return, and `LlmEvery(checkpoint, every=10)` drives one held-out default
 scenario (seed HELD_OUT_SEED, `--seconds` long), recording each window it
 passes to `InferencePolicy.logits`.  Each side then loads the checkpoint and
-builds its own `InferencePolicy`.  If the two sides' logits differ by more
-than TOLERANCE on any window, the tool says so and exits 1.
+builds its own `InferencePolicy`.  If the base cannot read the checkpoint,
+a commit of an earlier checkpoint format, the tool says so and exits 2:
+it compares only commits of one format, and `tools/bench_pairs.py`, which
+runs each side's own pipeline, covers the rest.  If the two sides' logits
+differ by more than TOLERANCE on any window, the tool says so and exits 1.
 
 A block runs through the recorded windows once, calling each side's
 `logits` on each window in turn, so both sides meet the same speed regime;
@@ -95,9 +98,16 @@ def main(argv=None):
     with step_pairs.side_trees(args.base, "decision-pairs-") as (base, tmp, trees):
         ckpt = os.path.join(tmp, "policy.npz")
         write_checkpoint(trees["change"], ckpt)
+        try:
+            base_model = trees["base"].model.load_checkpoint(ckpt)[0]
+        except trees["base"].model.CheckpointError as e:
+            print(f"error: base {base[:12]} cannot read the working tree's checkpoint ({e}); "
+                  f"decision_pairs compares only commits of one checkpoint format, and "
+                  f"tools/bench_pairs.py covers the rest", file=sys.stderr)
+            return 2
+        models = {"base": base_model, "change": trees["change"].model.load_checkpoint(ckpt)[0]}
         windows = record_windows(trees["change"], ckpt, args.seconds)
-        policies = {side: trees[side].model.InferencePolicy(trees[side].model.load_checkpoint(ckpt)[0])
-                    for side in SIDES}
+        policies = {side: trees[side].model.InferencePolicy(models[side]) for side in SIDES}
         logits = {side: np.array([policies[side].logits(*w) for w in windows]) for side in SIDES}
         gap = float(np.abs(logits["change"] - logits["base"]).max())
         mcfg = policies["change"].config
