@@ -91,8 +91,9 @@ def _cmd_evaluate(args):
     doc = evaluation.evaluate(_scenario(args), driver=_make_driver(args))
     evaluation.save_stats(doc, args.output)
     s = doc["summary"]["delay_ms"]
-    print(f"median delay {s['median']:.2f} ms, IQR {s['iqr']:.2f} ms, "
-          f"utilization {doc['summary']['utilization']['mean']:.3f} "
+    delay = (f"median delay {s['median']:.2f} ms, IQR {s['iqr']:.2f} ms" if s["count"]
+             else "no delay samples")
+    print(f"{delay}, utilization {doc['summary']['utilization']['mean']:.3f} "
           f"-> {args.output}")
     matrix = doc["driver"].get("action_matrix")
     if matrix is not None:

@@ -146,12 +146,13 @@ class LlmEvery:
 
 
 def _summary(values):
-    """Five-number-ish summary: median, IQR, Tukey whiskers, outlier count."""
+    """Five-number-ish summary: median, IQR, Tukey whiskers, outlier count.
+    Of no samples, count 0 and every statistic None (JSON null), not a
+    measured 0."""
     v = np.asarray(values, dtype=float)
     if v.size == 0:
-        return {"count": 0, "median": 0.0, "q1": 0.0, "q3": 0.0, "iqr": 0.0,
-                "lo_whisker": 0.0, "hi_whisker": 0.0, "outliers": 0,
-                "mean": 0.0, "p95": 0.0, "p99": 0.0}
+        return {"count": 0, **dict.fromkeys(("median", "q1", "q3", "iqr", "lo_whisker",
+                                              "hi_whisker", "outliers", "mean", "p95", "p99"))}
     q1, med, q3 = np.percentile(v, [25, 50, 75])
     iqr = q3 - q1
     lo = v[v >= q1 - 1.5 * iqr].min()

@@ -89,10 +89,14 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        for name, low in (("feature_dim", 1), ("embed_size", 1), ("n_heads", 1), ("n_layers", 0),
+                          ("context_window", 1), ("max_timestep", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.embed_size % self.n_heads:
             raise ValueError("embed_size must be divisible by n_heads")
-        if self.context_window < 1:
-            raise ValueError("context_window must be >= 1")
+        if np.dtype(self.dtype).kind != "f":
+            raise ValueError(f"dtype must be a floating type, got {self.dtype!r}")
 
     @property
     def np_dtype(self):

@@ -4,8 +4,9 @@ One trajectory per log file, held as columns: rewards, 8-feature states,
 actions and returns-to-go, each a numpy array with one row per decision; a
 step's timestep is its index.  `klog_states` and `normalize` are the one
 definition of the model's state input, which the closed loop shares.  Pools
-serialize to an uncompressed `.npz` file (format 2): those arrays plus
-a JSON header with the discount factor, normalization stats and provenance.
+serialize to an uncompressed `.npz` file (format 3): every column but the
+returns, which `load` derives from the rewards and the discount factor,
+plus a JSON header with that factor, normalization stats and provenance.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from .features import ACTION_COUNT, STATE_DIM, STATE_FEATURES
 # read_klog stays importable from here: perfbench/spans.py traces it under this module
 from .simulator import KLOG_FIELDS, PROB_SCALE, read_klog, read_klog_columns  # noqa: F401
 
-POOL_FORMAT_VERSION = 2
-RETURN_TOL = 1e-9   # `validate`'s relative tolerance on a stored return-to-go
-_REQUIRED_ARRAYS = ("rewards", "states", "actions", "returns")
-_TRAJECTORY_ARRAYS = _REQUIRED_ARRAYS + ("masked",)   # masked None: nothing masked
+POOL_FORMAT_VERSION = 3
+_REQUIRED_ARRAYS = ("rewards", "states", "actions")
+_STORED_ARRAYS = _REQUIRED_ARRAYS + ("masked",)   # masked None: nothing masked
+_TRAJECTORY_ARRAYS = _STORED_ARRAYS + ("returns",)
 _COLUMN = {name: i for i, name in enumerate(KLOG_FIELDS)}
 # divides the fixed-point probabilities by PROB_SCALE and every other
 # feature by 1.0, which leaves it exact
@@ -131,33 +132,27 @@ class ExperiencePool:
             if traj.states.shape != (n, STATE_DIM):
                 raise PoolError(f"trajectory {ti}: states are {traj.states.shape}, "
                                 f"expected ({n}, {STATE_DIM})")
-            for name in ("actions", "returns", "masked"):
+            for name in ("rewards", "actions", "returns", "masked"):
                 col = getattr(traj, name)
                 if col is not None and col.shape != (n,):
                     raise PoolError(f"trajectory {ti}: {name} are {col.shape}, expected ({n},)")
-            bad = ~np.isfinite(traj.states).all(axis=1)
-            if bad.any():
-                raise PoolError(f"trajectory {ti} step {int(np.argmax(bad))}: non-finite state")
-            want = np.array(returns_to_go(traj.rewards.tolist(), self.gamma))
-            # NaN-safe: a NaN return counts as a mismatch
-            bad = ~(np.abs(traj.returns - want) <= RETURN_TOL * np.maximum(1.0, np.abs(want)))
-            if bad.any():
-                si = int(np.flatnonzero(bad)[-1])
-                raise PoolError(f"trajectory {ti} step {si}: stored return "
-                                f"{traj.returns[si]} != recomputed {want[si]}")
+            for name, bad in (("reward", ~np.isfinite(traj.rewards)),
+                              ("state", ~np.isfinite(traj.states).all(axis=1))):
+                if bad.any():
+                    raise PoolError(f"trajectory {ti} step {int(np.argmax(bad))}: non-finite {name}")
         return True
 
     # -------------------------------------------------------------- persist
 
     def save(self, path):
-        """Write format 2 to exactly `path` (np.savez would add `.npz` to a
+        """Write format 3 to exactly `path` (np.savez would add `.npz` to a
         path given as a string that lacks it)."""
         meta = {"format_version": POOL_FORMAT_VERSION, "gamma": self.gamma,
                 "feature_stats": self.feature_stats, "provenance": self.provenance,
                 "trajectories": len(self.trajectories)}
         arrays = {"meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
         for ti, traj in enumerate(self.trajectories):
-            for name in _TRAJECTORY_ARRAYS:
+            for name in _STORED_ARRAYS:
                 col = getattr(traj, name)
                 if col is not None:
                     arrays[f"t{ti}_{name}"] = col
@@ -166,9 +161,10 @@ class ExperiencePool:
 
     @classmethod
     def load(cls, path):
-        """The pool saved at `path`, validated: a file whose stored returns
-        no longer match its rewards, or with a non-finite state, a
-        mis-shaped column or no numeric gamma, raises PoolError."""
+        """The pool saved at `path`, its returns-to-go derived from the stored
+        rewards and gamma as `trajectory_from_columns` derives them, and
+        validated: a file with a non-finite reward or state, a mis-shaped
+        column or no numeric gamma, or of an older format, raises PoolError."""
         with open(path, "rb") as fh:
             head = fh.read(4)
             fh.seek(0)
@@ -182,15 +178,15 @@ class ExperiencePool:
                 if "meta" not in stored:
                     raise PoolError(f"{path} is an .npz file but not an experience pool")
                 meta = json.loads(z["meta"].tobytes().decode("utf-8"))
-                if meta.get("format_version") != POOL_FORMAT_VERSION:
-                    raise PoolError(f"unsupported pool format version {meta.get('format_version')}")
+                version = meta.get("format_version")
+                if type(version) is int and version < POOL_FORMAT_VERSION:
+                    raise PoolError(f"{path} is a format-{version} pool, a layout this release "
+                                    f"no longer reads; rebuild it with `aqmlab build-pool`")
+                if version != POOL_FORMAT_VERSION:
+                    raise PoolError(f"unsupported pool format version {version}")
                 gamma = meta.get("gamma")
                 if type(gamma) not in (int, float):   # JSON's numbers; a bool is no gamma
                     raise PoolError(f"{path} has no numeric gamma in its meta, but {gamma!r}")
-                if any(key.endswith("_timesteps") for key in stored):
-                    raise PoolError(f"{path} stores timestep columns, which came from --jitter; "
-                                    f"a step's timestep is its index, so rebuild the pool "
-                                    f"with `aqmlab build-pool` without --jitter")
                 count = meta.get("trajectories")
                 if not isinstance(count, int) or count < 0:
                     raise PoolError(f"{path} has no trajectory count")
@@ -198,10 +194,12 @@ class ExperiencePool:
                            if f"t{ti}_{name}" not in stored]
                 if missing:
                     raise PoolError(f"{path} lacks the array {missing[0]}")
-                trajectories = [
-                    Trajectory(**{name: z[f"t{ti}_{name}"] for name in _TRAJECTORY_ARRAYS
-                                  if f"t{ti}_{name}" in stored})
-                    for ti in range(count)]
+                columns = [{name: z[f"t{ti}_{name}"] for name in _STORED_ARRAYS
+                            if f"t{ti}_{name}" in stored} for ti in range(count)]
+        # an empty or mis-shaped rewards column derives no returns: validate names it
+        trajectories = [Trajectory(**cols, returns=returns_to_go(cols["rewards"].tolist(), gamma)
+                                   if cols["rewards"].ndim == 1 and cols["rewards"].size else ())
+                        for cols in columns]
         pool = cls(trajectories=trajectories, gamma=gamma,
                    feature_stats=meta.get("feature_stats"),
                    provenance=meta.get("provenance", {}))
@@ -334,8 +332,9 @@ def augment(pool: ExperiencePool, noise_sigma=0.0, dropout_prob=0.0, seed=0) -> 
     """
     if noise_sigma < 0:
         raise PoolError("noise_sigma must be >= 0")
-    if not (0.0 <= dropout_prob <= 1.0):
-        raise PoolError("dropout_prob must be in [0,1]")
+    if not (0.0 <= dropout_prob < 1.0):
+        raise PoolError(f"dropout_prob must be in [0,1), got {dropout_prob}: 1 masks every step, "
+                        f"which leaves nothing to train on")
     if noise_sigma > 0:
         stats = compute_feature_stats(pool)
         scale = noise_sigma * np.where(stats["zero_variance"], 0.0, stats["std"])

@@ -7,9 +7,8 @@ runs.
 
 Arrays are numpy, stored in the model dtype (float32 by default).  The hot
 ops are shaped for BLAS: `linear` is one 2-D GEMM forward and two in its
-backward (input and weight gradients) plus one bias reduction; `@` with a 2-D
-weight folds the batch axes into that GEMM.  The fused nodes with a
-backward of their own are the ones the train step runs: `linear`,
+backward (input and weight gradients) plus one bias reduction.  The fused
+nodes with a backward of their own are the ones the train step runs: `linear`,
 `layer_norm` and `cross_entropy` here, and the model's `token_sequence`
 and `folded_attention`.  `conv1d` and `attention` are compositions of the
 grad-checked primitives, the references the model's tests compare its
@@ -71,9 +70,6 @@ def _unbroadcast(grad, shape):
     """Sum grad down to `shape` (inverse of numpy broadcasting)."""
     if grad.shape == shape:
         return grad
-    if grad.shape[grad.ndim - len(shape):] == shape:
-        # a trailing-shape operand (a bias): one sum over the folded leading axes
-        return _sum_rows(grad.reshape(-1, math.prod(shape))).reshape(shape)
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for i, s in enumerate(shape):
@@ -191,9 +187,6 @@ class Tensor:
         if not isinstance(other, Tensor):
             other = Tensor(other, dtype=self.data.dtype)
         a, b = self.data, other.data
-        if a.ndim >= 2 and b.ndim == 2:
-            # a 2-D weight: fold the batch axes into one GEMM
-            return linear(self, other)
         out_data = a @ b
 
         def bwd(g):

@@ -58,14 +58,14 @@ def block_diagonal_tokens(p, returns, states, actions):
 # name, the entry, its new value from the old, and the PoolError's text; an
 # edit of "meta" maps the decoded JSON header to a new one.
 CORRUPT_POOL_EDITS = [
-    ("t1_returns", 5, lambda v: v + 1.0, "trajectory 1 step 5: stored return"),
+    ("t1_rewards", 5, lambda v: np.nan, "trajectory 1 step 5: non-finite reward"),
     ("t0_states", (3, 2), lambda v: np.nan, "trajectory 0 step 3: non-finite state"),
     ("meta", None, lambda m: {k: v for k, v in m.items() if k != "gamma"},
      "has no numeric gamma in its meta, but None"),
     ("meta", None, lambda m: {**m, "gamma": str(m["gamma"])},
      "has no numeric gamma in its meta, but '0."),
 ]
-CORRUPT_POOL_IDS = ["edited-return", "nan-state", "no-gamma", "string-gamma"]
+CORRUPT_POOL_IDS = ["nan-reward", "nan-state", "no-gamma", "string-gamma"]
 
 
 def corrupt_pool_file(src, dst, name, index, edit):

@@ -268,6 +268,43 @@ def test_train_on_a_corrupt_pool_exits_1(pipeline, tmp_path, capsys, name, index
     assert not (tmp_path / "m.npz").exists()
 
 
+def test_train_with_zero_heads_exits_1(pipeline, tmp_path, capsys):
+    """A size that builds no model is refused by name before training."""
+    paths, _ = pipeline
+    assert cli.main(["train", str(paths["pool.npz"]), "--heads", "0",
+                     "-o", str(tmp_path / "m.npz")]) == 1
+    assert "n_heads must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "m.npz").exists()
+
+
+def test_build_pool_with_full_dropout_exits_1(pipeline, tmp_path, capsys):
+    """Dropout 1 would mask every step, a pool nothing can be trained on."""
+    paths, _ = pipeline
+    assert cli.main(["build-pool", str(paths["1.klog"]), "--dropout", "1",
+                     "-o", str(tmp_path / "pool.npz")]) == 1
+    assert "1 masks every step" in capsys.readouterr().err
+    assert not (tmp_path / "pool.npz").exists()
+
+
+def test_a_run_without_delay_samples_reports_none(tmp_path, capsys):
+    """A run with no flows has no delay samples: `evaluate` says so rather
+    than print a 0 ms median, and `report` leaves its delay cells empty."""
+    ScenarioConfig(name="empty", duration_us=SECONDS * 1_000_000, flows=[]).save(
+        tmp_path / "scenario.json")
+    stats, csv_path = tmp_path / "empty.json", tmp_path / "report.csv"
+    assert cli.main(["evaluate", "--scenario", str(tmp_path / "scenario.json"),
+                     "-o", str(stats)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("no delay samples, utilization ") and "median" not in out
+    delay = ev.load_stats(stats)["summary"]["delay_ms"]
+    assert delay["count"] == 0 and delay["median"] is None and delay["p99"] is None
+    assert cli.main(["report", str(stats), "-o", str(csv_path)]) == 0
+    with open(csv_path, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["median_delay_ms"] == row["iqr_delay_ms"] == row["p99_delay_ms"] == ""
+    assert float(row["mean_utilization"]) == 0.0
+
+
 def test_missing_input_exits_1(tmp_path, capsys):
     assert cli.main(["report", str(tmp_path / "absent.json"), "-o", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err.startswith("error:")

@@ -169,7 +169,11 @@ class TestSummaries:
         assert s["outliers"] == 1
 
     def test_empty_summary(self):
-        assert ev._summary([])["count"] == 0
+        """No samples give no statistics: null, not a measured 0."""
+        s = ev._summary([])
+        assert s["count"] == 0
+        assert s.keys() == ev._summary([1.0]).keys()
+        assert all(v is None for k, v in s.items() if k != "count")
 
     def test_utilization_bins(self):
         # 1000 bytes delivered into the first bin after the skip window

@@ -73,6 +73,13 @@ class TestShapes:
             small_config(embed_size=15)  # not divisible by heads
         with pytest.raises(ValueError):
             small_config(context_window=0)
+        for field, value in (("feature_dim", 0), ("embed_size", 0), ("n_heads", 0),
+                             ("n_heads", -2), ("n_layers", -1), ("max_timestep", -1)):
+            with pytest.raises(ValueError, match=f"{field} must be >= "):
+                small_config(**{field: value})
+        with pytest.raises(ValueError, match="dtype must be a floating type"):
+            small_config(dtype="int32")
+        assert small_config(n_layers=0).n_layers == 0
 
     def test_predict_returns_the_newest_logits(self):
         """predict is the forward pass's newest step, bit for bit."""
@@ -374,8 +381,9 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version 9"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("edit", [{"residual_flag": True}, {"conv_kernel_sizes": 5}],
-                             ids=["unknown_key", "scalar_kernel_sizes"])
+    @pytest.mark.parametrize("edit", [{"residual_flag": True}, {"conv_kernel_sizes": 5},
+                                      {"n_heads": 0}],
+                             ids=["unknown_key", "scalar_kernel_sizes", "zero_heads"])
     def test_config_that_builds_no_model_rejected(self, tmp_path, edit):
         """A stored config ModelConfig cannot take is a CheckpointError, not a
         raw TypeError."""

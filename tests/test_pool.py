@@ -178,10 +178,10 @@ class TestPoolConstruction:
         assert lfirst.states[0].tolist() == first.states[0].tolist()
         assert lfirst.returns[0] == first.returns[0]
 
-    def test_validate_catches_corrupt_returns(self):
+    def test_validate_catches_a_non_finite_reward(self):
         pool = build_pool_from_records([_sim_records()], gamma=0.95)
-        pool.trajectories[0].returns[0] += 1.0
-        with pytest.raises(PoolError):
+        pool.trajectories[0].rewards[5] = np.nan
+        with pytest.raises(PoolError, match="trajectory 0 step 5: non-finite reward"):
             pool.validate()
 
     def test_empty_records_rejected(self):
@@ -190,7 +190,8 @@ class TestPoolConstruction:
 
 
 class TestPoolFormat:
-    """Format 2: uncompressed .npz of per-trajectory arrays plus a JSON header."""
+    """Format 3: uncompressed .npz of per-trajectory arrays but the returns,
+    plus a JSON header."""
 
     def _pool(self, tmp_path):
         paths = []
@@ -223,6 +224,25 @@ class TestPoolFormat:
         assert list(all_steps(loaded)) == list(all_steps(pool))
         loaded.validate()
 
+    def test_stores_no_returns_and_derives_them_bit_for_bit(self, tmp_path):
+        """The returns `load` derives from the stored rewards and gamma are
+        the built pool's, bit for bit, so nothing downstream moves."""
+        paths = []
+        for seed in (1, 2):
+            path = tmp_path / f"{seed}.klog"
+            write_klog(run_scenario(default_scenario(seed=seed, duration_us=3_000_000)).records,
+                       path)
+            paths.append(path)
+        pool = build_pool(paths)
+        pool.save(tmp_path / "pool.npz")
+        assert pool_mod.POOL_FORMAT_VERSION == 3
+        with np.load(tmp_path / "pool.npz") as z:
+            assert not [k for k in z.files if k.endswith("_returns")]
+        loaded = ExperiencePool.load(tmp_path / "pool.npz")
+        assert len(loaded.trajectories) == 2
+        for built, back in zip(pool.trajectories, loaded.trajectories):
+            assert np.array_equal(built.returns, back.returns)
+
     def test_writes_exactly_the_given_path(self, tmp_path):
         pool = self._pool(tmp_path)
         for name in ("x.json", "y"):
@@ -250,17 +270,31 @@ class TestPoolFormat:
             np.savez(fh, **arrays)
         return path
 
-    def test_timestep_column_rejected_with_rebuild_hint(self, tmp_path):
-        """A pool built with the removed --jitter stored its shifted
-        timesteps; the step index is now the only timestep."""
-        def add_timesteps(arrays, meta):
-            arrays["t0_timesteps"] = np.arange(len(arrays["t0_rewards"])) + 7
-        with pytest.raises(PoolError, match="without --jitter"):
-            ExperiencePool.load(self._resave(tmp_path, add_timesteps))
+    def test_format_2_rejected_with_rebuild_hint(self, tmp_path):
+        """A format-2 pool stored each trajectory's returns-to-go next to
+        the rewards and gamma they derive from; it is refused by name."""
+        def to_format_2(arrays, meta):
+            meta["format_version"] = 2
+            for ti in range(meta["trajectories"]):
+                arrays[f"t{ti}_returns"] = np.array(
+                    returns_to_go(arrays[f"t{ti}_rewards"].tolist(), meta["gamma"]))
+        with pytest.raises(PoolError, match="format-2 pool.*aqmlab build-pool"):
+            ExperiencePool.load(self._resave(tmp_path, to_format_2))
 
     def test_missing_array_rejected(self, tmp_path):
-        with pytest.raises(PoolError, match="t1_returns"):
-            ExperiencePool.load(self._resave(tmp_path, lambda arrays, meta: arrays.pop("t1_returns")))
+        with pytest.raises(PoolError, match="t1_rewards"):
+            ExperiencePool.load(self._resave(tmp_path, lambda arrays, meta: arrays.pop("t1_rewards")))
+
+    @pytest.mark.parametrize("rewards,message", [
+        (lambda r: r[:0], "trajectory 1 is empty"),
+        (lambda r: np.stack([r, r], axis=1), r"trajectory 1: rewards are \(\d+, 2\)")],
+        ids=["empty", "2-d"])
+    def test_unusable_rewards_rejected(self, tmp_path, rewards, message):
+        """Rewards no returns can be derived from are refused by name."""
+        def edit(arrays, meta):
+            arrays["t1_rewards"] = rewards(arrays["t1_rewards"])
+        with pytest.raises(PoolError, match=message):
+            ExperiencePool.load(self._resave(tmp_path, edit))
 
     def test_missing_trajectory_count_rejected(self, tmp_path):
         with pytest.raises(PoolError, match="trajectory count"):
@@ -402,6 +436,8 @@ class TestAugmentation:
             augment(pool, noise_sigma=-0.1)
         with pytest.raises(PoolError):
             augment(pool, dropout_prob=1.5)
+        with pytest.raises(PoolError, match="1 masks every step"):
+            augment(pool, dropout_prob=1.0)
 
     def test_deterministic_per_seed(self):
         pool = self._pool()

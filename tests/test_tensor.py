@@ -116,8 +116,8 @@ class TestGradChecks:
                 T.linear(*args)
 
     def test_matmul_2d_weight(self):
-        """x [b, n, k] @ W [k, m] folds the batch into one GEMM: the same
-        values and gradients as per-batch products."""
+        """x [b, n, k] @ W [k, m]: the same values and gradients as
+        per-batch products."""
         a = Tensor(rand(3, 4, 5), requires_grad=True)
         W = Tensor(rand(5, 2, seed=1), requires_grad=True)
         w = rand(3, 4, 2, seed=2)
