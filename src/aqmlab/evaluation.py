@@ -60,16 +60,16 @@ class LlmEvery:
     it passes `InferencePolicy.logits` the real steps of the window the pool
     would hold for them, with no padding: states through
     `pool.klog_states`, normalised with the checkpoint's feature
-    statistics, the first step's decision index as its timestep, and the
-    return channel pinned to the training-time target return, which the
-    checkpoint must store as it must store the statistics; the action is
-    the argmax of the newest logits.  The earlier steps' actions are read
-    from the world's log, which holds what the world applied (a MARK on a
-    not-ECN-capable packet or anything but a DROP on a full buffer is
-    applied as a DROP), and the decision index is the log's length, since
-    the world logs each decision right after its hook.  So one driver runs
-    one episode: hooked into a second world it raises `EvalError`.  Model
-    marks on not-ECN-capable packets are counted here as violations.
+    statistics, and the return channel pinned to the training-time target
+    return, which the checkpoint must store as it must store the
+    statistics; the action is the argmax of the newest logits.  The
+    earlier steps' actions are read from the world's log, which holds what
+    the world applied (a MARK on a not-ECN-capable packet or anything but a
+    DROP on a full buffer is applied as a DROP), and the decision index is
+    the log's length, since the world logs each decision right after its
+    hook.  So one driver runs one episode: hooked into a second world it
+    raises `EvalError`.  Model marks on not-ECN-capable packets are counted
+    here as violations.
 
     `action_matrix[rule][model]` counts the model decisions by the rule's
     action (row) and the action the model asked for (column), in
@@ -124,15 +124,15 @@ class LlmEvery:
 
     def _infer(self, records, k):
         """The action of decision `k` for the window of the last n decisions,
-        passed to the snapshot as its real steps alone: the states, the
-        earlier steps' actions as `records` logged them and the first
-        step's decision index.  `WindowDataset.gather` left-pads such a
-        window, which changes none of its newest logits."""
+        passed to the snapshot as its real steps alone: the states and the
+        earlier steps' actions as `records` logged them.
+        `WindowDataset.gather` left-pads such a window, which changes none
+        of its newest logits."""
         n = len(self._fields)
         fields = np.fromiter(itertools.chain.from_iterable(self._fields), np.float64, n * STATE_DIM)
         states = normalize(klog_states(fields.reshape(n, STATE_DIM)), self.feature_stats)
         actions = [rec.dequeue_action for rec in records[k - n + 1:k]]
-        return int(self.model.logits(self.target_return, states, actions, k + 1 - n).argmax())
+        return int(self.model.logits(self.target_return, states, actions).argmax())
 
     def finish(self):
         return {

@@ -3,16 +3,20 @@
 Per timestep the token layout is [return, state_1..state_8, action] (10
 tokens); scalar features go through per-feature linear encoders, each temporal
 feature (CONV_FEATURES) through its own causal conv of width CONV_WIDTH over
-the window, and each state feature then through its own embedding; learned
-time embeddings are added to all tokens of a step.  No encoder has a
-nonlinearity, so one function, `fold_token_conv`, folds the stored encoder
-tensors into one causal conv kernel per token type, [10, CONV_WIDTH, d], and
-both forms of the model build tokens through it, as one batched product of
-each input channel's taps by its kernel.  A causal transformer
-backbone feeds a 3-way action head read at the last state token of each step.
-`enable_lora` wraps the attention Q/V projections (frozen base, trainable
-low-rank delta); the model keeps the adapters' rank, `PolicyModel.lora_rank`
-(None when unwrapped), and a checkpoint stores it in its meta.
+the window, and each state feature then through its own embedding.  No
+encoder has a nonlinearity, so one function, `fold_token_conv`, folds the
+stored encoder tensors into one causal conv kernel per token type,
+[10, CONV_WIDTH, d], and both forms of the model build tokens through it,
+as one batched product of each input channel's taps by its kernel.  The
+model has no position input: a token's place shows only through the
+causal mask and the causal conv taps (Haviv et al., "Transformer Language
+Models without Positional Encodings Still Learn Positional Information",
+2022), so a window's logits do not depend on where in its trajectory it
+lies.  A causal transformer backbone feeds a 3-way action head read at
+the last state token of each step.  `enable_lora` wraps the attention Q/V
+projections (frozen base, trainable low-rank delta); the model keeps the
+adapters' rank, `PolicyModel.lora_rank` (None when unwrapped), and a
+checkpoint stores it in its meta.
 
 Each head of a block's attention folds into a query-key and a value-output
 matrix, by one function, `fold_attention`, so a block scores its query rows
@@ -32,9 +36,9 @@ An encoder bias would only add to its state token's `embed_b`.  The
 pre-LN keeps its gain and shift: ln1 renormalises the stream they shape.
 
 PolicyModel is the trainable form: its forward pass builds a Tensor graph, in
-which the tokens and their time rows are one node (`token_sequence`) and each
-block's attention and its residual another (`folded_attention`), and its
-`predict` is the reference for inference.  InferencePolicy is a read-only
+which the tokens are one node (`token_sequence`) and each block's attention
+and its residual another (`folded_attention`), and its `predict` is the
+reference for inference.  InferencePolicy is a read-only
 plain-numpy snapshot of a PolicyModel for closed-loop decisions: both folds
 are computed once, in float64, with LoRA deltas merged, and the token fold is
 further composed with the layer-norm centring and the pre-LN gain, so its
@@ -60,7 +64,7 @@ from . import tensor as T
 from .features import ACTION_COUNT, CONV_FEATURES, STATE_DIM, STATE_FEATURES
 from .tensor import Tensor
 
-CHECKPOINT_VERSION = 6   # 6 stores no absorbed tensor (module docstring); earlier ones are refused
+CHECKPOINT_VERSION = 7   # 7 stores no time table; earlier ones are refused
 TOKENS_PER_STEP = 1 + STATE_DIM + 1   # return, 8 state features, action
 _HEAD_CHANNEL = TOKENS_PER_STEP - 2   # the last state token of a step, the row the head reads
 LORA_TARGETS = ("q", "v")   # the attention projections that enable_lora wraps
@@ -85,12 +89,11 @@ class ModelConfig:
     n_layers: int = 1
     n_heads: int = 2
     context_window: int = 8
-    max_timestep: int = 4096
     dtype: str = "float32"
 
     def __post_init__(self):
         for name, low in (("feature_dim", 1), ("embed_size", 1), ("n_heads", 1), ("n_layers", 0),
-                          ("context_window", 1), ("max_timestep", 0)):
+                          ("context_window", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.embed_size % self.n_heads:
@@ -210,65 +213,42 @@ def _tokens(K, B, returns, states, actions):
     return out, taps
 
 
-def _scatter_rows(index, rows, n):
-    """[n, d] zeros with rows[i] added at row index[i]: one sort, then one
-    np.add.reduceat per run of equal indices."""
-    order = np.argsort(index, kind="stable")
-    index = index[order]
-    starts = np.flatnonzero(np.r_[True, index[1:] != index[:-1]])
-    out = np.zeros((n, rows.shape[1]), dtype=rows.dtype)
-    out[index[starts]] = np.add.reduceat(rows[order], starts, axis=0)
-    return out
-
-
-def token_sequence(p, returns, states, actions, timesteps=None):
+def token_sequence(p, returns, states, actions):
     """Every step's 10 tokens [b, w*10, d], as one node: the tokens of
     `_tokens` through the kernels `fold_token_conv` folds from the Tensors
-    `p` (name -> Tensor), plus, with `timesteps` [b, w], the time row
-    W_time[clip(t, 0, max_timestep)] on all of a step's tokens.
+    `p` (name -> Tensor).
 
     The backward takes each token type's kernel gradient from the forward's
     taps as one batched product and maps it back to the stored encoder
-    tensors; the time-row gradient, summed over a step's tokens, is
-    scattered by row.
+    tensors.
     """
     arrays = {name: p[name].data for name in _TOKEN_PARAMS}
     K, B = fold_token_conv(arrays)
     b, w = returns.shape
     d = B.shape[1]
     out, taps = _tokens(K, B, returns, states, actions)
-    out = out.reshape(b, w, TOKENS_PER_STEP, d)
-    parents = [p[name] for name in _TOKEN_PARAMS]
-    if timesteps is not None:
-        W_time = p["W_time"]
-        rows = np.clip(timesteps, 0, W_time.shape[0] - 1).reshape(-1)
-        out += W_time.data[rows].reshape(b, w, 1, d)
-        parents.append(W_time)
+    parents = tuple(p[name] for name in _TOKEN_PARAMS)
 
     def bwd(g):
         g = g.reshape(b * w, TOKENS_PER_STEP, d)
-        if any(t.requires_grad for t in parents[:len(_TOKEN_PARAMS)]):
-            # per token type c: taps[c]^T @ g[:, c]
-            dK = taps.transpose(0, 2, 1) @ g.transpose(1, 0, 2)   # [10, CONV_WIDTH, d]
-            dB = (np.ones(b * w, dtype=g.dtype) @ g.reshape(b * w, -1)).reshape(TOKENS_PER_STEP, d)
-            # the state kernels' gradient, before and through the embedding
-            dP = dK[1:-1] @ arrays["embed_W"].transpose(0, 2, 1)   # [8, CONV_WIDTH, fd]
-            grads = {
-                "W_return": dK[0, -1][None], "b_return": dB[0],
-                "W_action": dK[-1, -1][None], "b_action": dB[-1],
-                "embed_W": _pre_embedding(arrays).transpose(0, 2, 1) @ dK[1:-1],
-                "embed_b": dB[1:-1],
-                "enc_scalar_W": dP[_SCALAR_IDX, -1],
-                "enc_conv_K": dP[_CONV_IDX],
-            }
-            for name in _TOKEN_PARAMS:
-                if p[name].requires_grad:
-                    p[name]._accum(grads[name])
-        if timesteps is not None and p["W_time"].requires_grad:
-            per_step = np.ones(TOKENS_PER_STEP, dtype=g.dtype) @ g          # [b*w, d]
-            p["W_time"]._accum(_scatter_rows(rows, per_step, p["W_time"].shape[0]))
+        # per token type c: taps[c]^T @ g[:, c]
+        dK = taps.transpose(0, 2, 1) @ g.transpose(1, 0, 2)   # [10, CONV_WIDTH, d]
+        dB = (np.ones(b * w, dtype=g.dtype) @ g.reshape(b * w, -1)).reshape(TOKENS_PER_STEP, d)
+        # the state kernels' gradient, before and through the embedding
+        dP = dK[1:-1] @ arrays["embed_W"].transpose(0, 2, 1)   # [8, CONV_WIDTH, fd]
+        grads = {
+            "W_return": dK[0, -1][None], "b_return": dB[0],
+            "W_action": dK[-1, -1][None], "b_action": dB[-1],
+            "embed_W": _pre_embedding(arrays).transpose(0, 2, 1) @ dK[1:-1],
+            "embed_b": dB[1:-1],
+            "enc_scalar_W": dP[_SCALAR_IDX, -1],
+            "enc_conv_K": dP[_CONV_IDX],
+        }
+        for name in _TOKEN_PARAMS:
+            if p[name].requires_grad:
+                p[name]._accum(grads[name])
 
-    return Tensor(out.reshape(b, w * TOKENS_PER_STEP, d), _parents=tuple(parents), _backward=bwd)
+    return Tensor(out.reshape(b, w * TOKENS_PER_STEP, d), _parents=parents, _backward=bwd)
 
 
 # the stored tensors of block l's attention, which `folded_attention` reads
@@ -451,12 +431,14 @@ class PolicyModel:
         add("enc_scalar_W", _init(rng, (ns, fd), 0.5, dt))
         add("enc_conv_K", _init(rng, (nc, CONV_WIDTH, fd), 0.5 / math.sqrt(CONV_WIDTH), dt))
         add("embed_W", _init(rng, (STATE_DIM, fd, d), 1.0 / math.sqrt(fd), dt))
-        add("embed_b", _zeros((STATE_DIM, d), dt))
+        # the token biases are drawn, not zero: a token whose input is 0 (an
+        # action 0, a zero-variance feature) is then no exact-zero row, which
+        # the pre-LN's backward would scale by 1/sqrt(LN_EPS)
+        add("embed_b", _init(rng, (STATE_DIM, d), 0.02, dt))
         add("W_return", _init(rng, (1, d), 0.5, dt))
-        add("b_return", _zeros((d,), dt))
+        add("b_return", _init(rng, (d,), 0.02, dt))
         add("W_action", _init(rng, (1, d), 0.5, dt))
-        add("b_action", _zeros((d,), dt))
-        add("W_time", _init(rng, (config.max_timestep + 1, d), 0.02, dt))
+        add("b_action", _init(rng, (d,), 0.02, dt))
 
         add("pre_ln_g", Tensor(np.ones(d, dtype=dt), requires_grad=True))
         add("pre_ln_b", _zeros((d,), dt))
@@ -553,7 +535,7 @@ class PolicyModel:
 
     def encode_state(self, states):
         """states: [batch, w, 8] array -> embeddings [batch, w, 8, d]: the
-        state tokens of `build_sequence`'s token op, without the time rows.
+        state tokens of `build_sequence`'s token op.
 
         Feature i of the third axis is STATE_FEATURES[i].
         """
@@ -566,23 +548,21 @@ class PolicyModel:
         return T.select_positions(tokens.reshape(b, w, TOKENS_PER_STEP, -1),
                                   np.arange(1, 1 + STATE_DIM), axis=2)
 
-    def build_sequence(self, returns, states, actions, timesteps):
-        """Interleave [R, s1..s8, a] per step, add time embeddings, pre-LN.
+    def build_sequence(self, returns, states, actions):
+        """Interleave [R, s1..s8, a] per step, pre-LN.
 
-        returns/actions: [batch, w]; states: [batch, w, 8]; timesteps:
-        int [batch, w].  Output: [batch, 10*w, d] plus the pre-LN embedding
-        (used for the residual read-out).  The tokens and their time rows
-        are one node, `token_sequence`.
+        returns/actions: [batch, w]; states: [batch, w, 8].  Output:
+        [batch, 10*w, d] plus the pre-LN embedding (used for the residual
+        read-out).  The tokens are one node, `token_sequence`.
         """
         dt = self.config.np_dtype
         returns = np.asarray(returns, dtype=dt)
         states = np.asarray(states, dtype=dt)
         actions = np.asarray(actions, dtype=dt)
-        timesteps = np.asarray(timesteps, dtype=np.int64)
         b, w = returns.shape
-        if timesteps.shape != (b, w) or states.shape != (b, w, STATE_DIM) or actions.shape != (b, w):
+        if states.shape != (b, w, STATE_DIM) or actions.shape != (b, w):
             raise T.TensorError("window length mismatch across modalities")
-        tokens = token_sequence(self.params, returns, states, actions, timesteps)
+        tokens = token_sequence(self.params, returns, states, actions)
         normed = T.layer_norm(tokens, self.params["pre_ln_g"], self.params["pre_ln_b"])
         return normed, tokens
 
@@ -599,9 +579,11 @@ class PolicyModel:
         hdn = T.linear(ln2, self.params[f"blk{l}_ffn_W1"], self.params[f"blk{l}_ffn_b1"]).relu()
         return x + T.linear(hdn, self.params[f"blk{l}_ffn_W2"], self.params[f"blk{l}_ffn_b2"])
 
-    def forward(self, returns, states, actions, timesteps, pad_mask=None):
+    # `timesteps` stays for perfbench's call; ROADMAP item 1 (the benchmark change) drops it
+    def forward(self, returns, states, actions, timesteps=None, pad_mask=None):
         """One inference pass -> per-step action logits [batch, w, 3].
 
+        `timesteps` is ignored: the model has no position input.
         pad_mask: [batch, w] with 1 for real steps, 0 for left padding;
         padded tokens are blocked from attention and excluded by the trainer.
         The head reads one token per step, so the last block computes only
@@ -614,7 +596,7 @@ class PolicyModel:
         b, w = states.shape[0], states.shape[1]
         n = w * TOKENS_PER_STEP
 
-        x, raw_tokens = self.build_sequence(returns, states, actions, timesteps)
+        x, raw_tokens = self.build_sequence(returns, states, actions)
         # last state token of step t precedes the action token by one position
         positions = np.arange(w) * TOKENS_PER_STEP + (TOKENS_PER_STEP - 2)
         if cfg.n_layers > 1:
@@ -630,12 +612,12 @@ class PolicyModel:
         x = x + T.select_positions(raw_tokens, positions)
         return T.linear(x, self.params["head_W"], self.params["head_b"])
 
-    def predict(self, returns, states, actions, timesteps, pad_mask=None):
+    def predict(self, returns, states, actions, pad_mask=None):
         """The newest step's logits [batch, 3] of each window, in the model
         dtype, with no graph kept: for one window, what
         `InferencePolicy.logits` returns."""
         with T.no_grad():
-            return self.forward(returns, states, actions, timesteps, pad_mask).data[:, -1]
+            return self.forward(returns, states, actions, pad_mask=pad_mask).data[:, -1]
 
 
 class InferencePolicy:
@@ -647,10 +629,9 @@ class InferencePolicy:
       [CONV_WIDTH, d] per token type, by `fold_token_conv`, the fold the
       trainable model's token op runs at every forward;
     - the centring C = I - 11ᵀ/d and the pre-LN gain g fold into those
-      kernels, their biases and the time table: each emits a token row's
-      centred token r = raw·C and the first block's centred ln1 direction
-      u = r·diag(g)·C side by side, [10, CONV_WIDTH, 2d], [10, 2d] and
-      [T, 2d];
+      kernels and their biases: each emits a token row's centred token
+      r = raw·C and the first block's centred ln1 direction
+      u = r·diag(g)·C side by side, [10, CONV_WIDTH, 2d] and [10, 2d];
     - LoRA deltas are merged into their base matrices (`merge_lora`);
     - each attention head folds, with the attention scale, into a
       query-key and a value-output matrix, by `fold_attention`, the fold
@@ -665,9 +646,6 @@ class InferencePolicy:
     [10, n + CONV_WIDTH - 1] input through a cached index and run through
     the composed kernels as one batched product, as in training; the
     newest action token comes after the head row and so is never used.
-    Past max_timestep every time row is the table's last, so one
-    precomputed bias, the kernels' bias plus that row, replaces the two
-    adds.
 
     Both layer norms ahead of the first block are then a scale per row:
     the pre-LN's inv0 = 1/√(mean(r²)+ε), and the first block's normalised
@@ -676,8 +654,7 @@ class InferencePolicy:
     The residual stream g⊙(r·inv0) + β is formed only for the rows a block
     returns.  The read-out's raw token is the head row's r plus its row
     mean: the head row's channel taps times the mean of that channel's
-    `fold_token_conv` kernel over d, plus a stored row mean of its bias
-    and time row.
+    `fold_token_conv` kernel over d, plus the stored row mean of its bias.
     A block scores its query rows straight against the normalised tokens
     and averages those tokens with the weights, so it forms no key and no
     value.  The last block computes one query row per head, which sees
@@ -709,22 +686,10 @@ class InferencePolicy:
         # raw -> [r | u]: r = raw·C, u = r·diag(g)·C
         fold = np.concatenate([centre, centre @ (g[:, None] * centre)], axis=1)   # [d, 2d]
         self._token_K, self._token_b = frozen(K @ fold), frozen(b @ fold)
-        W_time = p["W_time"]
-        self._steady_b = frozen(b @ fold + W_time[-1] @ fold)
-        # the time rows through the fold, written straight into the model
-        # dtype and extended by the last row repeated context_window - 1 more
-        # times, so a window's clipped rows min(t, max_timestep) are one slice
-        T0, extra = len(W_time), cfg.context_window - 1
-        self._W_time = np.empty((T0 + extra, 2 * d), dtype=dt)
-        np.matmul(W_time, fold, out=self._W_time[:T0])
-        self._W_time[T0:] = self._W_time[T0 - 1]
-        self._W_time.flags.writeable = False
         # the head row's raw token is its r plus its row mean: the mean of its
-        # channel's kernel taps, and the row means of its bias plus each time
-        # row, extended as the time table is
-        time_mean = (W_time + b[_HEAD_CHANNEL]).mean(axis=1)
-        self._readout = frozen(K[_HEAD_CHANNEL].mean(axis=1)), frozen(
-            np.concatenate([time_mean, np.repeat(time_mean[-1:], extra)]))
+        # channel's kernel taps, and the row mean of its bias
+        self._readout = (frozen(K[_HEAD_CHANNEL].mean(axis=1)),
+                         frozen(b[_HEAD_CHANNEL].mean(keepdims=True)))
         self._pre_ln = frozen(g), frozen(beta), frozen(beta @ centre)
         self._blocks = [tuple(map(frozen, blk)) for blk in blocks]
         self._head = frozen(p["head_W"]), frozen(p["head_b"])
@@ -769,11 +734,10 @@ class InferencePolicy:
             xhat = self._normalize(x)
         return x + np.maximum(xhat @ W1 + b1, 0.0) @ W2 + b2
 
-    def logits(self, returns, states, actions, first_timestep):
+    def logits(self, returns, states, actions):
         """The newest step's logits [3], in the model dtype, of a window of
-        n <= context_window real steps at timesteps first_timestep >= 0 ..
-        first_timestep + n - 1, as `PolicyModel.predict` gives them for the
-        window left-padded to any length.
+        n <= context_window real steps, as `PolicyModel.predict` gives them
+        for the window left-padded to any length.
 
         returns: the return channel, a scalar or [n]; states: [n, 8];
         actions: the n - 1 earlier steps' actions (the newest step's action
@@ -789,19 +753,12 @@ class InferencePolicy:
                 or actions.shape != (n - 1,) or np.ndim(returns) and np.shape(returns) != (n,):
             raise T.TensorError(f"a window of 1..{cfg.context_window} steps takes returns [n] or "
                                 f"a scalar, states [n, {STATE_DIM}] and n - 1 actions")
-        if first_timestep < 0:
-            raise T.TensorError(f"first_timestep must be >= 0, got {first_timestep}")
-        first = min(first_timestep, cfg.max_timestep)
-        steady = first == cfg.max_timestep   # every time row is the table's last
         # the newest step's action, left 0, feeds only its action token, which is dropped
-        tokens, taps = _tokens(self._token_K, self._steady_b if steady else self._token_b,
-                               returns, states[None], actions)
-        if not steady:
-            tokens += self._W_time[first:first + n, None]
+        tokens, taps = _tokens(self._token_K, self._token_b, returns, states[None], actions)
         tokens = tokens.reshape(n * TOKENS_PER_STEP, 2 * d)[:-1]   # up to the newest head row
         r, u = tokens[:, :d], tokens[:, d:]
-        k_mean, time_mean = self._readout
-        raw = r[-1] + (taps[_HEAD_CHANNEL, -1] @ k_mean + time_mean[first + n - 1])
+        k_mean, b_mean = self._readout
+        raw = r[-1] + (taps[_HEAD_CHANNEL, -1] @ k_mean + b_mean)
 
         g, beta, beta_c = self._pre_ln
         # the pre-LN's scale, its mean square taken over r's half of the

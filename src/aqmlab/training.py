@@ -46,6 +46,14 @@ class TrainConfig:
             raise TrainError("epochs and batch_size must be >= 1")
         if not (0.0 < self.eval_split < 1.0):
             raise TrainError("eval_split must be in (0,1)")
+        if not self.lr >= 0.0:
+            raise TrainError(f"lr must be >= 0, got {self.lr}")
+        # a config always clips: the unclipped step is the library's `sgd_step(clip_norm=None)`
+        if not self.clip_norm > 0.0:
+            raise TrainError(f"clip_norm must be > 0, got {self.clip_norm}")
+        for name in ("batches_per_epoch", "eval_batches"):
+            if getattr(self, name) < 0:
+                raise TrainError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -100,6 +108,7 @@ class WindowDataset:
         R = np.where(real, self.returns[steps], 0.0)
         S = np.where(real[:, :, None], self.states[steps], 0.0)
         tgt = np.where(real, self.actions[steps], 0)
+        # slot 4 stays for perfbench's unpacking; ROADMAP item 1 (the benchmark change) drops it
         ts = np.where(real, steps - first[:, None], 0)
         mask = np.where(real, self.keep[steps], 0.0)
         return R, S, tgt.astype(np.float64), tgt, ts, mask
@@ -113,8 +122,8 @@ class WindowDataset:
 
 
 def _batch_loss(model, batch):
-    R, S, A, tgt, ts, mask = batch
-    logits = model.forward(R, S, A, ts, pad_mask=(mask > 0).astype(float))
+    R, S, A, tgt, _, mask = batch
+    logits = model.forward(R, S, A, pad_mask=(mask > 0).astype(float))
     b, w = tgt.shape
     weights = mask.reshape(-1).astype(np.float64)
     loss = T.cross_entropy(logits.reshape(b * w, ACTION_COUNT), tgt.reshape(-1), weights)
@@ -160,9 +169,9 @@ def evaluate_accuracy(model: PolicyModel, dataset: WindowDataset, batch_size=64,
     for bi, batch in enumerate(dataset.iter_all(batch_size)):
         if max_batches and bi >= max_batches:
             break
-        R, S, A, tgt, ts, mask = batch
+        R, S, A, tgt, _, mask = batch
         with T.no_grad():
-            logits = model.forward(R, S, A, ts, pad_mask=(mask > 0).astype(float))
+            logits = model.forward(R, S, A, pad_mask=(mask > 0).astype(float))
         preds = np.argmax(logits.data, axis=-1)
         keep = mask > 0
         hits += int(np.sum((preds == tgt) & keep))

@@ -55,7 +55,7 @@ def threshold_run(tmp_path_factory):
     pool.validate()
 
     mc = ModelConfig(feature_dim=8, embed_size=32, n_layers=1, n_heads=2,
-                     context_window=8, max_timestep=256)
+                     context_window=8)
     tc = TrainConfig(epochs=8, batch_size=32, lr=0.5, window=8, seed=0,
                      eval_split=0.25)
     model = PolicyModel(mc, seed=0)
@@ -74,7 +74,7 @@ def clone_run(tmp_path_factory):
                     for s in (1, 2, 3)]
     pool = build_pool_from_records(record_lists, gamma=0.95)
     mc = ModelConfig(feature_dim=8, embed_size=32, n_layers=1, n_heads=2,
-                     context_window=8, max_timestep=512)
+                     context_window=8)
     tc = TrainConfig(epochs=6, batch_size=32, lr=0.5, window=8, seed=0,
                      eval_split=0.25, batches_per_epoch=60, eval_batches=40)
     model = PolicyModel(mc, seed=0)
@@ -92,7 +92,7 @@ def clone_run(tmp_path_factory):
 
 def tiny_model(dtype="float64", window=2, seed=0):
     cfg = ModelConfig(feature_dim=2, embed_size=8, n_layers=1, n_heads=2,
-                      context_window=window, max_timestep=8, dtype=dtype)
+                      context_window=window, dtype=dtype)
     return PolicyModel(cfg, seed=seed)
 
 
@@ -103,8 +103,7 @@ def batch_for(model, batch=2, seed=0):
     R = rng.normal(size=(batch, w))
     S = rng.normal(size=(batch, w, STATE_DIM))
     A = rng.integers(0, ACTION_COUNT, size=(batch, w)).astype(float)
-    Ts = np.tile(np.arange(w), (batch, 1))
-    return R, S, A, Ts
+    return R, S, A
 
 
 # ------------------------------------------- 1. gradient correctness
@@ -167,11 +166,11 @@ class TestGradientChecks:
                           [sel_x], eps=1e-6) < 1e-3
 
         model = tiny_model()
-        R, S, A, Ts = batch_for(model)
+        R, S, A = batch_for(model)
         targets = np.array([[0, 2], [1, 1]])
 
         def full_loss():
-            logits = model.forward(R, S, A, Ts)
+            logits = model.forward(R, S, A)
             flat = logits.reshape(4, ACTION_COUNT)
             return T.cross_entropy(flat, targets.reshape(-1))
 
@@ -195,19 +194,19 @@ class TestLora:
     def test_fresh_adapters_match_base_exactly(self):
         base = tiny_model(seed=3)
         lora = self.make()
-        R, S, A, Ts = batch_for(base)
-        np.testing.assert_array_equal(base.forward(R, S, A, Ts).data,
-                                      lora.forward(R, S, A, Ts).data)
+        R, S, A = batch_for(base)
+        np.testing.assert_array_equal(base.forward(R, S, A).data,
+                                      lora.forward(R, S, A).data)
 
     def test_frozen_bases_bit_identical_after_training(self):
         model = self.make()
         frozen = {n: p.data.copy() for n, p in model.params.items()
                   if not p.requires_grad}
         assert frozen  # the whole transformer backbone is frozen
-        R, S, A, Ts = batch_for(model)
+        R, S, A = batch_for(model)
         trainable = model.trainable_params()
         for _ in range(3):
-            logits = model.forward(R, S, A, Ts)
+            logits = model.forward(R, S, A)
             loss = T.cross_entropy(logits.reshape(4, 3), np.array([0, 1, 2, 0]))
             T.zero_grads(trainable)
             loss.backward()
@@ -221,9 +220,9 @@ class TestLora:
         for name in model.lora_param_names():
             model.params[name].data += rng.normal(0, 0.1, model.params[name].shape)
         merged = model.merged_model()
-        R, S, A, Ts = batch_for(model)
-        np.testing.assert_allclose(merged.forward(R, S, A, Ts).data,
-                                   model.forward(R, S, A, Ts).data,
+        R, S, A = batch_for(model)
+        np.testing.assert_allclose(merged.forward(R, S, A).data,
+                                   model.forward(R, S, A).data,
                                    rtol=0, atol=1e-6)
 
     def test_trainable_count_formula(self):
@@ -245,14 +244,14 @@ class TestCausality:
 
     def test_future_perturbations_change_nothing(self):
         model = tiny_model(window=4)
-        R, S, A, Ts = batch_for(model)
-        base = model.forward(R, S, A, Ts).data.copy()
+        R, S, A = batch_for(model)
+        base = model.forward(R, S, A).data.copy()
         for t_cut in (1, 2, 3):
             R2, S2, A2 = R.copy(), S.copy(), A.copy()
             R2[:, t_cut:] += 5.0
             S2[:, t_cut:] += 5.0
             A2[:, t_cut:] = (A2[:, t_cut:] + 1) % 3
-            out = model.forward(R2, S2, A2, Ts).data
+            out = model.forward(R2, S2, A2).data
             diff = np.abs(out[:, :t_cut] - base[:, :t_cut]).max()
             assert diff == 0.0
 
@@ -268,9 +267,9 @@ class TestCausality:
 class TestTokenLayout:
     def test_ten_tokens_per_step_and_encoder_shapes(self):
         model = tiny_model(window=3)
-        R, S, A, Ts = batch_for(model)
+        R, S, A = batch_for(model)
         assert TOKENS_PER_STEP == 10
-        normed, raw = model.build_sequence(R, S, A, Ts)
+        normed, raw = model.build_sequence(R, S, A)
         assert raw.shape == (2, 10 * 3, model.config.embed_size)
         assert normed.shape == raw.shape
         emb = model.encode_state(S).data          # feature i on axis 2
@@ -279,11 +278,12 @@ class TestTokenLayout:
         for o in outs:
             assert o.shape == (2, 3, model.config.embed_size)
 
-    def test_zero_time_table_gives_pure_modality_projection(self):
+    def test_tokens_are_pure_modality_projections(self):
+        """With no position input, each token is its modality's projection
+        alone."""
         model = tiny_model(window=3)
-        model.params["W_time"].data[:] = 0.0
-        R, S, A, Ts = batch_for(model)
-        _, raw = model.build_sequence(R, S, A, Ts)
+        R, S, A = batch_for(model)
+        _, raw = model.build_sequence(R, S, A)
         tok = raw.data.reshape(2, 3, 10, model.config.embed_size)
 
         r_proj = T.linear(Tensor(R[:, :, None]), model.params["W_return"],
@@ -296,10 +296,6 @@ class TestTokenLayout:
         assert s_emb.shape[2] == 8
         for i in range(8):
             np.testing.assert_array_equal(tok[:, :, 1 + i], s_emb[:, :, i])
-
-        # with the table zeroed, timestep values are irrelevant
-        _, raw2 = model.build_sequence(R, S, A, (Ts + 3) % model.config.max_timestep)
-        np.testing.assert_array_equal(raw2.data, raw.data)
 
 
 # ----------------------------------------- 5. return conditioning
@@ -358,12 +354,12 @@ class TestCloneFidelity:
         with logits within 1e-5."""
         driver = ev.LlmEvery(clone_run["ckpt"], every=1)
         assert isinstance(driver.model, InferencePolicy)
-        windows = []   # (returns, states, actions, first timestep, logits) per decision
+        windows = []   # (returns, states, actions, logits) per decision
         logits = driver.model.logits
 
-        def recording_logits(returns, states, actions, first_timestep):
-            out = logits(returns, states, actions, first_timestep)
-            windows.append((returns, states, actions, first_timestep, out))
+        def recording_logits(returns, states, actions):
+            out = logits(returns, states, actions)
+            windows.append((returns, states, actions, out))
             return out
 
         driver.model.logits = recording_logits
@@ -376,15 +372,15 @@ class TestCloneFidelity:
         tensor_model = load_checkpoint(clone_run["ckpt"])[0]
         w = tensor_model.config.context_window
         R, A, pad = (np.zeros((len(windows), w)) for _ in range(3))
-        S, Ts = np.zeros((len(windows), w, STATE_DIM)), np.zeros((len(windows), w), dtype=np.int64)
-        for i, (returns, states, actions, first, _) in enumerate(windows):
+        S = np.zeros((len(windows), w, STATE_DIM))
+        for i, (returns, states, actions, _) in enumerate(windows):
             n = len(states)
             R[i, w - n:], S[i, w - n:], A[i, w - n:w - 1] = returns, states, actions
-            Ts[i, w - n:], pad[i, w - n:] = np.arange(first, first + n), 1.0
+            pad[i, w - n:] = 1.0
         got = np.stack([out for *_, out in windows])
         for lo in range(0, len(R), 512):
             rows = slice(lo, lo + 512)
-            logits = tensor_model.predict(R[rows], S[rows], A[rows], Ts[rows], pad_mask=pad[rows])
+            logits = tensor_model.predict(R[rows], S[rows], A[rows], pad_mask=pad[rows])
             np.testing.assert_allclose(logits, got[rows], rtol=0, atol=1e-5)
             assert logits.argmax(axis=1).tolist() == np.argmax(got[rows], axis=1).tolist()
 

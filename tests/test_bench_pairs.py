@@ -251,7 +251,7 @@ def test_decision_pairs_exits_2_when_the_base_cannot_read_the_checkpoint(tmp_pat
         pass
 
     def refuse(path):
-        raise BaseCheckpointError("unsupported checkpoint version 6")
+        raise BaseCheckpointError("unsupported checkpoint version 7")
 
     @contextlib.contextmanager
     def side_trees(rev, prefix):
@@ -266,7 +266,7 @@ def test_decision_pairs_exits_2_when_the_base_cannot_read_the_checkpoint(tmp_pat
     assert decision_pairs.main(["--blocks", "1", "--seconds", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: base 000000000000 cannot read the working tree's checkpoint "
-                          "(unsupported checkpoint version 6); decision_pairs compares only "
+                          "(unsupported checkpoint version 7); decision_pairs compares only "
                           "commits of one checkpoint format, and tools/bench_pairs.py covers")
 
 

@@ -14,8 +14,8 @@ import pytest
 from aqmlab import cli
 from aqmlab import evaluation as ev
 from aqmlab.model import LORA_RANK, ModelConfig, PolicyModel, load_checkpoint
-from aqmlab.pool import ExperiencePool, augment, build_pool
-from aqmlab.training import TrainConfig
+from aqmlab.pool import ExperiencePool, augment, build_pool, compute_feature_stats
+from aqmlab.training import TARGET_RETURN_PERCENTILE, TrainConfig, normalize_pool, target_return
 from aqmlab.simulator import (
     Dualpi2Params, FlowKind, FlowSpec, ScenarioConfig, default_scenario, run_scenario, write_klog,
 )
@@ -129,6 +129,39 @@ def test_fine_tune_trains_at_the_checkpoints_window(pipeline, tmp_path):
             "--init-from", paths["policy.npz"], "-o", tmp_path / "lora.npz")]) == 0
     model = load_checkpoint(tmp_path / "lora.npz")[0]
     assert model.lora_rank == LORA_RANK and model.config.context_window == 4
+
+
+def test_the_cli_default_model_has_15315_parameters(pipeline, tmp_path):
+    """The CLI-default model stores no time table: `train` prints 15,315
+    parameters, all trainable."""
+    paths, _ = pipeline
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main([str(a) for a in (
+            "train", paths["pool.npz"], "--epochs", 1, "--batch-size", 256,
+            "-o", tmp_path / "m.npz")]) == 0
+    assert buf.getvalue().splitlines()[0] == "parameters: 15,315 trainable of 15,315"
+
+
+def test_fine_tune_refits_the_feature_stats_from_the_new_pool(pipeline, tmp_path):
+    """`--init-from` keeps the checkpoint's weights but not its input
+    scale: the fine-tuned checkpoint stores the feature stats and target
+    return of the pool it was tuned on, not those of the base checkpoint."""
+    paths, _ = pipeline
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in (
+                ["simulate", "--seed", 4, "--duration", SECONDS, "-o", tmp_path / "4.klog"],
+                ["build-pool", paths["1.klog"], tmp_path / "4.klog", "--noise", 1.0,
+                 "-o", tmp_path / "new.npz"],
+                ["train", tmp_path / "new.npz", "--epochs", 1, "--batch-size", 64,
+                 "--init-from", paths["policy.npz"], "-o", tmp_path / "tuned.npz"]):
+            assert cli.main([str(a) for a in argv]) == 0, argv
+    new_pool = ExperiencePool.load(tmp_path / "new.npz")
+    _, base_stats, base_extra = load_checkpoint(paths["policy.npz"])
+    _, stats, extra = load_checkpoint(tmp_path / "tuned.npz")
+    assert stats == compute_feature_stats(new_pool) != base_stats
+    want = target_return(normalize_pool(new_pool)[0], TARGET_RETURN_PERCENTILE)
+    assert extra["target_return"] == want != base_extra["target_return"]
 
 
 def test_parsed_defaults_are_the_config_defaults():
@@ -274,6 +307,15 @@ def test_train_with_zero_heads_exits_1(pipeline, tmp_path, capsys):
     assert cli.main(["train", str(paths["pool.npz"]), "--heads", "0",
                      "-o", str(tmp_path / "m.npz")]) == 1
     assert "n_heads must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "m.npz").exists()
+
+
+def test_train_with_a_negative_clip_norm_exits_1(pipeline, tmp_path, capsys):
+    """A clip norm of 0 or less would train unclipped: refused by name."""
+    paths, _ = pipeline
+    assert cli.main(["train", str(paths["pool.npz"]), "--clip-norm", "-1",
+                     "-o", str(tmp_path / "m.npz")]) == 1
+    assert "clip_norm must be > 0, got -1.0" in capsys.readouterr().err
     assert not (tmp_path / "m.npz").exists()
 
 

@@ -14,41 +14,42 @@ from aqmlab.model import (
     CHECKPOINT_VERSION, CONV_WIDTH, TOKENS_PER_STEP, CheckpointError, InferencePolicy,
     ModelConfig, PolicyModel, load_checkpoint, save_checkpoint,
 )
+from aqmlab.pool import ExperiencePool, Trajectory
 from aqmlab.tensor import Tensor
+from aqmlab.training import WindowDataset
 from helpers import block_diagonal_tokens
 
 
 def small_config(**over):
     base = dict(feature_dim=4, embed_size=16, n_layers=2, n_heads=2,
-                context_window=6, max_timestep=64, dtype="float64")
+                context_window=6, dtype="float64")
     base.update(over)
     return ModelConfig(**base)
 
 
-def rand_batch(cfg, b=3, w=None, seed=0, t0=0):
-    """A random batch of b windows of w steps at timesteps t0..t0 + w - 1."""
+def rand_batch(cfg, b=3, w=None, seed=0):
+    """A random batch (returns, states, actions) of b windows of w steps."""
     w = w or cfg.context_window
     rng = np.random.default_rng(seed)
     R = rng.normal(size=(b, w))
     S = rng.normal(size=(b, w, STATE_DIM))
     A = rng.integers(0, ACTION_COUNT, size=(b, w)).astype(float)
-    ts = np.tile(np.arange(t0, t0 + w), (b, 1))
-    return R, S, A, ts
+    return R, S, A
 
 
 class TestShapes:
     def test_forward_logits_shape(self):
         cfg = small_config()
         m = PolicyModel(cfg, seed=0)
-        R, S, A, ts = rand_batch(cfg)
-        out = m.forward(R, S, A, ts)
+        R, S, A = rand_batch(cfg)
+        out = m.forward(R, S, A)
         assert out.shape == (3, cfg.context_window, ACTION_COUNT)
 
     def test_sequence_has_ten_tokens_per_step(self):
         cfg = small_config()
         m = PolicyModel(cfg, seed=0)
-        R, S, A, ts = rand_batch(cfg, w=4)
-        x, raw = m.build_sequence(R, S, A, ts)
+        R, S, A = rand_batch(cfg, w=4)
+        x, raw = m.build_sequence(R, S, A)
         assert x.shape == (3, 4 * TOKENS_PER_STEP, cfg.embed_size)
         assert raw.shape == x.shape
         assert TOKENS_PER_STEP == 10  # return + 8 state features + action
@@ -56,16 +57,16 @@ class TestShapes:
     def test_shorter_window_accepted(self):
         cfg = small_config()
         m = PolicyModel(cfg, seed=0)
-        R, S, A, ts = rand_batch(cfg, w=2)
-        assert m.forward(R, S, A, ts).shape == (3, 2, 3)
+        R, S, A = rand_batch(cfg, w=2)
+        assert m.forward(R, S, A).shape == (3, 2, 3)
 
     def test_forward_count_increments(self):
         cfg = small_config()
         m = PolicyModel(cfg, seed=0)
-        R, S, A, ts = rand_batch(cfg)
+        R, S, A = rand_batch(cfg)
         n0 = m.forward_count
-        m.forward(R, S, A, ts)
-        m.forward(R, S, A, ts)
+        m.forward(R, S, A)
+        m.forward(R, S, A)
         assert m.forward_count == n0 + 2
 
     def test_config_validation(self):
@@ -74,7 +75,7 @@ class TestShapes:
         with pytest.raises(ValueError):
             small_config(context_window=0)
         for field, value in (("feature_dim", 0), ("embed_size", 0), ("n_heads", 0),
-                             ("n_heads", -2), ("n_layers", -1), ("max_timestep", -1)):
+                             ("n_heads", -2), ("n_layers", -1)):
             with pytest.raises(ValueError, match=f"{field} must be >= "):
                 small_config(**{field: value})
         with pytest.raises(ValueError, match="dtype must be a floating type"):
@@ -85,73 +86,100 @@ class TestShapes:
         """predict is the forward pass's newest step, bit for bit."""
         cfg = small_config()
         m = PolicyModel(cfg, seed=0)
-        R, S, A, ts = rand_batch(cfg)
-        logits = m.predict(R, S, A, ts)
-        want = m.forward(R, S, A, ts).data[:, -1]
+        R, S, A = rand_batch(cfg)
+        logits = m.predict(R, S, A)
+        want = m.forward(R, S, A).data[:, -1]
         assert logits.shape == (3, 3) and logits.dtype == want.dtype
         assert logits.tobytes() == want.tobytes()
 
 
-class TestTimeEmbedding:
-    def test_timestep_changes_output(self):
-        cfg = small_config()
-        m = PolicyModel(cfg, seed=0)
-        R, S, A, ts = rand_batch(cfg)
-        y1 = m.forward(R, S, A, ts).data
-        y2 = m.forward(R, S, A, ts + 5).data
-        assert np.abs(y1 - y2).max() > 0
+class TestNoPositionInput:
+    """The model has no position input: a window's logits depend on its
+    contents alone, not on where in its trajectory it lies."""
 
-    def test_zero_time_table_removes_time_dependence(self):
-        cfg = small_config()
-        m = PolicyModel(cfg, seed=0)
-        m.params["W_time"].data[:] = 0.0
-        R, S, A, ts = rand_batch(cfg)
-        y1 = m.forward(R, S, A, ts).data
-        y2 = m.forward(R, S, A, ts + 7).data
-        np.testing.assert_array_equal(y1, y2)
+    @pytest.mark.parametrize("n_layers", [0, 1, 2])
+    def test_same_window_at_two_offsets_gives_the_same_logits(self, n_layers):
+        """One trajectory holds the same w steps at steps 0..w-1 and at
+        30..29+w.  `WindowDataset.gather` gives the two windows timesteps 30
+        apart, and both `PolicyModel.forward` (passed those timesteps) and
+        `InferencePolicy.logits` give them the same newest logits, bit for
+        bit."""
+        cfg = bench_config(n_layers=n_layers)
+        m, w = perturbed_model(cfg), cfg.context_window
+        rng = np.random.default_rng(4)
+        returns, states = rng.normal(size=40), rng.normal(size=(40, STATE_DIM))
+        actions = rng.integers(0, ACTION_COUNT, size=40)
+        for column in (returns, states, actions):
+            column[30:30 + w] = column[:w]
+        pool = ExperiencePool(trajectories=[Trajectory(np.ones(40), states, actions, returns)])
+        R, S, A, _, ts, mask = WindowDataset(pool, w).gather([(0, w - 1), (0, 29 + w)])
+        assert (ts[1] - ts[0] == 30).all() and (mask > 0).all()
+        forward = [m.forward(R[i:i + 1], S[i:i + 1], A[i:i + 1], ts[i:i + 1]).data[0, -1]
+                   for i in range(2)]
+        assert forward[0].tobytes() == forward[1].tobytes()
+        policy = InferencePolicy(m)
+        snapshot = [policy.logits(R[i], S[i], A[i, :-1]) for i in range(2)]
+        assert snapshot[0].tobytes() == snapshot[1].tobytes()
+        np.testing.assert_allclose(snapshot[0], forward[0], rtol=0, atol=1e-5)
 
-    def test_timestep_clipped_to_table(self):
-        cfg = small_config(max_timestep=8)
-        m = PolicyModel(cfg, seed=0)
-        R, S, A, ts = rand_batch(cfg)
-        m.forward(R, S, A, ts + 10_000)  # must not raise
+    @pytest.mark.parametrize("seed", [0, 5, 7])
+    def test_no_token_of_a_zero_input_is_a_zero_row(self, seed):
+        """With no time row added, a token whose input is 0 (action 0, a
+        zero-variance feature, a zero return) is its type's bias alone; drawn,
+        not zero, its centred mean square stays far above LN_EPS, so the
+        pre-LN does not scale its gradient by 1/sqrt(LN_EPS)."""
+        m = PolicyModel(ModelConfig(), seed=seed)
+        tokens = model_mod.token_sequence(m.params, np.zeros((1, 2)),
+                                          np.zeros((1, 2, STATE_DIM)), np.zeros((1, 2))).data
+        centred = tokens - tokens.mean(axis=-1, keepdims=True)
+        assert (np.square(centred).mean(axis=-1) > 10 * T.LN_EPS).all()
+
+    def test_the_cli_default_model_has_no_time_table(self):
+        """No parameter grows with episode length: the CLI-default model has
+        15,315 parameters, and LoRA at its default rank trains 3,315 of
+        15,827."""
+        m = PolicyModel(ModelConfig(), seed=0)
+        assert sum(p.data.size for p in m.params.values()) == m.trainable_count() == 15_315
+        assert not any("time" in name for name in m.params)
+        m.enable_lora()
+        assert (m.trainable_count(), sum(p.data.size for p in m.params.values())) == (3_315, 15_827)
 
 
 class TestCausality:
     """Prediction at step t must be a function of history <= t only,
     excluding step t's own action."""
 
-    def _logits(self, m, R, S, A, ts):
-        return m.forward(R, S, A, ts).data
+    def _logits(self, m, R, S, A):
+        return m.forward(R, S, A).data
 
     def test_future_state_cannot_affect_past(self):
         cfg = small_config()
         m = PolicyModel(cfg, seed=0)
-        R, S, A, ts = rand_batch(cfg)
-        base = self._logits(m, R, S, A, ts)
+        R, S, A = rand_batch(cfg)
+        base = self._logits(m, R, S, A)
         S2 = S.copy()
         S2[:, 4:, :] += 100.0
-        pert = self._logits(m, R, S2, A, ts)
+        pert = self._logits(m, R, S2, A)
         np.testing.assert_array_equal(base[:, :4], pert[:, :4])
 
     def test_future_action_cannot_affect_past(self):
         cfg = small_config()
         m = PolicyModel(cfg, seed=0)
-        R, S, A, ts = rand_batch(cfg)
-        base = self._logits(m, R, S, A, ts)
+        R, S, A = rand_batch(cfg)
+        base = self._logits(m, R, S, A)
         A2 = A.copy()
         A2[:, 5] = (A2[:, 5] + 1) % 3
-        pert = self._logits(m, R, S, A2, ts)
+        pert = self._logits(m, R, S, A2)
         np.testing.assert_array_equal(base[:, :5], pert[:, :5])
 
     def test_future_return_cannot_affect_past(self):
         cfg = small_config()
         m = PolicyModel(cfg, seed=0)
-        R, S, A, ts = rand_batch(cfg)
-        base = self._logits(m, R, S, A, ts)
+        R, S, A = rand_batch(cfg)
+        base = self._logits(m, R, S, A)
         R2 = R.copy()
         R2[:, 3:] -= 42.0
-        pert = self._logits(m, R2, S, A, ts)
+        pert = self._logits(m, R2, S, A)
         np.testing.assert_array_equal(base[:, :3], pert[:, :3])
 
     def test_own_step_action_token_excluded(self):
@@ -160,45 +188,43 @@ class TestCausality:
         the step-t logits."""
         cfg = small_config()
         m = PolicyModel(cfg, seed=0)
-        R, S, A, ts = rand_batch(cfg)
-        base = self._logits(m, R, S, A, ts)
+        R, S, A = rand_batch(cfg)
+        base = self._logits(m, R, S, A)
         A2 = A.copy()
         A2[:, -1] = (A2[:, -1] + 1) % 3
-        pert = self._logits(m, R, S, A2, ts)
+        pert = self._logits(m, R, S, A2)
         np.testing.assert_array_equal(base[:, -1], pert[:, -1])
 
     def test_past_state_does_affect_present(self):
         cfg = small_config()
         m = PolicyModel(cfg, seed=0)
-        R, S, A, ts = rand_batch(cfg)
-        base = self._logits(m, R, S, A, ts)
+        R, S, A = rand_batch(cfg)
+        base = self._logits(m, R, S, A)
         S2 = S.copy()
         S2[:, 0, :] += 5.0
-        pert = self._logits(m, R, S2, A, ts)
+        pert = self._logits(m, R, S2, A)
         assert np.abs(base[:, -1] - pert[:, -1]).max() > 0
 
     def test_pad_mask_keeps_logits_finite(self):
         cfg = small_config()
         m = PolicyModel(cfg, seed=0)
-        R, S, A, ts = rand_batch(cfg)
+        R, S, A = rand_batch(cfg)
         pad = np.zeros((3, cfg.context_window))
         pad[:, -2:] = 1.0  # only last two steps real
-        out = m.forward(R, S, A, ts, pad_mask=pad).data
+        out = m.forward(R, S, A, pad_mask=pad).data
         assert np.isfinite(out).all()
 
     def test_padded_history_matches_short_history(self):
         """Left-padded forward on 2 real steps == forward on just those steps."""
         cfg = small_config()
         m = PolicyModel(cfg, seed=0)
-        R, S, A, ts = rand_batch(cfg, b=2, w=cfg.context_window)
+        R, S, A = rand_batch(cfg, b=2, w=cfg.context_window)
         w = cfg.context_window
         pad = np.zeros((2, w)); pad[:, -2:] = 1.0
         R2 = np.zeros_like(R); S2 = np.zeros_like(S); A2 = np.zeros_like(A)
-        ts2 = np.zeros_like(ts)
         R2[:, -2:] = R[:, :2]; S2[:, -2:] = S[:, :2]; A2[:, -2:] = A[:, :2]
-        ts2[:, -2:] = ts[:, :2]
-        full = m.forward(R2, S2, A2, ts2, pad_mask=pad).data[:, -2:]
-        short = m.forward(R[:, :2], S[:, :2], A[:, :2], ts[:, :2]).data
+        full = m.forward(R2, S2, A2, pad_mask=pad).data[:, -2:]
+        short = m.forward(R[:, :2], S[:, :2], A[:, :2]).data
         np.testing.assert_allclose(full, short, atol=1e-10)
 
 
@@ -209,10 +235,10 @@ class TestLora:
 
     def test_b_zero_init_preserves_base_function(self):
         m = self._model()
-        R, S, A, ts = rand_batch(m.config)
-        before = m.forward(R, S, A, ts).data
+        R, S, A = rand_batch(m.config)
+        before = m.forward(R, S, A).data
         m.enable_lora(rank=2, seed=3)
-        after = m.forward(R, S, A, ts).data
+        after = m.forward(R, S, A).data
         np.testing.assert_array_equal(before, after)
 
     def test_backbone_frozen_after_enable(self):
@@ -240,10 +266,10 @@ class TestLora:
     def test_adapters_receive_gradients(self):
         m = self._model()
         m.enable_lora(rank=2)
-        R, S, A, ts = rand_batch(m.config)
+        R, S, A = rand_batch(m.config)
         tgt = np.zeros(3 * m.config.context_window, dtype=int)
         loss = T.cross_entropy(
-            m.forward(R, S, A, ts).reshape(3 * m.config.context_window, 3), tgt)
+            m.forward(R, S, A).reshape(3 * m.config.context_window, 3), tgt)
         loss.backward()
         for name in m.lora_param_names():
             if name.endswith("_lora_B"):
@@ -260,10 +286,10 @@ class TestLora:
         for name in m.lora_param_names():
             if name.endswith("_lora_B"):
                 m.params[name].data += 0.05
-        R, S, A, ts = rand_batch(m.config)
-        factored = m.forward(R, S, A, ts).data
+        R, S, A = rand_batch(m.config)
+        factored = m.forward(R, S, A).data
         merged = m.merged_model()
-        out = merged.forward(R, S, A, ts).data
+        out = merged.forward(R, S, A).data
         np.testing.assert_allclose(out, factored, atol=1e-12)
         assert merged.lora_rank is None
 
@@ -290,9 +316,9 @@ class TestCheckpoint:
         assert stats2 == stats and extra == {"k": 1}
         for name, p in m.params.items():
             np.testing.assert_array_equal(p.data, m2.params[name].data)
-        R, S, A, ts = rand_batch(m.config)
-        np.testing.assert_array_equal(m.forward(R, S, A, ts).data,
-                                      m2.forward(R, S, A, ts).data)
+        R, S, A = rand_batch(m.config)
+        np.testing.assert_array_equal(m.forward(R, S, A).data,
+                                      m2.forward(R, S, A).data)
 
     def test_lora_state_round_trips(self, tmp_path):
         m = PolicyModel(small_config(), seed=2)
@@ -314,7 +340,7 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("name,edit", [("W_time", lambda a: a[:5]),
+    @pytest.mark.parametrize("name,edit", [("embed_W", lambda a: a[:5]),
                                            ("head_W", lambda a: a.astype(np.float32))])
     def test_parameter_unlike_the_config_rejected(self, tmp_path, name, edit):
         """A stored parameter whose shape or dtype the config does not build
@@ -343,7 +369,7 @@ class TestCheckpoint:
         path = tmp_path / "m.npz"
         save_checkpoint(m, path)
         meta = saved_meta(path)
-        assert meta["version"] == CHECKPOINT_VERSION == 6
+        assert meta["version"] == CHECKPOINT_VERSION == 7
         assert meta["lora_rank"] == 2 and "lora_enabled" not in meta
         assert "frozen" not in meta and not {"lora_targets", "lora_rank"} & meta["config"].keys()
 
@@ -366,7 +392,7 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="stored LoRA rank"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_earlier_versions_rejected_with_a_retrain_hint(self, tmp_path, version):
         path = tmp_path / f"v{version}.npz"
         save_checkpoint(PolicyModel(small_config(), seed=0), path)
@@ -439,22 +465,22 @@ def rewrite_meta(path, **fields):
 
 
 # parameter_digest() of untrained seeded models: a seed must keep its initial
-# values.  Checkpoint v6 dropped the seven tensor kinds another tensor
-# absorbs, all constants that drew nothing; every remaining tensor is byte
-# for byte the v5 tensor of its name.
+# values.  Checkpoint v7 dropped the time table's draw and draws the token
+# biases (embed_b, b_return, b_action) at std 0.02 where v6 made them zero,
+# each in its v6 place; the other tensors are drawn in the v6 order.
 GOLDEN_PARAMETER_DIGESTS = {
-    "cli_default/0": "d23fd7a28feaa53e177142853a8237e146509d863f1f82f5f5575205486ad4e8",
-    "cli_default/5": "85b6a1db7d677bb17bc0c7bac1f2c125cf80794571df4c36413c70ba87229deb",
-    "cli_default/7": "7e85e93cf74720cb22de3acf7dff6d5fb6cdd8b6db87d7221bd2556778d947e2",
-    "small_float64/0": "139e0bca367e09ed71de83d630eefda455d040ded7e66e012ef225c5627199ac",
-    "small_float64/5": "bc2d447a0edd50eefab62e04a3839c8723544d851687d99c3096ad08a04febc4",
-    "small_float64/7": "d07ebf3cfa0686ad7b4f4c5a1bcc4428303aa84ee29a91b05497185adfde27c7",
+    "cli_default/0": "e90844ccdb55b5dbb209479cbe12ff330dfea8ace3222b8848b8a6f21222a8d2",
+    "cli_default/5": "b97abc0cfeddeeccb4697241b74cf0da8cbc84b4d8f02bd712e4631460343ee6",
+    "cli_default/7": "55ae4764de06e71cf94eb78c2164e02d37e50ca60d4ddb290e2035948ada4245",
+    "small_float64/0": "927bdd6ec2b204f3fb679f04fa7a0f696f2169204c3ad948716b6a1d7f08e7af",
+    "small_float64/5": "6e96362e390c8abcbfb11908ed4b84c7fc583f5dc5c671c67284454b1820abaa",
+    "small_float64/7": "97d56e200587eeb997f4bbfa5ea44ecc4aab995882338753b8e3f746e4b4c7e8",
 }
 
 GOLDEN_CONFIGS = {
     "cli_default": {},
     "small_float64": dict(feature_dim=4, embed_size=16, n_layers=2, n_heads=2,
-                          context_window=6, max_timestep=64, dtype="float64"),
+                          context_window=6, dtype="float64"),
 }
 
 
@@ -508,10 +534,9 @@ def reference_encode_state(model, states, absorbed=None):
     return T.concat([o.reshape(b, w, 1, d) for o in outs], axis=2)
 
 
-def reference_build_sequence(model, R, S, A, ts, absorbed=None):
+def reference_build_sequence(model, R, S, A, absorbed=None):
     """build_sequence composed node by node from `reference_encode_state`
-    (given `absorbed`): the return and action encoders, a concat, and the
-    time rows gathered per step."""
+    (given `absorbed`): the return and action encoders and a concat."""
     cfg, p = model.config, model.params
     dt = cfg.np_dtype
     b, w = np.shape(R)
@@ -519,8 +544,7 @@ def reference_build_sequence(model, R, S, A, ts, absorbed=None):
     a_emb = T.linear(Tensor(np.asarray(A, dtype=dt)[:, :, None]), p["W_action"], p["b_action"])
     tokens = T.concat([r_emb.reshape(b, w, 1, -1), reference_encode_state(model, S, absorbed),
                        a_emb.reshape(b, w, 1, -1)], axis=2)
-    t_emb = T.select_positions(p["W_time"], np.clip(ts, 0, cfg.max_timestep)[:, :, None], axis=0)
-    tokens = (tokens + t_emb).reshape(b, w * TOKENS_PER_STEP, cfg.embed_size)
+    tokens = tokens.reshape(b, w * TOKENS_PER_STEP, cfg.embed_size)
     return T.layer_norm(tokens, p["pre_ln_g"], p["pre_ln_b"]), tokens
 
 
@@ -533,9 +557,9 @@ DEFAULT_FEATURES_DTYPES = pytest.mark.parametrize(
 
 
 def loss_and_grads(model, batch, pad):
-    R, S, A, ts = batch
+    R, S, A = batch
     T.zero_grads(model.params.values())
-    logits = model.forward(R, S, A, ts, pad_mask=pad)
+    logits = model.forward(R, S, A, pad_mask=pad)
     b, w, c = logits.shape
     tgt = np.arange(b * w) % c
     T.cross_entropy(logits.reshape(b * w, c), tgt).backward()
@@ -548,8 +572,7 @@ class TestFusedEncoder:
         cfg = bench_config(dtype=dtype)
         fused, ref = PolicyModel(cfg, seed=4), PolicyModel(cfg, seed=4)
         ref.build_sequence = lambda *args: reference_build_sequence(ref, *args)
-        # timesteps that repeat within a window and lie past the table
-        batch = rand_batch(cfg, b=3, seed=5, t0=cfg.max_timestep - 3)
+        batch = rand_batch(cfg, b=3, seed=5)
         pad = np.ones((3, cfg.context_window))
         pad[1, :3] = 0.0
         y_f, g_f = loss_and_grads(fused, batch, pad)
@@ -573,7 +596,7 @@ class TestFusedEncoder:
     def test_graph_size_per_forward(self, b, monkeypatch):
         cfg = bench_config()
         m = PolicyModel(cfg, seed=0)
-        R, S, A, ts = rand_batch(cfg, b=b)
+        R, S, A = rand_batch(cfg, b=b)
         built = []
         init = Tensor.__init__
 
@@ -581,41 +604,25 @@ class TestFusedEncoder:
             built.append(1)
             init(obj, *args, **kwargs)
         monkeypatch.setattr(Tensor, "__init__", counting_init)
-        m.forward(R, S, A, ts, pad_mask=np.ones((b, cfg.context_window)))
+        m.forward(R, S, A, pad_mask=np.ones((b, cfg.context_window)))
         assert len(built) <= 11
 
 
 class TestTokenOp:
-    """`token_sequence`, the one node that builds every step's 10 tokens and
-    their time rows: float64 central differences for each stored tensor it
-    reads, on timesteps that repeat within a window, lie below 0 and lie
-    past max_timestep."""
-
-    TIMESTEPS = np.array([[1, 1, 5, 9], [6, 7, 2, -3]])   # max_timestep 6: 7 and 9 clip to 6
+    """`token_sequence`, the one node that builds every step's 10 tokens:
+    float64 central differences for each stored tensor it reads."""
 
     def _case(self):
-        cfg = small_config(max_timestep=6)
+        cfg = small_config()
         m = perturbed_model(cfg, lora=False)
-        R, S, A, _ = rand_batch(cfg, b=2, w=4, seed=2)
+        R, S, A = rand_batch(cfg, b=2, w=4, seed=2)
         w = np.random.default_rng(3).normal(size=(2, 4 * TOKENS_PER_STEP, cfg.embed_size))
-        return m, lambda: (model_mod.token_sequence(m.params, R, S, A, self.TIMESTEPS)
-                           * Tensor(w)).sum(), w
+        return m, lambda: (model_mod.token_sequence(m.params, R, S, A) * Tensor(w)).sum()
 
-    @pytest.mark.parametrize("name", model_mod._TOKEN_PARAMS + ("W_time",))
+    @pytest.mark.parametrize("name", model_mod._TOKEN_PARAMS)
     def test_grad_check(self, name):
-        m, loss, _ = self._case()
+        m, loss = self._case()
         assert T.grad_check(loss, [m.params[name]], eps=1e-6, max_coords=200) < 1e-7
-
-    def test_time_rows_sum_each_steps_tokens(self):
-        """W_time's gradient is the upstream gradient summed over a step's 10
-        tokens, added at its clipped row: a row two steps share gets both."""
-        m, loss, w = self._case()
-        loss().backward()
-        want = np.zeros_like(m.params["W_time"].data)
-        per_step = w.reshape(2, 4, TOKENS_PER_STEP, -1).sum(axis=2)
-        np.add.at(want, np.clip(self.TIMESTEPS, 0, 6), per_step)
-        np.testing.assert_allclose(m.params["W_time"].grad, want, rtol=0, atol=1e-12)
-        assert np.count_nonzero(want.any(axis=1)) == 5   # rows 0, 1, 2, 5 and 6
 
 
 class TestTokenKernel:
@@ -627,7 +634,7 @@ class TestTokenKernel:
     def test_matches_the_block_diagonal_product(self, dtype, tol):
         cfg = bench_config(dtype=dtype)
         m = perturbed_model(cfg, lora=False)
-        R, S, A, _ = rand_batch(cfg, b=4, seed=6)
+        R, S, A = rand_batch(cfg, b=4, seed=6)
         # left-padded windows, as the trainer builds them: zero inputs first
         for row, pad in enumerate((0, 1, 3, cfg.context_window - 1)):
             R[row, :pad], S[row, :pad], A[row, :pad] = 0.0, 0.0, 0.0
@@ -679,13 +686,13 @@ class TestCachedMasks:
         pad mask, logits equal those from freshly built arrays bit for bit."""
         cfg = small_config()
         m = PolicyModel(cfg, seed=1)
-        R, S, A, ts = rand_batch(cfg, b=3)
+        R, S, A = rand_batch(cfg, b=3)
         pad = np.ones((3, cfg.context_window))
         pad[1, :2] = 0.0
-        cached = [m.forward(R, S, A, ts).data, m.forward(R, S, A, ts, pad_mask=pad).data]
+        cached = [m.forward(R, S, A).data, m.forward(R, S, A, pad_mask=pad).data]
         monkeypatch.setattr(model_mod, "_mask_arrays", lambda n, dtype: (
             T.causal_mask_bias(n, dtype=dtype), np.eye(n, dtype=bool)))
-        fresh = [m.forward(R, S, A, ts).data, m.forward(R, S, A, ts, pad_mask=pad).data]
+        fresh = [m.forward(R, S, A).data, m.forward(R, S, A, pad_mask=pad).data]
         for a, b in zip(cached, fresh):
             assert a.tobytes() == b.tobytes()
 
@@ -702,13 +709,13 @@ class TestCachedMasks:
             diag[0, 1] = True
 
 
-def full_rows_logits(model, R, S, A, ts, pad_mask):
+def full_rows_logits(model, R, S, A, pad_mask):
     """The forward pass with every block over all 10*w tokens: the residual
     is added to the whole sequence, then the head rows are selected."""
     cfg, p = model.config, model.params
     w = S.shape[1]
     n = w * TOKENS_PER_STEP
-    x, raw_tokens = model.build_sequence(R, S, A, ts)
+    x, raw_tokens = model.build_sequence(R, S, A)
     keep = np.repeat(pad_mask, TOKENS_PER_STEP, axis=1)
     key_block = np.where(keep[:, None, :] > 0, 0.0, -1e9).astype(cfg.np_dtype)
     bias = T.causal_mask_bias(n, dtype=cfg.np_dtype)[None, None] + key_block[:, None]
@@ -745,7 +752,7 @@ class TestHeadRowsOnly:
                     if name.endswith("_lora_B"):
                         m.params[name].data += np.random.default_rng(6).normal(
                             0.0, 0.05, m.params[name].shape).astype(cfg.np_dtype)
-        ref.forward = lambda R, S, A, ts, pad_mask: full_rows_logits(ref, R, S, A, ts, pad_mask)
+        ref.forward = lambda R, S, A, pad_mask: full_rows_logits(ref, R, S, A, pad_mask)
         batch = rand_batch(cfg, b=4, seed=7)
         pad = np.ones((4, cfg.context_window))
         pad[1, :3] = 0.0
@@ -810,9 +817,9 @@ class TestFoldedAttention:
         folded, ref = perturbed_model(cfg, lora=lora), perturbed_model(cfg, lora=lora)
         ref._attention_block = lambda x, l, bias, rows=None: reference_attention_block(
             ref, x, l, bias, rows)
-        R, S, A, ts, pad = padded_batch(cfg)
-        y_f, g_f = loss_and_grads(folded, (R, S, A, ts), pad)
-        y_r, g_r = loss_and_grads(ref, (R, S, A, ts), pad)
+        R, S, A, pad = padded_batch(cfg)
+        y_f, g_f = loss_and_grads(folded, (R, S, A), pad)
+        y_r, g_r = loss_and_grads(ref, (R, S, A), pad)
         np.testing.assert_allclose(y_f, y_r, rtol=0, atol=tol)
         for name, g in g_r.items():
             if g is None:
@@ -881,15 +888,15 @@ def perturbed_model(cfg, seed=3, lora=True):
     return m
 
 
-def padded_batch(cfg, seed=7, t0=0):
-    """A b=3 batch at timesteps t0..t0 + w - 1, left-padded as
-    `WindowDataset.gather` pads: the full window, one with 3 padded steps and
-    one with a single real step; a padded step is a zero input with mask 0."""
-    R, S, A, ts = rand_batch(cfg, b=3, seed=seed, t0=t0)
+def padded_batch(cfg, seed=7):
+    """A b=3 batch left-padded as `WindowDataset.gather` pads: the full
+    window, one with 3 padded steps and one with a single real step; a
+    padded step is a zero input with mask 0."""
+    R, S, A = rand_batch(cfg, b=3, seed=seed)
     pad = np.ones((3, cfg.context_window))
     pad[1, :3] = 0.0
     pad[2, :-1] = 0.0   # one real step
-    return R * pad, S * pad[:, :, None], A * pad, ts, pad
+    return R * pad, S * pad[:, :, None], A * pad, pad
 
 
 class TestLeftPadding:
@@ -901,12 +908,11 @@ class TestLeftPadding:
     @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
     def test_newest_logits_are_the_real_steps_alone(self, n_layers, dtype, tol):
         model = perturbed_model(bench_config(n_layers=n_layers, dtype=dtype))
-        R, S, A, ts, pad = padded_batch(model.config)
-        padded = model.predict(R, S, A, ts, pad_mask=pad)
+        R, S, A, pad = padded_batch(model.config)
+        padded = model.predict(R, S, A, pad_mask=pad)
         for i, want in enumerate(padded):
             real = pad[i] > 0
-            alone = model.predict(R[i:i + 1, real], S[i:i + 1, real], A[i:i + 1, real],
-                                  ts[i:i + 1, real])[0]
+            alone = model.predict(R[i:i + 1, real], S[i:i + 1, real], A[i:i + 1, real])[0]
             np.testing.assert_allclose(alone, want, rtol=0, atol=tol)
 
 
@@ -972,8 +978,8 @@ def absorb(model, absorbed, skip=()):
 
 
 class TestAbsorbedTensors:
-    """A checkpoint-v6 model stores no layer-norm tensor in its blocks and
-    no value or encoder bias: folding random values of them into the
+    """Since checkpoint v6 a model stores no layer-norm tensor in its blocks
+    and no value or encoder bias: folding random values of them into the
     tensors it stores gives the logits of the op-by-op references that
     apply them, and dropping any one term of the fold does not."""
 
@@ -983,13 +989,13 @@ class TestAbsorbedTensors:
         ref, folded = perturbed_model(cfg, lora=lora), perturbed_model(cfg, lora=lora)
         absorbed = absorbed_tensors(cfg)
         absorb(folded, absorbed, skip)
-        ref.build_sequence = lambda R, S, A, ts: reference_build_sequence(ref, R, S, A, ts, absorbed)
+        ref.build_sequence = lambda R, S, A: reference_build_sequence(ref, R, S, A, absorbed)
         ref._attention_block = lambda x, l, bias, rows=None: reference_attention_block(
             ref, x, l, bias, rows, absorbed)
-        R, S, A, ts, pad = padded_batch(cfg)
+        R, S, A, pad = padded_batch(cfg)
         with T.no_grad():
-            return (folded.forward(R, S, A, ts, pad_mask=pad).data,
-                    ref.forward(R, S, A, ts, pad_mask=pad).data)
+            return (folded.forward(R, S, A, pad_mask=pad).data,
+                    ref.forward(R, S, A, pad_mask=pad).data)
 
     @pytest.mark.parametrize("lora", [False, True])
     @pytest.mark.parametrize("n_layers", [1, 2])
@@ -1003,14 +1009,14 @@ class TestAbsorbedTensors:
         assert np.abs(got - want).max() > 1e-6
 
 
-def assert_policy_matches_predict(model, tol, seed=7, t0=0):
+def assert_policy_matches_predict(model, tol, seed=7):
     """InferencePolicy.logits of each window of `padded_batch`, passed its
     real steps alone, against PolicyModel.predict of the padded batch."""
     policy = InferencePolicy(model)
-    R, S, A, ts, pad = padded_batch(model.config, seed=seed, t0=t0)
-    for i, want in enumerate(model.predict(R, S, A, ts, pad_mask=pad)):
+    R, S, A, pad = padded_batch(model.config, seed=seed)
+    for i, want in enumerate(model.predict(R, S, A, pad_mask=pad)):
         real = pad[i] > 0
-        got = policy.logits(R[i, real], S[i, real], A[i, real][:-1], ts[i, real][0])
+        got = policy.logits(R[i, real], S[i, real], A[i, real][:-1])
         assert got.dtype == want.dtype and got.shape == (3,)
         np.testing.assert_allclose(got, want, rtol=0, atol=tol)
 
@@ -1035,15 +1041,6 @@ class TestInferencePolicy:
         cfg = small_config(n_heads=4, n_layers=2)
         assert_policy_matches_predict(perturbed_model(cfg), 1e-12)
 
-    @DEFAULT_FEATURES_DTYPES
-    @pytest.mark.parametrize("offset", [-4, 1000], ids=["straddling", "past"])
-    def test_matches_predict_past_max_timestep(self, offset, dtype, tol):
-        """Past max_timestep the time table is clipped to its last row, the
-        closed loop's usual case after about 5 s: a window whose first steps
-        lie before that row and its last ones past it, and one wholly past."""
-        cfg = bench_config(dtype=dtype, n_layers=2)
-        assert_policy_matches_predict(perturbed_model(cfg), tol, t0=cfg.max_timestep + offset)
-
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_every_array_read_only_in_the_model_dtype(self, dtype):
         """Every array the snapshot holds, the folded QK/OV matrices
@@ -1060,11 +1057,11 @@ class TestInferencePolicy:
                     collect(item)
         for v in vars(policy).values():
             collect(v)
-        # the composed token kernels, their bias, time table and steady-state
-        # bias, the read-out's kernel and time-row means, the pre-LN's gain,
-        # shift and centred shift, the head pair, the centring matrix and the
-        # two mean columns, and per block QK, bQK, VO, bVO, W1, b1, W2, b2
-        assert len(arrays) == 14 + 8 * cfg.n_layers
+        # the composed token kernels and their bias, the read-out's kernel and
+        # bias means, the pre-LN's gain, shift and centred shift, the head
+        # pair, the centring matrix and the two mean columns, and per block
+        # QK, bQK, VO, bVO, W1, b1, W2, b2
+        assert len(arrays) == 12 + 8 * cfg.n_layers
         d, h = cfg.embed_size, cfg.n_heads
         assert [a.shape for a in policy._blocks[0][:4]] == [(d, h * d), (h * d,), (h * d, d), (d,)]
         for a in arrays:
@@ -1073,33 +1070,28 @@ class TestInferencePolicy:
                 a[(0,) * a.ndim] = 0.0
 
     def test_token_conv_is_the_shared_fold(self):
-        """The snapshot's token kernels, their bias, time table and
-        steady-state bias are `fold_token_conv`'s K and b and the time table
-        composed with the centring C and with diag(g)·C (g the pre-LN gain),
-        and its read-out reads the head row's K and b + time rows as row
-        means, bit for bit in float64: training and the closed loop encode
-        tokens with one fold."""
+        """The snapshot's token kernels and their bias are
+        `fold_token_conv`'s K and b composed with the centring C and with
+        diag(g)·C (g the pre-LN gain), and its read-out reads the head row's
+        K and b as row means, bit for bit in float64: training and the
+        closed loop encode tokens with one fold."""
         cfg = bench_config(dtype="float64")
         m = perturbed_model(cfg)
         policy = InferencePolicy(m)
         p = {n: t.data for n, t in m.params.items()}
         K, b = model_mod.fold_token_conv(p)
-        d, head_row, W_time = cfg.embed_size, TOKENS_PER_STEP - 2, p["W_time"]
-
-        def extended(rows):   # the last row repeated context_window - 1 more times
-            return np.concatenate([rows] + [rows[-1:]] * (cfg.context_window - 1))
+        d, head_row = cfg.embed_size, TOKENS_PER_STEP - 2
         C = np.eye(d) - 1.0 / d
         fold = np.concatenate([C, C @ (p["pre_ln_g"][:, None] * C)], axis=1)   # raw -> [r | u]
-        want = {"_token_K": K @ fold, "_token_b": b @ fold, "_W_time": extended(W_time @ fold),
-                "_steady_b": b @ fold + W_time[-1] @ fold}
+        want = {"_token_K": K @ fold, "_token_b": b @ fold}
         for name, array in want.items():
             got = getattr(policy, name)
             assert got.dtype == array.dtype == np.float64 and got.shape == array.shape
             assert got.tobytes() == np.ascontiguousarray(array).tobytes(), name
         assert policy._token_K.shape == (TOKENS_PER_STEP, CONV_WIDTH, 2 * d)
-        k_mean, time_mean = policy._readout
+        k_mean, b_mean = policy._readout
         assert k_mean.tobytes() == K[head_row].mean(axis=1).tobytes()
-        assert time_mean.tobytes() == extended((b[head_row] + W_time).mean(axis=1)).tobytes()
+        assert b_mean.tobytes() == b[head_row].mean(keepdims=True).tobytes()
 
     def test_one_layer_decision_normalises_no_rows(self, monkeypatch):
         """The fold leaves a one-layer decision no centring product: it calls
@@ -1115,11 +1107,10 @@ class TestInferencePolicy:
         for n_layers in (0, 1, 2, 3):
             cfg = bench_config(n_layers=n_layers)
             policy = InferencePolicy(perturbed_model(cfg))
-            R, S, A, ts = rand_batch(cfg, b=1)
-            for t0 in (0, cfg.max_timestep + 5):
-                calls.clear()
-                policy.logits(R[0], S[0], A[0, :-1], t0)
-                assert len(calls) == 2 * max(n_layers - 1, 0), n_layers
+            R, S, A = rand_batch(cfg, b=1)
+            calls.clear()
+            policy.logits(R[0], S[0], A[0, :-1])
+            assert len(calls) == 2 * max(n_layers - 1, 0), n_layers
 
     def test_builds_no_tensor(self, monkeypatch):
         cfg = bench_config()
@@ -1131,9 +1122,9 @@ class TestInferencePolicy:
             built.append(1)
             init(obj, *args, **kwargs)
         monkeypatch.setattr(Tensor, "__init__", counting_init)
-        R, S, A, ts = rand_batch(cfg, b=1)
-        policy.logits(R[0, 5:], S[0, 5:], A[0, 5:-1], ts[0, 5])   # 3 real steps
-        policy.logits(R[0], S[0], A[0, :-1], ts[0, 0])
+        R, S, A = rand_batch(cfg, b=1)
+        policy.logits(R[0, 5:], S[0, 5:], A[0, 5:-1])   # 3 real steps
+        policy.logits(R[0], S[0], A[0, :-1])
         assert built == []
 
     def test_snapshot_leaves_model_untouched(self):
@@ -1149,8 +1140,8 @@ class TestInferencePolicy:
         for d, b in zip(m.predict(*batch), before):
             assert d.tobytes() == b.tobytes()
         # a read-only snapshot: later training does not reach it
-        R, S, A, ts = batch
-        windows = [(R[i], S[i], A[i, :-1], ts[i, 0]) for i in range(2)]
+        R, S, A = batch
+        windows = [(R[i], S[i], A[i, :-1]) for i in range(2)]
         got = [policy.logits(*window) for window in windows]
         for p in m.params.values():
             p.data = p.data + 1.0
@@ -1164,20 +1155,19 @@ class TestInferencePolicy:
         m = PolicyModel(cfg, seed=0)
         policy = InferencePolicy(m)
         assert policy.config == m.config and policy.forward_count == 0
-        R, S, A, ts = rand_batch(cfg, b=1)
+        R, S, A = rand_batch(cfg, b=1)
         R, S, A, w = R[0], S[0], A[0], cfg.context_window
-        out = policy.logits(R, S, A[:-1], 3)
-        policy.logits(R[-2:], S[-2:], A[-2:-1], 0)
+        out = policy.logits(R, S, A[:-1])
+        policy.logits(R[-2:], S[-2:], A[-2:-1])
         assert policy.forward_count == 2 and m.forward_count == 0
         assert out.shape == (3,) and out.dtype == cfg.np_dtype
         # a scalar return is that return at every step
-        assert policy.logits(0.5, S, A[:-1], 3).tobytes() == \
-            policy.logits(np.full(w, 0.5), S, A[:-1], 3).tobytes()
-        for bad in [(R, S[:, :-1], A[:-1], 3),    # states not [n, 8]
-                    (R, S, A, 3),                 # n actions, not n - 1
-                    (R[1:], S, A[:-1], 3),        # returns not [n]
-                    (R[:0], S[:0], A[:0], 3),     # no step
-                    (np.zeros(w + 1), np.zeros((w + 1, STATE_DIM)), np.zeros(w), 3),
-                    (R, S, A[:-1], -1)]:          # a timestep before the first
+        assert policy.logits(0.5, S, A[:-1]).tobytes() == \
+            policy.logits(np.full(w, 0.5), S, A[:-1]).tobytes()
+        for bad in [(R, S[:, :-1], A[:-1]),    # states not [n, 8]
+                    (R, S, A),                 # n actions, not n - 1
+                    (R[1:], S, A[:-1]),        # returns not [n]
+                    (R[:0], S[:0], A[:0]),     # no step
+                    (np.zeros(w + 1), np.zeros((w + 1, STATE_DIM)), np.zeros(w))]:
             with pytest.raises(T.TensorError):
                 policy.logits(*bad)

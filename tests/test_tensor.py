@@ -340,22 +340,22 @@ class TestConstantOperands:
         h = h + T.conv1d(c["batch"].transpose(0, 2, 1), c["kernel"], padding="causal").transpose(0, 2, 1)
         # the one-node attention at 2 heads, its keys a constant
         h = h + T.attention(h, c["batch"], h, mask_bias=T.causal_mask_bias(5), heads=2)
-        # the token op on frozen encoder weights; only the time table trains
-        enc = PolicyModel(ModelConfig(feature_dim=2, embed_size=4, max_timestep=6,
-                                      dtype="float64"), seed=7).params
-        consts.update((name, enc[name]) for name in model_mod._TOKEN_PARAMS)
-        for name in model_mod._TOKEN_PARAMS:
+        # the token op on frozen encoder weights; only the return encoder trains
+        enc = PolicyModel(ModelConfig(feature_dim=2, embed_size=4, dtype="float64"),
+                          seed=7).params
+        frozen = [name for name in model_mod._TOKEN_PARAMS if name != "W_return"]
+        consts.update((name, enc[name]) for name in frozen)
+        for name in frozen:
             enc[name].requires_grad = False
         steps = np.zeros((2, 1))
-        tokens = model_mod.token_sequence(enc, steps, rand(2, 1, 8, seed=8), steps,
-                                          np.array([[3], [9]]))
+        tokens = model_mod.token_sequence(enc, steps + 1.0, rand(2, 1, 8, seed=8), steps)
         h = h + T.select_positions(tokens, np.arange(5))
         h = h + T.concat([T.select_positions(h, np.arange(2), axis=2),
                           T.select_positions(c["batch"], np.arange(2), axis=2)], axis=2)
         h.sum().backward()
         touched = {id(t) for t in accumulated}
         assert not [name for name, t in consts.items() if id(t) in touched]
-        assert x.grad is not None and W.grad is not None and enc["W_time"].grad is not None
+        assert x.grad is not None and W.grad is not None and enc["W_return"].grad is not None
         assert all(t.grad is None for t in consts.values())
 
 

@@ -5,10 +5,13 @@ import pytest
 
 from aqmlab import tensor as T
 from aqmlab.model import ModelConfig, PolicyModel
-from aqmlab.pool import ExperiencePool, Trajectory, compute_feature_stats, returns_to_go
+from aqmlab.pool import (
+    ExperiencePool, Trajectory, build_pool_from_records, compute_feature_stats, returns_to_go,
+)
+from aqmlab.simulator import default_scenario, run_scenario
 from aqmlab.training import (
-    TrainConfig, TrainError, WindowDataset, class_recall, evaluate_accuracy,
-    split_pool, target_return, train, train_epoch,
+    TrainConfig, TrainError, WindowDataset, _batch_loss, class_recall, evaluate_accuracy,
+    normalize_pool, split_pool, target_return, train, train_epoch,
 )
 from helpers import all_steps
 
@@ -31,7 +34,7 @@ def make_pool(n_traj=4, steps=12, seed=0, rule=None):
 
 def tiny_model(window=4, seed=0, dtype="float32"):
     cfg = ModelConfig(feature_dim=4, embed_size=16, n_layers=1, n_heads=2,
-                      context_window=window, max_timestep=64, dtype=dtype)
+                      context_window=window, dtype=dtype)
     return PolicyModel(cfg, seed=seed)
 
 
@@ -149,6 +152,45 @@ class TestWindowDataset:
             WindowDataset(ExperiencePool(gamma=0.95), window=4)
 
 
+class TestBenchmarkCallForms:
+    """perfbench's train check unpacks `sample`'s 6-tuple and passes its
+    timesteps (slot 4) to `forward(R, S, A, ts, pad_mask=)`, on the batch
+    and on one-row slices; the model has no position input, so the
+    timesteps change nothing."""
+
+    def test_check_train_calls_ignore_the_timesteps(self):
+        m = tiny_model(window=8)
+        ds = WindowDataset(make_pool(n_traj=4, steps=30), window=8)
+        R, S, A, _, ts, mask = ds.sample(32, np.random.default_rng(1))
+        pad = (mask > 0).astype(float)
+        assert ts.shape == (32, 8) and (pad == 0).any()
+        batch = m.forward(R, S, A, ts, pad_mask=pad).data
+        assert batch.tobytes() == m.forward(R, S, A, ts + 1000, pad_mask=pad).data.tobytes()
+        for row in (0, 16, 31):
+            sl = slice(row, row + 1)
+            alone = m.forward(R[sl], S[sl], A[sl], ts[sl], pad_mask=pad[sl]).data[0]
+            keep = mask[row] > 0
+            np.testing.assert_allclose(alone[keep], batch[row][keep], rtol=0, atol=1e-5)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value,message", [
+        ("lr", -0.1, "lr must be >= 0"),
+        ("lr", float("nan"), "lr must be >= 0"),
+        ("clip_norm", 0.0, "clip_norm must be > 0"),
+        ("clip_norm", -1.0, "clip_norm must be > 0"),
+        ("clip_norm", float("nan"), "clip_norm must be > 0"),
+        ("batches_per_epoch", -5, "batches_per_epoch must be >= 0"),
+        ("eval_batches", -1, "eval_batches must be >= 0"),
+    ])
+    def test_a_setting_that_trains_nothing_or_skips_clipping_is_refused(self, field, value,
+                                                                        message):
+        """Refused by name at construction, not met as a numpy error in the
+        first step or as a run that silently trains or scores nothing."""
+        with pytest.raises(TrainError, match=message):
+            TrainConfig(**{field: value})
+
+
 class TestSplit:
     def test_trajectory_granular(self):
         pool = make_pool(n_traj=10)
@@ -201,9 +243,7 @@ class TestTrainEpoch:
         for traj in pool.trajectories:
             traj.states[:] = 0.5
             traj.returns[:] = 1.0
-        m = tiny_model(window=1)
-        # the time table starts at zero; frozen, it gives no step index to memorize
-        m.params["W_time"].requires_grad = False
+        m = tiny_model(window=1)   # no position input, so no step index to memorize
         cfg = TrainConfig(epochs=1, batch_size=16, lr=0.2, window=1,
                           batches_per_epoch=20)
         ds = WindowDataset(pool, window=1)
@@ -211,6 +251,29 @@ class TestTrainEpoch:
         for _ in range(4):
             row = train_epoch(m, ds, cfg, np.random.default_rng(0))
         assert abs(row["mean_loss"] - np.log(3)) < 0.25
+
+    # the first b=32 step's global gradient norm of the CLI-default model at
+    # checkpoint v6 (with its time table), on the batch the test below draws
+    V6_FIRST_STEP_NORM = {0: 17.80, 1: 12.37, 2: 20.22}
+
+    @pytest.mark.parametrize("seed", sorted(V6_FIRST_STEP_NORM))
+    def test_first_step_gradient_on_the_v6_scale(self, seed):
+        """No token of an untrained model is an exact-zero row, whose
+        gradient the pre-LN would scale by 1/sqrt(LN_EPS): on the default
+        scenario, every ENQUEUE step's action token is b_action and every
+        packet_length token embed_b's row (the feature has zero variance),
+        and with those biases zero the norm read 41,020 for seed 0, so the
+        clip at 1 all but froze every other tensor's first update."""
+        pool = build_pool_from_records([run_scenario(default_scenario(
+            seed=s, duration_us=1_000_000)).records for s in (1, 2)])
+        pool, *_ = normalize_pool(pool)
+        m = PolicyModel(ModelConfig(), seed=seed)
+        T.zero_grads(m.params.values())
+        loss, _, _ = _batch_loss(m, WindowDataset(pool, 8).sample(32, np.random.default_rng(0)))
+        loss.backward()
+        norm = np.sqrt(sum(np.square(p.grad, dtype=np.float64).sum()
+                           for p in m.params.values() if p.grad is not None))
+        assert norm < 10 * self.V6_FIRST_STEP_NORM[seed]
 
     def test_gradient_accumulation_equivalent(self):
         """Micro-batches scaled by their share of the loss-weight mass must
@@ -226,7 +289,6 @@ class TestTrainEpoch:
             T.zero_grads(params)
             for chunk in splits:
                 batch = ds.gather([picks[i] for i in chunk])
-                from aqmlab.training import _batch_loss
                 loss, _, _ = _batch_loss(m, batch)
                 (loss * (batch[5].sum() / total_w)).backward()
             T.sgd_step(params, lr=0.5, clip_norm=1.0)

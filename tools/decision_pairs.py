@@ -63,7 +63,7 @@ def write_checkpoint(aqmlab, path):
 
 
 def record_windows(aqmlab, ckpt, seconds):
-    """The windows (returns, states, actions, first timestep) that
+    """The windows (returns, states, actions) that
     `LlmEvery(ckpt, every=EVERY)` passes to `logits` over one held-out
     episode."""
     evaluation, sim = aqmlab.evaluation, aqmlab.simulator
@@ -71,9 +71,9 @@ def record_windows(aqmlab, ckpt, seconds):
     windows = []
     logits = driver.model.logits
 
-    def recording_logits(returns, states, actions, first_timestep):
-        windows.append((returns, np.array(states), list(actions), first_timestep))
-        return logits(returns, states, actions, first_timestep)
+    def recording_logits(returns, states, actions):
+        windows.append((returns, np.array(states), list(actions)))
+        return logits(returns, states, actions)
 
     driver.model.logits = recording_logits
     evaluation.evaluate(sim.default_scenario(seed=HELD_OUT_SEED, duration_us=int(seconds * 1e6)),
