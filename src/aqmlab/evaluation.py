@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 from collections import deque
 
@@ -33,6 +34,30 @@ UTIL_BIN_US = 100_000              # utilisation measured in 100 ms bins
 
 class EvalError(RuntimeError):
     pass
+
+
+def _finite(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# what `pool.normalize` reads of a checkpoint's feature stats: STATE_DIM of each
+_STATS_FIELDS = {
+    "mean": ("finite numbers", _finite),
+    "std": ("finite numbers > 0", lambda v: _finite(v) and v > 0),
+    "zero_variance": ("booleans", lambda v: isinstance(v, bool)),
+}
+
+
+def _checked_stats(stats):
+    """A checkpoint's feature `stats` as arrays, or EvalError naming the
+    first field that would break an episode or make its logits NaN."""
+    if not isinstance(stats, dict):
+        raise EvalError(f"checkpoint feature stats are a {type(stats).__name__}, not a dict")
+    for key, (what, ok) in _STATS_FIELDS.items():
+        value = stats.get(key)
+        if not (isinstance(value, list) and len(value) == STATE_DIM and all(map(ok, value))):
+            raise EvalError(f"checkpoint feature stats field {key!r} must be {STATE_DIM} {what}")
+    return {key: np.asarray(value) for key, value in stats.items()}
 
 
 # ------------------------------------------------------------------ drivers
@@ -87,11 +112,14 @@ class LlmEvery:
         if stats is None:
             raise EvalError("checkpoint has no feature statistics")
         # arrays once, not at every model decision
-        self.feature_stats = {key: np.asarray(value) for key, value in stats.items()}
+        self.feature_stats = _checked_stats(stats)
         self.model = InferencePolicy(model)
         if "target_return" not in extra:
             raise EvalError("checkpoint has no target return to condition on; "
                             "retrain it with `aqmlab train`")
+        if not _finite(extra["target_return"]):
+            raise EvalError(f"checkpoint target_return must be a finite number, "
+                            f"got {extra['target_return']!r}")
         self.target_return = float(extra["target_return"])
         self.window = model.config.context_window
         self._fields = deque(maxlen=self.window)        # klog_states input per decision

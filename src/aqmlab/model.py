@@ -33,19 +33,20 @@ bias.  A query's weights sum to 1, so a value bias would reach the output
 bias unchanged, and ln2's gain and shift fold into the FFN's first
 projection.  So a block stores 10 tensors, and only q and o have a bias.
 An encoder bias would only add to its state token's `embed_b`.  The
-pre-LN keeps its gain and shift: ln1 renormalises the stream they shape.
+tokens enter the first block as they are, with no layer norm of their
+own: a Pre-LN transformer normalises inside each residual branch (Xiong
+et al., "On Layer Normalization in the Transformer Architecture", 2020),
+so ln1 already normalises the first block's tokens, as GPT-2 puts no
+layer norm on its embeddings.
 
 PolicyModel is the trainable form: its forward pass builds a Tensor graph, in
 which the tokens are one node (`token_sequence`) and each block's attention
 and its residual another (`folded_attention`), and its `predict` is the
 reference for inference.  InferencePolicy is a read-only
 plain-numpy snapshot of a PolicyModel for closed-loop decisions: both folds
-are computed once, in float64, with LoRA deltas merged, and the token fold is
-further composed with the layer-norm centring and the pre-LN gain, so its
-token kernels emit each row's centred token and the first block's centred
-ln1 input direction, and no centring product runs over the token rows.  Its
-one entry, `logits`, takes a single window as its real steps alone, with no
-padding and no mask, and computes only the newest step's head row.
+are computed once, in float64, with LoRA deltas merged.  Its one entry,
+`logits`, takes a single window as its real steps alone, with no padding
+and no mask, and computes only the newest step's head row.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from . import tensor as T
 from .features import ACTION_COUNT, CONV_FEATURES, STATE_DIM, STATE_FEATURES
 from .tensor import Tensor
 
-CHECKPOINT_VERSION = 7   # 7 stores no time table; earlier ones are refused
+CHECKPOINT_VERSION = 8   # 8 stores no pre-LN; earlier ones are refused
 TOKENS_PER_STEP = 1 + STATE_DIM + 1   # return, 8 state features, action
 _HEAD_CHANNEL = TOKENS_PER_STEP - 2   # the last state token of a step, the row the head reads
 LORA_TARGETS = ("q", "v")   # the attention projections that enable_lora wraps
@@ -302,7 +303,7 @@ def fold_attention(p, l, n_heads):
 
 
 def folded_attention(x, p, l, n_heads, mask_bias, rows=None):
-    """Block l's pre-LN causal self-attention and its residual, as one node
+    """Block l's causal self-attention and its residual, as one node
     through `fold_attention`: [b, m, d] for the m query `rows` of the block
     input x [b, n, d] (default: all n), under the additive `mask_bias`,
     [m, n] or [b, 1, m, n].  `p` is name -> Tensor; with LoRA on, each
@@ -433,15 +434,12 @@ class PolicyModel:
         add("embed_W", _init(rng, (STATE_DIM, fd, d), 1.0 / math.sqrt(fd), dt))
         # the token biases are drawn, not zero: a token whose input is 0 (an
         # action 0, a zero-variance feature) is then no exact-zero row, which
-        # the pre-LN's backward would scale by 1/sqrt(LN_EPS)
+        # the first block's ln1 backward would scale by 1/sqrt(LN_EPS)
         add("embed_b", _init(rng, (STATE_DIM, d), 0.02, dt))
         add("W_return", _init(rng, (1, d), 0.5, dt))
         add("b_return", _init(rng, (d,), 0.02, dt))
         add("W_action", _init(rng, (1, d), 0.5, dt))
         add("b_action", _init(rng, (d,), 0.02, dt))
-
-        add("pre_ln_g", Tensor(np.ones(d, dtype=dt), requires_grad=True))
-        add("pre_ln_b", _zeros((d,), dt))
 
         s = 1.0 / math.sqrt(d)
         for l in range(config.n_layers):   # no layer-norm tensor, no k or v bias (module doc)
@@ -467,8 +465,8 @@ class PolicyModel:
         (zero) factors of `rank`, and freeze every block tensor.
 
         With B zero-initialized the wrapped model is exactly the base model.
-        Besides the adapters, only the encoders, the embeddings, the pre-LN
-        and the head train.
+        Besides the adapters, only the encoders, the embeddings and the head
+        train.
         """
         self._enable_lora(rank, np.random.default_rng(seed))
 
@@ -549,11 +547,11 @@ class PolicyModel:
                                   np.arange(1, 1 + STATE_DIM), axis=2)
 
     def build_sequence(self, returns, states, actions):
-        """Interleave [R, s1..s8, a] per step, pre-LN.
+        """Interleave [R, s1..s8, a] per step.
 
-        returns/actions: [batch, w]; states: [batch, w, 8].  Output:
-        [batch, 10*w, d] plus the pre-LN embedding (used for the residual
-        read-out).  The tokens are one node, `token_sequence`.
+        returns/actions: [batch, w]; states: [batch, w, 8].  Output: the
+        tokens [batch, 10*w, d], one node, `token_sequence`, twice: as the
+        first block's input and as the raw tokens of the residual read-out.
         """
         dt = self.config.np_dtype
         returns = np.asarray(returns, dtype=dt)
@@ -563,12 +561,12 @@ class PolicyModel:
         if states.shape != (b, w, STATE_DIM) or actions.shape != (b, w):
             raise T.TensorError("window length mismatch across modalities")
         tokens = token_sequence(self.params, returns, states, actions)
-        normed = T.layer_norm(tokens, self.params["pre_ln_g"], self.params["pre_ln_b"])
-        return normed, tokens
+        return tokens, tokens
 
     def _attention_block(self, x, l, mask_bias, rows=None):
-        """Pre-LN causal self-attention and FFN, each with its residual; the
-        attention and its residual are one node, `folded_attention`.
+        """Causal self-attention and FFN, each on its normalised input and
+        with its residual; the attention and its residual are one node,
+        `folded_attention`.
 
         With `rows`, only those query positions are computed, and `mask_bias`
         holds only their bias rows: they still score every token, and the
@@ -597,8 +595,7 @@ class PolicyModel:
         n = w * TOKENS_PER_STEP
 
         x, raw_tokens = self.build_sequence(returns, states, actions)
-        # last state token of step t precedes the action token by one position
-        positions = np.arange(w) * TOKENS_PER_STEP + (TOKENS_PER_STEP - 2)
+        positions = np.arange(w) * TOKENS_PER_STEP + _HEAD_CHANNEL
         if cfg.n_layers > 1:
             bias = _attention_bias(pad_mask, n, cfg.np_dtype)
             for l in range(cfg.n_layers - 1):
@@ -628,10 +625,6 @@ class InferencePolicy:
     - the token encoders fold into one causal conv kernel
       [CONV_WIDTH, d] per token type, by `fold_token_conv`, the fold the
       trainable model's token op runs at every forward;
-    - the centring C = I - 11ᵀ/d and the pre-LN gain g fold into those
-      kernels and their biases: each emits a token row's centred token
-      r = raw·C and the first block's centred ln1 direction
-      u = r·diag(g)·C side by side, [10, CONV_WIDTH, 2d] and [10, 2d];
     - LoRA deltas are merged into their base matrices (`merge_lora`);
     - each attention head folds, with the attention scale, into a
       query-key and a value-output matrix, by `fold_attention`, the fold
@@ -644,25 +637,18 @@ class InferencePolicy:
     real steps alone.  The pass builds no Tensor.  The channel-major taps
     [10, n, CONV_WIDTH] are read from one zero-padded
     [10, n + CONV_WIDTH - 1] input through a cached index and run through
-    the composed kernels as one batched product, as in training; the
-    newest action token comes after the head row and so is never used.
+    the folded kernels as one batched product, as in training; the newest
+    action token comes after the head row and so is never used.
 
-    Both layer norms ahead of the first block are then a scale per row:
-    the pre-LN's inv0 = 1/√(mean(r²)+ε), and the first block's normalised
-    tokens are y/√(mean(y²)+ε) with y = u·inv0 + β·C, the pre-LN output
-    centred; no centring product and no pre-LN affine runs over the rows.
-    The residual stream g⊙(r·inv0) + β is formed only for the rows a block
-    returns.  The read-out's raw token is the head row's r plus its row
-    mean: the head row's channel taps times the mean of that channel's
-    `fold_token_conv` kernel over d, plus the stored row mean of its bias.
-    A block scores its query rows straight against the normalised tokens
-    and averages those tokens with the weights, so it forms no key and no
-    value.  The last block computes one query row per head, which sees
-    every token, so it needs no mask, and it runs its ln2, FFN and the head
-    on that row as vectors; only the earlier blocks of a deeper model
-    compute every row, under the cached causal bias, and normalise the
-    rows of a later block's input through the [d, d] centring matrix.
-    Later changes to the model do not reach the snapshot.
+    The token rows up to the head row are the first block's input, and the
+    last of them is the read-out's raw token.  Each block normalises its
+    input's rows through the [d, d] centring matrix, scores its query rows
+    straight against the normalised tokens and averages those tokens with
+    the weights, so it forms no key and no value.  The last block computes
+    one query row per head, which sees every token, so it needs no mask,
+    and it runs its ln2, FFN and the head on that row as vectors; only the
+    earlier blocks of a deeper model compute every row, under the cached
+    causal bias.  Later changes to the model do not reach the snapshot.
     """
 
     def __init__(self, model: PolicyModel):
@@ -680,37 +666,21 @@ class InferencePolicy:
             a.flags.writeable = False
             return a
 
-        K, b = fold_token_conv(p)
-        g, beta = p["pre_ln_g"], p["pre_ln_b"]
-        centre = np.eye(d) - 1.0 / d
-        # raw -> [r | u]: r = raw·C, u = r·diag(g)·C
-        fold = np.concatenate([centre, centre @ (g[:, None] * centre)], axis=1)   # [d, 2d]
-        self._token_K, self._token_b = frozen(K @ fold), frozen(b @ fold)
-        # the head row's raw token is its r plus its row mean: the mean of its
-        # channel's kernel taps, and the row mean of its bias
-        self._readout = (frozen(K[_HEAD_CHANNEL].mean(axis=1)),
-                         frozen(b[_HEAD_CHANNEL].mean(keepdims=True)))
-        self._pre_ln = frozen(g), frozen(beta), frozen(beta @ centre)
+        self._token_K, self._token_b = map(frozen, fold_token_conv(p))
         self._blocks = [tuple(map(frozen, blk)) for blk in blocks]
         self._head = frozen(p["head_W"]), frozen(p["head_b"])
-        # x @ centre subtracts each row's mean; xc² @ mean_of is its variance,
-        # and tokens² @ mean_r the mean square of a token row's r half
-        self._centre = frozen(centre)
+        # x @ centre subtracts each row's mean; xc² @ mean_of is its variance
+        self._centre = frozen(np.eye(d) - 1.0 / d)
         self._mean_of = frozen(np.full((d, 1), 1.0 / d))
-        self._mean_r = frozen(np.concatenate([np.full((d, 1), 1.0 / d), np.zeros((d, 1))]))
-
-    def _rms(self, xc):
-        """√(mean(xc²)+ε) of each row of the centred rows xc, [m, 1]."""
-        return np.sqrt(np.square(xc) @ self._mean_of + T.LN_EPS)
 
     def _normalize(self, x):
         """Each row of x standardised over its last axis, as T.normalize's
         first output, through the centring matrix: fewer calls on few rows."""
         xc = x @ self._centre
-        return xc / self._rms(xc)
+        return xc / np.sqrt(np.square(xc) @ self._mean_of + T.LN_EPS)
 
     def _block(self, x, xhat, blk, last):
-        """Pre-LN causal self-attention and FFN, each with its residual, of
+        """Causal self-attention and FFN, each with its residual, of
         the block input x [m, d] whose normalised tokens are xhat [m, d];
         with `last`, x is its newest row alone [d], the one query row, and
         the block returns that row ([d])."""
@@ -754,30 +724,16 @@ class InferencePolicy:
             raise T.TensorError(f"a window of 1..{cfg.context_window} steps takes returns [n] or "
                                 f"a scalar, states [n, {STATE_DIM}] and n - 1 actions")
         # the newest step's action, left 0, feeds only its action token, which is dropped
-        tokens, taps = _tokens(self._token_K, self._token_b, returns, states[None], actions)
-        tokens = tokens.reshape(n * TOKENS_PER_STEP, 2 * d)[:-1]   # up to the newest head row
-        r, u = tokens[:, :d], tokens[:, d:]
-        k_mean, b_mean = self._readout
-        raw = r[-1] + (taps[_HEAD_CHANNEL, -1] @ k_mean + b_mean)
-
-        g, beta, beta_c = self._pre_ln
-        # the pre-LN's scale, its mean square taken over r's half of the
-        # contiguous rows: squaring r's strided half alone is slower
-        inv0 = 1.0 / np.sqrt(np.square(tokens) @ self._mean_r + T.LN_EPS)
-        # the residual stream of the rows the first block returns (or the head reads)
-        sel = slice(None) if len(self._blocks) > 1 else -1
-        x = g * (r[sel] * inv0[sel]) + beta
-        if self._blocks:
-            y = u * inv0                          # the pre-LN output, centred
-            y += beta_c
-            xhat = y / self._rms(y)
+        tokens, _ = _tokens(self._token_K, self._token_b, returns, states[None], actions)
+        # the block input, up to the newest head row, whose token is the read-out's raw token
+        x = tokens.reshape(n * TOKENS_PER_STEP, d)[:-1]
+        raw = x[-1]
+        if not self._blocks:
+            x = raw
         for l, blk in enumerate(self._blocks):
             last = l == cfg.n_layers - 1
-            if l:
-                xhat = self._normalize(x)
-                if last:
-                    x = x[-1]
-            x = self._block(x, xhat, blk, last)
+            xhat = self._normalize(x)
+            x = self._block(x[-1] if last else x, xhat, blk, last)
         W, c = self._head
         return (x + raw) @ W + c
 

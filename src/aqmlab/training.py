@@ -218,24 +218,24 @@ def target_return(pool: ExperiencePool, percentile: float) -> float:
 
 def normalize_pool(pool: ExperiencePool):
     """The pool `train` trains on, its states normalized by `normalize_states`
-    and its returns standardized; with the feature stats and the returns'
-    mean and std."""
+    and its returns standardized, with the feature stats."""
     pool, feature_stats = normalize_states(pool)  # near-identity if already normalized
     rets = _all_returns(pool)
     r_mean, r_std = float(rets.mean()), float(max(rets.std(), 1e-9))
     # new arrays: normalize_states shares the returns with the caller's pool
     pool.trajectories = [t.replace(returns=(t.returns - r_mean) / r_std)
                          for t in pool.trajectories]
-    return pool, feature_stats, r_mean, r_std
+    return pool, feature_stats
 
 
 def train(model: PolicyModel, pool: ExperiencePool, cfg: TrainConfig, checkpoint_path=None):
     """Full training run; saves the best-eval-accuracy checkpoint.
 
     States and returns are normalized here (training-set statistics would
-    leak nothing extra at this scale; stats come from the whole pool) and
-    the scalers travel inside the checkpoint so closed-loop evaluation can
-    transform live inputs identically.  The window is the model's context
+    leak nothing extra at this scale; stats come from the whole pool).  The
+    feature stats travel inside the checkpoint so closed-loop evaluation can
+    transform live states identically, with the target return it conditions
+    on, already on the standardized scale.  The window is the model's context
     window, which the checkpoint's config carries.
     """
     if abs(pool.gamma - cfg.gamma) > 1e-12:
@@ -243,15 +243,14 @@ def train(model: PolicyModel, pool: ExperiencePool, cfg: TrainConfig, checkpoint
     if cfg.window != model.config.context_window:
         raise TrainError(f"config window {cfg.window} != the model's context_window "
                          f"{model.config.context_window}")
-    pool, feature_stats, r_mean, r_std = normalize_pool(pool)
+    pool, feature_stats = normalize_pool(pool)
     train_pool, eval_pool = split_pool(pool, cfg.eval_split, cfg.seed)
     train_ds = WindowDataset(train_pool, cfg.window)
     eval_ds = WindowDataset(eval_pool, cfg.window)
     rng = np.random.default_rng(cfg.seed)
 
     report = TrainReport()
-    extra = {"target_return": target_return(pool, TARGET_RETURN_PERCENTILE), "gamma": cfg.gamma,
-             "return_mean": r_mean, "return_std": r_std}
+    extra = {"target_return": target_return(pool, TARGET_RETURN_PERCENTILE)}
     for epoch in range(cfg.epochs):
         row = train_epoch(model, train_ds, cfg, rng)
         row["epoch"] = epoch

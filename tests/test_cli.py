@@ -13,7 +13,7 @@ import pytest
 
 from aqmlab import cli
 from aqmlab import evaluation as ev
-from aqmlab.model import LORA_RANK, ModelConfig, PolicyModel, load_checkpoint
+from aqmlab.model import LORA_RANK, ModelConfig, PolicyModel, load_checkpoint, save_checkpoint
 from aqmlab.pool import ExperiencePool, augment, build_pool, compute_feature_stats
 from aqmlab.training import TARGET_RETURN_PERCENTILE, TrainConfig, normalize_pool, target_return
 from aqmlab.simulator import (
@@ -131,16 +131,16 @@ def test_fine_tune_trains_at_the_checkpoints_window(pipeline, tmp_path):
     assert model.lora_rank == LORA_RANK and model.config.context_window == 4
 
 
-def test_the_cli_default_model_has_15315_parameters(pipeline, tmp_path):
-    """The CLI-default model stores no time table: `train` prints 15,315
-    parameters, all trainable."""
+def test_the_cli_default_model_has_15251_parameters(pipeline, tmp_path):
+    """The CLI-default model stores no time table and no pre-LN: `train`
+    prints 15,251 parameters, all trainable."""
     paths, _ = pipeline
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert cli.main([str(a) for a in (
             "train", paths["pool.npz"], "--epochs", 1, "--batch-size", 256,
             "-o", tmp_path / "m.npz")]) == 0
-    assert buf.getvalue().splitlines()[0] == "parameters: 15,315 trainable of 15,315"
+    assert buf.getvalue().splitlines()[0] == "parameters: 15,251 trainable of 15,251"
 
 
 def test_fine_tune_refits_the_feature_stats_from_the_new_pool(pipeline, tmp_path):
@@ -245,6 +245,20 @@ def test_evaluate_prints_the_action_matrix(pipeline):
     matrix = ev.load_stats(paths["llm.json"])["driver"]["action_matrix"]
     assert out["llm"].splitlines()[1].endswith(f"enqueue/drop/mark: {matrix}")
     assert len(out["rule"].splitlines()) == 1
+
+
+def test_evaluate_names_a_bad_stats_field(pipeline, tmp_path, capsys):
+    """A checkpoint whose zero stds would give NaN logits is refused:
+    `evaluate` exits 1 naming the field and writes no stats."""
+    paths, _ = pipeline
+    model, stats, extra = load_checkpoint(paths["policy.npz"])
+    save_checkpoint(model, tmp_path / "m.npz", extra=extra,
+                    feature_stats={**stats, "std": [0.0] * len(stats["std"])})
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--checkpoint", str(tmp_path / "m.npz"), "--duration", "1",
+                     "-o", str(tmp_path / "s.json")]) == 1
+    assert "'std'" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_diagnose_reports_positive_drift_on_a_diverging_run(tmp_path, capsys):

@@ -127,7 +127,7 @@ class TestNoPositionInput:
         """With no time row added, a token whose input is 0 (action 0, a
         zero-variance feature, a zero return) is its type's bias alone; drawn,
         not zero, its centred mean square stays far above LN_EPS, so the
-        pre-LN does not scale its gradient by 1/sqrt(LN_EPS)."""
+        first block's ln1 does not scale its gradient by 1/sqrt(LN_EPS)."""
         m = PolicyModel(ModelConfig(), seed=seed)
         tokens = model_mod.token_sequence(m.params, np.zeros((1, 2)),
                                           np.zeros((1, 2, STATE_DIM)), np.zeros((1, 2))).data
@@ -136,13 +136,13 @@ class TestNoPositionInput:
 
     def test_the_cli_default_model_has_no_time_table(self):
         """No parameter grows with episode length: the CLI-default model has
-        15,315 parameters, and LoRA at its default rank trains 3,315 of
-        15,827."""
+        15,251 parameters, and LoRA at its default rank trains 3,251 of
+        15,763."""
         m = PolicyModel(ModelConfig(), seed=0)
-        assert sum(p.data.size for p in m.params.values()) == m.trainable_count() == 15_315
+        assert sum(p.data.size for p in m.params.values()) == m.trainable_count() == 15_251
         assert not any("time" in name for name in m.params)
         m.enable_lora()
-        assert (m.trainable_count(), sum(p.data.size for p in m.params.values())) == (3_315, 15_827)
+        assert (m.trainable_count(), sum(p.data.size for p in m.params.values())) == (3_251, 15_763)
 
 
 class TestCausality:
@@ -369,7 +369,7 @@ class TestCheckpoint:
         path = tmp_path / "m.npz"
         save_checkpoint(m, path)
         meta = saved_meta(path)
-        assert meta["version"] == CHECKPOINT_VERSION == 7
+        assert meta["version"] == CHECKPOINT_VERSION == 8
         assert meta["lora_rank"] == 2 and "lora_enabled" not in meta
         assert "frozen" not in meta and not {"lora_targets", "lora_rank"} & meta["config"].keys()
 
@@ -392,7 +392,7 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="stored LoRA rank"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
     def test_earlier_versions_rejected_with_a_retrain_hint(self, tmp_path, version):
         path = tmp_path / f"v{version}.npz"
         save_checkpoint(PolicyModel(small_config(), seed=0), path)
@@ -468,13 +468,15 @@ def rewrite_meta(path, **fields):
 # values.  Checkpoint v7 dropped the time table's draw and draws the token
 # biases (embed_b, b_return, b_action) at std 0.02 where v6 made them zero,
 # each in its v6 place; the other tensors are drawn in the v6 order.
+# Checkpoint v8 dropped the pre-LN, which drew nothing: each pin equals v7's
+# parameter_digest over every name but pre_ln_g and pre_ln_b.
 GOLDEN_PARAMETER_DIGESTS = {
-    "cli_default/0": "e90844ccdb55b5dbb209479cbe12ff330dfea8ace3222b8848b8a6f21222a8d2",
-    "cli_default/5": "b97abc0cfeddeeccb4697241b74cf0da8cbc84b4d8f02bd712e4631460343ee6",
-    "cli_default/7": "55ae4764de06e71cf94eb78c2164e02d37e50ca60d4ddb290e2035948ada4245",
-    "small_float64/0": "927bdd6ec2b204f3fb679f04fa7a0f696f2169204c3ad948716b6a1d7f08e7af",
-    "small_float64/5": "6e96362e390c8abcbfb11908ed4b84c7fc583f5dc5c671c67284454b1820abaa",
-    "small_float64/7": "97d56e200587eeb997f4bbfa5ea44ecc4aab995882338753b8e3f746e4b4c7e8",
+    "cli_default/0": "57b39e96036e608880b0a44ee7a0b87d3e0dc0390be9f8bc961ba92ff18af25f",
+    "cli_default/5": "d785fa494f71289e92093383b23f09c1713f86192db4cdef31123ad9f1873f83",
+    "cli_default/7": "e3e0f925a1a833a3bb0322f37fbc21f15bf67f88c15e3423f1825e7188f4aaf6",
+    "small_float64/0": "10eaabce7fe2139e6824be8c10a273df7b496e0a84b6f1c270c139b09b50a6ed",
+    "small_float64/5": "77bb35e06e4046ff1369f8eff9a14af5dfabc60432b31d3315874abbedde2d29",
+    "small_float64/7": "b4c0141c7758635a806dbe698a39b821241ba07ba67825a890648fc391620d97",
 }
 
 GOLDEN_CONFIGS = {
@@ -545,7 +547,7 @@ def reference_build_sequence(model, R, S, A, absorbed=None):
     tokens = T.concat([r_emb.reshape(b, w, 1, -1), reference_encode_state(model, S, absorbed),
                        a_emb.reshape(b, w, 1, -1)], axis=2)
     tokens = tokens.reshape(b, w * TOKENS_PER_STEP, cfg.embed_size)
-    return T.layer_norm(tokens, p["pre_ln_g"], p["pre_ln_b"]), tokens
+    return tokens, tokens
 
 
 # Case ids of the float32 and float64 cases.  The conv features are a
@@ -1057,11 +1059,10 @@ class TestInferencePolicy:
                     collect(item)
         for v in vars(policy).values():
             collect(v)
-        # the composed token kernels and their bias, the read-out's kernel and
-        # bias means, the pre-LN's gain, shift and centred shift, the head
-        # pair, the centring matrix and the two mean columns, and per block
-        # QK, bQK, VO, bVO, W1, b1, W2, b2
-        assert len(arrays) == 12 + 8 * cfg.n_layers
+        # the token kernels and their bias, the head pair, the centring
+        # matrix and the mean column, and per block QK, bQK, VO, bVO, W1, b1,
+        # W2, b2
+        assert len(arrays) == 6 + 8 * cfg.n_layers
         d, h = cfg.embed_size, cfg.n_heads
         assert [a.shape for a in policy._blocks[0][:4]] == [(d, h * d), (h * d,), (h * d, d), (d,)]
         for a in arrays:
@@ -1071,32 +1072,23 @@ class TestInferencePolicy:
 
     def test_token_conv_is_the_shared_fold(self):
         """The snapshot's token kernels and their bias are
-        `fold_token_conv`'s K and b composed with the centring C and with
-        diag(g)·C (g the pre-LN gain), and its read-out reads the head row's
-        K and b as row means, bit for bit in float64: training and the
-        closed loop encode tokens with one fold."""
+        `fold_token_conv`'s K and b, bit for bit in float64: training and
+        the closed loop encode tokens with one fold."""
         cfg = bench_config(dtype="float64")
         m = perturbed_model(cfg)
         policy = InferencePolicy(m)
-        p = {n: t.data for n, t in m.params.items()}
-        K, b = model_mod.fold_token_conv(p)
-        d, head_row = cfg.embed_size, TOKENS_PER_STEP - 2
-        C = np.eye(d) - 1.0 / d
-        fold = np.concatenate([C, C @ (p["pre_ln_g"][:, None] * C)], axis=1)   # raw -> [r | u]
-        want = {"_token_K": K @ fold, "_token_b": b @ fold}
+        K, b = model_mod.fold_token_conv({n: t.data for n, t in m.params.items()})
+        want = {"_token_K": K, "_token_b": b}
         for name, array in want.items():
             got = getattr(policy, name)
             assert got.dtype == array.dtype == np.float64 and got.shape == array.shape
             assert got.tobytes() == np.ascontiguousarray(array).tobytes(), name
-        assert policy._token_K.shape == (TOKENS_PER_STEP, CONV_WIDTH, 2 * d)
-        k_mean, b_mean = policy._readout
-        assert k_mean.tobytes() == K[head_row].mean(axis=1).tobytes()
-        assert b_mean.tobytes() == b[head_row].mean(keepdims=True).tobytes()
+        assert policy._token_K.shape == (TOKENS_PER_STEP, CONV_WIDTH, cfg.embed_size)
 
-    def test_one_layer_decision_normalises_no_rows(self, monkeypatch):
-        """The fold leaves a one-layer decision no centring product: it calls
-        `_normalize` zero times, where a deeper model normalises its earlier
-        blocks' outputs twice each, for their ln2 and the next block's ln1."""
+    def test_each_block_normalises_its_input_once(self, monkeypatch):
+        """Each block normalises its input with one `_normalize` call, and
+        only an earlier block of a deeper model calls it once more, for its
+        ln2: the last block's ln2 runs on its one row as a vector."""
         calls = []
         normalize = InferencePolicy._normalize
 
@@ -1110,7 +1102,7 @@ class TestInferencePolicy:
             R, S, A = rand_batch(cfg, b=1)
             calls.clear()
             policy.logits(R[0], S[0], A[0, :-1])
-            assert len(calls) == 2 * max(n_layers - 1, 0), n_layers
+            assert len(calls) == max(2 * n_layers - 1, 0), n_layers
 
     def test_builds_no_tensor(self, monkeypatch):
         cfg = bench_config()
