@@ -12,8 +12,15 @@ model has no position input: a token's place shows only through the
 causal mask and the causal conv taps (Haviv et al., "Transformer Language
 Models without Positional Encodings Still Learn Positional Information",
 2022), so a window's logits do not depend on where in its trajectory it
-lies.  A causal transformer backbone feeds a 3-way action head read at
-the last state token of each step.  `enable_lora` wraps the attention Q/V
+lies.
+
+The blocks see one state row per step: `step_rows` averages each step's 8
+per-metric state tokens, so a step gives them [return, mean state, action]
+(ROWS_PER_STEP = 3 rows, as Decision Transformer's [R, s, a]; Chen et al.,
+2021), and a window of 8 steps is 24 rows, not 80.  The mean adds no
+parameter.  A causal transformer backbone feeds a 3-way action head read
+at each step's state row, which sees the step's return and state but not
+its action.  `enable_lora` wraps the attention Q/V
 projections (frozen base, trainable low-rank delta); the model keeps the
 adapters' rank, `PolicyModel.lora_rank` (None when unwrapped), and a
 checkpoint stores it in its meta.
@@ -40,13 +47,15 @@ so ln1 already normalises the first block's tokens, as GPT-2 puts no
 layer norm on its embeddings.
 
 PolicyModel is the trainable form: its forward pass builds a Tensor graph, in
-which the tokens are one node (`token_sequence`) and each block's attention
-and its residual another (`folded_attention`), and its `predict` is the
-reference for inference.  InferencePolicy is a read-only
-plain-numpy snapshot of a PolicyModel for closed-loop decisions: both folds
-are computed once, in float64, with LoRA deltas merged.  Its one entry,
-`logits`, takes a single window as its real steps alone, with no padding
-and no mask, and computes only the newest step's head row.
+which the tokens are one node (`token_sequence`), the step rows another
+(`step_rows`) and each block's attention and its residual another
+(`folded_attention`), and its `predict` is the reference for inference.
+InferencePolicy is a read-only plain-numpy snapshot of a PolicyModel for
+closed-loop decisions: both folds are computed once, in float64, with LoRA
+deltas merged, and the token kernels fold with the mean into one kernel
+that gives a step's 3 rows (`fold_step_rows`).  Its one entry, `logits`,
+takes a single window as its real steps alone, with no padding and no
+mask, and computes only the newest step's head row.
 """
 
 from __future__ import annotations
@@ -65,9 +74,10 @@ from . import tensor as T
 from .features import ACTION_COUNT, CONV_FEATURES, STATE_DIM, STATE_FEATURES
 from .tensor import Tensor
 
-CHECKPOINT_VERSION = 8   # 8 stores no pre-LN; earlier ones are refused
+CHECKPOINT_VERSION = 9   # 9 stores v8's tensors, but its blocks see one state row per step
 TOKENS_PER_STEP = 1 + STATE_DIM + 1   # return, 8 state features, action
-_HEAD_CHANNEL = TOKENS_PER_STEP - 2   # the last state token of a step, the row the head reads
+ROWS_PER_STEP = 3   # the rows a step gives the blocks: return, mean state, action
+_HEAD_ROW = 1   # a step's state row, the row the head reads
 LORA_TARGETS = ("q", "v")   # the attention projections that enable_lora wraps
 LORA_RANK = 4   # the rank enable_lora and `aqmlab train --lora-rank` default to
 CONV_WIDTH = 7   # taps of each temporal feature's causal conv
@@ -131,9 +141,10 @@ def _mask_arrays(n, dtype):
 
 def _attention_bias(pad_mask, n, dtype, rows=None):
     """Additive attention bias of the query `rows` (default: all n) over the
-    first n tokens of a window: the cached causal rows [len(rows), n] alone,
-    or [batch, 1, len(rows), n] that also blocks the keys of the steps
-    `pad_mask` ([batch, w], 0 for padding) marks as padding."""
+    first n of a window's block rows (ROWS_PER_STEP per step): the cached
+    causal rows [len(rows), n] alone, or [batch, 1, len(rows), n] that also
+    blocks the keys of the steps `pad_mask` ([batch, w], 0 for padding)
+    marks as padding."""
     bias, diag = _mask_arrays(n, dtype)
     if rows is not None:
         bias = bias[rows]
@@ -144,7 +155,7 @@ def _attention_bias(pad_mask, n, dtype, rows=None):
         return bias
     if rows is not None:
         diag = diag[rows]
-    token_keep = np.repeat(pad_mask, TOKENS_PER_STEP, axis=1)[:, :n]  # [b, n]
+    token_keep = np.repeat(pad_mask, ROWS_PER_STEP, axis=1)[:, :n]  # [b, n]
     key_block = np.where(token_keep[:, None, :] > 0, 0.0, -1e9).astype(dtype)
     bias = bias[None, None, :, :] + key_block[:, None, :, :]
     # keep self-attention open on padded rows so softmax stays defined
@@ -196,28 +207,24 @@ def _tap_index(b, w):
     return index
 
 
-def _tokens(K, B, returns, states, actions):
-    """The tokens [b*w, 10, d] of `fold_token_conv`'s K and B, one batched
-    product, and the channel-major taps [10, b*w, CONV_WIDTH] they read:
-    each step's causal window over each channel of [R, s1..s8, a] (returns
+def _inputs(returns, states, actions, dtype):
+    """[10, b, w + CONV_WIDTH - 1]: each channel of [R, s1..s8, a] (returns
     broadcast to [b, w], states [b, w, 8], actions to [b, w] or to the
-    first w - 1 steps, the newest then 0), with left zeros."""
+    first w - 1 steps, the newest then 0) after CONV_WIDTH - 1 zeros, for
+    `_tap_index` to read each step's causal window from."""
     b, w = states.shape[:2]
-    inputs = np.zeros((TOKENS_PER_STEP, b, w + CONV_WIDTH - 1), dtype=K.dtype)
+    inputs = np.zeros((TOKENS_PER_STEP, b, w + CONV_WIDTH - 1), dtype=dtype)
     inputs[0, :, CONV_WIDTH - 1:] = returns
     inputs[1:-1, :, CONV_WIDTH - 1:] = states.transpose(2, 0, 1)
     inputs[-1, :, CONV_WIDTH - 1:CONV_WIDTH - 1 + np.shape(actions)[-1]] = actions
-    taps = inputs.ravel()[_tap_index(b, w)]
-    out = np.empty((b * w,) + B.shape, dtype=K.dtype)
-    np.matmul(taps, K, out=out.transpose(1, 0, 2))
-    out += B
-    return out, taps
+    return inputs
 
 
 def token_sequence(p, returns, states, actions):
-    """Every step's 10 tokens [b, w*10, d], as one node: the tokens of
-    `_tokens` through the kernels `fold_token_conv` folds from the Tensors
-    `p` (name -> Tensor).
+    """Every step's 10 tokens [b, w*10, d], as one node: the channel-major
+    taps [10, b*w, CONV_WIDTH] of `_inputs` times the kernels
+    `fold_token_conv` folds from the Tensors `p` (name -> Tensor), one
+    batched product.
 
     The backward takes each token type's kernel gradient from the forward's
     taps as one batched product and maps it back to the stored encoder
@@ -227,7 +234,10 @@ def token_sequence(p, returns, states, actions):
     K, B = fold_token_conv(arrays)
     b, w = returns.shape
     d = B.shape[1]
-    out, taps = _tokens(K, B, returns, states, actions)
+    taps = _inputs(returns, states, actions, K.dtype).ravel()[_tap_index(b, w)]
+    out = np.empty((b * w, TOKENS_PER_STEP, d), dtype=K.dtype)
+    np.matmul(taps, K, out=out.transpose(1, 0, 2))
+    out += B
     parents = tuple(p[name] for name in _TOKEN_PARAMS)
 
     def bwd(g):
@@ -250,6 +260,44 @@ def token_sequence(p, returns, states, actions):
                 p[name]._accum(grads[name])
 
     return Tensor(out.reshape(b, w * TOKENS_PER_STEP, d), _parents=parents, _backward=bwd)
+
+
+def step_rows(tokens):
+    """The block rows [b, w*3, d] of the tokens [b, w*10, d], as one node:
+    per step its return token, the mean of its 8 state tokens and its
+    action token.  The backward passes a row's gradient on as it is to the
+    return and action tokens and divided by 8 to each state token."""
+    b, n, d = tokens.shape
+    w = n // TOKENS_PER_STEP
+    t = tokens.data.reshape(b, w, TOKENS_PER_STEP, d)
+    out = np.empty((b, w, ROWS_PER_STEP, d), dtype=t.dtype)
+    out[:, :, 0], out[:, :, 2] = t[:, :, 0], t[:, :, -1]
+    np.mean(t[:, :, 1:-1], axis=2, out=out[:, :, 1])
+
+    def bwd(g):
+        g = g.reshape(b, w, ROWS_PER_STEP, d)
+        gt = np.empty_like(t)
+        gt[:, :, 0], gt[:, :, -1] = g[:, :, 0], g[:, :, 2]
+        gt[:, :, 1:-1] = g[:, :, 1:2] / STATE_DIM
+        tokens._accum(gt.reshape(b, n, d))
+
+    return Tensor(out.reshape(b, w * ROWS_PER_STEP, d), _parents=(tokens,), _backward=bwd)
+
+
+def fold_step_rows(K, B):
+    """`fold_token_conv`'s K [10, CONV_WIDTH, d] and b [10, d] folded with
+    `step_rows`' mean into one kernel over a step's taps in step-major order
+    (channel c's CONV_WIDTH taps at c·CONV_WIDTH), computed in their dtype:
+    (K3 [10·CONV_WIDTH, 3d], b3 [3d]).  Column block 0 is the return kernel,
+    block 1 the state kernels divided by 8 and block 2 the action kernel; b3
+    is [b[0] | the mean of b[1:9] | b[9]].  A step's taps times K3, plus
+    b3, are its 3 block rows."""
+    d = K.shape[2]
+    K3 = np.zeros((TOKENS_PER_STEP, CONV_WIDTH, ROWS_PER_STEP, d), dtype=K.dtype)
+    K3[0, :, 0], K3[-1, :, 2] = K[0], K[-1]
+    K3[1:-1, :, 1] = K[1:-1] / STATE_DIM
+    b3 = np.stack([B[0], B[1:-1].mean(axis=0), B[-1]])
+    return K3.reshape(TOKENS_PER_STEP * CONV_WIDTH, ROWS_PER_STEP * d), b3.reshape(-1)
 
 
 # the stored tensors of block l's attention, which `folded_attention` reads
@@ -550,8 +598,9 @@ class PolicyModel:
         """Interleave [R, s1..s8, a] per step.
 
         returns/actions: [batch, w]; states: [batch, w, 8].  Output: the
-        tokens [batch, 10*w, d], one node, `token_sequence`, twice: as the
-        first block's input and as the raw tokens of the residual read-out.
+        paper's per-metric tokens [batch, 10*w, d], one node,
+        `token_sequence`, twice; `forward` averages each step's 8 state
+        tokens into one row (`step_rows`) before the blocks.
         """
         dt = self.config.np_dtype
         returns = np.asarray(returns, dtype=dt)
@@ -583,19 +632,22 @@ class PolicyModel:
 
         `timesteps` is ignored: the model has no position input.
         pad_mask: [batch, w] with 1 for real steps, 0 for left padding;
-        padded tokens are blocked from attention and excluded by the trainer.
-        The head reads one token per step, so the last block computes only
-        those rows, and only their bias rows are built; the full bias is
-        built only for the earlier blocks of a deeper model.
+        padded steps' rows are blocked from attention and excluded by the trainer.
+        The blocks see `step_rows` of `build_sequence`'s tokens, 3 rows per
+        step, [return, mean state, action].  The head reads each step's
+        state row, so the last block computes only those rows, and only
+        their bias rows are built; the full bias is built only for the
+        earlier blocks of a deeper model.
         """
         cfg = self.config
         self.forward_count += 1
         states = np.asarray(states, dtype=cfg.np_dtype)
-        b, w = states.shape[0], states.shape[1]
-        n = w * TOKENS_PER_STEP
+        w = states.shape[1]
+        n = w * ROWS_PER_STEP
 
-        x, raw_tokens = self.build_sequence(returns, states, actions)
-        positions = np.arange(w) * TOKENS_PER_STEP + _HEAD_CHANNEL
+        tokens, _ = self.build_sequence(returns, states, actions)
+        x = raw_rows = step_rows(tokens)
+        positions = np.arange(w) * ROWS_PER_STEP + _HEAD_ROW
         if cfg.n_layers > 1:
             bias = _attention_bias(pad_mask, n, cfg.np_dtype)
             for l in range(cfg.n_layers - 1):
@@ -606,7 +658,7 @@ class PolicyModel:
                                       rows=positions)   # [b, w, d]
         else:
             x = T.select_positions(x, positions)
-        x = x + T.select_positions(raw_tokens, positions)
+        x = x + T.select_positions(raw_rows, positions)
         return T.linear(x, self.params["head_W"], self.params["head_b"])
 
     def predict(self, returns, states, actions, pad_mask=None):
@@ -624,7 +676,9 @@ class InferencePolicy:
     Built once, in float64 and stored in the model dtype:
     - the token encoders fold into one causal conv kernel
       [CONV_WIDTH, d] per token type, by `fold_token_conv`, the fold the
-      trainable model's token op runs at every forward;
+      trainable model's token op runs at every forward, and those kernels
+      fold with `step_rows`' mean into one [10·CONV_WIDTH, 3d] kernel over
+      a step's taps (`fold_step_rows`);
     - LoRA deltas are merged into their base matrices (`merge_lora`);
     - each attention head folds, with the attention scale, into a
       query-key and a value-output matrix, by `fold_attention`, the fold
@@ -634,14 +688,15 @@ class InferencePolicy:
     of them, and returns the newest step's head row.  Left padding is
     dropped rather than masked: a padded step is a zero input whose keys
     are blocked, so a left-padded window's newest logits are those of its
-    real steps alone.  The pass builds no Tensor.  The channel-major taps
-    [10, n, CONV_WIDTH] are read from one zero-padded
-    [10, n + CONV_WIDTH - 1] input through a cached index and run through
-    the folded kernels as one batched product, as in training; the newest
-    action token comes after the head row and so is never used.
+    real steps alone.  The pass builds no Tensor.  The step-major taps
+    [n, 10·CONV_WIDTH] are read from one zero-padded
+    [10, n + CONV_WIDTH - 1] input through a cached index, and one product
+    with the folded kernel gives the 3n block rows; the newest action row
+    comes after the head row and so is dropped.
 
-    The token rows up to the head row are the first block's input, and the
-    last of them is the read-out's raw token.  Each block normalises its
+    The 3n - 1 rows up to the head row are the first block's input, and the
+    last of them, the newest state row, is the read-out's raw row.  Each
+    block normalises its
     input's rows through the [d, d] centring matrix, scores its query rows
     straight against the normalised tokens and averages those tokens with
     the weights, so it forms no key and no value.  The last block computes
@@ -666,7 +721,7 @@ class InferencePolicy:
             a.flags.writeable = False
             return a
 
-        self._token_K, self._token_b = map(frozen, fold_token_conv(p))
+        self._token_K, self._token_b = map(frozen, fold_step_rows(*fold_token_conv(p)))
         self._blocks = [tuple(map(frozen, blk)) for blk in blocks]
         self._head = frozen(p["head_W"]), frozen(p["head_b"])
         # x @ centre subtracts each row's mean; xc² @ mean_of is its variance
@@ -723,10 +778,11 @@ class InferencePolicy:
                 or actions.shape != (n - 1,) or np.ndim(returns) and np.shape(returns) != (n,):
             raise T.TensorError(f"a window of 1..{cfg.context_window} steps takes returns [n] or "
                                 f"a scalar, states [n, {STATE_DIM}] and n - 1 actions")
-        # the newest step's action, left 0, feeds only its action token, which is dropped
-        tokens, _ = _tokens(self._token_K, self._token_b, returns, states[None], actions)
-        # the block input, up to the newest head row, whose token is the read-out's raw token
-        x = tokens.reshape(n * TOKENS_PER_STEP, d)[:-1]
+        # the newest step's action, left 0, feeds only its action row, which is dropped
+        inputs = _inputs(returns, states[None], actions, self._token_K.dtype)
+        taps = inputs.ravel()[_tap_index(1, n).transpose(1, 0, 2)].reshape(n, -1)
+        # the block input, up to the newest state row, which is the read-out's raw row
+        x = (taps @ self._token_K + self._token_b).reshape(n * ROWS_PER_STEP, d)[:-1]
         raw = x[-1]
         if not self._blocks:
             x = raw

@@ -140,6 +140,11 @@ class ExperiencePool:
                               ("state", ~np.isfinite(traj.states).all(axis=1))):
                 if bad.any():
                     raise PoolError(f"trajectory {ti} step {int(np.argmax(bad))}: non-finite {name}")
+            bad = ~np.isin(traj.actions, np.arange(ACTION_COUNT))
+            if bad.any():
+                step = int(np.argmax(bad))
+                raise PoolError(f"trajectory {ti} step {step}: action {traj.actions[step]} "
+                                f"is not 0/1/2")
         return True
 
     # -------------------------------------------------------------- persist
@@ -163,8 +168,9 @@ class ExperiencePool:
     def load(cls, path):
         """The pool saved at `path`, its returns-to-go derived from the stored
         rewards and gamma as `trajectory_from_columns` derives them, and
-        validated: a file with a non-finite reward or state, a mis-shaped
-        column or no numeric gamma, or of an older format, raises PoolError."""
+        validated: a file with a non-finite reward or state, an action outside
+        0/1/2, a mis-shaped column or no numeric gamma, or of an older format,
+        raises PoolError."""
         with open(path, "rb") as fh:
             head = fh.read(4)
             fh.seek(0)

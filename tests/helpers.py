@@ -60,12 +60,15 @@ def block_diagonal_tokens(p, returns, states, actions):
 CORRUPT_POOL_EDITS = [
     ("t1_rewards", 5, lambda v: np.nan, "trajectory 1 step 5: non-finite reward"),
     ("t0_states", (3, 2), lambda v: np.nan, "trajectory 0 step 3: non-finite state"),
+    ("t1_actions", 7, lambda v: 3, "trajectory 1 step 7: action 3 is not 0/1/2"),
+    ("t0_actions", 4, lambda v: -1, "trajectory 0 step 4: action -1 is not 0/1/2"),
     ("meta", None, lambda m: {k: v for k, v in m.items() if k != "gamma"},
      "has no numeric gamma in its meta, but None"),
     ("meta", None, lambda m: {**m, "gamma": str(m["gamma"])},
      "has no numeric gamma in its meta, but '0."),
 ]
-CORRUPT_POOL_IDS = ["nan-reward", "nan-state", "no-gamma", "string-gamma"]
+CORRUPT_POOL_IDS = ["nan-reward", "nan-state", "action-3", "action-minus-1", "no-gamma",
+                    "string-gamma"]
 
 
 def corrupt_pool_file(src, dst, name, index, edit):

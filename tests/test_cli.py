@@ -308,10 +308,13 @@ def test_scenario_with_a_negative_start_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("name,index,edit,message", CORRUPT_POOL_EDITS,
                          ids=CORRUPT_POOL_IDS)
 def test_train_on_a_corrupt_pool_exits_1(pipeline, tmp_path, capsys, name, index, edit, message):
+    """Refused by name at load, before any epoch runs: an action outside
+    0/1/2 would otherwise fail mid-epoch (3) or train as MARK (-1)."""
     paths, _ = pipeline
     bad = corrupt_pool_file(paths["pool.npz"], tmp_path / "bad.npz", name, index, edit)
     assert cli.main(["train", str(bad), "-o", str(tmp_path / "m.npz")]) == 1
-    assert message in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert message in err and "epoch" not in out
     assert not (tmp_path / "m.npz").exists()
 
 

@@ -544,11 +544,17 @@ class TestOnlineWindowParity:
         assert zero[STATE_FEATURES.index("queue_type")] and not zero.all()
         cfg = ModelConfig(feature_dim=2, embed_size=8, n_layers=1, n_heads=2,
                           context_window=4)
-        save_checkpoint(PolicyModel(cfg, seed=0), tmp_path / "m.npz", feature_stats=stats,
+        # a seed whose states vary: many untrained models give one action at
+        # every decision, and the states then stay alike.  Of model seeds
+        # 0-12, the guard below passes for 13 under checkpoint v8 and for 10
+        # under v9, but for most of them only by rounding (a std near 1e-16);
+        # a std above 0.01 shows for 3 under each (v8: 0, 7, 11; v9: 4, 9,
+        # 11).  Seed 4 gives 850 ENQUEUE, 407 DROP and 43 MARK in 1,300
+        # decisions, a least std of 0.66
+        save_checkpoint(PolicyModel(cfg, seed=4), tmp_path / "m.npz", feature_stats=stats,
                         extra={"target_return": 1.0})
         driver = ev.LlmEvery(str(tmp_path / "m.npz"), every=1)
         windows = record_windows(driver)
-        # this untrained model marks every packet, so its flows send less
         world = run_scenario(l4s_only(2, seconds=3), decision_hook=driver.hook)
         assert len(windows) == len(world.records) > 400
         _, S, _, pad = left_padded(windows, cfg.context_window)
@@ -604,13 +610,14 @@ class TestSnapshotInTheLoop:
 
 # sha256 of the .klog of 6 s seed-11 episodes driven by LlmEvery with the
 # untrained seed-5 model below: the state, normalisation and history it
-# feeds the model must not move.  Pinned with checkpoint v8, which has no
-# pre-LN: an episode whose decisions come from PolicyModel.predict on the
-# left-padded windows writes the same bytes at every=1 (3,147 decisions)
-# and every=10 (459).
+# feeds the model must not move.  Pinned with checkpoint v9, whose blocks
+# see 3 rows per step: an episode whose decisions come from
+# test_model.reference_logits, the forward composed op by op, on the
+# left-padded windows writes the same bytes at every=1 (3,627 decisions)
+# and every=10 (458).
 GOLDEN_LLM_EVERY = {
-    1: "345e818c9497abea5f352555a84849e0b8d3189ae4ec7a82116589a5766f5b79",
-    10: "849ed3ab0d50600007a55190836328f80092ae470068dbbce20ff20362a7b97c",
+    1: "74308c89e6a2c0049638d268570dbd8d749ab32c4828290144854397ab189c42",
+    10: "fed5a31be78ca581b7ff72c473c4973754d38aee12d0eeeb93fbade8f41f8526",
 }
 
 

@@ -11,8 +11,8 @@ from aqmlab import tensor as T
 from aqmlab import model as model_mod
 from aqmlab.features import ACTION_COUNT, CONV_FEATURES, STATE_DIM, STATE_FEATURES
 from aqmlab.model import (
-    CHECKPOINT_VERSION, CONV_WIDTH, TOKENS_PER_STEP, CheckpointError, InferencePolicy,
-    ModelConfig, PolicyModel, load_checkpoint, save_checkpoint,
+    CHECKPOINT_VERSION, CONV_WIDTH, ROWS_PER_STEP, TOKENS_PER_STEP, CheckpointError,
+    InferencePolicy, ModelConfig, PolicyModel, load_checkpoint, save_checkpoint,
 )
 from aqmlab.pool import ExperiencePool, Trajectory
 from aqmlab.tensor import Tensor
@@ -183,9 +183,9 @@ class TestCausality:
         np.testing.assert_array_equal(base[:, :3], pert[:, :3])
 
     def test_own_step_action_token_excluded(self):
-        """The step-t prediction is read from the last state token, one
-        position before the action token, so changing a_t must not move
-        the step-t logits."""
+        """The step-t prediction is read from the state row, one position
+        before the action row, so changing a_t must not move the step-t
+        logits."""
         cfg = small_config()
         m = PolicyModel(cfg, seed=0)
         R, S, A = rand_batch(cfg)
@@ -194,6 +194,19 @@ class TestCausality:
         A2[:, -1] = (A2[:, -1] + 1) % 3
         pert = self._logits(m, R, S, A2)
         np.testing.assert_array_equal(base[:, -1], pert[:, -1])
+
+    @pytest.mark.parametrize("t", range(6))
+    def test_step_t_action_reaches_only_later_steps(self, t):
+        """Changing step t's action leaves the logits of steps <= t bit for
+        bit, and moves every later step's logits."""
+        cfg = small_config()
+        m = perturbed_model(cfg)
+        R, S, A = rand_batch(cfg)
+        A2 = A.copy()
+        A2[:, t] = (A2[:, t] + 1) % 3
+        base, pert = self._logits(m, R, S, A), self._logits(m, R, S, A2)
+        np.testing.assert_array_equal(base[:, :t + 1], pert[:, :t + 1])
+        assert (np.abs(base[:, t + 1:] - pert[:, t + 1:]).max(axis=-1) > 0).all()
 
     def test_past_state_does_affect_present(self):
         cfg = small_config()
@@ -369,7 +382,7 @@ class TestCheckpoint:
         path = tmp_path / "m.npz"
         save_checkpoint(m, path)
         meta = saved_meta(path)
-        assert meta["version"] == CHECKPOINT_VERSION == 8
+        assert meta["version"] == CHECKPOINT_VERSION == 9
         assert meta["lora_rank"] == 2 and "lora_enabled" not in meta
         assert "frozen" not in meta and not {"lora_targets", "lora_rank"} & meta["config"].keys()
 
@@ -392,7 +405,8 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="stored LoRA rank"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
+    # a v8 file stores the tensors v9 stores, but its blocks saw 10 rows per step
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_earlier_versions_rejected_with_a_retrain_hint(self, tmp_path, version):
         path = tmp_path / f"v{version}.npz"
         save_checkpoint(PolicyModel(small_config(), seed=0), path)
@@ -401,10 +415,10 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_unknown_version_rejected(self, tmp_path):
-        path = tmp_path / "v9.npz"
+        path = tmp_path / "v10.npz"
         save_checkpoint(PolicyModel(small_config(), seed=0), path)
-        rewrite_meta(path, version=9)
-        with pytest.raises(CheckpointError, match="version 9"):
+        rewrite_meta(path, version=10)
+        with pytest.raises(CheckpointError, match="version 10"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit", [{"residual_flag": True}, {"conv_kernel_sizes": 5},
@@ -657,6 +671,34 @@ class TestTokenKernel:
         assert not K[[0, -1], :-1].any() and K[[0, -1], -1].all()
 
 
+class TestStepRows:
+    """`step_rows`, the node between the per-metric tokens and the blocks:
+    per step [return, mean of the 8 state tokens, action]."""
+
+    def test_state_row_is_the_mean_of_the_8_state_tokens(self):
+        cfg = bench_config(dtype="float64")
+        m = perturbed_model(cfg, lora=False)
+        R, S, A = rand_batch(cfg, b=3, seed=4)
+        tokens, _ = m.build_sequence(R, S, A)
+        rows = model_mod.step_rows(tokens).data
+        b, w, d = 3, cfg.context_window, cfg.embed_size
+        assert rows.shape == (b, w * ROWS_PER_STEP, d) and ROWS_PER_STEP == 3
+        tok, rows = tokens.data.reshape(b, w, TOKENS_PER_STEP, d), rows.reshape(b, w, 3, d)
+        assert rows[:, :, 0].tobytes() == tok[:, :, 0].copy().tobytes()
+        assert rows[:, :, 2].tobytes() == tok[:, :, 9].copy().tobytes()
+        states = m.encode_state(S).data   # [b, w, 8, d]
+        np.testing.assert_allclose(rows[:, :, 1], states.sum(axis=2) / 8, rtol=0, atol=1e-12)
+
+    def test_grad_check(self):
+        """The backward passes a row's gradient to the return and action
+        tokens and 1/8 of it to each state token."""
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(2, 3 * TOKENS_PER_STEP, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 3 * ROWS_PER_STEP, 4)))
+        assert T.grad_check(lambda: (model_mod.step_rows(x) * w).sum(), [x], eps=1e-6,
+                            max_coords=120) < 1e-8
+
+
 class TestInferenceWithoutGraph:
     def test_predict_leaves_no_graph(self):
         cfg = bench_config()
@@ -712,20 +754,21 @@ class TestCachedMasks:
 
 
 def full_rows_logits(model, R, S, A, pad_mask):
-    """The forward pass with every block over all 10*w tokens: the residual
-    is added to the whole sequence, then the head rows are selected."""
+    """The forward pass with every block over all 3*w block rows: the
+    residual is added to every row, then the state rows are selected."""
     cfg, p = model.config, model.params
     w = S.shape[1]
-    n = w * TOKENS_PER_STEP
-    x, raw_tokens = model.build_sequence(R, S, A)
-    keep = np.repeat(pad_mask, TOKENS_PER_STEP, axis=1)
+    n = w * ROWS_PER_STEP
+    tokens, _ = model.build_sequence(R, S, A)
+    x = raw_rows = model_mod.step_rows(tokens)
+    keep = np.repeat(pad_mask, ROWS_PER_STEP, axis=1)
     key_block = np.where(keep[:, None, :] > 0, 0.0, -1e9).astype(cfg.np_dtype)
     bias = T.causal_mask_bias(n, dtype=cfg.np_dtype)[None, None] + key_block[:, None]
     bias = np.where(np.eye(n, dtype=bool)[None, None], np.maximum(bias, -1e8), bias)
     for l in range(cfg.n_layers):
         x = model._attention_block(x, l, bias)
-    x = x + raw_tokens
-    sel = T.select_positions(x, np.arange(w) * TOKENS_PER_STEP + TOKENS_PER_STEP - 2)
+    x = x + raw_rows
+    sel = T.select_positions(x, np.arange(w) * ROWS_PER_STEP + 1)
     return T.linear(sel, p["head_W"], p["head_b"])
 
 
@@ -840,10 +883,10 @@ class TestFoldedAttention:
         for t in m.params.values():
             t.requires_grad = True
         rng = np.random.default_rng(8)
-        n, d = 4 * TOKENS_PER_STEP, cfg.embed_size
+        n, d = 4 * ROWS_PER_STEP, cfg.embed_size
         x = Tensor(rng.normal(size=(2, n, d)), requires_grad=True)
         pad = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
-        rows = np.arange(4) * TOKENS_PER_STEP + TOKENS_PER_STEP - 2 if head_rows else None
+        rows = np.arange(4) * ROWS_PER_STEP + 1 if head_rows else None
         bias = model_mod._attention_bias(pad, n, cfg.np_dtype, rows=rows)
         w = Tensor(rng.normal(size=(2, n if rows is None else 4, d)))
 
@@ -916,6 +959,54 @@ class TestLeftPadding:
             real = pad[i] > 0
             alone = model.predict(R[i:i + 1, real], S[i:i + 1, real], A[i:i + 1, real])[0]
             np.testing.assert_allclose(alone, want, rtol=0, atol=tol)
+
+
+def reference_logits(model, R, S, A, pad_mask=None):
+    """Every step's logits [b, w, 3], the forward composed op by op with no
+    graph kept: `build_sequence`'s 10 tokens per step, then per step the
+    rows [return, plain numpy mean of the 8 state tokens, action], a causal
+    bias that also blocks padded steps' keys, each block as
+    `reference_attention_block` (T.layer_norm, T.attention, the FFN) over
+    every row, the residual read-out and the head on each state row."""
+    cfg, p = model.config, model.params
+    b, w = np.shape(R)
+    with T.no_grad():
+        tok = model.build_sequence(R, S, A)[0].data.reshape(b, w, 10, cfg.embed_size)
+        rows = np.stack([tok[:, :, 0], tok[:, :, 1:9].mean(axis=2), tok[:, :, 9]], axis=2)
+        rows = rows.reshape(b, 3 * w, cfg.embed_size)
+        bias = T.causal_mask_bias(3 * w, dtype=cfg.np_dtype)
+        if pad_mask is not None:
+            blocked = np.repeat(np.asarray(pad_mask) == 0, 3, axis=1)[:, None, None, :]
+            bias = np.where(blocked & ~np.eye(3 * w, dtype=bool), -1e9, bias)
+        x = Tensor(rows)
+        for l in range(cfg.n_layers):
+            x = reference_attention_block(model, x, l, bias)
+        x = T.select_positions(x + Tensor(rows), np.arange(w) * 3 + 1)
+        return T.linear(x, p["head_W"], p["head_b"]).data
+
+
+class TestReferenceForward:
+    """`forward` and the snapshot against `reference_logits`, in float64:
+    the blocks see 3 rows per step, the state row the mean of the step's 8
+    per-metric tokens, and the head reads the state row."""
+
+    @pytest.mark.parametrize("padded", [False, True], ids=["full", "padded"])
+    @pytest.mark.parametrize("lora", [False, True])
+    @pytest.mark.parametrize("n_layers", [0, 1, 2])
+    def test_forward_and_snapshot_match_the_reference(self, n_layers, lora, padded):
+        cfg = bench_config(n_layers=n_layers, dtype="float64")
+        m = perturbed_model(cfg, lora=lora)
+        if padded:
+            R, S, A, pad = padded_batch(cfg)
+        else:
+            (R, S, A), pad = rand_batch(cfg, b=3, seed=7), None
+        want = reference_logits(m, R, S, A, pad)
+        np.testing.assert_allclose(m.forward(R, S, A, pad_mask=pad).data, want, rtol=0, atol=1e-12)
+        policy = InferencePolicy(m)
+        for i in range(3):
+            real = slice(None) if pad is None else pad[i] > 0
+            got = policy.logits(R[i, real], S[i, real], A[i, real][:-1])
+            np.testing.assert_allclose(got, want[i, -1], rtol=0, atol=1e-12)
 
 
 # the tensors of a block that a checkpoint-v6 model absorbs
@@ -1071,19 +1162,22 @@ class TestInferencePolicy:
                 a[(0,) * a.ndim] = 0.0
 
     def test_token_conv_is_the_shared_fold(self):
-        """The snapshot's token kernels and their bias are
+        """The snapshot's token kernel and its bias are `fold_step_rows` of
         `fold_token_conv`'s K and b, bit for bit in float64: training and
-        the closed loop encode tokens with one fold."""
+        the closed loop encode tokens with one fold, and the snapshot takes
+        `step_rows`' mean into its kernel."""
         cfg = bench_config(dtype="float64")
         m = perturbed_model(cfg)
         policy = InferencePolicy(m)
-        K, b = model_mod.fold_token_conv({n: t.data for n, t in m.params.items()})
+        K, b = model_mod.fold_step_rows(*model_mod.fold_token_conv(
+            {n: t.data for n, t in m.params.items()}))
         want = {"_token_K": K, "_token_b": b}
         for name, array in want.items():
             got = getattr(policy, name)
             assert got.dtype == array.dtype == np.float64 and got.shape == array.shape
             assert got.tobytes() == np.ascontiguousarray(array).tobytes(), name
-        assert policy._token_K.shape == (TOKENS_PER_STEP, CONV_WIDTH, cfg.embed_size)
+        assert policy._token_K.shape == (TOKENS_PER_STEP * CONV_WIDTH,
+                                         ROWS_PER_STEP * cfg.embed_size)
 
     def test_each_block_normalises_its_input_once(self, monkeypatch):
         """Each block normalises its input with one `_normalize` call, and
