@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -26,16 +27,18 @@ def _add_scenario_args(p):
 
 def _scenario(args):
     """The scenario `_add_scenario_args` describes: `--scenario` (default:
-    built-in), with `--seed` and `--duration` applied when given."""
+    built-in), with `--seed` and `--duration` applied when given, through
+    `dataclasses.replace`, so the scenario's own checks see them too."""
     if args.scenario:
         sc = simulator.ScenarioConfig.load(args.scenario)
     else:
         sc = simulator.default_scenario()
+    changes = {}
     if args.seed is not None:
-        sc.seed = args.seed
+        changes["seed"] = args.seed
     if args.duration is not None:
-        sc.duration_us = int(args.duration * 1_000_000)
-    return sc
+        changes["duration_us"] = int(args.duration * 1_000_000)
+    return dataclasses.replace(sc, **changes)
 
 
 def _cmd_simulate(args):

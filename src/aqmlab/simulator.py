@@ -123,7 +123,12 @@ VALID_ACTIONS = (ACTION_ENQUEUE, ACTION_DROP, ACTION_MARK)
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
-class _KlogRow(NamedTuple):
+class KernelLogRecord(NamedTuple):
+    """One AQM decision-point snapshot; 24 integer fields in fixed order.
+
+    A plain tuple underneath, so a list of records converts to an int64
+    [N, 24] column matrix in one `np.array` call.
+    """
     queue_type: int
     qdelay_reference: int
     tupdate: int
@@ -148,23 +153,6 @@ class _KlogRow(NamedTuple):
     total_drops: int
     packet_length: int
     dequeue_action: int
-
-
-class KernelLogRecord(_KlogRow):
-    """One AQM decision-point snapshot; 24 integer fields in fixed order.
-
-    A plain tuple underneath, so a list of records converts to an int64
-    [N, 24] column matrix in one `np.array` call.  The constructor checks the
-    action; `_make` and `tuple.__new__` skip that check for rows that are
-    already validated.
-    """
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.dequeue_action not in VALID_ACTIONS:
-            raise ValueError(f"dequeue_action must be 0/1/2, got {self.dequeue_action}")
-        return self
 
 
 KLOG_FIELDS = KernelLogRecord._fields
@@ -687,8 +675,7 @@ class World:
 
     def _emit_record(self, q: QueueState, pkt: Packet, action: int):
         drop_p, acc_p = self.klog_probs
-        # the rule's decisions and the gate's answers are valid actions, so
-        # skip the record constructor's own check
+        # tuple.__new__ skips the named tuple's per-field argument binding
         self.records.append(tuple.__new__(KernelLogRecord, (
             *self._klog_head[q.queue_type],
             q.burst_allowance,

@@ -7,6 +7,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import signal
 import subprocess
 import sys
@@ -108,6 +109,37 @@ def test_failed_share_gate(base_failed, change_failed, holds):
         f"failed_share_holds {holds}")
 
 
+EPISODE = ("seed {}: 23422 decisions, 2342 model calls; delay p50/p99 rule 13.38/53.10 ms, "
+           "llm 15.08/47.09 ms (median off by 12.7%, KS {}); util rule 0.981 llm 0.986; "
+           "enqueue/drop/mark rule 0.593/0.167/0.240 llm 0.599/0.169/0.232; "
+           "model MARKs applied as DROP 1072")
+
+
+def test_closed_loop_episodes_are_kept_and_their_ks_range_shown():
+    """Each closed_loop episode line becomes one record under `episodes`;
+    logs_to_pool's per-seed klog lines are not episodes.  The summary and
+    its console lines give each side's KS range."""
+    out = "\n".join(["seed 1000: 475 decisions, klog sha256 a0ea32", EPISODE.format(1500, "0.042"),
+                     EPISODE.format(1501, "0.051"), "closed_loop latency_p50_ms 0.16 ms"])
+    first, second = bench_pairs.parse_episodes(out)
+    assert first == {"seed": 1500, "decisions": 23422, "model_calls": 2342, "rule_p50_ms": 13.38,
+                     "rule_p99_ms": 53.1, "llm_p50_ms": 15.08, "llm_p99_ms": 47.09,
+                     "median_off_pct": 12.7, "ks": 0.042, "rule_util": 0.981, "llm_util": 0.986,
+                     "rule_actions": [0.593, 0.167, 0.24], "llm_actions": [0.599, 0.169, 0.232],
+                     "mark_downgraded": 1072}
+    assert (second["seed"], second["ks"]) == (1501, 0.051)
+    assert bench_pairs.parse_episodes("seed 1000: 475 decisions, klog sha256 a0ea32\n") == []
+    runs = pairs([(0.4, 100.0)] * 2, [(0.4, 100.0)] * 2)
+    for pair, ks in zip(runs, ((0.03, 0.05), (0.02, 0.04))):
+        for side, k in zip(bench_pairs.SIDES, ks):
+            pair[side]["episodes"] = bench_pairs.parse_episodes(EPISODE.format(1500, k))
+    summary = bench_pairs.summarise(runs, SPEC)
+    assert summary["ks_range"] == {"base": [0.02, 0.03], "change": [0.04, 0.05]}
+    assert bench_pairs.summary_lines("closed_loop", summary)[1] == (
+        "closed_loop   episode KS base 0.020-0.030 change 0.040-0.050")
+    assert "ks_range" not in bench_pairs.summarise(pairs([(0.4, 1.0)], [(0.4, 1.0)]), SPEC)
+
+
 def test_reads_the_benchmark_metric_specs():
     """Every end-to-end metric BENCHMARK.json declares carries the fields
     summarise reads."""
@@ -171,15 +203,16 @@ def test_committed_bench_file_is_stamped(path):
         assert set(entry["summary"]["metrics"]) == names, workload
 
 
+def git_status():
+    return subprocess.run(["git", "status", "--porcelain", "--untracked-files=all"], cwd=ROOT,
+                          check=True, capture_output=True, text=True).stdout
+
+
 def test_step_pairs_runs_at_its_smallest_size_against_head():
     """tools/step_pairs.py imports HEAD's and the working tree's packages
     into one process, times their train steps block by block and writes
     nothing into the checkout."""
-    def status():
-        return subprocess.run(["git", "status", "--porcelain", "--untracked-files=all"], cwd=ROOT,
-                              check=True, capture_output=True, text=True).stdout
-
-    before = status()
+    before = git_status()
     proc = subprocess.run(
         [sys.executable, "tools/step_pairs.py", "--blocks", "2", "--steps", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
@@ -191,103 +224,88 @@ def test_step_pairs_runs_at_its_smallest_size_against_head():
     assert all(" ratio " in line for line in lines[1:3])
     assert lines[3].startswith("change faster in ") and lines[3].endswith(" of 2 blocks")
     assert float(lines[4].rsplit(" ", 1)[1]) > 0
-    assert status() == before
+    assert git_status() == before
 
 
-def committed_copy(dest):
-    """A git repository at `dest` whose HEAD commit holds the working tree's
-    tracked files as they are on disk.  decision_pairs compares only
-    commits of one checkpoint format, so its runs below take this HEAD as
-    their base: the checkout's own HEAD may be of an earlier format while
-    a change to the format is not yet committed."""
-    bench_pairs.export_tree(str(ROOT), str(dest))
-    for args in (["init", "-q"], ["add", "-A"],
-                 ["-c", "user.name=tests", "-c", "user.email=tests@localhost", "-c", "commit.gpgsign=false",
-                  "commit", "-q", "--no-verify", "-m", "working tree"]):
-        subprocess.run(["git", *args], cwd=dest, check=True, capture_output=True)
-    return dest
-
-
-def test_decision_pairs_runs_at_its_smallest_size_against_head(tmp_path):
+def test_decision_pairs_runs_at_its_smallest_size_against_head():
     """tools/decision_pairs.py imports HEAD's and the working tree's
-    packages into one process, checks that their logits agree on the
-    recorded windows, times their decisions block by block and writes
-    nothing into the checkout."""
-    checkout = committed_copy(tmp_path / "checkout")
-
-    def status():
-        return subprocess.run(["git", "status", "--porcelain", "--untracked-files=all"], cwd=checkout,
-                              check=True, capture_output=True, text=True).stdout
-
-    before = status()
-    proc = subprocess.run(
-        [sys.executable, "tools/decision_pairs.py", "--blocks", "2", "--seconds", "1"],
-        cwd=checkout, capture_output=True, text=True, timeout=120)
+    packages into one process, names both checkpoint versions, times their
+    seeded snapshots' decisions block by block and writes nothing into the
+    checkout; of one checkpoint version, their logits agree."""
+    before = git_status()
+    proc = subprocess.run([sys.executable, "tools/decision_pairs.py", "--blocks", "2"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0].startswith("base ") and "of a 1 s held-out episode, 1 layer(s), 2 head(s), " \
-        "2 blocks; largest logits difference " in lines[0]
-    assert float(lines[0].rsplit(" ", 1)[1]) <= 1e-5
+    versions = re.findall(r"\(checkpoint v(\d+)\)", lines[0])
+    assert lines[0].startswith("base ") and len(versions) == 2
+    assert " pool steps, 1 layer(s), 2 head(s), 2 blocks; largest logits difference " in lines[0]
+    assert versions[0] != versions[1] or float(lines[0].rsplit(" ", 1)[1]) <= 1e-5
     assert [line.split(" first ")[0] for line in lines[1:3]] == ["block 1/2", "block 2/2"]
     assert "first base" in lines[1] and "first change" in lines[2]
     assert all(" ratio " in line for line in lines[1:3])
     assert lines[3].startswith("change faster in ") and lines[3].endswith(" of 2 blocks")
     assert float(lines[4].rsplit(" ", 1)[1]) > 0
-    assert status() == before
+    assert git_status() == before
 
 
-def test_decision_pairs_exits_2_when_the_base_cannot_read_the_checkpoint(tmp_path, monkeypatch,
-                                                                         capsys):
-    """A base of an earlier checkpoint format refuses the working tree's
-    checkpoint: the tool says that it compares only commits of one format,
-    names the tool that covers the rest, and exits 2 without a traceback."""
-    import aqmlab.model
+@pytest.mark.parametrize("base_version, code", [(8, 0), (9, 1)], ids=["other_format", "same_format"])
+def test_decision_pairs_checks_parity_only_within_one_checkpoint_format(monkeypatch, capsys,
+                                                                      base_version, code):
+    """A base whose seeded snapshot's logits differ by 1e-3: of another
+    checkpoint version the tool notes the gap and times to the end; of the
+    same version it exits 1 before timing."""
+    import aqmlab.training   # and the model, pool and simulator it imports
     monkeypatch.setattr(sys, "path", [*sys.path])   # the tool puts tools/ on it
     spec = importlib.util.spec_from_file_location("decision_pairs", ROOT / "tools" / "decision_pairs.py")
     decision_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(decision_pairs)
+    model = aqmlab.model
 
-    class BaseCheckpointError(RuntimeError):
-        pass
+    class Shifted(model.InferencePolicy):
+        def logits(self, *window):
+            return super().logits(*window) + 1e-3
 
-    def refuse(path):
-        raise BaseCheckpointError("unsupported checkpoint version 7")
+    base = types.SimpleNamespace(model=types.SimpleNamespace(
+        CHECKPOINT_VERSION=base_version, ModelConfig=model.ModelConfig,
+        PolicyModel=model.PolicyModel, InferencePolicy=Shifted))
 
     @contextlib.contextmanager
     def side_trees(rev, prefix):
-        base = types.SimpleNamespace(model=types.SimpleNamespace(
-            CheckpointError=BaseCheckpointError, load_checkpoint=refuse))
-        yield "0" * 40, str(tmp_path), {"base": base, "change": aqmlab}
+        yield "0" * 40, "", {"base": base, "change": aqmlab}
 
-    model = aqmlab.model
+    monkeypatch.setattr(model, "CHECKPOINT_VERSION", 9)
     monkeypatch.setattr(decision_pairs.step_pairs, "side_trees", side_trees)
-    monkeypatch.setattr(decision_pairs, "write_checkpoint", lambda package, path: model.save_checkpoint(
-        model.PolicyModel(model.ModelConfig()), path))
-    assert decision_pairs.main(["--blocks", "1", "--seconds", "1"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: base 000000000000 cannot read the working tree's checkpoint "
-                          "(unsupported checkpoint version 7); decision_pairs compares only "
-                          "commits of one checkpoint format, and tools/bench_pairs.py covers")
+    monkeypatch.setattr(decision_pairs.step_pairs, "POOL_SECONDS", 1.0)
+    assert decision_pairs.main(["--blocks", "1"]) == code
+    out, err = capsys.readouterr()
+    assert out.startswith(f"base 000000000000 (checkpoint v{base_version}) against the working "
+                          f"tree (checkpoint v9): ")
+    assert out.splitlines()[0].endswith("largest logits difference 0.001")
+    if code:
+        assert err == "error: the two sides' logits differ by 0.001, more than 1e-05\n"
+        assert len(out.splitlines()) == 1
+    else:
+        assert err.startswith("note: checkpoint v8 and v9 are different models")
+        assert out.splitlines()[-1].startswith("median ratio change/base ")
 
 
 @pytest.mark.parametrize("tool, size, prefix", [
     ("step_pairs.py", ["--steps", "1"], "step-pairs-"),
-    ("decision_pairs.py", ["--seconds", "1"], "decision-pairs-")], ids=["step_pairs", "decision_pairs"])
+    ("decision_pairs.py", [], "decision-pairs-")], ids=["step_pairs", "decision_pairs"])
 def test_pairs_tool_removes_its_checkouts_on_sigterm(tmp_path, tool, size, prefix):
     """A run ended by SIGTERM still removes its temporary directory."""
-    checkout, tmp = committed_copy(tmp_path / "checkout"), tmp_path / "tmp"
-    tmp.mkdir()
     proc = subprocess.Popen(
         [sys.executable, f"tools/{tool}", "--blocks", "100000", *size],
-        cwd=checkout, env=dict(os.environ, TMPDIR=str(tmp)), stdout=subprocess.PIPE,
+        cwd=ROOT, env=dict(os.environ, TMPDIR=str(tmp_path)), stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL, text=True)
     try:
         assert proc.stdout.readline().startswith("base ")
-        assert len(list(tmp.glob(f"{prefix}*"))) == 1
+        assert len(list(tmp_path.glob(f"{prefix}*"))) == 1
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=60) == 128 + signal.SIGTERM
     finally:
         proc.kill()
         proc.wait()
         proc.stdout.close()
-    assert not list(tmp.glob(f"{prefix}*"))
+    assert not list(tmp_path.glob(f"{prefix}*"))

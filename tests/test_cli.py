@@ -305,6 +305,17 @@ def test_scenario_with_a_negative_start_exits_1(tmp_path, capsys):
     assert not (tmp_path / "x.klog").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "evaluate"])
+@pytest.mark.parametrize("duration", ["0", "-2"])
+def test_a_duration_of_no_time_exits_1(tmp_path, capsys, command, duration):
+    """A run of no time simulates nothing; `--duration` reaches the
+    scenario's own check, which refuses it by name before any output."""
+    out = tmp_path / "out"
+    assert cli.main([command, "--duration", duration, "-o", str(out)]) == 1
+    assert "duration_us must be > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name,index,edit,message", CORRUPT_POOL_EDITS,
                          ids=CORRUPT_POOL_IDS)
 def test_train_on_a_corrupt_pool_exits_1(pipeline, tmp_path, capsys, name, index, edit, message):

@@ -154,8 +154,9 @@ class TestKlogFormat:
             parse_log(line, 1)
 
     def test_bad_action_rejected(self):
-        with pytest.raises(ValueError):
-            self._record(dequeue_action=3)
+        line = emit_log(self._record(dequeue_action=3))
+        with pytest.raises(KlogParseError, match="dequeue_action must be 0/1/2, got 3"):
+            parse_log(line, 1)
 
     def test_file_round_trip(self, tmp_path):
         recs = [self._record(packet_length=n) for n in (100, 200, 300)]

@@ -22,9 +22,13 @@ run's result line, and, for each end-to-end metric `BENCHMARK.json`
 declares, both sides' quartiles, the pair wins and whether the change stays
 within the metric's bound, and, per workload, both sides' failed and
 attempted operations and whether the change's failed share stays at or
-below the base's.  The console summary prints, per workload, both sides'
-failed/attempted counts and `failed_share_holds`, then, per metric, the
-medians, the wins and both gates, `claim_holds` and `within_bound`.
+below the base's.  A closed_loop run's record also keeps, under `episodes`,
+the figures `perfbench/run.py` logs for each episode: the median gap and the
+KS against the rule, the enqueue/drop/mark fractions and the model MARKs
+applied as DROP.  The console summary prints, per workload, both sides'
+failed/attempted counts and `failed_share_holds`, and for closed_loop both
+sides' KS range, then, per metric, the medians, the wins and both gates,
+`claim_holds` and `within_bound`.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import shutil
 import signal
 import subprocess
@@ -67,6 +72,37 @@ def parse_result(stdout):
     return json.loads(lines[-1])
 
 
+_NUM = r"([-+.\w]+)"
+# one closed_loop episode line, as `perfbench/workloads.py` `closed_loop_timed` logs it
+_EPISODE = re.compile(
+    rf"seed (\d+): (\d+) decisions, (\d+) model calls; delay p50/p99 rule {_NUM}/{_NUM} ms, "
+    rf"llm {_NUM}/{_NUM} ms \(median off by {_NUM}%, KS {_NUM}\); util rule {_NUM} llm {_NUM}; "
+    r"enqueue/drop/mark rule ([\d./]+) llm ([\d./]+); model MARKs applied as DROP (\d+)")
+
+
+def _fractions(text):
+    return [float(x) for x in text.split("/")]
+
+
+# each of _EPISODE's groups, in order, by name and type
+_EPISODE_FIELDS = {"seed": int, "decisions": int, "model_calls": int, "rule_p50_ms": float,
+                   "rule_p99_ms": float, "llm_p50_ms": float, "llm_p99_ms": float,
+                   "median_off_pct": float, "ks": float, "rule_util": float, "llm_util": float,
+                   "rule_actions": _fractions, "llm_actions": _fractions, "mark_downgraded": int}
+
+
+def parse_episodes(stdout):
+    """The closed_loop episode lines of a run's output, one dict each;
+    rule_actions and llm_actions are enqueue/drop/mark fractions."""
+    episodes = []
+    for line in stdout.splitlines():
+        m = _EPISODE.fullmatch(line.strip())
+        if m:
+            episodes.append({name: convert(value) for (name, convert), value
+                             in zip(_EPISODE_FIELDS.items(), m.groups())})
+    return episodes
+
+
 def quartiles(values):
     q1, median, q3 = np.percentile(np.asarray(values, dtype=float), [25, 50, 75])
     return {"q1": float(q1), "median": float(median), "q3": float(q3)}
@@ -80,7 +116,8 @@ def summarise(pairs, end_to_end):
 
     `failed` and `attempted` sum each side's operations over the pairs, and
     `failed_share_holds` holds when the change's share of failed operations
-    is no larger than the base's.
+    is no larger than the base's.  `ks_range` gives each side's least and
+    largest episode KS where both sides' runs kept `episodes`.
 
     A pair is a win when the change reads better than the base, a tie when
     the two read the same.  `claim_holds` applies the gain rule: wins in at
@@ -94,6 +131,9 @@ def summarise(pairs, end_to_end):
     share = {side: failed[side] / attempted[side] if attempted[side] else 0.0 for side in SIDES}
     out = {"pairs": len(pairs), "failed": failed, "attempted": attempted,
            "failed_share_holds": share["change"] <= share["base"], "metrics": {}}
+    ks = {side: [e["ks"] for p in pairs for e in p[side].get("episodes", ())] for side in SIDES}
+    if all(ks.values()):
+        out["ks_range"] = {side: [min(ks[side]), max(ks[side])] for side in SIDES}
     for spec in end_to_end:
         name, sign = spec["name"], 1.0 if spec["better"] == "lower" else -1.0
         runs = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
@@ -118,13 +158,17 @@ def summarise(pairs, end_to_end):
 
 def summary_lines(workload, summary):
     """The console lines of a workload's `summarise` output: first both
-    sides' failed/attempted operations and `failed_share_holds`, then one
-    line per metric with both medians, the change in percent, the pair wins,
-    the base's IQR and the two gates, `claim_holds` and `within_bound`."""
+    sides' failed/attempted operations and `failed_share_holds`, then both
+    sides' episode KS range where the summary has one, then one line per
+    metric with both medians, the change in percent, the pair wins, the
+    base's IQR and the two gates, `claim_holds` and `within_bound`."""
     failed, attempted = summary["failed"], summary["attempted"]
     lines = [f"{workload:13s} failed base {failed['base']}/{attempted['base']} "
              f"change {failed['change']}/{attempted['change']} "
              f"failed_share_holds {summary['failed_share_holds']}"]
+    if "ks_range" in summary:
+        lines.append(f"{workload:13s} episode KS " + " ".join(
+            f"{side} {lo:.3f}-{hi:.3f}" for side, (lo, hi) in summary["ks_range"].items()))
     for name, m in summary["metrics"].items():
         pct = m["median_change_pct"]
         lines.append(f"{workload:13s} {name:16s} base {m['base']['median']:.4g} "
@@ -181,7 +225,11 @@ def run_once(checkout, workload, args):
     if proc.returncode:
         raise SystemExit(f"error: {' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                          f"{proc.stderr[-2000:]}")
-    return parse_result(proc.stdout)
+    result = parse_result(proc.stdout)
+    episodes = parse_episodes(proc.stdout)
+    if episodes:
+        result["episodes"] = episodes
+    return result
 
 
 def parse_args(argv):
