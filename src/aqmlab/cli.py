@@ -52,6 +52,7 @@ def _cmd_build_pool(args):
     if args.noise or args.dropout:
         p = pool_mod.augment(p, noise_sigma=args.noise, dropout_prob=args.dropout,
                              seed=args.seed)
+        p.validate()   # what `ExperiencePool.load` would refuse is not written
     p.feature_stats = pool_mod.compute_feature_stats(p)
     p.save(args.output)
     print(f"wrote pool: {len(p.trajectories)} trajectories, "

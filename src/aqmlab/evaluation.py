@@ -350,13 +350,19 @@ def lyapunov_drift(delay_trace, target):
 
     Returns per-step drifts V(t+1) - V(t), their mean, and the fraction of
     steps with negative drift.  A converging controller shows negative mean
-    drift and a high negative fraction.
+    drift and a high negative fraction.  A target that is not a finite number,
+    or whose squared gap to the trace overflows, raises EvalError, as its
+    drifts would be NaN.
     """
     d = np.asarray(delay_trace, dtype=float)
     if d.size < 2:
         raise EvalError("need at least two delay samples")
-    v = (d - float(target)) ** 2
-    drifts = np.diff(v)
+    if not np.isfinite(target):
+        raise EvalError(f"the target delay must be a finite number, got {target}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        drifts = np.diff((d - float(target)) ** 2)
+    if not np.isfinite(drifts).all():
+        raise EvalError(f"the drifts about the target delay {target} overflow")
     return {
         "drifts": drifts.tolist(),
         "mean_drift": float(drifts.mean()),

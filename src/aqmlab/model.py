@@ -6,24 +6,25 @@ feature (CONV_FEATURES) through its own causal conv of width CONV_WIDTH over
 the window, and each state feature then through its own embedding.  No
 encoder has a nonlinearity, so one function, `fold_token_conv`, folds the
 stored encoder tensors into one causal conv kernel per token type,
-[10, CONV_WIDTH, d], and both forms of the model build tokens through it,
-as one batched product of each input channel's taps by its kernel.  The
-model has no position input: a token's place shows only through the
-causal mask and the causal conv taps (Haviv et al., "Transformer Language
-Models without Positional Encodings Still Learn Positional Information",
-2022), so a window's logits do not depend on where in its trajectory it
-lies.
+[10, CONV_WIDTH, d]; `build_sequence` gives these per-metric tokens, each
+channel's taps times its kernel, as a view with no graph.  The model has
+no position input: a token's place shows only through the causal mask and
+the causal conv taps (Haviv et al., "Transformer Language Models without
+Positional Encodings Still Learn Positional Information", 2022), so a
+window's logits do not depend on where in its trajectory it lies.
 
-The blocks see one state row per step: `step_rows` averages each step's 8
-per-metric state tokens, so a step gives them [return, mean state, action]
-(ROWS_PER_STEP = 3 rows, as Decision Transformer's [R, s, a]; Chen et al.,
-2021), and a window of 8 steps is 24 rows, not 80.  The mean adds no
-parameter.  A causal transformer backbone feeds a 3-way action head read
-at each step's state row, which sees the step's return and state but not
-its action.  `enable_lora` wraps the attention Q/V
-projections (frozen base, trainable low-rank delta); the model keeps the
-adapters' rank, `PolicyModel.lora_rank` (None when unwrapped), and a
-checkpoint stores it in its meta.
+The blocks see one state row per step, the mean of its 8 per-metric state
+tokens, so a step gives them [return, mean state, action] (ROWS_PER_STEP =
+3 rows, as Decision Transformer's [R, s, a]; Chen et al., 2021), and a
+window of 8 steps is 24 rows, not 80.  The mean adds no parameter, and
+`fold_step_rows` folds it with the token kernels into one kernel
+[10·CONV_WIDTH, 3d] over a step's taps, by which both forms of the model
+build a step's 3 rows in one product.  A causal transformer backbone
+feeds a 3-way action head read at each step's state row, which sees the
+step's return and state but not its action.  `enable_lora` wraps the
+attention Q/V projections (frozen base, trainable low-rank delta); the
+model keeps the adapters' rank, `PolicyModel.lora_rank` (None when
+unwrapped), and a checkpoint stores it in its meta.
 
 Each head of a block's attention folds into a query-key and a value-output
 matrix, by one function, `fold_attention`, so a block scores its query rows
@@ -47,15 +48,13 @@ so ln1 already normalises the first block's tokens, as GPT-2 puts no
 layer norm on its embeddings.
 
 PolicyModel is the trainable form: its forward pass builds a Tensor graph, in
-which the tokens are one node (`token_sequence`), the step rows another
-(`step_rows`) and each block's attention and its residual another
-(`folded_attention`), and its `predict` is the reference for inference.
-InferencePolicy is a read-only plain-numpy snapshot of a PolicyModel for
-closed-loop decisions: both folds are computed once, in float64, with LoRA
-deltas merged, and the token kernels fold with the mean into one kernel
-that gives a step's 3 rows (`fold_step_rows`).  Its one entry, `logits`,
-takes a single window as its real steps alone, with no padding and no
-mask, and computes only the newest step's head row.
+which the block rows are one node (`step_rows`, through that kernel) and
+each block's attention and its residual another (`folded_attention`), and
+its `predict` is the reference for inference.  InferencePolicy is a
+read-only plain-numpy snapshot of a PolicyModel for closed-loop decisions:
+the folds are computed once, in float64, with LoRA deltas merged.  Its
+one entry, `logits`, takes a single window as its real steps alone, with
+no padding and no mask, and computes only the newest step's head row.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ CONV_WIDTH = 7   # taps of each temporal feature's causal conv
 
 _is_conv = np.isin(STATE_FEATURES, CONV_FEATURES)
 _SCALAR_IDX, _CONV_IDX = np.flatnonzero(~_is_conv), np.flatnonzero(_is_conv)
-# the stored tensors the token encoders read, in `token_sequence`'s order
+# the stored tensors the token encoders read, in `step_rows`' order
 _TOKEN_PARAMS = ("W_return", "b_return", "enc_scalar_W", "enc_conv_K", "embed_W", "embed_b",
                  "W_action", "b_action")
 
@@ -197,61 +196,62 @@ def fold_token_conv(p):
 
 @functools.lru_cache(maxsize=16)   # one entry per batch size seen, each 560·b·w bytes
 def _tap_index(b, w):
-    """[10, b*w, CONV_WIDTH]: the flat positions in a [10, b, w + CONV_WIDTH
-    - 1] input, with CONV_WIDTH - 1 leading zeros, of each step's taps of
-    each channel: step i reads i..i + CONV_WIDTH - 1; cached, read-only."""
-    rows = np.arange(TOKENS_PER_STEP * b)[:, None, None] * (w + CONV_WIDTH - 1)
-    index = (rows + np.arange(w)[:, None] + np.arange(CONV_WIDTH)).reshape(
-        TOKENS_PER_STEP, b * w, CONV_WIDTH)
+    """[b*w, 10*CONV_WIDTH]: the flat positions in a [10, b, w + CONV_WIDTH
+    - 1] input, with CONV_WIDTH - 1 leading zeros, of each step's taps in
+    step-major order, channel c's at c·CONV_WIDTH (`fold_step_rows`' rows):
+    step i reads i..i + CONV_WIDTH - 1; cached, read-only."""
+    span = w + CONV_WIDTH - 1
+    steps = (np.arange(b)[:, None] * span + np.arange(w)).reshape(b * w, 1, 1)
+    channels = np.arange(TOKENS_PER_STEP)[:, None] * (b * span) + np.arange(CONV_WIDTH)
+    index = (steps + channels).reshape(b * w, TOKENS_PER_STEP * CONV_WIDTH)
     index.flags.writeable = False
     return index
 
 
-def _inputs(returns, states, actions, dtype):
-    """[10, b, w + CONV_WIDTH - 1]: each channel of [R, s1..s8, a] (returns
-    broadcast to [b, w], states [b, w, 8], actions to [b, w] or to the
-    first w - 1 steps, the newest then 0) after CONV_WIDTH - 1 zeros, for
-    `_tap_index` to read each step's causal window from."""
+def _taps(returns, states, actions, dtype):
+    """The step-major taps [b*w, 10*CONV_WIDTH] of the channels [R,
+    s1..s8, a] (returns broadcast to [b, w], states [b, w, 8], actions to
+    [b, w] or to the first w - 1 steps, the newest then 0), each channel
+    after CONV_WIDTH - 1 zeros, so step i's taps are its causal window."""
     b, w = states.shape[:2]
     inputs = np.zeros((TOKENS_PER_STEP, b, w + CONV_WIDTH - 1), dtype=dtype)
     inputs[0, :, CONV_WIDTH - 1:] = returns
     inputs[1:-1, :, CONV_WIDTH - 1:] = states.transpose(2, 0, 1)
     inputs[-1, :, CONV_WIDTH - 1:CONV_WIDTH - 1 + np.shape(actions)[-1]] = actions
-    return inputs
+    return inputs.ravel()[_tap_index(b, w)]
 
 
-def token_sequence(p, returns, states, actions):
-    """Every step's 10 tokens [b, w*10, d], as one node: the channel-major
-    taps [10, b*w, CONV_WIDTH] of `_inputs` times the kernels
-    `fold_token_conv` folds from the Tensors `p` (name -> Tensor), one
-    batched product.
+def step_rows(p, returns, states, actions):
+    """The block rows [b, w*3, d], per step [return, mean state, action],
+    as one node: the taps of `_taps` times the kernel K3, plus the bias b3,
+    that `fold_step_rows(*fold_token_conv(p))` folds from the Tensors `p`
+    (name -> Tensor), the snapshot's product at any batch size.
 
-    The backward takes each token type's kernel gradient from the forward's
-    taps as one batched product and maps it back to the stored encoder
-    tensors.
+    The backward is one product too, dK3 = tapsᵀ g and db3 = Σ g.  The
+    two folds' transposes take them to each token type's kernel and bias,
+    the return and action blocks as they are and the state block divided
+    by 8, which map back to the stored encoder tensors.
     """
     arrays = {name: p[name].data for name in _TOKEN_PARAMS}
-    K, B = fold_token_conv(arrays)
+    K3, b3 = fold_step_rows(*fold_token_conv(arrays))
     b, w = returns.shape
-    d = B.shape[1]
-    taps = _inputs(returns, states, actions, K.dtype).ravel()[_tap_index(b, w)]
-    out = np.empty((b * w, TOKENS_PER_STEP, d), dtype=K.dtype)
-    np.matmul(taps, K, out=out.transpose(1, 0, 2))
-    out += B
+    taps = _taps(returns, states, actions, K3.dtype)
+    out = taps @ K3
+    out += b3
     parents = tuple(p[name] for name in _TOKEN_PARAMS)
 
     def bwd(g):
-        g = g.reshape(b * w, TOKENS_PER_STEP, d)
-        # per token type c: taps[c]^T @ g[:, c]
-        dK = taps.transpose(0, 2, 1) @ g.transpose(1, 0, 2)   # [10, CONV_WIDTH, d]
-        dB = (np.ones(b * w, dtype=g.dtype) @ g.reshape(b * w, -1)).reshape(TOKENS_PER_STEP, d)
-        # the state kernels' gradient, before and through the embedding
-        dP = dK[1:-1] @ arrays["embed_W"].transpose(0, 2, 1)   # [8, CONV_WIDTH, fd]
+        g = g.reshape(b * w, -1)
+        dK3 = (taps.T @ g).reshape(TOKENS_PER_STEP, CONV_WIDTH, ROWS_PER_STEP, -1)
+        db3 = (np.ones(b * w, dtype=g.dtype) @ g).reshape(ROWS_PER_STEP, -1)
+        # the state kernels' gradient, then their taps' before the embedding
+        dK = dK3[1:-1, :, 1] / STATE_DIM   # [8, CONV_WIDTH, d]
+        dP = dK @ arrays["embed_W"].transpose(0, 2, 1)   # [8, CONV_WIDTH, fd]
         grads = {
-            "W_return": dK[0, -1][None], "b_return": dB[0],
-            "W_action": dK[-1, -1][None], "b_action": dB[-1],
-            "embed_W": _pre_embedding(arrays).transpose(0, 2, 1) @ dK[1:-1],
-            "embed_b": dB[1:-1],
+            "W_return": dK3[0, -1, 0][None], "b_return": db3[0],
+            "W_action": dK3[-1, -1, 2][None], "b_action": db3[2],
+            "embed_W": _pre_embedding(arrays).transpose(0, 2, 1) @ dK,
+            "embed_b": np.broadcast_to(db3[1] / STATE_DIM, arrays["embed_b"].shape),
             "enc_scalar_W": dP[_SCALAR_IDX, -1],
             "enc_conv_K": dP[_CONV_IDX],
         }
@@ -259,35 +259,14 @@ def token_sequence(p, returns, states, actions):
             if p[name].requires_grad:
                 p[name]._accum(grads[name])
 
-    return Tensor(out.reshape(b, w * TOKENS_PER_STEP, d), _parents=parents, _backward=bwd)
-
-
-def step_rows(tokens):
-    """The block rows [b, w*3, d] of the tokens [b, w*10, d], as one node:
-    per step its return token, the mean of its 8 state tokens and its
-    action token.  The backward passes a row's gradient on as it is to the
-    return and action tokens and divided by 8 to each state token."""
-    b, n, d = tokens.shape
-    w = n // TOKENS_PER_STEP
-    t = tokens.data.reshape(b, w, TOKENS_PER_STEP, d)
-    out = np.empty((b, w, ROWS_PER_STEP, d), dtype=t.dtype)
-    out[:, :, 0], out[:, :, 2] = t[:, :, 0], t[:, :, -1]
-    np.mean(t[:, :, 1:-1], axis=2, out=out[:, :, 1])
-
-    def bwd(g):
-        g = g.reshape(b, w, ROWS_PER_STEP, d)
-        gt = np.empty_like(t)
-        gt[:, :, 0], gt[:, :, -1] = g[:, :, 0], g[:, :, 2]
-        gt[:, :, 1:-1] = g[:, :, 1:2] / STATE_DIM
-        tokens._accum(gt.reshape(b, n, d))
-
-    return Tensor(out.reshape(b, w * ROWS_PER_STEP, d), _parents=(tokens,), _backward=bwd)
+    return Tensor(out.reshape(b, w * ROWS_PER_STEP, -1), _parents=parents, _backward=bwd)
 
 
 def fold_step_rows(K, B):
     """`fold_token_conv`'s K [10, CONV_WIDTH, d] and b [10, d] folded with
-    `step_rows`' mean into one kernel over a step's taps in step-major order
-    (channel c's CONV_WIDTH taps at c·CONV_WIDTH), computed in their dtype:
+    the mean of a step's 8 state tokens into one kernel over its taps in
+    step-major order (`_taps`: channel c's CONV_WIDTH taps at c·CONV_WIDTH),
+    computed in their dtype:
     (K3 [10·CONV_WIDTH, 3d], b3 [3d]).  Column block 0 is the return kernel,
     block 1 the state kernels divided by 8 and block 2 the action kernel; b3
     is [b[0] | the mean of b[1:9] | b[9]].  A step's taps times K3, plus
@@ -579,9 +558,24 @@ class PolicyModel:
 
     # ---------------------------------------------------------------- forward
 
+    def _window(self, returns, states, actions):
+        """returns/actions [batch, w] and states [batch, w, 8] in the model
+        dtype, or TensorError."""
+        dt = self.config.np_dtype
+        returns, states, actions = (np.asarray(a, dtype=dt) for a in (returns, states, actions))
+        b, w = returns.shape
+        if states.shape != (b, w, STATE_DIM) or actions.shape != (b, w):
+            raise T.TensorError("window length mismatch across modalities")
+        return returns, states, actions
+
+    def _rows(self, returns, states, actions):
+        """The first block's input, `step_rows` of the stored tensors: the
+        one call by which `forward` builds its rows."""
+        return step_rows(self.params, *self._window(returns, states, actions))
+
     def encode_state(self, states):
         """states: [batch, w, 8] array -> embeddings [batch, w, 8, d]: the
-        state tokens of `build_sequence`'s token op.
+        state tokens of `build_sequence`.
 
         Feature i of the third axis is STATE_FEATURES[i].
         """
@@ -589,27 +583,25 @@ class PolicyModel:
         if states.ndim != 3 or states.shape[2] != STATE_DIM:
             raise T.TensorError(f"encode_state expects [batch, w, {STATE_DIM}], got {states.shape}")
         b, w, _ = states.shape
-        zeros = np.zeros((b, w), dtype=states.dtype)
-        tokens = token_sequence(self.params, zeros, states, zeros)
-        return T.select_positions(tokens.reshape(b, w, TOKENS_PER_STEP, -1),
-                                  np.arange(1, 1 + STATE_DIM), axis=2)
+        zeros = np.zeros((b, w))
+        tokens = self.build_sequence(zeros, states, zeros)[0].data
+        return Tensor(tokens.reshape(b, w, TOKENS_PER_STEP, -1)[:, :, 1:-1])
 
     def build_sequence(self, returns, states, actions):
-        """Interleave [R, s1..s8, a] per step.
+        """Interleave [R, s1..s8, a] per step: the per-metric view.
 
         returns/actions: [batch, w]; states: [batch, w, 8].  Output: the
-        paper's per-metric tokens [batch, 10*w, d], one node,
-        `token_sequence`, twice; `forward` averages each step's 8 state
-        tokens into one row (`step_rows`) before the blocks.
+        paper's per-metric tokens [batch, 10*w, d], twice, as a Tensor with
+        no graph: channel c's taps of `_taps` times `fold_token_conv`'s
+        kernel c, plus its bias.  `forward` does not build them: its rows
+        (`step_rows`) fold the mean of the 8 state tokens into the kernel.
         """
-        dt = self.config.np_dtype
-        returns = np.asarray(returns, dtype=dt)
-        states = np.asarray(states, dtype=dt)
-        actions = np.asarray(actions, dtype=dt)
+        returns, states, actions = self._window(returns, states, actions)
+        K, B = fold_token_conv({name: self.params[name].data for name in _TOKEN_PARAMS})
         b, w = returns.shape
-        if states.shape != (b, w, STATE_DIM) or actions.shape != (b, w):
-            raise T.TensorError("window length mismatch across modalities")
-        tokens = token_sequence(self.params, returns, states, actions)
+        taps = _taps(returns, states, actions, K.dtype).reshape(b * w, TOKENS_PER_STEP, -1)
+        tokens = (taps.transpose(1, 0, 2) @ K).transpose(1, 0, 2) + B
+        tokens = Tensor(tokens.reshape(b, w * TOKENS_PER_STEP, -1))
         return tokens, tokens
 
     def _attention_block(self, x, l, mask_bias, rows=None):
@@ -633,21 +625,16 @@ class PolicyModel:
         `timesteps` is ignored: the model has no position input.
         pad_mask: [batch, w] with 1 for real steps, 0 for left padding;
         padded steps' rows are blocked from attention and excluded by the trainer.
-        The blocks see `step_rows` of `build_sequence`'s tokens, 3 rows per
-        step, [return, mean state, action].  The head reads each step's
-        state row, so the last block computes only those rows, and only
-        their bias rows are built; the full bias is built only for the
-        earlier blocks of a deeper model.
+        The blocks see `step_rows`, 3 rows per step, [return, mean state,
+        action].  The head reads each step's state row, so the last block
+        computes only those rows, and only their bias rows are built; the
+        full bias is built only for the earlier blocks of a deeper model.
         """
         cfg = self.config
         self.forward_count += 1
-        states = np.asarray(states, dtype=cfg.np_dtype)
-        w = states.shape[1]
-        n = w * ROWS_PER_STEP
-
-        tokens, _ = self.build_sequence(returns, states, actions)
-        x = raw_rows = step_rows(tokens)
-        positions = np.arange(w) * ROWS_PER_STEP + _HEAD_ROW
+        x = raw_rows = self._rows(returns, states, actions)
+        n = x.shape[1]
+        positions = np.arange(n // ROWS_PER_STEP) * ROWS_PER_STEP + _HEAD_ROW
         if cfg.n_layers > 1:
             bias = _attention_bias(pad_mask, n, cfg.np_dtype)
             for l in range(cfg.n_layers - 1):
@@ -675,10 +662,11 @@ class InferencePolicy:
 
     Built once, in float64 and stored in the model dtype:
     - the token encoders fold into one causal conv kernel
-      [CONV_WIDTH, d] per token type, by `fold_token_conv`, the fold the
-      trainable model's token op runs at every forward, and those kernels
-      fold with `step_rows`' mean into one [10·CONV_WIDTH, 3d] kernel over
-      a step's taps (`fold_step_rows`);
+      [CONV_WIDTH, d] per token type, by `fold_token_conv`, and those
+      kernels fold with the mean of the 8 state tokens into one
+      [10·CONV_WIDTH, 3d] kernel over a step's taps (`fold_step_rows`),
+      the kernel the trainable model's `step_rows` builds at every
+      forward;
     - LoRA deltas are merged into their base matrices (`merge_lora`);
     - each attention head folds, with the attention scale, into a
       query-key and a value-output matrix, by `fold_attention`, the fold
@@ -689,10 +677,9 @@ class InferencePolicy:
     dropped rather than masked: a padded step is a zero input whose keys
     are blocked, so a left-padded window's newest logits are those of its
     real steps alone.  The pass builds no Tensor.  The step-major taps
-    [n, 10·CONV_WIDTH] are read from one zero-padded
-    [10, n + CONV_WIDTH - 1] input through a cached index, and one product
-    with the folded kernel gives the 3n block rows; the newest action row
-    comes after the head row and so is dropped.
+    [n, 10·CONV_WIDTH] of `_taps`, which `step_rows` reads too, times the
+    folded kernel give the 3n block rows in one product; the newest action
+    row comes after the head row and so is dropped.
 
     The 3n - 1 rows up to the head row are the first block's input, and the
     last of them, the newest state row, is the read-out's raw row.  Each
@@ -779,8 +766,7 @@ class InferencePolicy:
             raise T.TensorError(f"a window of 1..{cfg.context_window} steps takes returns [n] or "
                                 f"a scalar, states [n, {STATE_DIM}] and n - 1 actions")
         # the newest step's action, left 0, feeds only its action row, which is dropped
-        inputs = _inputs(returns, states[None], actions, self._token_K.dtype)
-        taps = inputs.ravel()[_tap_index(1, n).transpose(1, 0, 2)].reshape(n, -1)
+        taps = _taps(returns, states[None], actions, self._token_K.dtype)
         # the block input, up to the newest state row, which is the read-out's raw row
         x = (taps @ self._token_K + self._token_b).reshape(n * ROWS_PER_STEP, d)[:-1]
         raw = x[-1]

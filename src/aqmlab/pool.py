@@ -336,8 +336,8 @@ def augment(pool: ExperiencePool, noise_sigma=0.0, dropout_prob=0.0, seed=0) -> 
     from one `np.random.default_rng(seed)`.  The input pool is left
     untouched, and with both disabled the output is an exact copy.
     """
-    if noise_sigma < 0:
-        raise PoolError("noise_sigma must be >= 0")
+    if not np.isfinite(noise_sigma) or noise_sigma < 0:
+        raise PoolError(f"noise_sigma must be a finite number >= 0, got {noise_sigma}")
     if not (0.0 <= dropout_prob < 1.0):
         raise PoolError(f"dropout_prob must be in [0,1), got {dropout_prob}: 1 masks every step, "
                         f"which leaves nothing to train on")

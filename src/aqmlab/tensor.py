@@ -9,8 +9,8 @@ Arrays are numpy, stored in the model dtype (float32 by default).  The hot
 ops are shaped for BLAS: `linear` is one 2-D GEMM forward and two in its
 backward (input and weight gradients) plus one bias reduction.  The fused
 nodes with a backward of their own are the ones the train step runs: `linear`,
-`layer_norm` and `cross_entropy` here, and the model's `token_sequence`,
-`step_rows` and `folded_attention`.  `conv1d` and `attention` are compositions of the
+`layer_norm` and `cross_entropy` here, and the model's `step_rows` and
+`folded_attention`.  `conv1d` and `attention` are compositions of the
 grad-checked primitives, the references the model's tests compare its
 nodes with.  Layer normalization runs in the model dtype (`normalize`);
 float64 is kept only where a reduction needs it:

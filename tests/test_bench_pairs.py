@@ -140,6 +140,29 @@ def test_closed_loop_episodes_are_kept_and_their_ks_range_shown():
     assert "ks_range" not in bench_pairs.summarise(pairs([(0.4, 1.0)], [(0.4, 1.0)]), SPEC)
 
 
+def test_check_failures_are_kept_and_shown():
+    """Each `CHECK FAILED` line a run prints, of the phase or of one
+    operation, becomes one record under `check_failures`; the summary
+    gathers them with their side and pair, and the console prints each."""
+    out = ("train latency_p50_ms 4.1 ms\n"
+           "CHECK FAILED: trained loss 1.2 is not below the initial 1.1\n"
+           "CHECK FAILED (operation 3): non-finite logits\n"
+           "checks passed: 4 of 5\n")
+    failures = bench_pairs.parse_check_failures(out)
+    assert failures == [
+        {"operation": None, "message": "trained loss 1.2 is not below the initial 1.1"},
+        {"operation": 3, "message": "non-finite logits"}]
+    assert bench_pairs.parse_check_failures(stdout(0.4, 100.0)) == []
+    runs = pairs([(0.4, 100.0)] * 2, [(0.4, 100.0, 1)] * 2)
+    runs[1]["change"]["check_failures"] = failures[1:]
+    summary = bench_pairs.summarise(runs, SPEC)
+    assert summary["check_failures"] == [
+        {"side": "change", "pair": 1, "operation": 3, "message": "non-finite logits"}]
+    assert bench_pairs.summary_lines("train", summary)[1] == (
+        "train         CHECK FAILED change pair 2 (operation 3): non-finite logits")
+    assert "check_failures" not in bench_pairs.summarise(pairs([(0.4, 1.0)], [(0.4, 1.0)]), SPEC)
+
+
 def test_reads_the_benchmark_metric_specs():
     """Every end-to-end metric BENCHMARK.json declares carries the fields
     summarise reads."""

@@ -281,6 +281,20 @@ def test_diagnose_reports_positive_drift_on_a_diverging_run(tmp_path, capsys):
     assert out["lyapunov"]["negative_fraction"] < 0.5
 
 
+@pytest.mark.parametrize("target,message", [
+    ("nan", "the target delay must be a finite number, got nan"),
+    ("inf", "the target delay must be a finite number, got inf"),
+    ("1e200", "the drifts about the target delay 1e+200 overflow")])
+def test_diagnose_with_a_target_of_nan_drifts_exits_1(pipeline, capsys, target, message):
+    """Its drifts would be NaN, and `"mean_drift": NaN` is not JSON: the
+    target is refused by name, and nothing is printed on stdout."""
+    paths, _ = pipeline
+    capsys.readouterr()
+    assert cli.main(["diagnose", str(paths["rule.json"]), "--target-ms", target]) == 1
+    out, err = capsys.readouterr()
+    assert message in err and out == ""
+
+
 def test_scenario_with_a_zero_tupdate_exits_1(tmp_path, capsys):
     """A zero controller period would stall the event loop; the scenario is
     refused when it loads."""
@@ -353,6 +367,25 @@ def test_build_pool_with_full_dropout_exits_1(pipeline, tmp_path, capsys):
     assert cli.main(["build-pool", str(paths["1.klog"]), "--dropout", "1",
                      "-o", str(tmp_path / "pool.npz")]) == 1
     assert "1 masks every step" in capsys.readouterr().err
+    assert not (tmp_path / "pool.npz").exists()
+
+
+@pytest.mark.parametrize("noise,message", [
+    ("nan", "noise_sigma must be a finite number >= 0, got nan"),
+    ("inf", "noise_sigma must be a finite number >= 0, got inf"),
+    ("1e308", "trajectory 0 step 0: non-finite state")])
+def test_build_pool_with_noise_load_would_refuse_exits_1(pipeline, tmp_path, capsys, noise,
+                                                         message):
+    """A noise that is no finite number is refused, and one that overflows
+    the states is caught by the check `ExperiencePool.load` runs, before any
+    file is written: no pool that `train` would refuse is reported written."""
+    paths, _ = pipeline
+    # numpy warns as 1e308 times a feature's std overflows to inf
+    with pytest.warns(RuntimeWarning, match="overflow") if noise == "1e308" \
+            else contextlib.nullcontext():
+        assert cli.main(["build-pool", str(paths["1.klog"]), "--noise", noise,
+                         "-o", str(tmp_path / "pool.npz")]) == 1
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "pool.npz").exists()
 
 

@@ -106,6 +106,14 @@ class TestLyapunov:
         with pytest.raises(EvalError):
             lyapunov_drift([10.0], 5.0)
 
+    @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, target):
+        """Its drifts would be NaN, which `diagnose` would print as no JSON."""
+        with pytest.raises(EvalError, match=f"target delay must be a finite number, got {target}"):
+            lyapunov_drift([30.0, 25.0, 22.0], target)
+        with pytest.raises(EvalError, match="drifts about the target delay 1e\\+200 overflow"):
+            lyapunov_drift([30.0, 25.0, 22.0], 1e200)
+
 
 class TestLipschitz:
     def _pairs(self, n=20, dim=6, seed=0):

@@ -129,8 +129,8 @@ class TestNoPositionInput:
         not zero, its centred mean square stays far above LN_EPS, so the
         first block's ln1 does not scale its gradient by 1/sqrt(LN_EPS)."""
         m = PolicyModel(ModelConfig(), seed=seed)
-        tokens = model_mod.token_sequence(m.params, np.zeros((1, 2)),
-                                          np.zeros((1, 2, STATE_DIM)), np.zeros((1, 2))).data
+        tokens = m.build_sequence(np.zeros((1, 2)), np.zeros((1, 2, STATE_DIM)),
+                                  np.zeros((1, 2)))[0].data
         centred = tokens - tokens.mean(axis=-1, keepdims=True)
         assert (np.square(centred).mean(axis=-1) > 10 * T.LN_EPS).all()
 
@@ -551,17 +551,28 @@ def reference_encode_state(model, states, absorbed=None):
 
 
 def reference_build_sequence(model, R, S, A, absorbed=None):
-    """build_sequence composed node by node from `reference_encode_state`
-    (given `absorbed`): the return and action encoders and a concat."""
-    cfg, p = model.config, model.params
-    dt = cfg.np_dtype
+    """build_sequence's tokens [b, w, 10, d] composed node by node from
+    `reference_encode_state` (given `absorbed`): the return and action
+    encoders and a concat."""
+    p, dt = model.params, model.config.np_dtype
     b, w = np.shape(R)
     r_emb = T.linear(Tensor(np.asarray(R, dtype=dt)[:, :, None]), p["W_return"], p["b_return"])
     a_emb = T.linear(Tensor(np.asarray(A, dtype=dt)[:, :, None]), p["W_action"], p["b_action"])
-    tokens = T.concat([r_emb.reshape(b, w, 1, -1), reference_encode_state(model, S, absorbed),
-                       a_emb.reshape(b, w, 1, -1)], axis=2)
-    tokens = tokens.reshape(b, w * TOKENS_PER_STEP, cfg.embed_size)
-    return tokens, tokens
+    return T.concat([r_emb.reshape(b, w, 1, -1), reference_encode_state(model, S, absorbed),
+                     a_emb.reshape(b, w, 1, -1)], axis=2)
+
+
+def reference_rows(model, R, S, A, absorbed=None):
+    """`step_rows` composed node by node, the reference a model's `_rows`
+    is replaced with: per step of `reference_build_sequence`'s tokens, the
+    return token, the mean of the 8 state tokens and the action token."""
+    b, w = np.shape(R)
+    tokens = reference_build_sequence(model, R, S, A, absorbed)
+    rows = T.concat([T.select_positions(tokens, [0], axis=2),
+                     T.select_positions(tokens, np.arange(1, 1 + STATE_DIM), axis=2).mean(
+                         axis=2, keepdims=True),
+                     T.select_positions(tokens, [TOKENS_PER_STEP - 1], axis=2)], axis=2)
+    return rows.reshape(b, w * ROWS_PER_STEP, model.config.embed_size)
 
 
 # Case ids of the float32 and float64 cases.  The conv features are a
@@ -587,7 +598,7 @@ class TestFusedEncoder:
     def test_matches_per_feature_reference(self, dtype, tol):
         cfg = bench_config(dtype=dtype)
         fused, ref = PolicyModel(cfg, seed=4), PolicyModel(cfg, seed=4)
-        ref.build_sequence = lambda *args: reference_build_sequence(ref, *args)
+        ref._rows = lambda *args: reference_rows(ref, *args)
         batch = rand_batch(cfg, b=3, seed=5)
         pad = np.ones((3, cfg.context_window))
         pad[1, :3] = 0.0
@@ -621,19 +632,19 @@ class TestFusedEncoder:
             init(obj, *args, **kwargs)
         monkeypatch.setattr(Tensor, "__init__", counting_init)
         m.forward(R, S, A, pad_mask=np.ones((b, cfg.context_window)))
-        assert len(built) <= 11
+        assert len(built) <= 10
 
 
 class TestTokenOp:
-    """`token_sequence`, the one node that builds every step's 10 tokens:
+    """`step_rows`, the one node that builds every step's 3 block rows:
     float64 central differences for each stored tensor it reads."""
 
     def _case(self):
         cfg = small_config()
         m = perturbed_model(cfg, lora=False)
         R, S, A = rand_batch(cfg, b=2, w=4, seed=2)
-        w = np.random.default_rng(3).normal(size=(2, 4 * TOKENS_PER_STEP, cfg.embed_size))
-        return m, lambda: (model_mod.token_sequence(m.params, R, S, A) * Tensor(w)).sum()
+        w = np.random.default_rng(3).normal(size=(2, 4 * ROWS_PER_STEP, cfg.embed_size))
+        return m, lambda: (model_mod.step_rows(m.params, R, S, A) * Tensor(w)).sum()
 
     @pytest.mark.parametrize("name", model_mod._TOKEN_PARAMS)
     def test_grad_check(self, name):
@@ -642,9 +653,9 @@ class TestTokenOp:
 
 
 class TestTokenKernel:
-    """`fold_token_conv`'s per-token-type kernels, run as one batched
-    product over channel-major taps, give the tokens of the block-diagonal
-    product of `helpers.block_diagonal_tokens`."""
+    """`fold_token_conv`'s per-token-type kernels, run by `build_sequence`
+    over each channel's taps, give the tokens of the block-diagonal product
+    of `helpers.block_diagonal_tokens`."""
 
     @pytest.mark.parametrize("dtype,tol", [("float64", 1e-12), ("float32", 1e-5)])
     def test_matches_the_block_diagonal_product(self, dtype, tol):
@@ -656,7 +667,7 @@ class TestTokenKernel:
             R[row, :pad], S[row, :pad], A[row, :pad] = 0.0, 0.0, 0.0
         dt = cfg.np_dtype
         R, S, A = (np.asarray(a, dtype=dt) for a in (R, S, A))
-        got = model_mod.token_sequence(m.params, R, S, A).data
+        got = m.build_sequence(R, S, A)[0].data
         want = block_diagonal_tokens({n: p.data for n, p in m.params.items()}, R, S, A)
         assert got.dtype == dt and got.shape == (4, cfg.context_window * TOKENS_PER_STEP,
                                                  cfg.embed_size)
@@ -672,31 +683,36 @@ class TestTokenKernel:
 
 
 class TestStepRows:
-    """`step_rows`, the node between the per-metric tokens and the blocks:
-    per step [return, mean of the 8 state tokens, action]."""
+    """`step_rows`, the node that builds the first block's input: per step
+    [return, mean of the 8 state tokens, action], by the snapshot's
+    product."""
 
     def test_state_row_is_the_mean_of_the_8_state_tokens(self):
+        """The rows are `build_sequence`'s per-metric tokens, the 8 state
+        tokens of a step averaged into one row."""
         cfg = bench_config(dtype="float64")
         m = perturbed_model(cfg, lora=False)
         R, S, A = rand_batch(cfg, b=3, seed=4)
-        tokens, _ = m.build_sequence(R, S, A)
-        rows = model_mod.step_rows(tokens).data
+        rows = model_mod.step_rows(m.params, R, S, A).data
         b, w, d = 3, cfg.context_window, cfg.embed_size
         assert rows.shape == (b, w * ROWS_PER_STEP, d) and ROWS_PER_STEP == 3
-        tok, rows = tokens.data.reshape(b, w, TOKENS_PER_STEP, d), rows.reshape(b, w, 3, d)
+        tok = m.build_sequence(R, S, A)[0].data.reshape(b, w, TOKENS_PER_STEP, d)
+        rows = rows.reshape(b, w, ROWS_PER_STEP, d)
         assert rows[:, :, 0].tobytes() == tok[:, :, 0].copy().tobytes()
         assert rows[:, :, 2].tobytes() == tok[:, :, 9].copy().tobytes()
-        states = m.encode_state(S).data   # [b, w, 8, d]
-        np.testing.assert_allclose(rows[:, :, 1], states.sum(axis=2) / 8, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rows[:, :, 1], tok[:, :, 1:9].mean(axis=2), rtol=0, atol=1e-12)
 
-    def test_grad_check(self):
-        """The backward passes a row's gradient to the return and action
-        tokens and 1/8 of it to each state token."""
-        rng = np.random.default_rng(5)
-        x = Tensor(rng.normal(size=(2, 3 * TOKENS_PER_STEP, 4)), requires_grad=True)
-        w = Tensor(rng.normal(size=(2, 3 * ROWS_PER_STEP, 4)))
-        assert T.grad_check(lambda: (model_mod.step_rows(x) * w).sum(), [x], eps=1e-6,
-                            max_coords=120) < 1e-8
+    def test_a_window_gives_the_snapshot_rows(self):
+        """For one window, the node's rows are the snapshot's taps @ _token_K
+        + _token_b: training and the closed loop build them by one kernel."""
+        cfg = bench_config(dtype="float64")
+        m = perturbed_model(cfg)
+        policy = InferencePolicy(m)
+        R, S, A = rand_batch(cfg, b=1, seed=8)
+        rows = model_mod.step_rows(m.params, R, S, A).data
+        taps = model_mod._taps(R, S, A, np.float64)
+        want = taps @ policy._token_K + policy._token_b
+        np.testing.assert_allclose(rows, want.reshape(rows.shape), rtol=0, atol=1e-12)
 
 
 class TestInferenceWithoutGraph:
@@ -759,8 +775,7 @@ def full_rows_logits(model, R, S, A, pad_mask):
     cfg, p = model.config, model.params
     w = S.shape[1]
     n = w * ROWS_PER_STEP
-    tokens, _ = model.build_sequence(R, S, A)
-    x = raw_rows = model_mod.step_rows(tokens)
+    x = raw_rows = model._rows(R, S, A)
     keep = np.repeat(pad_mask, ROWS_PER_STEP, axis=1)
     key_block = np.where(keep[:, None, :] > 0, 0.0, -1e9).astype(cfg.np_dtype)
     bias = T.causal_mask_bias(n, dtype=cfg.np_dtype)[None, None] + key_block[:, None]
@@ -1082,7 +1097,7 @@ class TestAbsorbedTensors:
         ref, folded = perturbed_model(cfg, lora=lora), perturbed_model(cfg, lora=lora)
         absorbed = absorbed_tensors(cfg)
         absorb(folded, absorbed, skip)
-        ref.build_sequence = lambda R, S, A: reference_build_sequence(ref, R, S, A, absorbed)
+        ref._rows = lambda R, S, A: reference_rows(ref, R, S, A, absorbed)
         ref._attention_block = lambda x, l, bias, rows=None: reference_attention_block(
             ref, x, l, bias, rows, absorbed)
         R, S, A, pad = padded_batch(cfg)
@@ -1163,9 +1178,8 @@ class TestInferencePolicy:
 
     def test_token_conv_is_the_shared_fold(self):
         """The snapshot's token kernel and its bias are `fold_step_rows` of
-        `fold_token_conv`'s K and b, bit for bit in float64: training and
-        the closed loop encode tokens with one fold, and the snapshot takes
-        `step_rows`' mean into its kernel."""
+        `fold_token_conv`'s K and b, bit for bit in float64: the kernel
+        `step_rows` builds training's rows with."""
         cfg = bench_config(dtype="float64")
         m = perturbed_model(cfg)
         policy = InferencePolicy(m)

@@ -432,8 +432,9 @@ class TestAugmentation:
 
     def test_boundary_validation(self):
         pool = self._pool()
-        with pytest.raises(PoolError):
-            augment(pool, noise_sigma=-0.1)
+        for sigma in (-0.1, np.nan, np.inf):
+            with pytest.raises(PoolError, match="noise_sigma must be a finite number >= 0"):
+                augment(pool, noise_sigma=sigma)
         with pytest.raises(PoolError):
             augment(pool, dropout_prob=1.5)
         with pytest.raises(PoolError, match="1 masks every step"):

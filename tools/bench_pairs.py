@@ -25,10 +25,13 @@ attempted operations and whether the change's failed share stays at or
 below the base's.  A closed_loop run's record also keeps, under `episodes`,
 the figures `perfbench/run.py` logs for each episode: the median gap and the
 KS against the rule, the enqueue/drop/mark fractions and the model MARKs
-applied as DROP.  The console summary prints, per workload, both sides'
-failed/attempted counts and `failed_share_holds`, and for closed_loop both
-sides' KS range, then, per metric, the medians, the wins and both gates,
-`claim_holds` and `within_bound`.
+applied as DROP.  Every run's record keeps, under `check_failures`, each
+`CHECK FAILED` line it printed: the operation's index (None for a check of
+the whole phase) and the message.  The console summary prints, per
+workload, both sides' failed/attempted counts and `failed_share_holds`, for
+closed_loop both sides' KS range, and each run's `CHECK FAILED` messages,
+then, per metric, the medians, the wins and both gates, `claim_holds` and
+`within_bound`.
 """
 
 from __future__ import annotations
@@ -103,6 +106,22 @@ def parse_episodes(stdout):
     return episodes
 
 
+# a failed check, as `perfbench/run.py` logs it for a phase or one of its operations
+_CHECK_FAILED = re.compile(r"CHECK FAILED(?: \(operation (\d+)\))?: (.*)")
+
+
+def parse_check_failures(stdout):
+    """The `CHECK FAILED` lines of a run's output, one dict each: the
+    operation's index, None for a check of the whole phase, and the
+    message."""
+    failures = []
+    for line in stdout.splitlines():
+        m = _CHECK_FAILED.fullmatch(line.strip())
+        if m:
+            failures.append({"operation": None if m[1] is None else int(m[1]), "message": m[2]})
+    return failures
+
+
 def quartiles(values):
     q1, median, q3 = np.percentile(np.asarray(values, dtype=float), [25, 50, 75])
     return {"q1": float(q1), "median": float(median), "q3": float(q3)}
@@ -117,7 +136,9 @@ def summarise(pairs, end_to_end):
     `failed` and `attempted` sum each side's operations over the pairs, and
     `failed_share_holds` holds when the change's share of failed operations
     is no larger than the base's.  `ks_range` gives each side's least and
-    largest episode KS where both sides' runs kept `episodes`.
+    largest episode KS where both sides' runs kept `episodes`, and
+    `check_failures` every run's failed checks, with its side and pair
+    index, where any run kept one.
 
     A pair is a win when the change reads better than the base, a tie when
     the two read the same.  `claim_holds` applies the gain rule: wins in at
@@ -134,6 +155,10 @@ def summarise(pairs, end_to_end):
     ks = {side: [e["ks"] for p in pairs for e in p[side].get("episodes", ())] for side in SIDES}
     if all(ks.values()):
         out["ks_range"] = {side: [min(ks[side]), max(ks[side])] for side in SIDES}
+    failures = [{"side": side, "pair": i, **f} for i, p in enumerate(pairs) for side in SIDES
+                for f in p[side].get("check_failures", ())]
+    if failures:
+        out["check_failures"] = failures
     for spec in end_to_end:
         name, sign = spec["name"], 1.0 if spec["better"] == "lower" else -1.0
         runs = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
@@ -159,7 +184,8 @@ def summarise(pairs, end_to_end):
 def summary_lines(workload, summary):
     """The console lines of a workload's `summarise` output: first both
     sides' failed/attempted operations and `failed_share_holds`, then both
-    sides' episode KS range where the summary has one, then one line per
+    sides' episode KS range where the summary has one, then each failed
+    check with its side and pair (counted from 1), then one line per
     metric with both medians, the change in percent, the pair wins, the
     base's IQR and the two gates, `claim_holds` and `within_bound`."""
     failed, attempted = summary["failed"], summary["attempted"]
@@ -169,6 +195,10 @@ def summary_lines(workload, summary):
     if "ks_range" in summary:
         lines.append(f"{workload:13s} episode KS " + " ".join(
             f"{side} {lo:.3f}-{hi:.3f}" for side, (lo, hi) in summary["ks_range"].items()))
+    for f in summary.get("check_failures", ()):
+        where = "" if f["operation"] is None else f" (operation {f['operation']})"
+        lines.append(f"{workload:13s} CHECK FAILED {f['side']} pair {f['pair'] + 1}{where}: "
+                     f"{f['message']}")
     for name, m in summary["metrics"].items():
         pct = m["median_change_pct"]
         lines.append(f"{workload:13s} {name:16s} base {m['base']['median']:.4g} "
@@ -226,9 +256,10 @@ def run_once(checkout, workload, args):
         raise SystemExit(f"error: {' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                          f"{proc.stderr[-2000:]}")
     result = parse_result(proc.stdout)
-    episodes = parse_episodes(proc.stdout)
-    if episodes:
-        result["episodes"] = episodes
+    for key, parse in (("episodes", parse_episodes), ("check_failures", parse_check_failures)):
+        found = parse(proc.stdout)
+        if found:
+            result[key] = found
     return result
 
 
