@@ -1,9 +1,12 @@
 """Return-conditioned causal transformer policy over AQM decision windows.
 
 Per timestep the token layout is [return, state_1..state_8, action] (10
-tokens); scalar features go through per-feature linear encoders, each temporal
-feature (CONV_FEATURES) through its own causal conv of width CONV_WIDTH over
-the window, and each state feature then through its own embedding.  No
+tokens); each scalar feature is x times its own row of `scalar_K` [d], and
+each temporal feature (CONV_FEATURES) goes through its own causal conv of
+width CONV_WIDTH over the window into feature_dim, then through its own
+embedding `conv_embed_W`.  A scalar feature has no feature_dim factor,
+since a [1, fd] @ [fd, d] product spans every [d] row, but a conv's
+[CONV_WIDTH, fd] @ [fd, d] kernel has rank at most fd.  No
 encoder has a nonlinearity, so one function, `fold_token_conv`, folds the
 stored encoder tensors into one causal conv kernel per token type,
 [10, CONV_WIDTH, d]; `build_sequence` gives these per-metric tokens, each
@@ -40,7 +43,8 @@ cancels, as it cancels a key bias) and, through the values, to the output
 bias.  A query's weights sum to 1, so a value bias would reach the output
 bias unchanged, and ln2's gain and shift fold into the FFN's first
 projection.  So a block stores 10 tensors, and only q and o have a bias.
-An encoder bias would only add to its state token's `embed_b`.  The
+An encoder bias, or a bias per state token, would only add to `state_b`,
+the one bias of every state token: the blocks see the tokens' mean.  The
 tokens enter the first block as they are, with no layer norm of their
 own: a Pre-LN transformer normalises inside each residual branch (Xiong
 et al., "On Layer Normalization in the Transformer Architecture", 2020),
@@ -73,7 +77,7 @@ from . import tensor as T
 from .features import ACTION_COUNT, CONV_FEATURES, STATE_DIM, STATE_FEATURES
 from .tensor import Tensor
 
-CHECKPOINT_VERSION = 9   # 9 stores v8's tensors, but its blocks see one state row per step
+CHECKPOINT_VERSION = 10   # 10 stores the state encoder as the tensors that reach the blocks
 TOKENS_PER_STEP = 1 + STATE_DIM + 1   # return, 8 state features, action
 ROWS_PER_STEP = 3   # the rows a step gives the blocks: return, mean state, action
 _HEAD_ROW = 1   # a step's state row, the row the head reads
@@ -84,7 +88,7 @@ CONV_WIDTH = 7   # taps of each temporal feature's causal conv
 _is_conv = np.isin(STATE_FEATURES, CONV_FEATURES)
 _SCALAR_IDX, _CONV_IDX = np.flatnonzero(~_is_conv), np.flatnonzero(_is_conv)
 # the stored tensors the token encoders read, in `step_rows`' order
-_TOKEN_PARAMS = ("W_return", "b_return", "enc_scalar_W", "enc_conv_K", "embed_W", "embed_b",
+_TOKEN_PARAMS = ("W_return", "b_return", "scalar_K", "enc_conv_K", "conv_embed_W", "state_b",
                  "W_action", "b_action")
 
 
@@ -161,36 +165,28 @@ def _attention_bias(pad_mask, n, dtype, rows=None):
     return np.maximum(bias, -1e8, out=bias, where=diag)
 
 
-def _pre_embedding(p):
-    """[8, CONV_WIDTH, feature_dim]: per state feature, in STATE_FEATURES
-    order, its encoder's taps before the embedding.  A scalar feature is the
-    width-1 case, its weight at the newest tap."""
-    P = np.zeros((STATE_DIM, CONV_WIDTH, p["embed_W"].shape[1]), dtype=p["embed_W"].dtype)
-    P[_SCALAR_IDX, -1] = p["enc_scalar_W"]
-    P[_CONV_IDX] = p["enc_conv_K"]
-    return P
-
-
 def fold_token_conv(p):
     """The token encoders of the stored tensors `p` (name -> array) folded
     into one causal conv per token type: (K [10, CONV_WIDTH, d], b [10, d]),
     computed in the arrays' dtype.
 
     Token c of a step reads input channel c of [R, s1..s8, a].  No encoder
-    has a nonlinearity or a bias, so a state feature's taps and then its
-    embedding are one kernel, `_pre_embedding` @ embed_W [CONV_WIDTH, d],
-    and its bias is embed_b; the return and the action are the width-1
-    case x*W + b, a kernel whose only non-zero tap is the newest.  Token c
-    of a step is its channel-c taps [CONV_WIDTH] times K[c], plus b[c].
+    has a nonlinearity or a bias, so a temporal feature's taps and then its
+    embedding are one kernel, enc_conv_K @ conv_embed_W [CONV_WIDTH, d];
+    a scalar feature, the return and the action are the width-1 case x*W,
+    a kernel whose only non-zero tap is the newest (scalar_K's row for a
+    scalar feature).  Every state token's bias is state_b.  Token c of a
+    step is its channel-c taps [CONV_WIDTH] times K[c], plus b[c].
     """
-    E = p["embed_W"]
-    d = E.shape[2]
-    K = np.zeros((TOKENS_PER_STEP, CONV_WIDTH, d), dtype=E.dtype)
-    B = np.empty((TOKENS_PER_STEP, d), dtype=E.dtype)
+    S = p["scalar_K"]
+    d = S.shape[1]
+    K = np.zeros((TOKENS_PER_STEP, CONV_WIDTH, d), dtype=S.dtype)
+    B = np.empty((TOKENS_PER_STEP, d), dtype=S.dtype)
     K[0, -1], B[0] = p["W_return"][0], p["b_return"]
     K[-1, -1], B[-1] = p["W_action"][0], p["b_action"]
-    K[1:-1] = _pre_embedding(p) @ E
-    B[1:-1] = p["embed_b"]
+    K[1 + _SCALAR_IDX, -1] = S
+    K[1 + _CONV_IDX] = p["enc_conv_K"] @ p["conv_embed_W"]
+    B[1:-1] = p["state_b"]
     return K, B
 
 
@@ -244,16 +240,14 @@ def step_rows(p, returns, states, actions):
         g = g.reshape(b * w, -1)
         dK3 = (taps.T @ g).reshape(TOKENS_PER_STEP, CONV_WIDTH, ROWS_PER_STEP, -1)
         db3 = (np.ones(b * w, dtype=g.dtype) @ g).reshape(ROWS_PER_STEP, -1)
-        # the state kernels' gradient, then their taps' before the embedding
-        dK = dK3[1:-1, :, 1] / STATE_DIM   # [8, CONV_WIDTH, d]
-        dP = dK @ arrays["embed_W"].transpose(0, 2, 1)   # [8, CONV_WIDTH, fd]
+        dK = dK3[1:-1, :, 1] / STATE_DIM   # the state kernels' gradient [8, CONV_WIDTH, d]
+        dKc = dK[_CONV_IDX]
         grads = {
             "W_return": dK3[0, -1, 0][None], "b_return": db3[0],
             "W_action": dK3[-1, -1, 2][None], "b_action": db3[2],
-            "embed_W": _pre_embedding(arrays).transpose(0, 2, 1) @ dK,
-            "embed_b": np.broadcast_to(db3[1] / STATE_DIM, arrays["embed_b"].shape),
-            "enc_scalar_W": dP[_SCALAR_IDX, -1],
-            "enc_conv_K": dP[_CONV_IDX],
+            "scalar_K": dK[_SCALAR_IDX, -1], "state_b": db3[1],
+            "enc_conv_K": dKc @ arrays["conv_embed_W"].transpose(0, 2, 1),
+            "conv_embed_W": arrays["enc_conv_K"].transpose(0, 2, 1) @ dKc,
         }
         for name in _TOKEN_PARAMS:
             if p[name].requires_grad:
@@ -456,13 +450,13 @@ class PolicyModel:
             self.params[name] = t
             return t
 
-        add("enc_scalar_W", _init(rng, (ns, fd), 0.5, dt))
+        add("scalar_K", _init(rng, (ns, d), 0.5, dt))
         add("enc_conv_K", _init(rng, (nc, CONV_WIDTH, fd), 0.5 / math.sqrt(CONV_WIDTH), dt))
-        add("embed_W", _init(rng, (STATE_DIM, fd, d), 1.0 / math.sqrt(fd), dt))
+        add("conv_embed_W", _init(rng, (nc, fd, d), 1.0 / math.sqrt(fd), dt))
         # the token biases are drawn, not zero: a token whose input is 0 (an
         # action 0, a zero-variance feature) is then no exact-zero row, which
         # the first block's ln1 backward would scale by 1/sqrt(LN_EPS)
-        add("embed_b", _init(rng, (STATE_DIM, d), 0.02, dt))
+        add("state_b", _init(rng, (d,), 0.02, dt))
         add("W_return", _init(rng, (1, d), 0.5, dt))
         add("b_return", _init(rng, (d,), 0.02, dt))
         add("W_action", _init(rng, (1, d), 0.5, dt))

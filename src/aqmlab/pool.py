@@ -287,12 +287,22 @@ def build_pool_from_records(record_lists, gamma=0.95) -> ExperiencePool:
 
 
 def compute_feature_stats(pool: ExperiencePool) -> dict:
+    """Each state feature's mean and std over the pool, or PoolError naming
+    the first feature whose mean or std is no finite number, as when the
+    states' squares overflow."""
     if pool.num_steps() == 0:
         raise PoolError("empty pool")
     states = np.concatenate([t.states for t in pool.trajectories])
-    # reductions along axis 0 add the rows in order, as a running sum would
-    mean = states.sum(axis=0) / len(states)
-    std = np.sqrt(((states - mean) ** 2).sum(axis=0) / len(states))
+    # reductions along axis 0 add the rows in order, as a running sum would;
+    # an overflow is refused below rather than warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = states.sum(axis=0) / len(states)
+        std = np.sqrt(((states - mean) ** 2).sum(axis=0) / len(states))
+    for name, *values in zip(STATE_FEATURES, mean, std):
+        for stat, value in zip(("mean", "std"), values):
+            if not np.isfinite(value):
+                raise PoolError(f"feature {name} has a {stat} of {value}: its states "
+                                f"cannot be normalized")
     zero_variance = std < 1e-12
     return {
         "features": list(STATE_FEATURES),

@@ -24,11 +24,12 @@ def block_diagonal_tokens(p, returns, states, actions):
 
     The kernels are built per feature from the encoders: a temporal
     feature's conv times its embedding, and the width-1 maps of the scalar
-    features, the return and the action at the newest tap."""
-    E = p["embed_W"]
-    d = E.shape[2]
-    kernels = np.zeros((TOKENS_PER_STEP, CONV_WIDTH, d), dtype=E.dtype)
-    biases = np.zeros((TOKENS_PER_STEP, d), dtype=E.dtype)
+    features, the return and the action at the newest tap; every state
+    token's bias is state_b."""
+    d = p["state_b"].shape[0]
+    dt = p["state_b"].dtype
+    kernels = np.zeros((TOKENS_PER_STEP, CONV_WIDTH, d), dtype=dt)
+    biases = np.zeros((TOKENS_PER_STEP, d), dtype=dt)
     kernels[0, -1], biases[0] = p["W_return"][0], p["b_return"]
     kernels[-1, -1], biases[-1] = p["W_action"][0], p["b_action"]
     conv = [name for name in STATE_FEATURES if name in CONV_FEATURES]
@@ -36,16 +37,16 @@ def block_diagonal_tokens(p, returns, states, actions):
     for i, name in enumerate(STATE_FEATURES):
         if name in CONV_FEATURES:
             j = conv.index(name)
-            kernels[1 + i] = p["enc_conv_K"][j] @ E[i]
+            kernels[1 + i] = p["enc_conv_K"][j] @ p["conv_embed_W"][j]
         else:
             j = scalar.index(name)
-            kernels[1 + i, -1] = p["enc_scalar_W"][j] @ E[i]
-        biases[1 + i] = p["embed_b"][i]
-    W = np.zeros((CONV_WIDTH, TOKENS_PER_STEP, TOKENS_PER_STEP, d), dtype=E.dtype)
+            kernels[1 + i, -1] = p["scalar_K"][j]
+        biases[1 + i] = p["state_b"]
+    W = np.zeros((CONV_WIDTH, TOKENS_PER_STEP, TOKENS_PER_STEP, d), dtype=dt)
     for c in range(TOKENS_PER_STEP):
         W[:, c, c] = kernels[c]
     b, w = np.shape(returns)
-    inputs = np.zeros((b, w + CONV_WIDTH - 1, TOKENS_PER_STEP), dtype=E.dtype)
+    inputs = np.zeros((b, w + CONV_WIDTH - 1, TOKENS_PER_STEP), dtype=dt)
     inputs[:, CONV_WIDTH - 1:, 0] = returns
     inputs[:, CONV_WIDTH - 1:, 1:-1] = states
     inputs[:, CONV_WIDTH - 1:, -1] = actions

@@ -131,16 +131,17 @@ def test_fine_tune_trains_at_the_checkpoints_window(pipeline, tmp_path):
     assert model.lora_rank == LORA_RANK and model.config.context_window == 4
 
 
-def test_the_cli_default_model_has_15251_parameters(pipeline, tmp_path):
-    """The CLI-default model stores no time table and no pre-LN: `train`
-    prints 15,251 parameters, all trainable."""
+def test_the_cli_default_model_has_13867_parameters(pipeline, tmp_path):
+    """The CLI-default model stores no time table, no pre-LN and no state
+    encoder tensor that another absorbs: `train` prints 13,867 parameters,
+    all trainable."""
     paths, _ = pipeline
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert cli.main([str(a) for a in (
             "train", paths["pool.npz"], "--epochs", 1, "--batch-size", 256,
             "-o", tmp_path / "m.npz")]) == 0
-    assert buf.getvalue().splitlines()[0] == "parameters: 15,251 trainable of 15,251"
+    assert buf.getvalue().splitlines()[0] == "parameters: 13,867 trainable of 13,867"
 
 
 def test_fine_tune_refits_the_feature_stats_from_the_new_pool(pipeline, tmp_path):
@@ -343,6 +344,18 @@ def test_train_on_a_corrupt_pool_exits_1(pipeline, tmp_path, capsys, name, index
     assert not (tmp_path / "m.npz").exists()
 
 
+def test_train_on_a_pool_whose_std_overflows_exits_1(pipeline, tmp_path, capsys):
+    """A finite state whose square overflows leaves its feature no finite
+    std: `train` refuses the pool by name before any epoch runs."""
+    paths, _ = pipeline
+    bad = corrupt_pool_file(paths["pool.npz"], tmp_path / "bad.npz", "t0_states", (3, 2),
+                            lambda v: 1e300)
+    assert cli.main(["train", str(bad), "-o", str(tmp_path / "m.npz")]) == 1
+    out, err = capsys.readouterr()
+    assert "feature drop_probability has a std of inf" in err and "epoch" not in out
+    assert not (tmp_path / "m.npz").exists()
+
+
 def test_train_with_zero_heads_exits_1(pipeline, tmp_path, capsys):
     """A size that builds no model is refused by name before training."""
     paths, _ = pipeline
@@ -373,12 +386,14 @@ def test_build_pool_with_full_dropout_exits_1(pipeline, tmp_path, capsys):
 @pytest.mark.parametrize("noise,message", [
     ("nan", "noise_sigma must be a finite number >= 0, got nan"),
     ("inf", "noise_sigma must be a finite number >= 0, got inf"),
-    ("1e308", "trajectory 0 step 0: non-finite state")])
+    ("1e308", "trajectory 0 step 0: non-finite state"),
+    ("1e300", "feature queue_type has a std of inf")])
 def test_build_pool_with_noise_load_would_refuse_exits_1(pipeline, tmp_path, capsys, noise,
                                                          message):
-    """A noise that is no finite number is refused, and one that overflows
-    the states is caught by the check `ExperiencePool.load` runs, before any
-    file is written: no pool that `train` would refuse is reported written."""
+    """A noise that is no finite number is refused, one that overflows the
+    states is caught by the check `ExperiencePool.load` runs, and one that
+    overflows the states' squares by the feature stats, before any file is
+    written: no pool that `train` would refuse is reported written."""
     paths, _ = pipeline
     # numpy warns as 1e308 times a feature's std overflows to inf
     with pytest.warns(RuntimeWarning, match="overflow") if noise == "1e308" \

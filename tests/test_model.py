@@ -127,22 +127,23 @@ class TestNoPositionInput:
         """With no time row added, a token whose input is 0 (action 0, a
         zero-variance feature, a zero return) is its type's bias alone; drawn,
         not zero, its centred mean square stays far above LN_EPS, so the
-        first block's ln1 does not scale its gradient by 1/sqrt(LN_EPS)."""
+        first block's ln1 does not scale its gradient by 1/sqrt(LN_EPS).
+        So do the block rows of a zero step, whose state row is state_b."""
         m = PolicyModel(ModelConfig(), seed=seed)
-        tokens = m.build_sequence(np.zeros((1, 2)), np.zeros((1, 2, STATE_DIM)),
-                                  np.zeros((1, 2)))[0].data
-        centred = tokens - tokens.mean(axis=-1, keepdims=True)
-        assert (np.square(centred).mean(axis=-1) > 10 * T.LN_EPS).all()
+        zeros = np.zeros((1, 2)), np.zeros((1, 2, STATE_DIM)), np.zeros((1, 2))
+        for rows in (m.build_sequence(*zeros)[0].data, m._rows(*zeros).data):
+            centred = rows - rows.mean(axis=-1, keepdims=True)
+            assert (np.square(centred).mean(axis=-1) > 10 * T.LN_EPS).all()
 
     def test_the_cli_default_model_has_no_time_table(self):
         """No parameter grows with episode length: the CLI-default model has
-        15,251 parameters, and LoRA at its default rank trains 3,251 of
-        15,763."""
+        13,867 parameters, and LoRA at its default rank trains 1,867 of
+        14,379."""
         m = PolicyModel(ModelConfig(), seed=0)
-        assert sum(p.data.size for p in m.params.values()) == m.trainable_count() == 15_251
+        assert sum(p.data.size for p in m.params.values()) == m.trainable_count() == 13_867
         assert not any("time" in name for name in m.params)
         m.enable_lora()
-        assert (m.trainable_count(), sum(p.data.size for p in m.params.values())) == (3_251, 15_763)
+        assert (m.trainable_count(), sum(p.data.size for p in m.params.values())) == (1_867, 14_379)
 
 
 class TestCausality:
@@ -353,7 +354,7 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("name,edit", [("embed_W", lambda a: a[:5]),
+    @pytest.mark.parametrize("name,edit", [("conv_embed_W", lambda a: a[:2]),
                                            ("head_W", lambda a: a.astype(np.float32))])
     def test_parameter_unlike_the_config_rejected(self, tmp_path, name, edit):
         """A stored parameter whose shape or dtype the config does not build
@@ -382,7 +383,7 @@ class TestCheckpoint:
         path = tmp_path / "m.npz"
         save_checkpoint(m, path)
         meta = saved_meta(path)
-        assert meta["version"] == CHECKPOINT_VERSION == 9
+        assert meta["version"] == CHECKPOINT_VERSION == 10
         assert meta["lora_rank"] == 2 and "lora_enabled" not in meta
         assert "frozen" not in meta and not {"lora_targets", "lora_rank"} & meta["config"].keys()
 
@@ -405,8 +406,9 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="stored LoRA rank"):
             load_checkpoint(path)
 
-    # a v8 file stores the tensors v9 stores, but its blocks saw 10 rows per step
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
+    # a v9 file stores the state encoder v10 replaced; a v8 file stores v9's
+    # tensors, but its blocks saw 10 rows per step
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9])
     def test_earlier_versions_rejected_with_a_retrain_hint(self, tmp_path, version):
         path = tmp_path / f"v{version}.npz"
         save_checkpoint(PolicyModel(small_config(), seed=0), path)
@@ -415,10 +417,11 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_unknown_version_rejected(self, tmp_path):
-        path = tmp_path / "v10.npz"
+        version = CHECKPOINT_VERSION + 1
+        path = tmp_path / f"v{version}.npz"
         save_checkpoint(PolicyModel(small_config(), seed=0), path)
-        rewrite_meta(path, version=10)
-        with pytest.raises(CheckpointError, match="version 10"):
+        rewrite_meta(path, version=version)
+        with pytest.raises(CheckpointError, match=f"version {version}"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit", [{"residual_flag": True}, {"conv_kernel_sizes": 5},
@@ -479,18 +482,17 @@ def rewrite_meta(path, **fields):
 
 
 # parameter_digest() of untrained seeded models: a seed must keep its initial
-# values.  Checkpoint v7 dropped the time table's draw and draws the token
-# biases (embed_b, b_return, b_action) at std 0.02 where v6 made them zero,
-# each in its v6 place; the other tensors are drawn in the v6 order.
-# Checkpoint v8 dropped the pre-LN, which drew nothing: each pin equals v7's
-# parameter_digest over every name but pre_ln_g and pre_ln_b.
+# values.  Checkpoint v10 draws scalar_K, enc_conv_K, conv_embed_W and
+# state_b in the places of v9's enc_scalar_W, enc_conv_K, embed_W and
+# embed_b, then the other tensors in v9's order; re-pinned once the
+# op-by-op reference forward wrote GOLDEN_LLM_EVERY's .klog bytes.
 GOLDEN_PARAMETER_DIGESTS = {
-    "cli_default/0": "57b39e96036e608880b0a44ee7a0b87d3e0dc0390be9f8bc961ba92ff18af25f",
-    "cli_default/5": "d785fa494f71289e92093383b23f09c1713f86192db4cdef31123ad9f1873f83",
-    "cli_default/7": "e3e0f925a1a833a3bb0322f37fbc21f15bf67f88c15e3423f1825e7188f4aaf6",
-    "small_float64/0": "10eaabce7fe2139e6824be8c10a273df7b496e0a84b6f1c270c139b09b50a6ed",
-    "small_float64/5": "77bb35e06e4046ff1369f8eff9a14af5dfabc60432b31d3315874abbedde2d29",
-    "small_float64/7": "b4c0141c7758635a806dbe698a39b821241ba07ba67825a890648fc391620d97",
+    "cli_default/0": "52ec453c523bcfe88053b99d049c8da4a2e92a148fb77a40f648092960550e99",
+    "cli_default/5": "47874068db72c1ee5aea083946a384852677cc5c66dff590938eff9fe3d141ce",
+    "cli_default/7": "c4898c9d7a213eecb56220289457b41e7efd34f8c78ef4a5966acb06c308acaa",
+    "small_float64/0": "dd8f7c8dbf06e7d35ee56625386aca6040dd81c9444727f74dbc5d4dcdbb31ec",
+    "small_float64/5": "f9ae2cd92810f855accc736737eb63d34d37c938015f1743915d6ef713c3d5c1",
+    "small_float64/7": "1b0b6837936e41b97ef92db4d0ca9ae07e4318f47e7da238e6160728b6af2578",
 }
 
 GOLDEN_CONFIGS = {
@@ -518,10 +520,11 @@ def bench_config(**over):
 
 def reference_encode_state(model, states, absorbed=None):
     """The per-feature encoder the fused one replaced, built from the stacked
-    parameters: a linear map per scalar feature, one causal T.conv1d of width
-    CONV_WIDTH per temporal feature, then a linear embedding per feature.
-    The encoders have a bias where `absorbed` (name -> Tensor) holds one,
-    enc_scalar_b or enc_conv_b (`absorbed_tensors`)."""
+    parameters: a linear map into d per scalar feature, and per temporal
+    feature one causal T.conv1d of width CONV_WIDTH into feature_dim, then a
+    linear embedding; every state token adds state_b.  Where `absorbed`
+    (name -> Tensor, `absorbed_tensors`) holds them, the convs have a bias,
+    enc_conv_b, and each state token a bias of its own, token_b."""
     cfg, p = model.config, model.params
     absorbed = absorbed or {}
     states = np.asarray(states, dtype=cfg.np_dtype)
@@ -531,22 +534,24 @@ def reference_encode_state(model, states, absorbed=None):
     def row(name, r):
         return T.select_positions(p[name], [r], axis=0)
 
-    def bias(name, r):
+    def bias(name, r, size):
         if name in absorbed:
-            return T.select_positions(absorbed[name], [r], axis=0).reshape(fd)
+            return T.select_positions(absorbed[name], [r], axis=0).reshape(size)
 
     outs, si, ci = [], 0, 0
     for i, name in enumerate(STATE_FEATURES):
         col = Tensor(states[:, :, i:i + 1])
         if name in CONV_FEATURES:
             kernel = row("enc_conv_K", ci).transpose(2, 0, 1)            # [fd, 1, CONV_WIDTH]
-            feat = T.conv1d(col.reshape(b, 1, w), kernel, bias("enc_conv_b", ci),
+            feat = T.conv1d(col.reshape(b, 1, w), kernel, bias("enc_conv_b", ci, fd),
                             padding="causal").transpose(0, 2, 1)
+            out = T.linear(feat, row("conv_embed_W", ci).reshape(fd, d), p["state_b"])
             ci += 1
         else:
-            feat = T.linear(col, row("enc_scalar_W", si), bias("enc_scalar_b", si))
+            out = T.linear(col, row("scalar_K", si), p["state_b"])
             si += 1
-        outs.append(T.linear(feat, row("embed_W", i).reshape(fd, d), row("embed_b", i).reshape(d)))
+        token_b = bias("token_b", i, d)
+        outs.append(out if token_b is None else out + token_b)
     return T.concat([o.reshape(b, w, 1, d) for o in outs], axis=2)
 
 
@@ -615,9 +620,10 @@ class TestFusedEncoder:
         cfg = bench_config()
         m = PolicyModel(cfg, seed=0)
         fd, d, nc = cfg.feature_dim, cfg.embed_size, len(CONV_FEATURES)
-        shapes = {n: p.shape for n, p in m.params.items() if n.startswith(("enc", "embed"))}
-        assert shapes == {"enc_scalar_W": (8 - nc, fd), "enc_conv_K": (nc, CONV_WIDTH, fd),
-                          "embed_W": (8, fd, d), "embed_b": (8, d)}
+        shapes = {n: p.shape for n, p in m.params.items()
+                  if not n.startswith(("blk", "head", "W_", "b_"))}
+        assert shapes == {"scalar_K": (8 - nc, d), "enc_conv_K": (nc, CONV_WIDTH, fd),
+                          "conv_embed_W": (nc, fd, d), "state_b": (d,)}
 
     @pytest.mark.parametrize("b", [1, 32])
     def test_graph_size_per_forward(self, b, monkeypatch):
@@ -1029,13 +1035,12 @@ ABSORBED_BLOCK_TENSORS = ("ln1_g", "ln1_b", "attn_v_b", "ln2_g", "ln2_b")
 
 
 def absorbed_tensors(cfg, seed=11):
-    """Random values, as Tensors, of the seven tensor kinds a checkpoint-v6
-    model stores none of: the scalar and conv encoders' biases, and per
-    block ln1's and ln2's gain (near 1) and shift and the value bias."""
+    """Random values, as Tensors, of the seven tensor kinds a checkpoint-v10
+    model stores none of: a bias per state token and per conv encoder, and
+    per block ln1's and ln2's gain (near 1) and shift and the value bias."""
     rng = np.random.default_rng(seed)
     d, fd = cfg.embed_size, cfg.feature_dim
-    shapes = {"enc_scalar_b": (model_mod._SCALAR_IDX.size, fd),
-              "enc_conv_b": (model_mod._CONV_IDX.size, fd)}
+    shapes = {"token_b": (STATE_DIM, d), "enc_conv_b": (model_mod._CONV_IDX.size, fd)}
     for l in range(cfg.n_layers):
         shapes.update({f"blk{l}_{name}": (d,) for name in ABSORBED_BLOCK_TENSORS})
     return {name: Tensor(float(name.endswith("_g")) + rng.normal(0.0, 0.3, shape))
@@ -1043,7 +1048,7 @@ def absorbed_tensors(cfg, seed=11):
 
 
 # each term by which a stored tensor absorbs one of `absorbed_tensors`
-ABSORPTIONS = ("embed_b<-enc_scalar_b", "embed_b<-enc_conv_b", "W_q<-ln1_g", "W_k<-ln1_g",
+ABSORPTIONS = ("state_b<-token_b", "state_b<-enc_conv_b", "W_q<-ln1_g", "W_k<-ln1_g",
                "W_v<-ln1_g", "b_q<-ln1_b", "b_o<-ln1_b", "b_o<-attn_v_b", "W1<-ln2_g", "b1<-ln2_b")
 
 
@@ -1051,7 +1056,10 @@ def absorb(model, absorbed, skip=()):
     """Fold the tensors `absorbed` into the stored tensors of `model` by
     every term of ABSORPTIONS but those in `skip`, so that it computes what
     the op-by-op references compute with them:
-    - an encoder bias b of state feature i adds b·embed_W[i] to embed_b[i];
+    - the blocks see the mean of a step's 8 state tokens, so the state
+      tokens' biases add their mean to state_b, and a conv bias c of
+      temporal feature j, which adds c·conv_embed_W[j] to its token, adds
+      that over 8;
     - ln1's gain g scales the rows of W_q, W_k and W_v (LoRA's A too);
     - ln1's shift β adds β·W_q to b_q and β·W_v·W_o to b_o (β·W_k would
       add a constant to a query's scores, which softmax cancels);
@@ -1065,11 +1073,9 @@ def absorb(model, absorbed, skip=()):
         if term not in skip:
             p[name].data = p[name].data + delta
 
-    E = p["embed_W"].data
-    for kind, idx in (("scalar", model_mod._SCALAR_IDX), ("conv", model_mod._CONV_IDX)):
-        delta = np.zeros_like(p["embed_b"].data)
-        delta[idx] = np.einsum("jf,jfd->jd", a[f"enc_{kind}_b"], E[idx])
-        fold(f"embed_b<-enc_{kind}_b", "embed_b", delta)
+    fold("state_b<-token_b", "state_b", a["token_b"].mean(axis=0))
+    fold("state_b<-enc_conv_b", "state_b",
+         np.einsum("jf,jfd->d", a["enc_conv_b"], p["conv_embed_W"].data) / STATE_DIM)
     merged = {**{n: t.data for n, t in p.items()}, **model.merge_lora()}
     for l in range(model.config.n_layers):
         g1, beta1, b_v, g2, beta2 = (a[f"blk{l}_{name}"] for name in ABSORBED_BLOCK_TENSORS)
@@ -1087,7 +1093,8 @@ def absorb(model, absorbed, skip=()):
 
 class TestAbsorbedTensors:
     """Since checkpoint v6 a model stores no layer-norm tensor in its blocks
-    and no value or encoder bias: folding random values of them into the
+    and no value or encoder bias, and since v10 one bias for all 8 state
+    tokens: folding random values of them into the
     tensors it stores gives the logits of the op-by-op references that
     apply them, and dropping any one term of the fold does not."""
 

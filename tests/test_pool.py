@@ -383,6 +383,22 @@ class TestNormalization:
         assert stats["zero_variance"][0] is True or stats["zero_variance"][0] == 1
         assert all(s.state[0] == 0.0 for s in all_steps(normed))
 
+    @pytest.mark.parametrize("states,message", [
+        ([1e300, -1e300] * 2, "feature burst_allowance has a std of inf"),
+        ([1e308] * 4, "feature burst_allowance has a mean of inf")], ids=["std", "mean"])
+    def test_stats_that_overflow_refused_by_name(self, states, message):
+        """Finite states whose squares, or whose sum, overflow a float64
+        have no finite std or mean: refused, naming the first such feature,
+        with no RuntimeWarning (which pyproject makes an error)."""
+        pool = ExperiencePool(gamma=0.95)
+        rewards = [1.0] * 4
+        pool.trajectories.append(Trajectory(
+            rewards, [[5.0, x] + [float(i)] * 6 for i, x in enumerate(states)], [0] * 4,
+            returns_to_go(rewards, 0.95)))
+        pool.validate()
+        with pytest.raises(PoolError, match=message):
+            compute_feature_stats(pool)
+
 
 class TestAugmentation:
     def _pool(self):

@@ -261,7 +261,7 @@ class TestTrainEpoch:
         """No token of an untrained model is an exact-zero row, whose
         gradient the first layer norm would scale by 1/sqrt(LN_EPS): on the
         default scenario, every ENQUEUE step's action token is b_action and
-        every packet_length token embed_b's row (the feature has zero
+        every packet_length token state_b (the feature has zero
         variance), and with those biases zero the norm read 41,020 for seed
         0, so the clip at 1 all but froze every other tensor's first
         update."""
